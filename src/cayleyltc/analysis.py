@@ -3,9 +3,10 @@
 Agreement testability of a length-r code C compares pairs (f, g) of r x r
 matrices where every row of f and every column of g lies in C: sigma(C) is
 the worst-case ratio of their plain disagreement d(f,g) to the row/column
-correction cost d_rc((f,g), C (x) C).  The oracles here enumerate the full
-search spaces exactly, so they only run at small budgets, and they return
-exact fractions.
+correction cost d_rc((f,g), C (x) C).  The oracles here search exactly,
+so they only run at small budgets, and they return exact fractions:
+sigma_exact scans one row-valid f per coset of C (x) C against every
+column-valid g, rc_distance scans the whole tensor code.
 
 Uniform smoothness: a d-LDPC code C is (alpha, beta, delta, d)-US when
 every small erased set I extends to a set J, of size at most |I|/beta,
@@ -27,6 +28,8 @@ from .codes import LinearCode, tensor_code
 from .f2core import BitMatrix, BitVector, DimensionBudgetError
 
 SIGMA_MAX_RK = 12
+#: Entries of one (representative, w, g) block in sigma_exact (16 MB int64).
+SIGMA_BLOCK = 1 << 21
 RC_MAX_K0 = 20
 
 
@@ -129,7 +132,15 @@ def _row_valid_matrices(C1: LinearCode) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sigma_exact(C1: LinearCode) -> SigmaResult:
-    """sigma(C1) by full enumeration of row-valid f and column-valid g.
+    """sigma(C1), exactly, scanning one row-valid f per coset of C1 (x) C1.
+
+    For c in C0 = C1 (x) C1 the map (f, g) -> (f + c, g + c) keeps both
+    d(f,g) and d_rc, and g -> g + c permutes the column-valid matrices, so
+    every f in a coset f + C0 reaches the same ratios.  Only the first f of
+    each coset (in the order of _row_valid_matrices) is scanned, against
+    every column-valid g; the first minimizing f of a full scan is such a
+    representative, so the value and the minimizing pair are those of the
+    full enumeration.
 
     Budget: r * k1 <= 12 (the two spaces have 2^(r k1) elements each).
     Pairs with f = g are excluded; d_rc = 0 for f != g is impossible and
@@ -149,37 +160,45 @@ def sigma_exact(C1: LinearCode) -> SigmaResult:
     W_rows = W.reshape(-1, r, r) @ pows                          # (|W|, r)
     W_cols = np.swapaxes(W, 1, 2) @ pows
     G_cols = np.swapaxes(G, 1, 2) @ pows                         # (|G|, r)
+    F_flat = F.reshape(len(F), -1).astype(np.float64)
+    G_flat = G.reshape(len(G), -1).astype(np.float64)
+    F_wt, G_wt = F_flat.sum(axis=1), G_flat.sum(axis=1)
+
+    # f and f' share a coset of C0 iff they share a syndrome under C0's
+    # parity checks; keep the first f of each syndrome class, in order
+    H0 = C0.parity.to_array().T.astype(np.float64)
+    syndromes = np.packbits((F_flat @ H0) % 2 != 0, axis=1)
+    _, first = np.unique(syndromes, axis=0, return_index=True)
+    reps = np.sort(first)
 
     # d_row(f,w) and d_col(g,w) as integer row/column mismatch counts
-    D_row = (F_rows[:, None, :] != W_rows[None, :, :]).sum(axis=2)
-    D_col = (G_cols[:, None, :] != W_cols[None, :, :]).sum(axis=2)
+    D_row = (F_rows[reps][:, :, None] != W_rows.T[None]).sum(axis=1)  # (reps, |W|)
+    D_col = (W_cols[:, None, :] != G_cols[None]).sum(axis=2)         # (|W|, |G|)
 
-    F_flat = F.reshape(len(F), -1)
-    G_flat = G.reshape(len(G), -1)
-    pows2 = (1 << np.arange(r * r, dtype=np.int64))
-    F_enc = F_flat @ pows2
-    G_enc = G_flat @ pows2
-
+    # scan the representatives in order, a block of them at a time; the
+    # block keeps the (rep, w, g) temporary under SIGMA_BLOCK entries
+    block = max(1, SIGMA_BLOCK // D_col.size)
     best = None
     best_pair = None
     pairs = 0
-    for i in range(len(F)):
-        minsum = (D_row[i][None, :] + D_col).min(axis=1)         # (|G|,)
-        wt = np.bitwise_count(np.bitwise_xor(F_enc[i], G_enc))
-        neq = F_enc[i] != G_enc
+    for start in range(0, len(reps), block):
+        idx = reps[start:start + block]
+        minsum = (D_row[start:start + block, :, None] + D_col[None]).min(axis=1)
+        # wt(f - g) = wt(f) + wt(g) - 2 <f, g>, exact in float64
+        wt = F_wt[idx, None] + G_wt[None] - 2 * (F_flat[idx] @ G_flat.T)
+        neq = wt != 0
         pairs += int(neq.sum())
-        if not neq.any():
-            continue
         if (minsum[neq] == 0).any():
             raise AssertionError("d_rc = 0 with f != g: implementation bug")
-        # ratio = (wt/r^2) / (minsum/2r) = 2 wt / (r * minsum)
-        ratios = 2.0 * wt[neq] / (r * minsum[neq].astype(np.float64))
-        j_local = int(np.argmin(ratios))
-        j = int(np.nonzero(neq)[0][j_local])
-        cand = Fraction(2 * int(wt[j]), r * int(minsum[j]))
+        # ratio = (wt/r^2) / (minsum/2r) = 2 wt / (r * minsum); the first
+        # minimum in (rep, g) order is the one a pair-by-pair scan keeps
+        ratios = np.full(wt.shape, np.inf)
+        np.divide(2 * wt, r * minsum, out=ratios, where=neq)
+        t, j = np.unravel_index(np.argmin(ratios), ratios.shape)
+        cand = Fraction(2 * int(wt[t, j]), r * int(minsum[t, j]))
         if best is None or cand < best:
             best = cand
-            best_pair = (F[i].copy(), G[j].copy())
+            best_pair = (F[idx[t]].copy(), G[j].copy())
     if best is None:
         raise AssertionError("no valid pair with f != g exists")
     assert best <= 2, "sigma must never exceed 2"

@@ -4,7 +4,8 @@ Subcommands: build (construct a complex + square code and write artifacts),
 analyze (measured value vs. proved bound, verdict pass/fail/na), experiment
 (seeded kappa/decode trials with CSV + JSON reports), inspect (summarize an
 artifact file).  Exit codes: 0 = pass, 1 = bound violation, 2 =
-precondition or budget refusal.
+precondition or budget refusal, 3 = internal error (any other exception,
+reported as {"error", "type"} JSON on stderr).
 
 Every command is deterministic given its inputs and --seed: experiment
 trials derive per-trial RNG streams from (seed, trial index), so reports
@@ -38,7 +39,7 @@ from .groups import (
     symmetric_subset,
 )
 
-EXIT_PASS, EXIT_BOUND, EXIT_PRECONDITION = 0, 1, 2
+EXIT_PASS, EXIT_BOUND, EXIT_PRECONDITION, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 class PreconditionError(ValueError):
@@ -485,6 +486,10 @@ def main(argv=None) -> int:
     except (PreconditionError, DimensionBudgetError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        print(json.dumps({"error": str(exc), "type": type(exc).__name__}),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -257,20 +257,16 @@ def kernel_basis(M: BitMatrix) -> list[BitVector]:
     n = M.cols
     if n == 0:
         return []
-    if M.rows == 0:
-        return [BitVector(np.eye(n, dtype=np.uint8)[i]) for i in range(n)]
     R, pivots = _rref_words(M.words, n)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
+    free = np.setdiff1d(np.arange(n), pivots)
     Rbits = _unpack_bits(R[: len(pivots)], n)
-    basis = []
-    for f in free_cols:
-        v = np.zeros(n, dtype=np.uint8)
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = Rbits[i, f]
-        basis.append(BitVector(v))
-    return basis
+    # one basis vector per free column f: e_f plus column f of the RREF
+    # scattered onto the pivot coordinates
+    B = np.zeros((free.size, n), dtype=np.uint8)
+    B[np.arange(free.size), free] = 1
+    B[:, pivots] = Rbits[:, free].T
+    words = _pack_bits(B)
+    return [BitVector._from_words(w, n) for w in words]
 
 
 def weight(v: BitVector) -> int:

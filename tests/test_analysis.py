@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cayleyltc.analysis import (
     SmoothingFailure,
+    _row_valid_matrices,
     col_distance,
     is_d_ldpc,
     low_weight_dual_words,
@@ -19,13 +22,16 @@ from cayleyltc.analysis import (
     verify_us,
 )
 from cayleyltc.codes import (
+    LinearCode,
     bch_code,
+    full_code,
     graph_edge_labelling,
     parity_code,
     repetition_code,
     tanner_code_on_graph,
+    tensor_code,
 )
-from cayleyltc.f2core import BitVector, DimensionBudgetError
+from cayleyltc.f2core import BitMatrix, BitVector, DimensionBudgetError
 from cayleyltc.groups import Graph
 
 
@@ -133,6 +139,105 @@ def test_sigma_minimizing_pair_is_valid():
     res = sigma_exact(c)
     rec = rc_distance(res.f, res.g, c)
     assert rec["d"] / rec["d_rc"] == res.value
+
+
+def _sigma_full_enumeration(C1):
+    """Reference oracle: sigma(C1) over every row-valid f and column-valid g.
+
+    Scans f in the order of _row_valid_matrices and keeps the first pair
+    reaching the minimum, so it fixes both the value and the minimizer.
+    """
+    r = C1.n
+    F, F_rows = _row_valid_matrices(C1)
+    G = np.swapaxes(F, 1, 2).copy()
+    C0 = tensor_code(C1)
+    W = np.stack([w.to_bits().reshape(r, r) for w in C0.codewords()])
+    pows = (1 << np.arange(r)).astype(np.int64)
+    W_rows = W.reshape(-1, r, r) @ pows
+    W_cols = np.swapaxes(W, 1, 2) @ pows
+    G_rows = G @ pows
+    G_cols = np.swapaxes(G, 1, 2) @ pows
+    D_row = (F_rows[:, None, :] != W_rows[None, :, :]).sum(axis=2)
+    D_col = (G_cols[:, None, :] != W_cols[None, :, :]).sum(axis=2)
+    best = None
+    best_pair = None
+    for i in range(len(F)):
+        minsum = (D_row[i][None, :] + D_col).min(axis=1)
+        wt = np.bitwise_count(F_rows[i] ^ G_rows).sum(axis=1)
+        neq = wt != 0
+        assert not (minsum[neq] == 0).any()
+        ratios = 2.0 * wt[neq] / (r * minsum[neq].astype(np.float64))
+        j = int(np.nonzero(neq)[0][int(np.argmin(ratios))])
+        cand = Fraction(2 * int(wt[j]), r * int(minsum[j]))
+        if best is None or cand < best:
+            best = cand
+            best_pair = (F[i].copy(), G[j].copy())
+    return best, best_pair[0], best_pair[1]
+
+
+def _assert_sigma_matches_oracle(c):
+    res = sigma_exact(c)
+    value, f, g = _sigma_full_enumeration(c)
+    assert res.value == value
+    assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
+    return res
+
+
+_SIGMA_CODES = {"rep": repetition_code, "parity": parity_code, "full": full_code}
+
+
+@pytest.mark.parametrize("kind, r", [
+    ("rep", 2), ("rep", 3), ("rep", 4), ("rep", 5), ("rep", 6), ("rep", 12),
+    ("parity", 2), ("parity", 3), ("full", 2), ("full", 3),
+])
+def test_sigma_matches_full_enumeration(kind, r):
+    c = _SIGMA_CODES[kind](r)
+    res = _assert_sigma_matches_oracle(c)
+    rec = rc_distance(res.f, res.g, c)
+    assert rec["d"] / rec["d_rc"] == res.value
+    # one f per coset of C1 (x) C1, each against every g but itself
+    cosets = 2 ** (c.k * (c.n - c.k))
+    assert res.pairs_scanned == cosets * 2 ** (c.n * c.k) - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 2**32 - 1))
+def test_sigma_matches_full_enumeration_random_codes(r, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9 // r + 1))
+    c = LinearCode.from_generators(
+        BitMatrix(rng.integers(0, 2, size=(k, r), dtype=np.uint8)))
+    assume(c.k > 0)
+    _assert_sigma_matches_oracle(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["rep3", "rep4", "parity3", "full2", "random"]),
+       st.integers(0, 2**32 - 1))
+def test_rc_distance_invariant_under_tensor_shift(name, seed):
+    rng = np.random.default_rng(seed)
+    if name == "random":
+        c = LinearCode.from_generators(
+            BitMatrix(rng.integers(0, 2, size=(2, 4), dtype=np.uint8)))
+        assume(c.k > 0)
+    else:
+        c = _SIGMA_CODES[name[:-1]](int(name[-1]))
+    r = c.n
+    words = [w.to_bits() for w in c.codewords()]
+    f = np.stack([words[i] for i in rng.integers(len(words), size=r)])
+    g = np.stack([words[i] for i in rng.integers(len(words), size=r)]).T
+    shift = tensor_code(c).random_codeword(rng).to_bits().reshape(r, r)
+    rec = rc_distance(f, g, c)
+    shifted = rc_distance(f ^ shift, g ^ shift, c)
+    assert (shifted["d"], shifted["d_rc"]) == (rec["d"], rec["d_rc"])
+
+
+def test_sigma_parity4_pinned():
+    res = sigma_exact(parity_code(4))
+    assert res.value == Fraction(1, 2)
+    assert res.f.tolist() == [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0]]
+    assert res.g.tolist() == [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]]
+    assert res.pairs_scanned == 8 * 4096 - 1
 
 
 # -- punctured codes ----------------------------------------------------------

@@ -185,3 +185,18 @@ def test_lps_end_to_end_build_and_ramanujan_verdict(tmp_path, capsys):
     assert rc == 0
     assert rep["verdict"] == "pass"
     assert rep["lambda"] <= rep["ramanujan_bound"]
+
+
+def test_internal_error_has_its_own_exit_code(z5_dir, capsys, monkeypatch):
+    from cayleyltc import analysis
+    from cayleyltc.cli import EXIT_BOUND, EXIT_INTERNAL
+
+    def broken(C1):
+        raise AssertionError("d_rc = 0 with f != g: implementation bug")
+
+    monkeypatch.setattr(analysis, "sigma_exact", broken)
+    rc = main(["analyze", str(z5_dir / "manifest.json"), "--which", "sigma"])
+    assert rc == EXIT_INTERNAL != EXIT_BOUND
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "d_rc = 0 with f != g: implementation bug",
+                   "type": "AssertionError"}

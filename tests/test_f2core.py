@@ -136,6 +136,56 @@ def test_rank_transpose_and_kernel_dim(n, m, seed):
     assert len(kernel_basis(M)) + r == n
 
 
+def _kernel_basis_loop(M):
+    """Reference: one kernel vector per free column, built bit by bit."""
+    n = M.cols
+    if n == 0:
+        return []
+    if M.rows == 0:
+        return [BitVector(np.eye(n, dtype=np.uint8)[i]) for i in range(n)]
+    R, pivots = f2core._rref_words(M.words, n)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(n) if c not in pivot_set]
+    Rbits = f2core._unpack_bits(R[: len(pivots)], n)
+    basis = []
+    for f in free_cols:
+        v = np.zeros(n, dtype=np.uint8)
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = Rbits[i, f]
+        basis.append(BitVector(v))
+    return basis
+
+
+def _assert_kernel_matches_loop(M):
+    new, ref = kernel_basis(M), _kernel_basis_loop(M)
+    assert [v.n for v in new] == [v.n for v in ref]
+    assert [v.words.tolist() for v in new] == [v.words.tolist() for v in ref]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 150), st.sampled_from(["random", "sparse", "zero_cols"]),
+       st.integers(0, 2**32 - 1))
+def test_kernel_basis_matches_loop(m, n, shape, seed):
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+    if shape == "sparse":
+        arr &= rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+    elif shape == "zero_cols":
+        arr[:, rng.random(n) < 0.5] = 0
+    _assert_kernel_matches_loop(BitMatrix(arr))
+
+
+def test_kernel_basis_matches_loop_edge_cases():
+    rng = np.random.default_rng(5)
+    for M in (BitMatrix.zeros(0, 7), BitMatrix.zeros(3, 70), BitMatrix.identity(65),
+              BitMatrix(np.hstack([np.eye(5, dtype=np.uint8),
+                                   rng.integers(0, 2, size=(5, 130), dtype=np.uint8)])),
+              BitMatrix(rng.integers(0, 2, size=(40, 20), dtype=np.uint8))):
+        _assert_kernel_matches_loop(M)
+    assert kernel_basis(BitMatrix.identity(65)) == []
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 100), st.integers(0, 2**32 - 1))
 def test_distance_is_weight_of_xor(n, seed):
