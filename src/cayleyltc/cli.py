@@ -24,15 +24,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, analysis, codes, f2core, ltc, spectral
 from .complexes import build_complex, deserialize_complex, serialize_complex
 from .f2core import DimensionBudgetError
 from .groups import (
     FiniteGroup,
     GeneratorSet,
-    cayley_graph,
     cyclic_group,
     lps_generators,
     psl2,
@@ -96,16 +93,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _spectral_lambda(X, method: str, tol: float) -> dict:
-    reports = {}
-    for side, S in (("left", X.A), ("right", X.B)):
-        g = cayley_graph(X.group, S, side)
-        rep = spectral.second_eigenvalue(g, method=method, tol=tol)
-        reports[side] = json.loads(rep.to_json())
-    lam = max(reports["left"]["lambda"], reports["right"]["lambda"])
-    return {"lambda": lam, "cayley": reports}
-
-
 def _derived_parameters(X, C1, lam: float) -> dict:
     delta1 = Fraction(C1.distance_exact(), C1.n) if C1.k else None
     sigma1 = None
@@ -148,7 +135,7 @@ def cmd_build(args) -> int:
     if len(A) != len(B):
         raise PreconditionError(f"|A| = {len(A)} != |B| = {len(B)}")
     X = build_complex(group, A, B)
-    lam_rec = _spectral_lambda(X, method=args.method, tol=args.tol)
+    lam_rec = spectral.complex_spectrum(X, method=args.method, tol=args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -220,7 +207,7 @@ def cmd_analyze(args) -> int:
               "tool_version": __version__}
 
     if which == "spectral":
-        rec = _spectral_lambda(X, method=args.method, tol=args.tol)
+        rec = spectral.complex_spectrum(X, method=args.method, tol=args.tol)
         report.update(rec)
         gens = manifest["generators"]
         if gens.get("lps") and not gens.get("subset"):
@@ -308,33 +295,6 @@ def _write_rows(path: Path, fields: list[str], rows: list[dict]) -> bytes:
     return data
 
 
-def _decode_trial(tester, code, seed, index, weights) -> dict:
-    lo, hi = weights
-    rng = np.random.default_rng([seed, index])
-    w = int(lo + (index % (hi - lo + 1)))
-    c = code.random_codeword(rng)
-    e = ltc.random_error(rng, code.n, w)
-    f_bits = c.to_bits() ^ e
-    D = tester.reject_probability(f_bits)
-    out = tester.decode(f_bits)
-    ok = out.delta_initial <= 2 * D * tester.X.n_edges + 1e-9
-    ok &= out.iterations <= max(out.delta_initial, 0)
-    dist = float("nan")
-    if out.kind == "codeword":
-        dist = float((out.word.to_bits() != f_bits).sum()) / code.n
-        ok &= dist <= (4 + 8 * tester.r) * D + 1e-9
-    else:
-        diag = ltc.check_far_diagnostics(
-            tester.X, out, tester.C1.distance_exact(), tester.C1.n)
-        ok &= diag["dispute_edge_bound_holds"]
-    return {
-        "trial": index, "weight": w, "D": D, "outcome": out.kind,
-        "iterations": out.iterations, "delta_initial": out.delta_initial,
-        "dist_to_output": dist, "dist_bound": (4 + 8 * tester.r) * D,
-        "contract_ok": bool(ok),
-    }
-
-
 def cmd_experiment(args) -> int:
     manifest, X, C1 = _load_instance(args.manifest)
     try:
@@ -359,28 +319,15 @@ def cmd_experiment(args) -> int:
         report = ltc.kappa_experiment(tester, code, params, trials=args.trials,
                                       weights=weights, seed=args.seed,
                                       workers=args.workers)
-        rows = report.pop("rows")
         fields = _KAPPA_FIELDS
     elif args.kind == "decode":
-        def run(i):
-            return _decode_trial(tester, code, args.seed, i, weights)
-
-        if args.workers > 1 and args.trials:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                rows = list(pool.map(run, range(args.trials)))
-        else:
-            rows = [run(i) for i in range(args.trials)]
-        n_far = sum(r["outcome"] == "far" for r in rows)
-        report = {
-            "trials": args.trials, "weights": list(weights), "seed": args.seed,
-            "n_far": n_far,
-            "all_contracts_ok": all(r["contract_ok"] for r in rows),
-        }
+        report = ltc.decode_experiment(tester, code, trials=args.trials,
+                                       weights=weights, seed=args.seed,
+                                       workers=args.workers)
         fields = _DECODE_FIELDS
     else:
         raise PreconditionError(f"unknown experiment kind {args.kind!r}")
+    rows = report.pop("rows")
 
     report["manifest_sha256"] = _sha256(Path(args.manifest).read_bytes())
     report["tool_version"] = __version__
@@ -468,7 +415,9 @@ def make_parser() -> argparse.ArgumentParser:
     e.add_argument("--trials", type=int, required=True)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--weights", default="1,2", help="corruption weight range lo,hi")
-    e.add_argument("--workers", type=int, default=1)
+    e.add_argument("--workers", type=int, default=1,
+                   help="trial threads; rows are identical for any count, and "
+                        "decode runs no faster on more threads (the GIL)")
     e.add_argument("--format", default="json", choices=["json", "csv"])
     e.add_argument("--out", required=True, help="output path prefix")
     e.set_defaults(fn=cmd_experiment)

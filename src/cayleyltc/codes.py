@@ -19,7 +19,7 @@ import json
 import numpy as np
 
 from . import f2core
-from .complexes import CayleyComplex
+from .complexes import CayleyComplex, canonical_ids
 from .f2core import BitMatrix, BitVector, DimensionBudgetError
 from .groups import FiniteGroup, GeneratorSet, Graph
 
@@ -107,10 +107,6 @@ class LinearCode:
                 raise ValueError("zero code has no distance")
             self._distance = f2core.min_weight_exhaustive(
                 list(self.generator.row_iter()))
-        return self._distance
-
-    @property
-    def cached_distance(self) -> int | None:
         return self._distance
 
     def normalized_distance(self) -> float:
@@ -325,16 +321,10 @@ def cayley_edge_labelling(G: FiniteGroup, S: GeneratorSet,
     of s at vertex g and of s^-1 at vertex sg; ids follow the canonical
     (min position, root) representative.  Returns (n_edges, labelling).
     """
-    n = G.order
     perms = np.stack([(G.left_perm(s) if side == "left" else G.right_perm(s))
                       for s in S.indices])
-    inv_pos = S.inverse_positions
-    keys = np.arange(len(S), dtype=np.int64)[:, None] * n + np.arange(n)[None, :]
-    alt = inv_pos[:, None] * n + perms
-    canon = np.minimum(keys, alt)
-    _, inverse = np.unique(canon.ravel(), return_inverse=True)
-    edge_ids = inverse.reshape(len(S), n)
-    return edge_ids.max() + 1, edge_ids.T.copy()   # labelling[v, pos]
+    n_edges, edge_ids, _ = canonical_ids(perms, S.inverse_positions)
+    return n_edges, edge_ids.T.copy()   # labelling[v, pos]
 
 
 def tanner_code(n_edges: int, labelling: np.ndarray, C0: LinearCode,

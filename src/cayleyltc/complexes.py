@@ -41,6 +41,21 @@ class ConditionReport:
     n2c_witness: tuple[int, int, int] | None = None
 
 
+def canonical_ids(perms: np.ndarray,
+                  inv_pos: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Ids of the edges {g, s_k g} of one generator set, s_k acting by perms[k].
+
+    The slot (k, g) and its reverse (inverse position of k, s_k g) name one
+    edge; its key is the least of the two slot keys k * n + g.  Returns
+    (edge count, (k, n) edge id per slot, sorted canonical keys).
+    """
+    k, n = perms.shape
+    keys = np.arange(k, dtype=np.int64)[:, None] * n + np.arange(n, dtype=np.int64)
+    canon = np.minimum(keys, inv_pos[:, None] * n + perms)
+    uniq, inverse = np.unique(canon.ravel(), return_inverse=True)
+    return len(uniq), inverse.reshape(k, n).astype(np.int64), uniq
+
+
 class CayleyComplex:
     """Vertices V = G, typed edges E_A | E_B, and square classes [a,g,b]."""
 
@@ -81,16 +96,6 @@ class CayleyComplex:
 
     def _build_edges(self):
         n = self.n_vertices
-        g_row = np.arange(n, dtype=np.int64)
-
-        def canonical_ids(perms, inv_pos):
-            k = perms.shape[0]
-            keys = np.arange(k, dtype=np.int64)[:, None] * n + g_row[None, :]
-            alt = inv_pos[:, None] * n + perms
-            canon = np.minimum(keys, alt)
-            uniq, inverse = np.unique(canon.ravel(), return_inverse=True)
-            return len(uniq), inverse.reshape(k, n).astype(np.int64), uniq
-
         self.n_left_edges, left_ids, left_keys = canonical_ids(
             self.left_perms, self.a_inv_pos)
         self.n_right_edges, right_ids, right_keys = canonical_ids(
@@ -190,9 +195,6 @@ class CayleyComplex:
         """The labelling map iota_g as an (|A|, |B|) grid of square ids."""
         return self.square_id[:, g, :]
 
-    def distinct_squares_of_vertex(self, g: int) -> np.ndarray:
-        return np.unique(self.square_id[:, g, :])
-
     def squares_of_edge(self, e: int) -> np.ndarray:
         """The labelling map iota_e: a vector of square ids over B (left
         edge) or A (right edge), possibly with repeats when N2C fails."""
@@ -237,6 +239,12 @@ class CayleyComplex:
         t, pos, g = (int(x) for x in self.edge_rep[e])
         lbl = pos if t == LEFT else self.nA + pos
         return g, int(self.vert_image[lbl, g])
+
+    def edge_endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """edge_endpoints of every edge: (root vertices, far vertices)."""
+        t, pos, g = self.edge_rep.T
+        lbl = np.where(t == LEFT, pos, self.nA + pos)
+        return g, self.vert_image[lbl, g]
 
     # -- manifest / serialization -------------------------------------------
 

@@ -172,13 +172,6 @@ class BitMatrix:
         out = (_popcount(self.words & v.words[None, :]).sum(axis=1) & 1).astype(np.uint8)
         return BitVector(out)
 
-    def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimension mismatch")
-        a = self.to_array()
-        b = other.to_array()
-        return BitMatrix((a.astype(np.uint32) @ b.astype(np.uint32)) & 1)
-
     def stack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch")

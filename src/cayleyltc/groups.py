@@ -61,9 +61,6 @@ class FiniteGroup:
         """Permutation g -> g*s over all element indices."""
         raise NotImplementedError
 
-    def element_label(self, i: int) -> str:
-        return str(i)
-
     def parameters(self) -> dict:
         return {}
 
@@ -231,10 +228,6 @@ class PSL2(FiniteGroup):
 
     def right_perm(self, s: int) -> np.ndarray:
         return self._perm(s, "right")
-
-    def element_label(self, i: int) -> str:
-        a, b, c, d = self.mats[i]
-        return f"[[{a},{b}],[{c},{d}]]"
 
     def parameters(self) -> dict:
         return {"q": self.q}

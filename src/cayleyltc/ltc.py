@@ -10,7 +10,12 @@ labelling map, so degenerate vertices where TNC fails are handled), counts
 disagreeing edges Delta(W), and greedily replaces single-vertex views while
 any replacement strictly reduces Delta.  Termination with Delta = 0 yields
 a codeword; otherwise the word is declared far and the final dispute set
-supports the counting diagnostics n1, n_par, n2, n2'.
+supports the counting diagnostics n1, n_par, n2, n2'.  Vertices are grouped
+by fiber pattern (which slots of the view share a square); the start state,
+every vertex's nearest local codeword, is one array pass per pattern.
+
+kappa_experiment and decode_experiment run seeded trials, one RNG stream
+per (seed, trial index), so their rows do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .f2core import BitVector, DimensionBudgetError
 from .spectral import parallel_neighbor_table
 
 NEAREST_SEARCH_MAX_DIM = 20
+# entries in one temporary of the decoder tables and the nearest-codeword
+# pass (8 MB of float64), so that large instances add no peak memory
+DECODE_BLOCK = 1 << 20
 
 
 @dataclass
@@ -80,22 +88,6 @@ class DecodeOutcome:
     diagnostics: dict = field(default_factory=dict)
 
 
-class _VertexPattern:
-    """Shared decoder tables for all vertices with one fiber pattern."""
-
-    __slots__ = ("first_slots", "inverse", "cand_ids", "cand_proj")
-
-    def __init__(self, flat_slots_relabeled: np.ndarray, cand_flat: np.ndarray):
-        # fiber structure: slots with equal relabeled id carry one square
-        _, first, inverse = np.unique(flat_slots_relabeled, return_index=True,
-                                      return_inverse=True)
-        self.first_slots = first
-        self.inverse = inverse
-        ok = (cand_flat == cand_flat[:, first][:, inverse]).all(axis=1)
-        self.cand_ids = np.nonzero(ok)[0]
-        self.cand_proj = np.ascontiguousarray(cand_flat[self.cand_ids][:, first])
-
-
 class SquareCodeTester:
     """Tester + decoder context for one (complex, base code) pair."""
 
@@ -114,9 +106,7 @@ class SquareCodeTester:
         self._h1 = C1.parity.to_array().astype(np.int64)
         self._grid = X.square_id                     # (r, n, r)
         self._cand_flat = None
-        self._patterns: dict[tuple, _VertexPattern] = {}
-        self._vertex_pattern: list[_VertexPattern] | None = None
-        self._par_nbrs = None
+        self._pattern_of = None      # set last by _ensure_tables, with _pattern_*
         self._table_lock = threading.Lock()   # decode trials may share a tester
 
     # -- tester ------------------------------------------------------------
@@ -161,10 +151,17 @@ class SquareCodeTester:
     # -- decoder tables -----------------------------------------------------
 
     def _ensure_tables(self):
-        if self._vertex_pattern is not None:
+        """Candidate table and per-pattern decoder tables.
+
+        A vertex's fiber pattern is key[j] = the first slot i of its r x r
+        view that carries the same square as slot j.  Vertices with equal
+        keys share their distinct-square positions (first slots), their
+        fiber-constant candidates and those candidates' rows.
+        """
+        if self._pattern_of is not None:
             return
         with self._table_lock:
-            if self._vertex_pattern is not None:
+            if self._pattern_of is not None:
                 return
             k0 = self.C0.k
             if k0 > NEAREST_SEARCH_MAX_DIM:
@@ -175,29 +172,72 @@ class SquareCodeTester:
             words = self.C0.codewords()
             cand = np.stack([w.to_bits() for w in words])     # (n_cand, r^2)
             order = np.lexsort(cand.T[::-1])                  # lexicographic
-            self._cand_flat = np.ascontiguousarray(cand[order])
-            per_vertex = []
-            for g in range(self.X.n_vertices):
-                flat = self._grid[:, g, :].ravel()
-                # relabel square ids to first-occurrence ranks: the pattern key
-                _, inv = np.unique(flat, return_inverse=True)
-                key = inv.tobytes()
-                pat = self._patterns.get(key)
-                if pat is None:
-                    pat = _VertexPattern(inv, self._cand_flat)
-                    self._patterns[key] = pat
-                per_vertex.append(pat)
-            self._vertex_pattern = per_vertex
+            cand = np.ascontiguousarray(cand[order])
+            n, r2 = self.X.n_vertices, self.r * self.r
+            keys = np.empty((n, r2), dtype=np.min_scalar_type(r2 - 1))
+            step = max(1, DECODE_BLOCK // (r2 * r2))
+            for lo in range(0, n, step):
+                flat = self._grid[:, lo:lo + step, :].transpose(1, 0, 2).reshape(-1, r2)
+                keys[lo:lo + step] = (flat[:, :, None] == flat[:, None, :]).argmax(axis=1)
+            # one bytes object per key row: np.unique(axis=0) sorts ~100x slower
+            key_rows = keys.view(np.dtype((np.void, keys.itemsize * r2))).ravel()
+            _, first_vertex, pattern_of = np.unique(
+                key_rows, return_index=True, return_inverse=True)
+            firsts, cand_ids, rows = [], [], []
+            for key in keys[first_vertex].astype(np.intp):
+                firsts.append(np.flatnonzero(key == np.arange(r2)))
+                cand_ids.append(np.flatnonzero((cand[:, key] == cand).all(axis=1)))
+                rows.append(cand[cand_ids[-1]])
+            self._cand_flat = cand
+            self._pattern_first = firsts
+            self._pattern_cands = cand_ids
+            self._pattern_rows = rows
+            self._pattern_proj = [np.ascontiguousarray(rw[:, fs])
+                                  for rw, fs in zip(rows, firsts)]
+            self._pattern_of = pattern_of.reshape(-1)   # last: tables built
 
-    def nearest_local_codeword(self, f_bits: np.ndarray, g: int) -> np.ndarray:
+    def nearest_local_codeword(self, f_bits: np.ndarray, g: int) -> int:
         """Index into the candidate table of the closest fiber-constant
         tensor codeword to f's view at g, distance on distinct squares,
         ties to the lexicographically least grid."""
         self._ensure_tables()
-        pat = self._vertex_pattern[g]
-        view = f_bits[self._grid[:, g, :].ravel()[pat.first_slots]]
-        dists = (pat.cand_proj != view[None, :]).sum(axis=1)
-        return int(pat.cand_ids[int(np.argmin(dists))])
+        p = self._pattern_of[g]
+        view = f_bits[self._grid[:, g, :].ravel()[self._pattern_first[p]]]
+        dists = (self._pattern_proj[p] != view[None, :]).sum(axis=1)
+        return int(self._pattern_cands[p][int(np.argmin(dists))])
+
+    def nearest_local_codewords(self, f_bits: np.ndarray) -> np.ndarray:
+        """nearest_local_codeword at every vertex, one array pass per pattern.
+
+        The distance of a 0/1 view v to a candidate c on the distinct
+        squares is wt(v) + wt(c) - 2<v, c>, exact in float64 at these
+        sizes; argmin keeps the first (lexicographically least) minimum.
+        """
+        self._ensure_tables()
+        r = self.r
+        out = np.empty(self.X.n_vertices, dtype=np.int64)
+        for p, (first, cand_ids, proj) in enumerate(zip(
+                self._pattern_first, self._pattern_cands, self._pattern_proj)):
+            verts = np.flatnonzero(self._pattern_of == p)
+            a, b = np.divmod(first, r)
+            proj_t = proj.T.astype(np.float64)
+            cand_wt = proj.sum(axis=1, dtype=np.float64)
+            step = max(1, DECODE_BLOCK // max(len(cand_ids), len(first)))
+            for lo in range(0, len(verts), step):
+                v = verts[lo:lo + step]
+                views = f_bits[self._grid[a[None, :], v[:, None], b[None, :]]]
+                dists = (views.sum(axis=1, dtype=np.float64)[:, None] + cand_wt
+                         - 2 * (views @ proj_t))
+                out[v] = cand_ids[dists.argmin(axis=1)]
+        return out
+
+    def start_views(self, f) -> np.ndarray:
+        """The decoder's start state: the (a, g, b) grid of every vertex's
+        nearest local codeword."""
+        f_bits = f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
+        ci = self.nearest_local_codewords(f_bits)     # builds the tables first
+        views = self._cand_flat[ci]
+        return np.ascontiguousarray(views.reshape(-1, self.r, self.r).transpose(1, 0, 2))
 
     # -- decoder ------------------------------------------------------------
 
@@ -243,16 +283,9 @@ class SquareCodeTester:
         vertices in ascending order and apply the best strictly-improving
         single-vertex replacement, restarting the scan after each change.
         """
-        self._ensure_tables()
-        f_bits = f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
         X, r = self.X, self.r
         n = X.n_vertices
-
-        wgrid = np.empty_like(self._grid, dtype=np.uint8)
-        for g in range(n):
-            ci = self.nearest_local_codeword(f_bits, g)
-            wgrid[:, g, :] = self._cand_flat[ci].reshape(r, r)
-
+        wgrid = self.start_views(f)
         disagree = self._edge_disagreements(wgrid)
         delta = int(disagree.sum())
         delta0 = delta
@@ -277,8 +310,7 @@ class SquareCodeTester:
                         cached_gain[g] = 0
                         dirty[g] = False
                         continue
-                    pat = self._vertex_pattern[g]
-                    cands = self._cand_flat[pat.cand_ids]
+                    cands = self._pattern_rows[self._pattern_of[g]]
                     deltas = self._local_delta(wgrid, g, cands)
                     best = int(np.argmin(deltas))
                     cached_gain[g] = int(deltas[best]) - current
@@ -286,8 +318,7 @@ class SquareCodeTester:
                     dirty[g] = False
                 if cached_gain[g] >= 0:
                     continue
-                pat = self._vertex_pattern[g]
-                cands = self._cand_flat[pat.cand_ids]
+                cands = self._pattern_rows[self._pattern_of[g]]
                 wgrid[:, g, :] = cands[cached_best[g]].reshape(r, r)
                 # refresh only the incident edges and mark the neighbourhood
                 for lbl in range(X.n_labels):
@@ -365,14 +396,7 @@ class LocalAssignment:
     @classmethod
     def from_nearest(cls, tester: SquareCodeTester, f) -> "LocalAssignment":
         """The decoder's start state: per-vertex nearest local codewords."""
-        tester._ensure_tables()
-        f_bits = f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
-        r = tester.r
-        wgrid = np.empty_like(tester._grid, dtype=np.uint8)
-        for g in range(tester.X.n_vertices):
-            ci = tester.nearest_local_codeword(f_bits, g)
-            wgrid[:, g, :] = tester._cand_flat[ci].reshape(r, r)
-        return cls(tester, wgrid)
+        return cls(tester, tester.start_views(f))
 
     @classmethod
     def from_vertex_words(cls, tester: SquareCodeTester, words) -> "LocalAssignment":
@@ -423,7 +447,7 @@ def dispute_counts(X: CayleyComplex, R) -> dict:
         mask[R] = 1
 
     n1_v = mask[X.edge_at].sum(axis=0)                        # (n,)
-    u, v = _endpoints(X)
+    u, v = X.edge_endpoint_arrays()
     n1_e = n1_v[u] + n1_v[v]
 
     par = parallel_neighbor_table(X)
@@ -443,13 +467,6 @@ def dispute_counts(X: CayleyComplex, R) -> dict:
         "n1_vertex": n1_v, "n1_edge": n1_e, "npar_edge": npar_e,
         "n2_vertex": n2_v, "n2_edge": n2_e, "n2prime_vertex": n2p_v,
     }
-
-
-def _endpoints(X: CayleyComplex) -> tuple[np.ndarray, np.ndarray]:
-    u = X.edge_rep[:, 2]
-    lbl = np.where(X.edge_rep[:, 0] == 0, X.edge_rep[:, 1], X.nA + X.edge_rep[:, 1])
-    v = X.vert_image[lbl, u]
-    return u, v
 
 
 def local_counts(X: CayleyComplex, R, e: int) -> dict:
@@ -502,6 +519,27 @@ def random_error(rng: np.random.Generator, n: int, w: int) -> np.ndarray:
     return e
 
 
+def _trial_word(tester: SquareCodeTester, code: LinearCode, seed: int,
+                index: int, weight: int) -> tuple[np.ndarray, float]:
+    """Trial `index`'s word c + e, wt(e) = weight, from its own RNG stream
+    (seed, index), and its rejection probability D."""
+    rng = np.random.default_rng([seed, index])
+    c = code.random_codeword(rng)
+    f_bits = c.to_bits() ^ random_error(rng, code.n, weight)
+    return f_bits, tester.reject_probability(f_bits)
+
+
+def _run_trials(trial, trials: int, workers: int) -> list[dict]:
+    """[trial(i) for i in range(trials)], on `workers` threads when > 1;
+    each trial seeds its own RNG, so the rows never depend on `workers`."""
+    if workers > 1 and trials:
+        from concurrent.futures import ThreadPoolExecutor   # not at start-up
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(trial, range(trials)))
+    return [trial(i) for i in range(trials)]
+
+
 def kappa_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
                 trial_index: int, weight: int, certified_radius: float) -> dict:
     """One corruption trial: f = c + e with wt(e) = weight.
@@ -510,11 +548,7 @@ def kappa_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
     case dist(f, C) = weight / |S| exactly and the trial contributes to the
     empirical kappa.
     """
-    rng = np.random.default_rng([seed, trial_index])
-    c = code.random_codeword(rng)
-    e = random_error(rng, code.n, weight)
-    f_bits = c.to_bits() ^ e
-    D = tester.reject_probability(f_bits)
+    f_bits, D = _trial_word(tester, code, seed, trial_index, weight)
     in_code = tester.accepts_everywhere(f_bits)
     if weight > 0 and not in_code:
         assert D > 0, "D(f) = 0 must certify membership"
@@ -550,17 +584,9 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
         radius = max(radius, 0.0)
         radius_kind = "bound-relative"
     wlist = [lo + (i % (hi - lo + 1)) for i in range(trials)]
-
-    def run(i):
-        return kappa_trial(tester, code, seed, i, wlist[i], radius)
-
-    if workers > 1 and trials:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, range(trials)))
-    else:
-        rows = [run(i) for i in range(trials)]
+    rows = _run_trials(
+        lambda i: kappa_trial(tester, code, seed, i, wlist[i], radius),
+        trials, workers)
 
     certified = [row["kappa_hat"] for row in rows if row["certified"]]
     kappa_hat = min(certified) if certified else None
@@ -579,3 +605,44 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
         assert kappa_hat >= params.kappa_proof - 1e-12, (
             f"empirical kappa {kappa_hat} below the proof bound {params.kappa_proof}")
     return report
+
+
+def decode_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
+                 index: int, weights: tuple[int, int]) -> dict:
+    """One decode trial on f = c + e, wt(e) cycling through the weight
+    range, and whether the outcome meets the decoder contract."""
+    lo, hi = weights
+    w = int(lo + (index % (hi - lo + 1)))
+    f_bits, D = _trial_word(tester, code, seed, index, w)
+    out = tester.decode(f_bits)
+    ok = out.delta_initial <= 2 * D * tester.X.n_edges + 1e-9
+    ok &= out.iterations <= max(out.delta_initial, 0)
+    dist = float("nan")
+    if out.kind == "codeword":
+        dist = float((out.word.to_bits() != f_bits).sum()) / code.n
+        ok &= dist <= (4 + 8 * tester.r) * D + 1e-9
+    else:
+        diag = check_far_diagnostics(
+            tester.X, out, tester.C1.distance_exact(), tester.C1.n)
+        ok &= diag["dispute_edge_bound_holds"]
+    return {
+        "trial": index, "weight": w, "D": D, "outcome": out.kind,
+        "iterations": out.iterations, "delta_initial": out.delta_initial,
+        "dist_to_output": dist, "dist_bound": (4 + 8 * tester.r) * D,
+        "contract_ok": bool(ok),
+    }
+
+
+def decode_experiment(tester: SquareCodeTester, code: LinearCode, trials: int,
+                      weights: tuple[int, int], seed: int,
+                      workers: int = 1) -> dict:
+    """Seeded decode trials and their summary: far outcomes and whether
+    every trial met the decoder contract."""
+    rows = _run_trials(lambda i: decode_trial(tester, code, seed, i, weights),
+                       trials, workers)
+    return {
+        "trials": trials, "weights": list(weights), "seed": seed,
+        "n_far": sum(row["outcome"] == "far" for row in rows),
+        "all_contracts_ok": all(row["contract_ok"] for row in rows),
+        "rows": rows,
+    }

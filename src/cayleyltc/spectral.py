@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .complexes import LEFT, CayleyComplex
-from .groups import Graph
+from .groups import Graph, cayley_graph
 
 DENSE_LIMIT = 20000
 
@@ -142,19 +142,10 @@ def build_Dt(X: CayleyComplex) -> np.ndarray:
     _require_square_regular(X)
     n, m = X.n_vertices, X.n_edges
     Dt = np.zeros((m, n))
-    u = X.edge_rep[:, 2]
-    lbl = np.where(X.edge_rep[:, 0] == LEFT, X.edge_rep[:, 1], X.nA + X.edge_rep[:, 1])
-    v = X.vert_image[lbl, u]
+    u, v = X.edge_endpoint_arrays()
     np.add.at(Dt, (np.arange(m), u), 0.5)
     np.add.at(Dt, (np.arange(m), v), 0.5)
     return Dt
-
-
-def _edge_endpoint_arrays(X: CayleyComplex) -> tuple[np.ndarray, np.ndarray]:
-    u = X.edge_rep[:, 2]
-    lbl = np.where(X.edge_rep[:, 0] == LEFT, X.edge_rep[:, 1], X.nA + X.edge_rep[:, 1])
-    v = X.vert_image[lbl, u]
-    return u, v
 
 
 def build_M(X: CayleyComplex, dense: bool | None = None):
@@ -168,7 +159,7 @@ def build_M(X: CayleyComplex, dense: bool | None = None):
         Dt = build_Dt(X)
         T = build_T(X, dense=True).matrix
         return DenseOperator(Dt @ T @ D)
-    u, v = _edge_endpoint_arrays(X)
+    u, v = X.edge_endpoint_arrays()
     vi = X.vert_image
     ea = X.edge_at
     n = X.n_vertices
@@ -398,14 +389,21 @@ def second_eigenvalue(graph: Graph, method: str = "auto",
     raise ValueError(f"unknown method {method!r}")
 
 
+def complex_spectrum(X: CayleyComplex, method: str = "auto",
+                     tol: float = 1e-10) -> dict:
+    """{"lambda": max of the two Cayley graph eigenvalues, "cayley": {"left":
+    ..., "right": ...}}, each side's SpectralReport as a JSON object."""
+    reports = {}
+    for side, S in (("left", X.A), ("right", X.B)):
+        rep = second_eigenvalue(cayley_graph(X.group, S, side), method=method, tol=tol)
+        reports[side] = json.loads(rep.to_json())
+    lam = max(reports["left"]["lambda"], reports["right"]["lambda"])
+    return {"lambda": lam, "cayley": reports}
+
+
 def complex_lambda(X: CayleyComplex, method: str = "auto", tol: float = 1e-10) -> float:
     """Expansion of the complex: max of the two Cayley graph eigenvalues."""
-    from .groups import cayley_graph
-
-    left = cayley_graph(X.group, X.A, "left")
-    right = cayley_graph(X.group, X.B, "right")
-    return max(second_eigenvalue(left, method, tol).lam,
-               second_eigenvalue(right, method, tol).lam)
+    return complex_spectrum(X, method, tol)["lambda"]
 
 
 # ---------------------------------------------------------------------------

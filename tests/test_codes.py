@@ -188,6 +188,16 @@ def test_tanner_degree_mismatch():
         tanner_code_on_graph(petersen(), parity_code(4))
 
 
+def test_cayley_edge_labelling_matches_complex_edge_ids():
+    # both sides of a complex number their edges as Cay(A; G) and Cay(B; G)
+    X = toy_complex(12, (1, 11), (5, 7))
+    n_left, lab_left = cayley_edge_labelling(X.group, X.A, "left")
+    n_right, lab_right = cayley_edge_labelling(X.group, X.B, "right")
+    assert (n_left, n_right) == (X.n_left_edges, X.n_right_edges)
+    assert np.array_equal(lab_left.T, X.edge_at[:X.nA])
+    assert np.array_equal(lab_right.T, X.edge_at[X.nA:] - X.n_left_edges)
+
+
 def test_cayley_edge_labelling_consistency():
     g = cyclic_group(7)
     s = GeneratorSet(g, (1, 6))

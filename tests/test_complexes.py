@@ -202,6 +202,13 @@ def test_edge_endpoints(z5):
             assert v == z5.right_perms[pos, g]
 
 
+def test_edge_endpoint_arrays_match_edge_endpoints(z5, z12, p13):
+    for x in (z5, z12, p13):
+        u, v = x.edge_endpoint_arrays()
+        assert list(zip(u.tolist(), v.tolist())) == [
+            x.edge_endpoints(e) for e in range(x.n_edges)]
+
+
 def test_serialization_roundtrip(z5):
     blob = serialize_complex(z5)
     x2 = deserialize_complex(blob)

@@ -1,16 +1,22 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleyltc.codes import full_code, parity_code, repetition_code, square_code
 from cayleyltc.complexes import build_complex
 from cayleyltc.f2core import BitVector, DimensionBudgetError
 from cayleyltc.groups import GeneratorSet, cyclic_group
 from cayleyltc.ltc import (
+    LocalAssignment,
     SquareCodeTester,
     TesterParams,
     check_far_diagnostics,
+    decode_experiment,
+    decode_trial,
     dispute_counts,
     kappa_experiment,
     kappa_trial,
@@ -372,3 +378,106 @@ def test_kappa_experiment_bound_relative_radius(p13_instance):
     # delta1 = 0.5 < lambda makes the bound radius 0: trials uncertified
     assert report["n_certified"] == 0
     assert report["kappa_hat"] is None
+
+
+# -- whole-array start state against the per-vertex reference -----------------
+
+
+def per_vertex_nearest(tester, f_bits):
+    """Reference: every vertex on its own.  Candidates are the tensor
+    codewords in lexicographic order; a vertex keeps those constant on each
+    fiber (slots carrying one square) and takes the first at least distance
+    on its distinct squares."""
+    cand = np.stack([w.to_bits() for w in tester.C0.codewords()])
+    cand = cand[np.lexsort(cand.T[::-1])]
+    assert np.array_equal(cand, tester._cand_flat)
+    out = []
+    for g in range(tester.X.n_vertices):
+        flat = tester.X.squares_of_vertex(g).ravel()
+        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        ok = np.nonzero((cand == cand[:, first][:, inverse]).all(axis=1))[0]
+        dists = (cand[ok][:, first] != f_bits[flat[first]]).sum(axis=1)
+        out.append(int(ok[np.argmin(dists)]))
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def start_instances(toy_instances, p13_instance):
+    out = {name: inst[3] for name, inst in toy_instances.items()}
+    out["p13"] = p13_instance[3]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["z5", "z12", "z20", "z10", "p13"]),
+       st.floats(0.001, 0.9), st.integers(0, 2**32 - 1))
+def test_nearest_local_codewords_match_per_vertex(start_instances, name,
+                                                  density, seed):
+    tester = start_instances[name]
+    rng = np.random.default_rng(seed)
+    f = (rng.random(tester.n_squares) < density).astype(np.uint8)
+    ci = tester.nearest_local_codewords(f)
+    assert np.array_equal(ci, per_vertex_nearest(tester, f))
+    for g in rng.choice(tester.X.n_vertices, size=3):
+        assert tester.nearest_local_codeword(f, int(g)) == ci[g]
+
+
+def test_repeated_squares_restrict_the_candidates(start_instances):
+    # TNC fails on z5 and z10 (abelian groups): every view repeats a square,
+    # and on z10 only the fiber-constant quarter of C1 x C1 remains
+    for name, n_cand in (("z5", 2), ("z10", 2**14)):
+        tester = start_instances[name]
+        tester._ensure_tables()
+        assert len(tester._pattern_first) == 1
+        assert len(tester._pattern_first[0]) < tester.r ** 2
+        assert len(tester._pattern_cands[0]) == n_cand
+
+
+def test_p13_has_13_fiber_patterns(p13_instance):
+    tester = p13_instance[3]
+    tester._ensure_tables()
+    assert len(tester._pattern_first) == 13
+    assert tester._pattern_of.shape == (p13_instance[0].n_vertices,)
+    assert np.bincount(tester._pattern_of).min() > 0
+
+
+def test_from_nearest_is_the_decoder_start_state(start_instances):
+    for name in ("z5", "z12", "z10", "p13"):
+        tester = start_instances[name]
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            f = (rng.random(tester.n_squares) < 0.1).astype(np.uint8)
+            W = LocalAssignment.from_nearest(tester, f)
+            ref = tester._cand_flat[per_vertex_nearest(tester, f)]
+            for g in range(tester.X.n_vertices):
+                assert np.array_equal(W.wgrid[:, g, :].ravel(), ref[g])
+            assert tester.decode(f).delta_initial == W.delta()
+
+
+def test_decode_experiment_summarises_its_trials(z12_instance):
+    X, C1, code, tester = z12_instance
+    one = decode_experiment(tester, code, trials=12, weights=(1, 3), seed=23)
+    eight = decode_experiment(tester, code, trials=12, weights=(1, 3), seed=23,
+                              workers=8)
+    assert str(one) == str(eight)      # by text: far rows carry a nan distance
+    rows = one["rows"]
+    assert [r["weight"] for r in rows] == [1 + i % 3 for i in range(12)]
+    assert str(rows[5]) == str(decode_trial(tester, code, 23, 5, (1, 3)))
+    assert one["n_far"] == sum(r["outcome"] == "far" for r in rows)
+    assert one["all_contracts_ok"] == all(r["contract_ok"] for r in rows)
+
+
+def test_threads_share_one_table_build(toy_instances):
+    # eight threads race to build a fresh tester's tables; a thread that saw
+    # half-built tables would fail or give rows that differ from one thread
+    X, C1, code, _ = toy_instances["z10"]
+    ref = decode_experiment(SquareCodeTester(X, C1, code), code, trials=16,
+                            weights=(1, 4), seed=24)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = decode_experiment(SquareCodeTester(X, C1, code), code, trials=16,
+                                weights=(1, 4), seed=24, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert str(got) == str(ref)

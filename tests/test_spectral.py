@@ -222,6 +222,18 @@ def test_expansion_implication_all_edges(z5):
     assert rec["hypothesis_holds"] and rec["conclusion_holds"]
 
 
+def test_complex_spectrum_reports_both_sides():
+    x = toy(12, (1, 11), (5, 7))
+    rec = spectral.complex_spectrum(x, method="dense")
+    sides = rec["cayley"]
+    for side, S in (("left", x.A), ("right", x.B)):
+        ref = second_eigenvalue(cayley_graph(x.group, S, side), method="dense")
+        assert sides[side]["lambda"] == ref.lam
+        assert sides[side]["method"] == "dense"
+    assert rec["lambda"] == max(sides["left"]["lambda"], sides["right"]["lambda"])
+    assert spectral.complex_lambda(x, method="dense") == rec["lambda"]
+
+
 def test_expansion_implication_random_subsets(z5):
     lam = spectral.complex_lambda(z5, method="dense")
     op = build_Mgamma(z5, 0.3)
