@@ -113,10 +113,6 @@ class SigmaResult:
     def __float__(self) -> float:
         return float(self.value)
 
-    @property
-    def as_fraction(self) -> tuple[int, int]:
-        return self.value.numerator, self.value.denominator
-
 
 def _row_valid_matrices(C1: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     """All matrices with every row in C1, as (count, r, r) bits plus an

@@ -111,10 +111,6 @@ class SquareCodeTester:
 
     # -- tester ------------------------------------------------------------
 
-    def local_view(self, f_bits: np.ndarray, g: int) -> np.ndarray:
-        """The (a, b) grid of f values on the squares at g."""
-        return f_bits[self._grid[:, g, :]]
-
     def reject_vector(self, f) -> np.ndarray:
         """Boolean per-vertex rejection, all vertices at once."""
         f_bits = f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
@@ -192,43 +188,47 @@ class SquareCodeTester:
             self._pattern_first = firsts
             self._pattern_cands = cand_ids
             self._pattern_rows = rows
-            self._pattern_proj = [np.ascontiguousarray(rw[:, fs])
-                                  for rw, fs in zip(rows, firsts)]
             self._pattern_of = pattern_of.reshape(-1)   # last: tables built
+
+    def _nearest_in_pattern(self, f_bits: np.ndarray, p: int,
+                            verts: np.ndarray) -> np.ndarray:
+        """Candidate ids of the nearest local codewords at verts, all of
+        fiber pattern p.
+
+        The distance of a 0/1 view v to a candidate c on the distinct
+        squares is wt(v) + wt(c) - 2<v, c>, exact in float64 at these
+        sizes; argmin keeps the first (lexicographically least) minimum.
+        """
+        first, cand_ids = self._pattern_first[p], self._pattern_cands[p]
+        a, b = np.divmod(first, self.r)
+        proj = self._pattern_rows[p][:, first]
+        proj_t = proj.T.astype(np.float64)
+        cand_wt = proj.sum(axis=1, dtype=np.float64)
+        out = np.empty(len(verts), dtype=np.int64)
+        step = max(1, DECODE_BLOCK // max(len(cand_ids), len(first)))
+        for lo in range(0, len(verts), step):
+            v = verts[lo:lo + step]
+            views = f_bits[self._grid[a[None, :], v[:, None], b[None, :]]]
+            dists = (views.sum(axis=1, dtype=np.float64)[:, None] + cand_wt
+                     - 2 * (views @ proj_t))
+            out[lo:lo + step] = cand_ids[dists.argmin(axis=1)]
+        return out
 
     def nearest_local_codeword(self, f_bits: np.ndarray, g: int) -> int:
         """Index into the candidate table of the closest fiber-constant
         tensor codeword to f's view at g, distance on distinct squares,
         ties to the lexicographically least grid."""
         self._ensure_tables()
-        p = self._pattern_of[g]
-        view = f_bits[self._grid[:, g, :].ravel()[self._pattern_first[p]]]
-        dists = (self._pattern_proj[p] != view[None, :]).sum(axis=1)
-        return int(self._pattern_cands[p][int(np.argmin(dists))])
+        p = int(self._pattern_of[g])
+        return int(self._nearest_in_pattern(f_bits, p, np.array([g]))[0])
 
     def nearest_local_codewords(self, f_bits: np.ndarray) -> np.ndarray:
-        """nearest_local_codeword at every vertex, one array pass per pattern.
-
-        The distance of a 0/1 view v to a candidate c on the distinct
-        squares is wt(v) + wt(c) - 2<v, c>, exact in float64 at these
-        sizes; argmin keeps the first (lexicographically least) minimum.
-        """
+        """nearest_local_codeword at every vertex, one array pass per pattern."""
         self._ensure_tables()
-        r = self.r
         out = np.empty(self.X.n_vertices, dtype=np.int64)
-        for p, (first, cand_ids, proj) in enumerate(zip(
-                self._pattern_first, self._pattern_cands, self._pattern_proj)):
+        for p in range(len(self._pattern_first)):
             verts = np.flatnonzero(self._pattern_of == p)
-            a, b = np.divmod(first, r)
-            proj_t = proj.T.astype(np.float64)
-            cand_wt = proj.sum(axis=1, dtype=np.float64)
-            step = max(1, DECODE_BLOCK // max(len(cand_ids), len(first)))
-            for lo in range(0, len(verts), step):
-                v = verts[lo:lo + step]
-                views = f_bits[self._grid[a[None, :], v[:, None], b[None, :]]]
-                dists = (views.sum(axis=1, dtype=np.float64)[:, None] + cand_wt
-                         - 2 * (views @ proj_t))
-                out[v] = cand_ids[dists.argmin(axis=1)]
+            out[verts] = self._nearest_in_pattern(f_bits, p, verts)
         return out
 
     def start_views(self, f) -> np.ndarray:
