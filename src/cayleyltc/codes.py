@@ -5,7 +5,9 @@ Tanner codes on labelled regular graphs, and the square-complex codes whose
 bits live on the squares of a left/right Cayley complex.  The square code
 is assembled two ways, edge-wise from the length-r base code and
 vertex-wise from its tensor square, and the equality of the two kernels is
-asserted exactly at construction.
+proved exactly at construction: every edge-wise codeword passes the
+vertex-wise checks (one packed product) and both check matrices have the
+same rank.
 
 Coordinate conventions, used everywhere: tensor coordinates (a, b) are
 serialized row-major with rows indexed by A; "F_2^r (x) C" means every row
@@ -30,8 +32,7 @@ class LinearCode:
     """A binary linear code with generator and parity-check bases."""
 
     def __init__(self, n: int, generator: BitMatrix, parity: BitMatrix,
-                 provenance: str = "explicit", params: dict | None = None,
-                 _skip_duality_check: bool = False):
+                 provenance: str = "explicit", params: dict | None = None):
         if generator.cols != n or parity.cols != n:
             raise ValueError("generator/parity width must equal the code length")
         self.n = n
@@ -43,14 +44,11 @@ class LinearCode:
         self._distance: int | None = None
         if self.k + parity.rows != n:
             raise ValueError("k + rank(H) != n")
-        if not _skip_duality_check:
-            self._check_duality()
+        self._check_duality()
 
     def _check_duality(self):
-        for h in self.parity.row_iter():
-            syn = self.generator.matvec(h)
-            if syn.weight() != 0:
-                raise AssertionError("generator/parity duality violated")
+        if not f2core.rows_orthogonal(self.generator, self.parity):
+            raise AssertionError("generator/parity duality violated")
 
     @classmethod
     def from_generators(cls, rows, n: int | None = None, provenance: str = "explicit",
@@ -62,9 +60,7 @@ class LinearCode:
             if not rows and n is None:
                 raise ValueError("need n for an empty generator list")
             M = BitMatrix.from_rows(rows) if rows else BitMatrix.zeros(0, n)
-        G = f2core.row_basis(M)
-        H_rows = f2core.kernel_basis(G if G.rows else BitMatrix.zeros(1, M.cols))
-        H = BitMatrix.from_rows(H_rows) if H_rows else BitMatrix.zeros(0, M.cols)
+        G, H = f2core.row_and_kernel_basis(M)
         return cls(M.cols, G, H, provenance, params)
 
     @classmethod
@@ -78,9 +74,7 @@ class LinearCode:
             if not rows and n is None:
                 raise ValueError("need n for an empty check list")
             M = BitMatrix.from_rows(rows) if rows else BitMatrix.zeros(0, n)
-        H = f2core.row_basis(M)
-        G_rows = f2core.kernel_basis(H if H.rows else BitMatrix.zeros(1, M.cols))
-        G = BitMatrix.from_rows(G_rows) if G_rows else BitMatrix.zeros(0, M.cols)
+        H, G = f2core.row_and_kernel_basis(M)
         return cls(M.cols, G, H, provenance, params)
 
     @property
@@ -114,9 +108,7 @@ class LinearCode:
 
     def random_codeword(self, rng: np.random.Generator) -> BitVector:
         coeffs = rng.integers(0, 2, size=self.k)
-        w = np.zeros(self.generator.words.shape[1], dtype=np.uint64)
-        for i in np.nonzero(coeffs)[0]:
-            w ^= self.generator.words[i]
+        w = np.bitwise_xor.reduce(self.generator.words[coeffs == 1], axis=0)
         return BitVector._from_words(w, self.n)
 
     def dual(self) -> "LinearCode":
@@ -349,9 +341,10 @@ def tanner_code(n_edges: int, labelling: np.ndarray, C0: LinearCode,
     code = (LinearCode.from_parity_checks(BitMatrix(checks), provenance=provenance,
                                           params=params)
             if row else full_code(n_edges))
-    rho0 = C0.rate
-    assert code.k >= (2 * rho0 - 1) * n_edges - 1e-9, "Tanner rate bound violated"
-    code.params.setdefault("rho0", rho0)
+    assert code.k * C0.n >= (2 * C0.k - C0.n) * n_edges, "Tanner rate bound violated"
+    code.params.setdefault("rho0", C0.rate)
+    code.params.setdefault("k0", C0.k)
+    code.params.setdefault("n0", C0.n)
     return code
 
 
@@ -402,9 +395,12 @@ def square_code(X: CayleyComplex, C1: LinearCode,
                 max_coords: int = SQUARE_CODE_COORD_BUDGET) -> LinearCode:
     """The code on F_2^S whose view along every edge lies in C1.
 
-    Assembles parity checks both edge-wise (one C1 constraint set per edge)
-    and vertex-wise (one tensor-square constraint set per vertex) and
-    asserts the two kernels are equal before returning the edge-wise code.
+    Eliminates the edge-wise checks He (one C1 constraint set per edge)
+    once, for the parity basis, the generator G and, through LinearCode,
+    G H^T = 0.  The vertex-wise checks Hv (one tensor-square constraint set
+    per vertex) then must satisfy Hv G^T = 0, so ker He is inside ker Hv,
+    and rank Hv = rank He, so the two kernels have equal dimension: they
+    are equal.
     """
     r = X.nA
     if X.nA != X.nB:
@@ -414,33 +410,16 @@ def square_code(X: CayleyComplex, C1: LinearCode,
     if X.n_squares > max_coords:
         raise DimensionBudgetError(
             f"square code on {X.n_squares} coordinates exceeds budget {max_coords}")
-    C0 = tensor_code(C1)
-    He = _edge_wise_checks(X, C1)
-    Hv = _vertex_wise_checks(X, C0)
-    edge_code = (LinearCode.from_parity_checks(BitMatrix(He)) if He.size
-                 else full_code(X.n_squares))
-    vert_code = (LinearCode.from_parity_checks(BitMatrix(Hv)) if Hv.size
-                 else full_code(X.n_squares))
-    if edge_code.k != vert_code.k:
+    code = LinearCode.from_parity_checks(
+        BitMatrix(_edge_wise_checks(X, C1)), provenance="square",
+        params={"r": r, "k1": C1.k, "group": X.group.manifest()})
+    Hv = BitMatrix(_vertex_wise_checks(X, tensor_code(C1)))
+    if not f2core.rows_orthogonal(Hv, code.generator):
+        raise AssertionError("edge-wise codeword fails vertex-wise checks")
+    if f2core.rank(Hv) != code.parity.rows:
         raise AssertionError("edge-wise and vertex-wise kernels differ in rank")
-    stacked = (edge_code.parity.stack(vert_code.parity)
-               if edge_code.parity.rows and vert_code.parity.rows else None)
-    if stacked is not None and f2core.rank(stacked) != edge_code.parity.rows:
-        raise AssertionError("edge-wise and vertex-wise kernels are not equal")
-    # mutual membership, explicitly
-    for v in edge_code.generator.row_iter():
-        if not vert_code.contains(v):
-            raise AssertionError("edge-wise codeword fails vertex-wise checks")
-    for v in vert_code.generator.row_iter():
-        if not edge_code.contains(v):
-            raise AssertionError("vertex-wise codeword fails edge-wise checks")
-    code = LinearCode(X.n_squares, edge_code.generator, edge_code.parity,
-                      provenance="square",
-                      params={"r": r, "k1": C1.k, "group": X.group.manifest()},
-                      _skip_duality_check=True)
-    rho1 = C1.rate
-    assert code.k >= (4 * rho1 - 3) * X.n_squares - 1e-9, "square rate bound violated"
-    assert X.n_squares >= r * r * X.n_vertices / 4 - 1e-9
+    assert code.k * r >= (4 * C1.k - 3 * r) * X.n_squares, "square rate bound violated"
+    assert 4 * X.n_squares >= r * r * X.n_vertices
     return code
 
 
@@ -491,15 +470,22 @@ def check_square_distance_bound(code: LinearCode, delta1: float, lam: float) -> 
 
 
 def check_rate_bound(code: LinearCode, kind: str) -> dict:
+    """k >= (2 rho0 - 1) n (Tanner) or k >= (4 rho1 - 3) n (square).
+
+    The verdict is decided in integers, k n0 >= (2 k0 - n0) n and
+    k r >= (4 k1 - 3 r) n; the float bound is reported alongside.
+    """
+    p = code.params
     if kind == "tanner":
-        rho0 = code.params["rho0"]
-        bound = (2 * rho0 - 1) * code.n
+        bound = (2 * p["rho0"] - 1) * code.n
+        holds = code.k * p["n0"] >= (2 * p["k0"] - p["n0"]) * code.n
     elif kind == "square":
-        rho1 = code.params["k1"] / code.params["r"]
+        rho1 = p["k1"] / p["r"]
         bound = (4 * rho1 - 3) * code.n
+        holds = code.k * p["r"] >= (4 * p["k1"] - 3 * p["r"]) * code.n
     else:
         raise ValueError(f"unknown rate bound kind {kind!r}")
     return {
         "k": code.k, "n": code.n, "bound": bound,
-        "verdict": "pass" if code.k >= bound - 1e-9 else "fail",
+        "verdict": "pass" if holds else "fail",
     }

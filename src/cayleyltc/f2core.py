@@ -3,7 +3,8 @@
 Words and matrices are stored bit-packed into uint64 numpy arrays (LSB of
 word 0 = coordinate 0), so row operations run word-parallel.  Everything a
 code computation needs lives here: rank, reduced row echelon form, kernel
-bases, Hamming weight/distance, and the exhaustive minimum-weight oracle.
+bases, the product A B^T (Four-Russians tables), Hamming weight/distance,
+and the exhaustive minimum-weight oracle.
 
 All values are immutable after construction from the caller's perspective;
 the operations below are pure functions.
@@ -25,12 +26,11 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a 0/1 uint8 array into uint64 words, LSB-first."""
     n = bits.shape[-1]
     nwords = max(1, -(-n // 64))
-    padded = np.zeros(bits.shape[:-1] + (nwords * 64,), dtype=np.uint8)
-    padded[..., :n] = bits
-    # little-endian within each 64-bit word
-    b = padded.reshape(padded.shape[:-1] + (nwords, 8, 8))
-    bytes_ = np.packbits(b, axis=-1, bitorder="little").squeeze(-1)
-    return bytes_.view(np.uint64).reshape(bits.shape[:-1] + (nwords,))
+    nbytes = -(-n // 8)
+    # byte j of a row holds coordinates 8j..8j+7, bit t = coordinate 8j+t
+    out = np.zeros(bits.shape[:-1] + (nwords * 8,), dtype=np.uint8)
+    out[..., :nbytes] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view(np.uint64)
 
 
 def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
@@ -245,21 +245,81 @@ def row_basis(M: BitMatrix) -> BitMatrix:
     return BitMatrix._from_words(R.words[:r].copy(), r, M.cols)
 
 
+def _kernel_words(R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
+    """Packed kernel basis read off a reduced row echelon form.
+
+    One vector per free column f: e_f plus column f of the RREF scattered
+    onto the pivot coordinates; shape (n - len(pivots), nwords).
+    """
+    free = np.setdiff1d(np.arange(n), pivots)
+    Rbits = _unpack_bits(R[: len(pivots)], n)
+    B = np.zeros((free.size, n), dtype=np.uint8)
+    B[np.arange(free.size), free] = 1
+    B[:, pivots] = Rbits[:, free].T
+    return _pack_bits(B)
+
+
 def kernel_basis(M: BitMatrix) -> list[BitVector]:
     """A basis of {v : M v = 0}; size = cols - rank(M)."""
     n = M.cols
     if n == 0:
         return []
     R, pivots = _rref_words(M.words, n)
-    free = np.setdiff1d(np.arange(n), pivots)
-    Rbits = _unpack_bits(R[: len(pivots)], n)
-    # one basis vector per free column f: e_f plus column f of the RREF
-    # scattered onto the pivot coordinates
-    B = np.zeros((free.size, n), dtype=np.uint8)
-    B[np.arange(free.size), free] = 1
-    B[:, pivots] = Rbits[:, free].T
-    words = _pack_bits(B)
-    return [BitVector._from_words(w, n) for w in words]
+    return [BitVector._from_words(w, n) for w in _kernel_words(R, pivots, n)]
+
+
+def row_and_kernel_basis(M: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
+    """(row_basis(M), kernel basis of M as rows) from one elimination."""
+    R, pivots = _rref_words(M.words, M.cols)
+    r = len(pivots)
+    K = _kernel_words(R, pivots, M.cols)
+    return (BitMatrix._from_words(R[:r].copy(), r, M.cols),
+            BitMatrix._from_words(K, K.shape[0], M.cols))
+
+
+#: uint64 words in one block of Four-Russians tables (8 MB)
+PRODUCT_BLOCK = 1 << 20
+
+
+def mul_transpose(A: BitMatrix, B: BitMatrix) -> BitMatrix:
+    """A B^T over GF(2): entry (i, j) is the inner product of row i of A
+    with row j of B.
+
+    Four-Russians (Arlazarov et al. 1970; M4RM in Albrecht, Bard & Hart,
+    ACM TOMS 2010): the columns of B are packed as rows of B^T and taken
+    eight at a time; a table of all 256 XOR combinations of each group is
+    indexed by the matching byte of every packed row of A.  Only B is
+    transposed, so B should be the operand with fewer rows.
+    """
+    if A.cols != B.cols:
+        raise ValueError(f"column count mismatch: {A.cols} != {B.cols}")
+    m, n = A.rows, A.cols
+    pw = max(1, -(-B.rows // 64))
+    C = np.zeros((m, pw), dtype=np.uint64)
+    groups = -(-n // 8)
+    if m and B.rows and n:
+        Bt = np.zeros((groups * 8, pw), dtype=np.uint64)
+        Bt[:n] = _pack_bits(B.to_array().T)
+        Abytes = np.ascontiguousarray(
+            np.ascontiguousarray(A.words).view(np.uint8)[:, :groups].T)
+        step = max(1, PRODUCT_BLOCK // (256 * pw))
+        for lo in range(0, groups, step):
+            hi = min(groups, lo + step)
+            # table[g, x] = XOR of the rows 8(lo+g)+t of B^T with bit t of x set
+            table = np.zeros((hi - lo, 256, pw), dtype=np.uint64)
+            rows = Bt[8 * lo: 8 * hi].reshape(hi - lo, 8, pw)
+            for t in range(8):
+                table[:, 1 << t: 2 << t] = table[:, : 1 << t] ^ rows[:, t, None, :]
+            for g in range(lo, hi):
+                C ^= table[g - lo][Abytes[g]]
+    return BitMatrix._from_words(C, m, B.rows)
+
+
+def rows_orthogonal(A: BitMatrix, B: BitMatrix) -> bool:
+    """Whether A B^T = 0, with the operand of fewer rows transposed."""
+    if B.rows > A.rows:
+        A, B = B, A
+    return not mul_transpose(A, B).words.any()
 
 
 def weight(v: BitVector) -> int:

@@ -116,13 +116,17 @@ class SquareCodeTester:
         f_bits = f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
         if f_bits.shape[0] != self.n_squares:
             raise ValueError(f"word length {f_bits.shape[0]} != |S| = {self.n_squares}")
-        views = f_bits[self._grid].astype(np.int64)   # (r, n, r)
+        return self._rejects(f_bits[self._grid])
+
+    def _rejects(self, views: np.ndarray) -> np.ndarray:
+        """Boolean per vertex: some row or column of its view in the (a, g, b)
+        grid views fails a parity check of C1."""
         if self._h1.size == 0:
             return np.zeros(self.X.n_vertices, dtype=bool)
+        views = views.astype(np.int64)
         col_syn = np.tensordot(self._h1, views, axes=([1], [0])) & 1   # (nh, n, r)
         row_syn = np.tensordot(self._h1, views, axes=([1], [2])) & 1   # (nh, r, n)
-        bad = col_syn.any(axis=(0, 2)) | row_syn.any(axis=(0, 1))
-        return bad
+        return col_syn.any(axis=(0, 2)) | row_syn.any(axis=(0, 1))
 
     def reject_probability(self, f) -> float:
         """Exact D(f) by full vertex scan."""
@@ -143,6 +147,19 @@ class SquareCodeTester:
 
     def accepts_everywhere(self, f) -> bool:
         return not self.reject_vector(f).any()
+
+    def valid_views(self, wgrid: np.ndarray) -> np.ndarray:
+        """Boolean per vertex: its view in the (a, g, b) grid wgrid is
+        fiber-constant (equal wherever the underlying square is equal) and
+        lies in the local tensor code."""
+        n = self.X.n_vertices
+        ids = self._grid.transpose(1, 0, 2).reshape(n, -1)
+        vals = wgrid.transpose(1, 0, 2).reshape(n, -1)
+        order = np.argsort(ids, axis=1, kind="stable")
+        fs = np.take_along_axis(ids, order, axis=1)
+        vs = np.take_along_axis(vals, order, axis=1)
+        clash = (fs[:, 1:] == fs[:, :-1]) & (vs[:, 1:] != vs[:, :-1])
+        return ~clash.any(axis=1) & ~self._rejects(wgrid)
 
     # -- decoder tables -----------------------------------------------------
 
@@ -379,9 +396,9 @@ class LocalAssignment:
 
     Stored as the (a, g, b) grid of each vertex's opinion on its squares;
     validity (every W_g fiber-constant and in the local tensor code) and the
-    disagreement count Delta(W) are recomputed from scratch here, so this
-    view suits diagnostics and hand-built configurations rather than the
-    decoder's hot loop.
+    disagreement count Delta(W) are recomputed from scratch here, each in
+    one whole-array pass, so this view suits diagnostics and hand-built
+    configurations rather than the decoder's hot loop.
     """
 
     def __init__(self, tester: SquareCodeTester, wgrid: np.ndarray):
@@ -389,9 +406,9 @@ class LocalAssignment:
         self.wgrid = np.asarray(wgrid, dtype=np.uint8)
         if self.wgrid.shape != tester._grid.shape:
             raise ValueError("wgrid shape must match the (a, g, b) slot grid")
-        for g in range(tester.X.n_vertices):
-            if not self.local_view_valid(g):
-                raise ValueError(f"W_{g} is not a valid local codeword")
+        invalid = np.flatnonzero(~tester.valid_views(self.wgrid))
+        if invalid.size:
+            raise ValueError(f"W_{invalid[0]} is not a valid local codeword")
 
     @classmethod
     def from_nearest(cls, tester: SquareCodeTester, f) -> "LocalAssignment":
@@ -405,20 +422,6 @@ class LocalAssignment:
         wgrid = np.stack([np.asarray(words[g], dtype=np.uint8).reshape(
             tester.r, tester.r) for g in range(tester.X.n_vertices)], axis=1)
         return cls(tester, wgrid)
-
-    def local_view_valid(self, g: int) -> bool:
-        grid = self.wgrid[:, g, :]
-        flat = self.tester._grid[:, g, :].ravel()
-        vals = grid.ravel()
-        # fiber-constant: equal wherever the underlying square is equal
-        order = np.argsort(flat, kind="stable")
-        fs, vs = flat[order], vals[order]
-        same = fs[1:] == fs[:-1]
-        if (vs[1:][same] != vs[:-1][same]).any():
-            return False
-        from .codes import tensor_membership
-
-        return tensor_membership(self.tester.C1, grid)
 
     def disputed_edges(self) -> np.ndarray:
         return np.nonzero(self.tester._edge_disagreements(self.wgrid))[0]

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cayleyltc import codes, f2core
 from cayleyltc.codes import (
     LinearCode,
     bch_code,
@@ -20,7 +21,7 @@ from cayleyltc.codes import (
     tensor_membership,
 )
 from cayleyltc.complexes import build_complex
-from cayleyltc.f2core import BitVector, DimensionBudgetError
+from cayleyltc.f2core import BitMatrix, BitVector, DimensionBudgetError
 from cayleyltc.groups import GeneratorSet, Graph, cyclic_group
 from cayleyltc.spectral import second_eigenvalue
 
@@ -78,6 +79,36 @@ def test_code_duality_and_rate():
         for h in c.parity.row_iter():
             assert g.dot(h) == 0
     assert c.rate == pytest.approx(4 / 7)
+
+
+def test_check_duality_catches_a_corrupted_parity_row():
+    c = bch_code(4, 5)
+    H = c.parity.to_array()
+    G = c.generator.to_array()
+    for j in np.flatnonzero(G.any(axis=0))[:5]:
+        bad = H.copy()
+        bad[3, j] ^= 1                     # h + e_j meets a generator at j
+        with pytest.raises(AssertionError, match="duality"):
+            LinearCode(c.n, c.generator, BitMatrix(bad))
+    LinearCode(c.n, c.generator, c.parity)
+
+
+def _random_codeword_loop(code, rng):
+    """Reference: XOR the generator rows one at a time."""
+    coeffs = rng.integers(0, 2, size=code.k)
+    w = np.zeros(code.generator.words.shape[1], dtype=np.uint64)
+    for i in np.nonzero(coeffs)[0]:
+        w ^= code.generator.words[i]
+    return BitVector._from_words(w, code.n)
+
+
+def test_random_codeword_matches_row_loop():
+    for code in (bch_code(6, 9), parity_code(70), repetition_code(3),
+                 LinearCode.from_generators([], n=5)):
+        for seed in range(10):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert code.random_codeword(rng) == _random_codeword_loop(code, ref_rng)
+            assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
 # -- BCH ---------------------------------------------------------------------
@@ -272,6 +303,69 @@ def test_square_code_unequal_degrees():
         square_code(X, repetition_code(2))
 
 
+def _independent_rows(Hv):
+    """Indices of rows of Hv that form a basis of its row space."""
+    return f2core.rref(BitMatrix(Hv.T))[1]
+
+
+SQUARE_CASES = {"z5": ((5, (1, 4)), repetition_code(2)),
+                "z12": ((12, (1, 11), (5, 7)), repetition_code(2)),
+                "z10": ((10, (1, 3, 5, 7, 9)), parity_code(5))}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_CASES))
+def test_square_code_accepts_a_row_basis_of_the_vertex_checks(monkeypatch, name):
+    # the control for the two tests below: only the row space of Hv counts
+    args, C1 = SQUARE_CASES[name]
+    X = toy_complex(*args)
+    real = codes._vertex_wise_checks
+    ref = square_code(X, C1)
+    monkeypatch.setattr(codes, "_vertex_wise_checks",
+                        lambda X, C0: real(X, C0)[_independent_rows(real(X, C0))])
+    code = square_code(X, C1)
+    assert (code.generator, code.parity) == (ref.generator, ref.parity)
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_CASES))
+def test_square_code_catches_a_dropped_vertex_check(monkeypatch, name):
+    # every row of Hv may be redundant, so drop the redundant rows first:
+    # a basis of the row space less one row has rank one lower
+    args, C1 = SQUARE_CASES[name]
+    X = toy_complex(*args)
+    real = codes._vertex_wise_checks
+
+    def dropped(X, C0):
+        Hv = real(X, C0)
+        return Hv[_independent_rows(Hv)[1:]]
+
+    monkeypatch.setattr(codes, "_vertex_wise_checks", dropped)
+    with pytest.raises(AssertionError, match="differ in rank"):
+        square_code(X, C1)
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_CASES))
+def test_square_code_catches_an_equal_rank_wrong_span(monkeypatch, name):
+    # a basis of the row space with one row swapped for a vector outside
+    # it: same rank, different kernel
+    args, C1 = SQUARE_CASES[name]
+    X = toy_complex(*args)
+    real = codes._vertex_wise_checks
+
+    def swapped(X, C0):
+        Hv = real(X, C0)
+        rank = f2core.rank(BitMatrix(Hv))
+        outside = next(e for e in np.eye(X.n_squares, dtype=np.uint8)
+                       if f2core.rank(BitMatrix(np.vstack([Hv, e]))) > rank)
+        bad = Hv[_independent_rows(Hv)]
+        bad[0] = outside
+        assert f2core.rank(BitMatrix(bad)) == rank
+        return bad
+
+    monkeypatch.setattr(codes, "_vertex_wise_checks", swapped)
+    with pytest.raises(AssertionError, match="fails vertex-wise checks"):
+        square_code(X, C1)
+
+
 # -- bound checkers ----------------------------------------------------------
 
 
@@ -283,6 +377,29 @@ def test_rate_bounds():
     sq = square_code(X, repetition_code(2))
     rec = check_rate_bound(sq, "square")
     assert rec["verdict"] == "pass"
+
+
+def test_rate_verdicts_are_exact_at_the_bound():
+    # (4 * 5/6 - 3) * 9 = 3 exactly, but 3.0000000000000013 in floats
+    for k, verdict in ((3, "pass"), (2, "fail")):
+        code = LinearCode.from_generators(
+            BitMatrix(np.eye(9, dtype=np.uint8)[:k]), params={"r": 6, "k1": 5})
+        rec = check_rate_bound(code, "square")
+        assert rec["bound"] == (4 * (5 / 6) - 3) * 9
+        assert rec["verdict"] == verdict
+        # (2 * 5/9 - 1) * 27 = 3 exactly in the Tanner form
+        code = LinearCode.from_generators(
+            BitMatrix(np.eye(27, dtype=np.uint8)[:k]),
+            params={"rho0": 5 / 9, "k0": 5, "n0": 9})
+        rec = check_rate_bound(code, "tanner")
+        assert rec["bound"] == (2 * (5 / 9) - 1) * 27
+        assert rec["verdict"] == verdict
+
+
+def test_tanner_code_records_the_local_code():
+    code = tanner_code_on_graph(petersen(), parity_code(3))
+    assert (code.params["k0"], code.params["n0"]) == (2, 3)
+    assert code.params["rho0"] == parity_code(3).rate
 
 
 def test_tanner_distance_bound_petersen():

@@ -195,6 +195,69 @@ def test_distance_is_weight_of_xor(n, seed):
     assert hamming_distance(u, v) == weight(u ^ v)
 
 
+def _mul_transpose_by_matvec(A, B):
+    """Reference: column j of A B^T is A times row j of B."""
+    cols = [A.matvec(b).to_bits() for b in B.row_iter()]
+    return np.array(cols, dtype=np.uint8).T.reshape(A.rows, B.rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([0, 1, 2, 7, 9, 64, 65, 130]), st.integers(0, 140),
+       st.sampled_from([0, 1, 5, 8, 13, 63, 64, 65, 127, 200]),
+       st.sampled_from([1, 768, f2core.PRODUCT_BLOCK]), st.floats(0, 1),
+       st.integers(0, 2**32 - 1))
+def test_mul_transpose_matches_matvec(m, p, n, block, density, seed):
+    rng = np.random.default_rng(seed)
+    A = BitMatrix(rng.random((m, n)) < density)
+    B = BitMatrix(rng.random((p, n)) < density)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(f2core, "PRODUCT_BLOCK", block)   # one or few tables a block
+        C = f2core.mul_transpose(A, B)
+    assert (C.rows, C.cols) == (m, p)
+    assert np.array_equal(C.to_array(), _mul_transpose_by_matvec(A, B))
+    assert f2core.rows_orthogonal(A, B) == f2core.rows_orthogonal(B, A) \
+        == (not C.to_array().any())
+
+
+def test_mul_transpose_rejects_width_mismatch():
+    with pytest.raises(ValueError, match="column count"):
+        f2core.mul_transpose(BitMatrix.zeros(2, 5), BitMatrix.zeros(2, 6))
+
+
+def test_rows_orthogonal_on_hamming():
+    G, H = BitMatrix(HAMMING_G), BitMatrix(HAMMING_H)
+    assert f2core.rows_orthogonal(G, H) and f2core.rows_orthogonal(H, G)
+    assert not f2core.rows_orthogonal(G, G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 150), st.integers(0, 2**32 - 1))
+def test_row_and_kernel_basis_match_separate_eliminations(m, n, seed):
+    rng = np.random.default_rng(seed)
+    M = BitMatrix(rng.integers(0, 2, size=(m, n), dtype=np.uint8))
+    R, K = f2core.row_and_kernel_basis(M)
+    assert R == f2core.row_basis(M)
+    ref = kernel_basis(M)
+    assert K.rows == len(ref) == n - R.rows
+    assert [K.row(i) for i in range(K.rows)] == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_pack_bits_layout(shape, seed):
+    # bit i of a row is bit i % 64 of word i // 64; padding bits are zero
+    rng = np.random.default_rng(seed)
+    shape = tuple(shape[:-1]) + (shape[-1] * 37,)
+    bits = rng.integers(0, 2, size=shape, dtype=np.uint8)
+    words = f2core._pack_bits(bits)
+    n = shape[-1]
+    assert words.dtype == np.uint64 and words.shape == shape[:-1] + (max(1, -(-n // 64)),)
+    idx = np.arange(words.shape[-1] * 64)
+    unpacked = (words[..., idx // 64] >> (idx % 64).astype(np.uint64)) & np.uint64(1)
+    assert np.array_equal(unpacked[..., :n], bits)
+    assert not unpacked[..., n:].any()
+
+
 def test_matvec_matches_dense():
     rng = np.random.default_rng(3)
     arr = rng.integers(0, 2, size=(9, 70), dtype=np.uint8)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleyltc.codes import full_code, parity_code, repetition_code, square_code
+from cayleyltc.codes import (
+    full_code,
+    parity_code,
+    repetition_code,
+    square_code,
+    tensor_membership,
+)
 from cayleyltc.complexes import build_complex
 from cayleyltc.f2core import BitVector, DimensionBudgetError
 from cayleyltc.groups import GeneratorSet, cyclic_group
@@ -284,7 +290,7 @@ def test_local_assignment_glued_codewords():
     W = LocalAssignment.from_vertex_words(tester, words)
     assert W.delta() == 4
     assert len(W.disputed_edges()) == 4
-    assert all(W.local_view_valid(g) for g in range(20))
+    assert all(local_view_valid(tester, W.wgrid, g) for g in range(20))
 
 
 def test_local_assignment_rejects_invalid_views(z5_instance):
@@ -481,3 +487,59 @@ def test_threads_share_one_table_build(toy_instances):
     finally:
         sys.setswitchinterval(interval)
     assert str(got) == str(ref)
+
+
+# -- whole-array view validation against the per-vertex reference -------------
+
+
+def local_view_valid(tester, wgrid, g):
+    """Reference: W_g is fiber-constant and a tensor codeword, one vertex."""
+    grid = wgrid[:, g, :]
+    flat = tester._grid[:, g, :].ravel()
+    vals = grid.ravel()
+    order = np.argsort(flat, kind="stable")
+    fs, vs = flat[order], vals[order]
+    same = fs[1:] == fs[:-1]
+    if (vs[1:][same] != vs[:-1][same]).any():
+        return False
+    return tensor_membership(tester.C1, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["z5", "z12", "z20", "z10", "p13"]),
+       st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_valid_views_match_per_vertex(start_instances, name, seed, n_bad):
+    # valid start views, then n_bad vertices get either a flipped bit or an
+    # arbitrary tensor codeword (in C1 x C1, but maybe not fiber-constant)
+    tester = start_instances[name]
+    rng = np.random.default_rng(seed)
+    n = tester.X.n_vertices
+    wgrid = tester.start_views((rng.random(tester.n_squares) < 0.2).astype(np.uint8))
+    for g in rng.choice(n, size=min(n_bad, n), replace=False):
+        if rng.random() < 0.5:
+            wgrid[rng.integers(tester.r), g, rng.integers(tester.r)] ^= 1
+        else:
+            row = tester._cand_flat[rng.integers(len(tester._cand_flat))]
+            wgrid[:, g, :] = row.reshape(tester.r, tester.r)
+    ref = [local_view_valid(tester, wgrid, g) for g in range(n)]
+    assert tester.valid_views(wgrid).tolist() == ref
+    if all(ref):
+        LocalAssignment(tester, wgrid)
+    else:
+        with pytest.raises(ValueError, match=f"W_{ref.index(False)} "):
+            LocalAssignment(tester, wgrid)
+
+
+def test_valid_views_catch_a_fiber_clash(start_instances):
+    # z10 repeats squares in every view: a tensor codeword that differs on
+    # two slots of one square is in C1 x C1 but not a valid W_g
+    tester = start_instances["z10"]
+    r, n = tester.r, tester.X.n_vertices
+    wgrid = tester.start_views(np.zeros(tester.n_squares, np.uint8))
+    flat = tester._grid[:, 0, :].ravel()
+    clash = next(c for c in tester._cand_flat
+                 if len(set(zip(flat.tolist(), c.tolist()))) > len(set(flat.tolist())))
+    wgrid[:, 0, :] = clash.reshape(r, r)
+    assert tensor_membership(tester.C1, wgrid[:, 0, :])
+    assert not local_view_valid(tester, wgrid, 0)
+    assert tester.valid_views(wgrid).tolist() == [False] + [True] * (n - 1)
