@@ -60,7 +60,8 @@ class LinearCode:
             if not rows and n is None:
                 raise ValueError("need n for an empty generator list")
             M = BitMatrix.from_rows(rows) if rows else BitMatrix.zeros(0, n)
-        G, H = f2core.row_and_kernel_basis(M)
+        G = f2core.row_basis(M)
+        H = f2core.reduced_kernel_basis(G)
         return cls(M.cols, G, H, provenance, params)
 
     @classmethod
@@ -74,7 +75,8 @@ class LinearCode:
             if not rows and n is None:
                 raise ValueError("need n for an empty check list")
             M = BitMatrix.from_rows(rows) if rows else BitMatrix.zeros(0, n)
-        H, G = f2core.row_and_kernel_basis(M)
+        H = f2core.row_basis(M)
+        G = f2core.reduced_kernel_basis(H)
         return cls(M.cols, G, H, provenance, params)
 
     @property

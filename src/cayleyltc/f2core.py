@@ -245,14 +245,16 @@ def row_basis(M: BitMatrix) -> BitMatrix:
     return BitMatrix._from_words(R.words[:r].copy(), r, M.cols)
 
 
-def _kernel_words(R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
-    """Packed kernel basis read off a reduced row echelon form.
+def _kernel_words(R: np.ndarray, n: int) -> np.ndarray:
+    """Packed kernel basis of the packed rows R of a reduced row echelon
+    form with no zero rows; shape (n - len(R), nwords).
 
-    One vector per free column f: e_f plus column f of the RREF scattered
-    onto the pivot coordinates; shape (n - len(pivots), nwords).
+    One vector per free column f: e_f plus column f of R scattered onto the
+    pivot coordinates (the leading bit of each row).
     """
+    Rbits = _unpack_bits(R, n)
+    pivots = Rbits.argmax(axis=1) if Rbits.size else np.zeros(0, dtype=np.intp)
     free = np.setdiff1d(np.arange(n), pivots)
-    Rbits = _unpack_bits(R[: len(pivots)], n)
     B = np.zeros((free.size, n), dtype=np.uint8)
     B[np.arange(free.size), free] = 1
     B[:, pivots] = Rbits[:, free].T
@@ -265,16 +267,14 @@ def kernel_basis(M: BitMatrix) -> list[BitVector]:
     if n == 0:
         return []
     R, pivots = _rref_words(M.words, n)
-    return [BitVector._from_words(w, n) for w in _kernel_words(R, pivots, n)]
+    return [BitVector._from_words(w, n) for w in _kernel_words(R[: len(pivots)], n)]
 
 
-def row_and_kernel_basis(M: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
-    """(row_basis(M), kernel basis of M as rows) from one elimination."""
-    R, pivots = _rref_words(M.words, M.cols)
-    r = len(pivots)
-    K = _kernel_words(R, pivots, M.cols)
-    return (BitMatrix._from_words(R[:r].copy(), r, M.cols),
-            BitMatrix._from_words(K, K.shape[0], M.cols))
+def reduced_kernel_basis(R: BitMatrix) -> BitMatrix:
+    """Kernel basis, as rows, of a matrix already in reduced row echelon
+    form without zero rows (as row_basis returns it); no elimination."""
+    K = _kernel_words(R.words, R.cols)
+    return BitMatrix._from_words(K, K.shape[0], R.cols)
 
 
 #: uint64 words in one block of Four-Russians tables (8 MB)
