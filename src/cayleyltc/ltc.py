@@ -116,14 +116,13 @@ class SquareCodeTester:
         f_bits = f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
         if f_bits.shape[0] != self.n_squares:
             raise ValueError(f"word length {f_bits.shape[0]} != |S| = {self.n_squares}")
-        return self._rejects(f_bits[self._grid])
+        return self._rejects(f_bits[self._grid].astype(np.int64))
 
     def _rejects(self, views: np.ndarray) -> np.ndarray:
-        """Boolean per vertex: some row or column of its view in the (a, g, b)
-        grid views fails a parity check of C1."""
+        """Boolean per vertex: some row or column of its view in the int64
+        (a, g, b) grid views fails a parity check of C1."""
         if self._h1.size == 0:
             return np.zeros(self.X.n_vertices, dtype=bool)
-        views = views.astype(np.int64)
         col_syn = np.tensordot(self._h1, views, axes=([1], [0])) & 1   # (nh, n, r)
         row_syn = np.tensordot(self._h1, views, axes=([1], [2])) & 1   # (nh, r, n)
         return col_syn.any(axis=(0, 2)) | row_syn.any(axis=(0, 1))
@@ -159,7 +158,7 @@ class SquareCodeTester:
         fs = np.take_along_axis(ids, order, axis=1)
         vs = np.take_along_axis(vals, order, axis=1)
         clash = (fs[:, 1:] == fs[:, :-1]) & (vs[:, 1:] != vs[:, :-1])
-        return ~clash.any(axis=1) & ~self._rejects(wgrid)
+        return ~clash.any(axis=1) & ~self._rejects(wgrid.astype(np.int64))
 
     # -- decoder tables -----------------------------------------------------
 
