@@ -288,8 +288,10 @@ def mul_transpose(A: BitMatrix, B: BitMatrix) -> BitMatrix:
     Four-Russians (Arlazarov et al. 1970; M4RM in Albrecht, Bard & Hart,
     ACM TOMS 2010): the columns of B are packed as rows of B^T and taken
     eight at a time; a table of all 256 XOR combinations of each group is
-    indexed by the matching byte of every packed row of A.  Only B is
-    transposed, so B should be the operand with fewer rows.
+    indexed by the matching byte of every packed row of A whose byte is not
+    zero, so sparse check matrices cost in proportion to their nonzero
+    bytes.  Only B is transposed, so B should be the operand with fewer
+    rows.
     """
     if A.cols != B.cols:
         raise ValueError(f"column count mismatch: {A.cols} != {B.cols}")
@@ -311,7 +313,8 @@ def mul_transpose(A: BitMatrix, B: BitMatrix) -> BitMatrix:
             for t in range(8):
                 table[:, 1 << t: 2 << t] = table[:, : 1 << t] ^ rows[:, t, None, :]
             for g in range(lo, hi):
-                C ^= table[g - lo][Abytes[g]]
+                hit = np.flatnonzero(Abytes[g])
+                C[hit] ^= table[g - lo][Abytes[g, hit]]
     return BitMatrix._from_words(C, m, B.rows)
 
 
