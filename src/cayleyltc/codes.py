@@ -321,6 +321,18 @@ def cayley_edge_labelling(G: FiniteGroup, S: GeneratorSet,
     return n_edges, edge_ids.T.copy()   # labelling[v, pos]
 
 
+def _local_checks(views: np.ndarray, h_bits: np.ndarray, n: int) -> np.ndarray:
+    """Dense checks on F_2^n, row v * len(h_bits) + i = parity row i of the
+    local code placed on the coordinates views[v]; repeated coordinates
+    cancel mod 2."""
+    nv, nh = len(views), len(h_bits)
+    checks = np.zeros((nv * nh, n), dtype=np.uint8)
+    rows = np.arange(nv * nh).reshape(nv, nh, 1)
+    np.add.at(checks, (rows, views[:, None, :]), h_bits[None])
+    checks &= 1
+    return checks
+
+
 def tanner_code(n_edges: int, labelling: np.ndarray, C0: LinearCode,
                 provenance: str = "tanner", params: dict | None = None) -> LinearCode:
     """Edge-bit code: the local view at every vertex must lie in C0.
@@ -332,17 +344,10 @@ def tanner_code(n_edges: int, labelling: np.ndarray, C0: LinearCode,
     if labelling.shape[1] != C0.n:
         raise ValueError(
             f"local code length {C0.n} != vertex degree {labelling.shape[1]}")
-    h_bits = C0.parity.to_array()
-    checks = np.zeros((labelling.shape[0] * len(h_bits), n_edges), dtype=np.uint8)
-    row = 0
-    for v in range(labelling.shape[0]):
-        for h in h_bits:
-            np.add.at(checks[row], labelling[v], h)
-            row += 1
-    checks &= 1
+    checks = _local_checks(labelling, C0.parity.to_array(), n_edges)
     code = (LinearCode.from_parity_checks(BitMatrix(checks), provenance=provenance,
                                           params=params)
-            if row else full_code(n_edges))
+            if len(checks) else full_code(n_edges))
     assert code.k * C0.n >= (2 * C0.k - C0.n) * n_edges, "Tanner rate bound violated"
     code.params.setdefault("rho0", C0.rate)
     code.params.setdefault("k0", C0.k)
@@ -369,28 +374,12 @@ def tanner_code_on_cayley(G: FiniteGroup, S: GeneratorSet, C0: LinearCode,
 
 
 def _edge_wise_checks(X: CayleyComplex, C1: LinearCode) -> np.ndarray:
-    slots = X.edge_slot_table()                    # (n_edges, r)
-    h_bits = C1.parity.to_array()
-    checks = np.zeros((X.n_edges * len(h_bits), X.n_squares), dtype=np.uint8)
-    row = 0
-    for e in range(X.n_edges):
-        for h in h_bits:
-            np.add.at(checks[row], slots[e], h)    # repeated slots cancel mod 2
-            row += 1
-    return checks & 1
+    return _local_checks(X.edge_slot_table(), C1.parity.to_array(), X.n_squares)
 
 
 def _vertex_wise_checks(X: CayleyComplex, C0: LinearCode) -> np.ndarray:
-    r2 = C0.n
-    h_bits = C0.parity.to_array()
-    checks = np.zeros((X.n_vertices * len(h_bits), X.n_squares), dtype=np.uint8)
-    row = 0
-    for g in range(X.n_vertices):
-        flat = X.squares_of_vertex(g).reshape(r2)
-        for h in h_bits:
-            np.add.at(checks[row], flat, h)
-            row += 1
-    return checks & 1
+    views = X.square_id.transpose(1, 0, 2).reshape(X.n_vertices, -1)
+    return _local_checks(views, C0.parity.to_array(), X.n_squares)
 
 
 def square_code(X: CayleyComplex, C1: LinearCode,

@@ -303,6 +303,38 @@ def test_square_code_unequal_degrees():
         square_code(X, repetition_code(2))
 
 
+def _local_checks_loop(views, h_bits, n):
+    """Reference: one check row at a time, parity row h on one local view."""
+    checks = np.zeros((len(views) * len(h_bits), n), dtype=np.uint8)
+    row = 0
+    for v in views:
+        for h in h_bits:
+            np.add.at(checks[row], v, h)
+            row += 1
+    return checks & 1
+
+
+@pytest.mark.parametrize("args,C1", [
+    ((3, (1, 2)), repetition_code(2)), ((5, (1, 4)), repetition_code(2)),
+    ((5, (1, 4)), full_code(2)), ((12, (1, 11), (5, 7)), repetition_code(2)),
+    ((10, (1, 3, 5, 7, 9)), parity_code(5))])
+def test_check_builders_match_row_loop(args, C1):
+    X = toy_complex(*args)
+    C0 = tensor_code(C1)
+    edge = codes._edge_wise_checks(X, C1)
+    vert = codes._vertex_wise_checks(X, C0)
+    assert edge.dtype == vert.dtype == np.uint8
+    assert np.array_equal(edge, _local_checks_loop(
+        X.edge_slot_table(), C1.parity.to_array(), X.n_squares))
+    assert np.array_equal(vert, _local_checks_loop(
+        [X.squares_of_vertex(g).ravel() for g in range(X.n_vertices)],
+        C0.parity.to_array(), X.n_squares))
+    pairs, labelling = codes.graph_edge_labelling(petersen())
+    h = parity_code(3).parity.to_array()
+    assert np.array_equal(codes._local_checks(labelling, h, len(pairs)),
+                          _local_checks_loop(labelling, h, len(pairs)))
+
+
 def _independent_rows(Hv):
     """Indices of rows of Hv that form a basis of its row space."""
     return f2core.rref(BitMatrix(Hv.T))[1]
