@@ -243,28 +243,25 @@ def bch_code(m: int, b: int) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 
+def _local_checks(views: np.ndarray, h_bits: np.ndarray, n: int) -> np.ndarray:
+    """Dense checks on F_2^n, row v * len(h_bits) + i = parity row i of the
+    local code placed on the coordinates views[v]; repeated coordinates
+    cancel mod 2."""
+    nv, nh = len(views), len(h_bits)
+    checks = np.zeros((nv * nh, n), dtype=np.uint8)
+    rows = np.arange(nv * nh).reshape(nv, nh, 1)
+    np.add.at(checks, (rows, views[:, None, :]), h_bits[None])
+    checks &= 1
+    return checks
+
+
 def tensor_code(C1: LinearCode) -> LinearCode:
     """C1 (x) C1 on the r x r grid: all rows and all columns in C1."""
     r = C1.n
-    checks = []
-    h_bits = C1.parity.to_array()
-    for a in range(r):
-        for h in h_bits:
-            row = np.zeros(r * r, dtype=np.uint8)
-            row[a * r: (a + 1) * r] = h
-            checks.append(row)
-    for b in range(r):
-        for h in h_bits:
-            row = np.zeros(r * r, dtype=np.uint8)
-            row[b::r] = h
-            checks.append(row)
-    M = BitMatrix(np.array(checks, dtype=np.uint8)) if checks else None
-    code = (LinearCode.from_parity_checks(M, provenance="tensor",
-                                          params={"r": r, "k1": C1.k})
-            if M is not None else
-            full_code(r * r))
-    code.provenance = "tensor"
-    code.params = {"r": r, "k1": C1.k}
+    grid = np.arange(r * r).reshape(r, r)
+    checks = _local_checks(np.vstack([grid, grid.T]), C1.parity.to_array(), r * r)
+    code = LinearCode.from_parity_checks(BitMatrix(checks), provenance="tensor",
+                                         params={"r": r, "k1": C1.k})
     assert code.k == C1.k * C1.k, "tensor dimension must be k1^2"
     return code
 
@@ -319,18 +316,6 @@ def cayley_edge_labelling(G: FiniteGroup, S: GeneratorSet,
                       for s in S.indices])
     n_edges, edge_ids, _ = canonical_ids(perms, S.inverse_positions)
     return n_edges, edge_ids.T.copy()   # labelling[v, pos]
-
-
-def _local_checks(views: np.ndarray, h_bits: np.ndarray, n: int) -> np.ndarray:
-    """Dense checks on F_2^n, row v * len(h_bits) + i = parity row i of the
-    local code placed on the coordinates views[v]; repeated coordinates
-    cancel mod 2."""
-    nv, nh = len(views), len(h_bits)
-    checks = np.zeros((nv * nh, n), dtype=np.uint8)
-    rows = np.arange(nv * nh).reshape(nv, nh, 1)
-    np.add.at(checks, (rows, views[:, None, :]), h_bits[None])
-    checks &= 1
-    return checks
 
 
 def tanner_code(n_edges: int, labelling: np.ndarray, C0: LinearCode,

@@ -329,6 +329,11 @@ def test_check_builders_match_row_loop(args, C1):
     assert np.array_equal(vert, _local_checks_loop(
         [X.squares_of_vertex(g).ravel() for g in range(X.n_vertices)],
         C0.parity.to_array(), X.n_squares))
+    r, h_bits = C1.n, C1.parity.to_array()
+    grid = np.arange(r * r).reshape(r, r)
+    tensor_views = [grid[a] for a in range(r)] + [grid[:, b] for b in range(r)]
+    tensor_checks = _local_checks_loop(tensor_views, h_bits, r * r)
+    assert C0.parity == f2core.row_basis(BitMatrix(tensor_checks))
     pairs, labelling = codes.graph_edge_labelling(petersen())
     h = parity_code(3).parity.to_array()
     assert np.array_equal(codes._local_checks(labelling, h, len(pairs)),
