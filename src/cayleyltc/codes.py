@@ -28,6 +28,17 @@ from .groups import FiniteGroup, GeneratorSet, Graph
 SQUARE_CODE_COORD_BUDGET = 20000
 
 
+def _rows_matrix(rows, n: int | None, kind: str) -> BitMatrix:
+    """A BitMatrix from a BitMatrix, or from BitVector rows (n gives the
+    width of an empty list)."""
+    if isinstance(rows, BitMatrix):
+        return rows
+    rows = list(rows) if rows is not None else []
+    if not rows and n is None:
+        raise ValueError(f"need n for an empty {kind} list")
+    return BitMatrix.from_rows(rows) if rows else BitMatrix.zeros(0, n)
+
+
 class LinearCode:
     """A binary linear code with generator and parity-check bases."""
 
@@ -53,31 +64,17 @@ class LinearCode:
     @classmethod
     def from_generators(cls, rows, n: int | None = None, provenance: str = "explicit",
                         params: dict | None = None) -> "LinearCode":
-        if isinstance(rows, BitMatrix):
-            M = rows
-        else:
-            rows = list(rows) if rows is not None else []
-            if not rows and n is None:
-                raise ValueError("need n for an empty generator list")
-            M = BitMatrix.from_rows(rows) if rows else BitMatrix.zeros(0, n)
-        G = f2core.row_basis(M)
+        G = f2core.row_basis(_rows_matrix(rows, n, "generator"))
         H = f2core.reduced_kernel_basis(G)
-        return cls(M.cols, G, H, provenance, params)
+        return cls(G.cols, G, H, provenance, params)
 
     @classmethod
     def from_parity_checks(cls, rows, n: int | None = None,
                            provenance: str = "explicit",
                            params: dict | None = None) -> "LinearCode":
-        if isinstance(rows, BitMatrix):
-            M = rows
-        else:
-            rows = list(rows) if rows is not None else []
-            if not rows and n is None:
-                raise ValueError("need n for an empty check list")
-            M = BitMatrix.from_rows(rows) if rows else BitMatrix.zeros(0, n)
-        H = f2core.row_basis(M)
+        H = f2core.row_basis(_rows_matrix(rows, n, "check"))
         G = f2core.reduced_kernel_basis(H)
-        return cls(M.cols, G, H, provenance, params)
+        return cls(G.cols, G, H, provenance, params)
 
     @property
     def rate(self) -> float:

@@ -6,6 +6,15 @@ code computation needs lives here: rank, reduced row echelon form, kernel
 bases, the product A B^T (Four-Russians tables), Hamming weight/distance,
 and the exhaustive minimum-weight oracle.
 
+Elimination is blocked Four-Russians (Arlazarov et al. 1970; M4RI in
+Albrecht, Bard & Hart, ACM TOMS 2010).  Columns are taken a byte (8
+columns) at a time: the block's pivots are found from the distinct bytes of
+the rows below, and every row whose byte there is nonzero is cleared with
+one lookup in a table of the 2^k XOR combinations of the block's k pivot
+rows; rows with a zero byte are skipped.  rank runs this forward pass only;
+rref, row_basis and kernel_basis add a back pass, last block first, that
+clears the rows above each block's pivots the same way.
+
 All values are immutable after construction from the caller's perspective;
 the operations below are pure functions.
 """
@@ -191,34 +200,117 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def _rref_words(words: np.ndarray, cols: int):
-    """In-place reduced row echelon form on packed rows.
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """table[..., x, :] = XOR of rows[..., i, :] over the set bits i of x,
+    for the k rows on the second-to-last axis; shape (..., 2^k, nwords)."""
+    k = rows.shape[-2]
+    table = np.zeros(rows.shape[:-2] + (1 << k, rows.shape[-1]), dtype=np.uint64)
+    for i in range(k):
+        table[..., 1 << i: 2 << i, :] = table[..., : 1 << i, :] ^ rows[..., i, None, :]
+    return table
 
-    Returns (reduced words, pivot column list).  Word-parallel: each
-    elimination step XORs the pivot row into every other row holding a 1 in
-    the pivot column at once.
+
+def _byte_lut(masks: dict) -> np.ndarray:
+    """lut[b] = XOR of masks[t] over the set bits t of the byte b."""
+    lut = np.zeros(256, dtype=np.intp)
+    for t in range(8):
+        lut[1 << t: 2 << t] = lut[: 1 << t] ^ masks.get(t, 0)
+    return lut
+
+
+def _block_pivots(values):
+    """Echelon basis of the span of some byte values, lowest set bit leading.
+
+    Returns (masks, chosen): chosen are independent values among `values`
+    spanning them all, and masks[t], for each pivot bit t, has bit i set for
+    each chosen[i] in the XOR that is the reduced basis vector leading at t
+    (zero at the other pivot bits).
     """
-    R = words.copy()
+    red, chosen, span = {}, [], {0}
+    for v in values:
+        if v in span:
+            continue
+        span |= {u ^ v for u in span}
+        x, s = v, 1 << len(chosen)
+        for t, (y, u) in red.items():
+            if x >> t & 1:
+                x, s = x ^ y, s ^ u
+        t = (x & -x).bit_length() - 1
+        for t2, (y, u) in red.items():
+            if y >> t & 1:
+                red[t2] = (y ^ x, u ^ s)
+        red[t] = (x, s)
+        chosen.append(v)
+        if len(chosen) == 8:
+            break
+    return {t: s for t, (_, s) in red.items()}, chosen
+
+
+def _echelon_words(words: np.ndarray, cols: int):
+    """Forward Four-Russians elimination on packed rows, 8 columns a block.
+
+    Returns (R, pivots, blocks): R is in row echelon form, each row i <
+    len(pivots) leading at column pivots[i] and zero at the other pivot
+    columns of its own block; blocks lists (byte j, first pivot row, pivot
+    bits) for the back pass.  Per block, the pivots are found on the block's
+    bytes alone, and every row below them with a nonzero byte there is
+    cleared by one lookup in a table of the XOR combinations of the pivot
+    rows.
+    """
+    R = np.array(words, dtype=np.uint64, order="C")
     m = R.shape[0]
-    pivots = []
+    Rb = R.view(np.uint8)
+    pivots, blocks = [], []
     prow = 0
-    for c in range(cols):
+    for j in range(-(-cols // 8)):
         if prow >= m:
             break
-        w, b = c >> 6, np.uint64(c & 63)
-        colbits = (R[prow:, w] >> b) & np.uint64(1)
-        hits = np.nonzero(colbits)[0]
-        if hits.size == 0:
+        cand = prow + np.flatnonzero(Rb[prow:, j])
+        if not cand.size:
             continue
-        piv = prow + int(hits[0])
-        if piv != prow:
-            R[[prow, piv]] = R[[piv, prow]]
-        mask = ((R[:, w] >> b) & np.uint64(1)).astype(bool)
-        mask[prow] = False
-        if mask.any():
-            R[mask] ^= R[prow]
-        pivots.append(c)
-        prow += 1
+        # one candidate row per distinct byte value; any of them will do,
+        # because the reduced form does not depend on the pivot rows chosen
+        row_of = np.full(256, -1, dtype=np.intp)
+        row_of[Rb[cand, j]] = cand
+        masks, chosen = _block_pivots(np.flatnonzero(row_of >= 0).tolist())
+        rows = row_of[chosen].tolist()
+        k, w0 = len(rows), j >> 3
+        table = _xor_table(R[rows, w0:])
+        # rows in the pivot slots that are not pivots take the freed places
+        moved = [r for r in range(prow, prow + k) if r not in rows]
+        if moved:
+            R[[r for r in rows if r >= prow + k]] = R[moved]
+        bits = sorted(masks)
+        R[prow: prow + k, w0:] = table[[masks[t] for t in bits]]
+        below = prow + k + np.flatnonzero(Rb[prow + k:, j])
+        if below.size:
+            R[below, w0:] ^= table[_byte_lut(masks)[Rb[below, j]]]
+        pivots += [8 * j + t for t in bits]
+        blocks.append((j, prow, bits))
+        prow += k
+    return R, pivots, blocks
+
+
+def _rref_words(words: np.ndarray, cols: int):
+    """Reduced row echelon form of packed rows: (reduced words, pivot
+    column list).
+
+    The forward pass (_echelon_words) is followed by a back pass clearing
+    each block's pivot columns from the rows above it, one table lookup per
+    row.  Blocks go last first: the pivot rows of a later block are zero on
+    the columns of earlier ones, so a block's bytes are still those the
+    forward pass left when its turn comes, and it touches only the rows that
+    had a pivot bit there.
+    """
+    R, pivots, blocks = _echelon_words(words, cols)
+    Rb = R.view(np.uint8)
+    for j, prow, bits in reversed(blocks):
+        above = np.flatnonzero(Rb[:prow, j] & sum(1 << t for t in bits))
+        if above.size:
+            w0 = j >> 3
+            table = _xor_table(R[prow: prow + len(bits), w0:])
+            lut = _byte_lut({t: 1 << i for i, t in enumerate(bits)})
+            R[above, w0:] ^= table[lut[Rb[above, j]]]
     return R, pivots
 
 
@@ -226,7 +318,7 @@ def rank(M: BitMatrix) -> int:
     """GF(2) row rank of M."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    _, pivots = _rref_words(M.words, M.cols)
+    _, pivots, _ = _echelon_words(M.words, M.cols)
     return len(pivots)
 
 
@@ -308,10 +400,7 @@ def mul_transpose(A: BitMatrix, B: BitMatrix) -> BitMatrix:
         for lo in range(0, groups, step):
             hi = min(groups, lo + step)
             # table[g, x] = XOR of the rows 8(lo+g)+t of B^T with bit t of x set
-            table = np.zeros((hi - lo, 256, pw), dtype=np.uint64)
-            rows = Bt[8 * lo: 8 * hi].reshape(hi - lo, 8, pw)
-            for t in range(8):
-                table[:, 1 << t: 2 << t] = table[:, : 1 << t] ^ rows[:, t, None, :]
+            table = _xor_table(Bt[8 * lo: 8 * hi].reshape(hi - lo, 8, pw))
             for g in range(lo, hi):
                 hit = np.flatnonzero(Abytes[g])
                 C[hit] ^= table[g - lo][Abytes[g, hit]]
@@ -397,11 +486,21 @@ def min_weight_exhaustive(basis: list[BitVector]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bits_to_hex(bits: np.ndarray) -> str:
-    n = bits.shape[0]
-    ndigits = max(1, -(-n // 4))
-    packed = np.packbits(bits, bitorder="big")
-    return packed.tobytes().hex()[:ndigits]
+#: _REVERSED_BITS[b] is the byte b with its bit order reversed
+_REVERSED_BITS = np.packbits(np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"), axis=1).ravel()
+
+
+def _hex_lines(words: np.ndarray, n: int) -> str:
+    """One hex line per packed row of length n: the first ceil(n/4) digits,
+    column 0 the high bit, from one byte lookup and one hex conversion of
+    all rows."""
+    ndigits = -(-n // 4)
+    packed = _REVERSED_BITS[np.ascontiguousarray(words).view(np.uint8)[:, : -(-n // 8)]]
+    digits = np.frombuffer(packed.tobytes().hex().encode(), dtype=np.uint8)
+    lines = np.full((len(words), ndigits + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :ndigits] = digits.reshape(packed.shape[0], 2 * packed.shape[1])[:, :ndigits]
+    return lines.tobytes().decode()
 
 
 def _hex_to_bits(h: str, n: int) -> np.ndarray:
@@ -416,11 +515,7 @@ def _hex_to_bits(h: str, n: int) -> np.ndarray:
 
 
 def dump_matrix(M: BitMatrix) -> str:
-    lines = [f"f2mat v1 {M.rows} {M.cols}"]
-    arr = M.to_array()
-    for i in range(M.rows):
-        lines.append(_bits_to_hex(arr[i]))
-    return "\n".join(lines) + "\n"
+    return f"f2mat v1 {M.rows} {M.cols}\n" + _hex_lines(M.words, M.cols)
 
 
 def load_matrix(text: str) -> BitMatrix:
@@ -438,7 +533,7 @@ def load_matrix(text: str) -> BitMatrix:
 
 
 def dump_word(v: BitVector) -> str:
-    return f"f2word v1 {v.n}\n{_bits_to_hex(v.to_bits())}\n"
+    return f"f2word v1 {v.n}\n" + _hex_lines(v.words[None], v.n)
 
 
 def load_word(text: str) -> BitVector:

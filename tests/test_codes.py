@@ -111,6 +111,20 @@ def test_random_codeword_matches_row_loop():
             assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
+def test_from_rows_inputs_agree():
+    rows = [BitVector([1, 1, 0, 1]), BitVector([0, 1, 1, 1]), BitVector([1, 0, 1, 0])]
+    M = BitMatrix.from_rows(rows)
+    for build in (LinearCode.from_generators, LinearCode.from_parity_checks):
+        a, b = build(rows), build(M)
+        assert (a.generator, a.parity) == (b.generator, b.parity)
+        empty = build([], n=6)
+        assert empty.n == 6 and build(None, n=6).generator == empty.generator
+    with pytest.raises(ValueError, match="need n for an empty generator list"):
+        LinearCode.from_generators([])
+    with pytest.raises(ValueError, match="need n for an empty check list"):
+        LinearCode.from_parity_checks(None)
+
+
 # -- BCH ---------------------------------------------------------------------
 
 

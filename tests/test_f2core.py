@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleyltc import f2core
+from cayleyltc import codes, f2core
 from cayleyltc.f2core import (
     BitMatrix,
     BitVector,
@@ -134,6 +134,81 @@ def test_rank_transpose_and_kernel_dim(n, m, seed):
     r = rank(M)
     assert r == rank(M.transpose())
     assert len(kernel_basis(M)) + r == n
+
+
+def _rref_words_loop(words, cols):
+    """Reference: one elimination step per column, each XORing the pivot
+    row into every other row with a 1 there."""
+    R = words.copy()
+    m = R.shape[0]
+    pivots = []
+    prow = 0
+    for c in range(cols):
+        if prow >= m:
+            break
+        w, b = c >> 6, np.uint64(c & 63)
+        colbits = (R[prow:, w] >> b) & np.uint64(1)
+        hits = np.nonzero(colbits)[0]
+        if hits.size == 0:
+            continue
+        piv = prow + int(hits[0])
+        if piv != prow:
+            R[[prow, piv]] = R[[piv, prow]]
+        mask = ((R[:, w] >> b) & np.uint64(1)).astype(bool)
+        mask[prow] = False
+        if mask.any():
+            R[mask] ^= R[prow]
+        pivots.append(c)
+        prow += 1
+    return R, pivots
+
+
+def _assert_rref_matches_loop(M):
+    R, pivots = f2core._rref_words(M.words, M.cols)
+    ref_R, ref_pivots = _rref_words_loop(M.words, M.cols)
+    assert pivots == ref_pivots
+    assert R.shape == ref_R.shape and np.array_equal(R, ref_R)
+    assert rank(M) == len(pivots)
+
+
+def _random_matrix(rng, m, n, shape):
+    if shape == "low_rank":   # fewer than 8 pivots in most blocks
+        k = int(rng.integers(0, 6))
+        return (rng.integers(0, 2, size=(m, k)) @ rng.integers(0, 2, size=(k, n))) & 1
+    arr = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+    if shape == "sparse":
+        arr &= rng.random((m, n)) < 0.05
+    elif shape == "zero_cols":
+        arr[:, rng.random(n) < 0.5] = 0
+    elif shape == "dup_rows" and m:
+        arr = arr[rng.integers(0, m, size=m)]
+    return arr
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 90), st.sampled_from([0, 1, 5, 8, 9, 63, 64, 65, 100, 130, 200]),
+       st.sampled_from(["random", "sparse", "zero_cols", "dup_rows", "low_rank"]),
+       st.integers(0, 2**32 - 1))
+def test_rref_words_matches_loop(m, n, shape, seed):
+    rng = np.random.default_rng(seed)
+    _assert_rref_matches_loop(BitMatrix(_random_matrix(rng, m, n, shape)))
+
+
+def test_rref_words_matches_loop_edge_cases():
+    rng = np.random.default_rng(9)
+    for M in (BitMatrix.zeros(0, 13), BitMatrix.zeros(4, 0), BitMatrix.zeros(5, 70),
+              BitMatrix.identity(67), BitMatrix(np.ones((9, 17), dtype=np.uint8)),
+              BitMatrix(np.eye(12, dtype=np.uint8)[::-1]),
+              BitMatrix(rng.integers(0, 2, size=(300, 40), dtype=np.uint8)),
+              BitMatrix(rng.integers(0, 2, size=(40, 300), dtype=np.uint8))):
+        _assert_rref_matches_loop(M)
+
+
+@pytest.mark.parametrize("name", ["z5", "z10", "z12"])
+def test_rref_words_matches_loop_on_square_checks(toy_instances, name):
+    X, base, _, _ = toy_instances[name]
+    _assert_rref_matches_loop(BitMatrix(codes._edge_wise_checks(X, base)))
+    _assert_rref_matches_loop(BitMatrix(codes._vertex_wise_checks(X, codes.tensor_code(base))))
 
 
 def _kernel_basis_loop(M):
@@ -285,6 +360,24 @@ def test_matrix_roundtrip_formats():
         assert M == M2
     v = BitVector(rng.integers(0, 2, size=77, dtype=np.uint8))
     assert f2core.load_word(f2core.dump_word(v)) == v
+
+
+def _bits_to_hex(bits):
+    """Reference: the hex line of one row."""
+    ndigits = max(1, -(-bits.shape[0] // 4))
+    return np.packbits(bits, bitorder="big").tobytes().hex()[:ndigits]
+
+
+def test_dump_formats_match_row_formula():
+    rng = np.random.default_rng(13)
+    for cols in range(0, 131):
+        for rows in (0, 1, 3):
+            M = BitMatrix(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
+            arr = M.to_array()
+            lines = [f"f2mat v1 {rows} {cols}"] + [_bits_to_hex(arr[i]) for i in range(rows)]
+            assert f2core.dump_matrix(M) == "\n".join(lines) + "\n"
+        v = BitVector(rng.integers(0, 2, size=cols, dtype=np.uint8))
+        assert f2core.dump_word(v) == f"f2word v1 {cols}\n{_bits_to_hex(v.to_bits())}\n"
 
 
 def test_format_hex_convention():
