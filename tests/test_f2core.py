@@ -172,7 +172,7 @@ def _assert_rref_matches_loop(M):
 
 
 def _random_matrix(rng, m, n, shape):
-    if shape == "low_rank":   # fewer than 8 pivots in most blocks
+    if shape == "low_rank":   # rank below 6: no block has 8 pivots
         k = int(rng.integers(0, 6))
         return (rng.integers(0, 2, size=(m, k)) @ rng.integers(0, 2, size=(k, n))) & 1
     arr = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
