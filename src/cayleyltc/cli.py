@@ -214,7 +214,10 @@ def cmd_analyze(args) -> int:
             p = gens["lps"]
             bound = 2 * math.sqrt(p) / (p + 1)
             report["ramanujan_bound"] = bound
-            report["verdict"] = "pass" if rec["lambda"] <= bound else "fail"
+            # the residual is the error bar of each side's lambda (0 when dense)
+            ok = all(side["lambda"] + side["residual"] <= bound
+                     for side in rec["cayley"].values())
+            report["verdict"] = "pass" if ok else "fail"
         else:
             report["verdict"] = "na"
             report["reason"] = "Ramanujan bound applies to full LPS generator sets"

@@ -326,22 +326,22 @@ class Graph:
         return out / self.degree
 
     def is_connected(self) -> bool:
+        """Breadth-first search from vertex 0, one CSR gather per level."""
         if self.n_vertices == 0:
             return True
+        order_ = np.argsort(self.arcs[:, 0], kind="stable")
+        dst_sorted = self.arcs[order_, 1]
+        starts = np.searchsorted(self.arcs[order_, 0], np.arange(self.n_vertices + 1))
         seen = np.zeros(self.n_vertices, dtype=bool)
         seen[0] = True
         frontier = np.array([0])
-        src, dst = self.arcs[:, 0], self.arcs[:, 1]
-        order_ = np.argsort(src, kind="stable")
-        src_sorted, dst_sorted = src[order_], dst[order_]
-        starts = np.searchsorted(src_sorted, np.arange(self.n_vertices))
-        ends = np.searchsorted(src_sorted, np.arange(self.n_vertices) + 1)
         while frontier.size:
-            nbrs = np.concatenate([dst_sorted[starts[v]:ends[v]] for v in frontier])
-            nbrs = np.unique(nbrs)
-            fresh = nbrs[~seen[nbrs]]
-            seen[fresh] = True
-            frontier = fresh
+            lo, count = starts[frontier], starts[frontier + 1] - starts[frontier]
+            # positions lo[v] .. lo[v] + count[v] - 1 of every frontier vertex v
+            pos = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+            nbrs = dst_sorted[pos]
+            frontier = np.unique(nbrs[~seen[nbrs]])
+            seen[frontier] = True
         return bool(seen.all())
 
     def edge_pairs(self) -> list[tuple[int, int]]:

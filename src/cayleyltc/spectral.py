@@ -1,96 +1,92 @@
-"""Normalized adjacency operators on Cayley complexes and their spectra.
+"""Walk operators on Cayley complexes and their spectra.
 
-Provides the vertex operator T, the edge/vertex averaging maps D and Dt,
-the edge operator M = Dt T D, the parallel-walk operator Mpar with its
-per-label blocks, and convex mixtures M_gamma = gamma*M + (1-gamma)*Mpar.
-All of them are symmetric Markov operators whenever both Cayley graphs of
-the complex expand; the expansion-implication checker quantifies that.
+Every operator of the soundness argument is a fixed-degree average over a
+neighbour table: the vertex walk T, the edge walk M = Dt o T o D (D
+averages the edges at a vertex, Dt the two endpoints of an edge), the
+parallel walk Mpar, and the mixtures M_gamma = gamma*M + (1-gamma)*Mpar.
+`WalkOperator` holds each as exact rational weights over int64 neighbour
+tables, so its symmetry and Markov checks are exact, with no tolerance and
+no sampling.  The dense matrix is built on demand up to DENSE_MAX_DIM rows.
 
-Operators are materialized densely below DENSE_LIMIT and as matrix-free
-closures above it; structural checks run at 1e-12 (dense) or on sampled
-entries at 1e-9 (matrix-free).
+Second eigenvalues of Cayley graphs come from a dense eigensolver up to
+DENSE_MAX_DIM vertices and from Lanczos above it; the expansion-implication
+checker records what the expansion of an operator implies for a set.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .complexes import LEFT, CayleyComplex
 from .groups import Graph, cayley_graph
 
-DENSE_LIMIT = 20000
+DENSE_MAX_DIM = 4000        # largest dense matrix or dense eigensolve, in rows
 
 
 class OperatorCheckError(ValueError):
     """An operator failed a required symmetry/Markov structural check."""
 
 
-class DenseOperator:
-    """Square real operator held as a dense matrix."""
+class WalkOperator:
+    """f -> sum_t w_t * mean_k f[table_t[:, k]], a weighted mix of walks.
 
-    def __init__(self, matrix: np.ndarray, labels=None):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("operator matrix must be square")
-        self.matrix = matrix
-        self.dim = matrix.shape[0]
-        self.labels = labels
+    Each term is an exact weight (a `Fraction`) and a (dim, d) int64 table
+    whose row i lists the d neighbours of i with multiplicity, so the
+    term's matrix entry (i, j) is (copies of j in row i) / d.
+    """
 
-    def matvec(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
-
-    def quad_form(self, f: np.ndarray) -> float:
-        return float(f @ (self.matrix @ f))
-
-    def symmetry_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.T).max())
-
-    def markov_defect(self) -> float:
-        row = float(np.abs(self.matrix.sum(axis=1) - 1.0).max())
-        neg = float(max(0.0, -self.matrix.min()))
-        return max(row, neg)
-
-    def check(self, tol: float = 1e-12) -> None:
-        if self.symmetry_defect() > tol:
-            raise OperatorCheckError(f"symmetry defect {self.symmetry_defect():g} > {tol:g}")
-        if self.markov_defect() > tol:
-            raise OperatorCheckError(f"Markov defect {self.markov_defect():g} > {tol:g}")
-
-
-class MatFreeOperator:
-    """Square operator given by a matvec closure; checks sample entries."""
-
-    def __init__(self, dim: int, fn, labels=None):
-        self.dim = dim
-        self._fn = fn
-        self.labels = labels
+    def __init__(self, terms):
+        self.terms = [(Fraction(w), np.asarray(table, dtype=np.int64))
+                      for w, table in terms]
+        self.dim = len(self.terms[0][1])
+        if any(t.ndim != 2 or len(t) != self.dim for _, t in self.terms):
+            raise ValueError("neighbour tables must share the shape (dim, d)")
 
     def matvec(self, f: np.ndarray) -> np.ndarray:
-        return self._fn(np.asarray(f, dtype=float))
+        f = np.asarray(f, dtype=float)
+        return sum(float(w) * f[table].mean(axis=1) for w, table in self.terms)
 
-    def quad_form(self, f: np.ndarray) -> float:
-        return float(f @ self.matvec(f))
+    def _pair_codes(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Codes i*dim + j and j*dim + i of every (row i, entry j) pair."""
+        rows = np.arange(self.dim)[:, None]
+        return (rows * self.dim + table).ravel(), (table * self.dim + rows).ravel()
 
-    def check(self, tol: float = 1e-9, samples: int = 32, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
-        ones = np.ones(self.dim)
-        if np.abs(self.matvec(ones) - 1.0).max() > tol:
-            raise OperatorCheckError("row sums differ from 1")
-        for _ in range(samples):
-            basis_vec = np.zeros(self.dim)
-            basis_vec[int(rng.integers(self.dim))] = 1.0
-            if self.matvec(basis_vec).min() < -tol:
-                raise OperatorCheckError("negative entry")
-            f = rng.standard_normal(self.dim)
-            g = rng.standard_normal(self.dim)
-            lhs = float(g @ self.matvec(f))
-            rhs = float(f @ self.matvec(g))
-            scale = max(1.0, abs(lhs), abs(rhs))
-            if abs(lhs - rhs) / scale > tol:
-                raise OperatorCheckError(f"symmetry defect {abs(lhs - rhs):g}")
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim matrix; refused above DENSE_MAX_DIM rows."""
+        if self.dim > DENSE_MAX_DIM:
+            raise ValueError(
+                f"dense matrix capped at {DENSE_MAX_DIM} rows, operator has {self.dim}")
+        out = np.zeros((self.dim, self.dim))
+        for w, table in self.terms:
+            counts = np.bincount(self._pair_codes(table)[0], minlength=self.dim ** 2)
+            out += counts.reshape(self.dim, self.dim) * (float(w) / table.shape[1])
+        return out
+
+    def check(self, tol: float | None = None) -> None:
+        """Raise OperatorCheckError unless the operator is symmetric Markov.
+
+        Exact: every index lies in [0, dim), the weights are >= 0 and sum to
+        exactly 1, and every table equals its own transpose as a multiset of
+        (row, entry) pairs.  Each term is then a symmetric doubly stochastic
+        matrix, and so is their convex combination.  ``tol`` is unused; it is
+        accepted for callers written against tolerance-based checks.
+        """
+        for w, table in self.terms:
+            if table.min() < 0 or table.max() >= self.dim:
+                raise OperatorCheckError(f"neighbour index outside [0, {self.dim})")
+            if w < 0:
+                raise OperatorCheckError(f"negative weight {w}")
+            fwd, rev = self._pair_codes(table)
+            if not np.array_equal(np.sort(fwd), np.sort(rev)):
+                raise OperatorCheckError("neighbour table is not its own transpose")
+        total = sum(w for w, _ in self.terms)
+        if total != 1:
+            raise OperatorCheckError(f"weights sum to {total}, not 1")
 
 
 def _require_square_regular(X: CayleyComplex) -> int:
@@ -99,78 +95,23 @@ def _require_square_regular(X: CayleyComplex) -> int:
     return X.nA
 
 
-def underlying_graph(X: CayleyComplex) -> Graph:
-    """The (|A|+|B|)-regular graph on V with both edge types."""
-    n = X.n_vertices
-    verts = np.arange(n, dtype=np.int64)
-    arcs = np.concatenate([
-        np.stack([verts, X.vert_image[lbl]], axis=1) for lbl in range(X.n_labels)])
-    return Graph(n, arcs, name="underlying")
-
-
-def build_T(X: CayleyComplex, dense: bool | None = None):
+def build_T(X: CayleyComplex) -> WalkOperator:
     """Vertex operator Tf(g) = (1/2r) sum_l f(g^l)."""
-    r = _require_square_regular(X)
-    n = X.n_vertices
-    if dense is None:
-        dense = n <= DENSE_LIMIT
-    if dense:
-        T = np.zeros((n, n))
-        for lbl in range(X.n_labels):
-            np.add.at(T, (np.arange(n), X.vert_image[lbl]), 1.0 / (2 * r))
-        return DenseOperator(T)
-    vi = X.vert_image
-
-    def fn(f):
-        return f[vi].sum(axis=0) / (2 * r)
-
-    return MatFreeOperator(n, fn)
-
-
-def build_D(X: CayleyComplex) -> np.ndarray:
-    """Edge-to-vertex averaging: Df(g) = (1/2r) sum_l f(<g;l>); rows sum to 1."""
-    r = _require_square_regular(X)
-    n, m = X.n_vertices, X.n_edges
-    D = np.zeros((n, m))
-    for lbl in range(X.n_labels):
-        np.add.at(D, (np.arange(n), X.edge_at[lbl]), 1.0 / (2 * r))
-    return D
-
-
-def build_Dt(X: CayleyComplex) -> np.ndarray:
-    """Vertex-to-edge averaging: Dt f(<g;l>) = (f(g) + f(g^l)) / 2."""
     _require_square_regular(X)
-    n, m = X.n_vertices, X.n_edges
-    Dt = np.zeros((m, n))
-    u, v = X.edge_endpoint_arrays()
-    np.add.at(Dt, (np.arange(m), u), 0.5)
-    np.add.at(Dt, (np.arange(m), v), 0.5)
-    return Dt
+    return WalkOperator([(1, X.vert_image.T)])
 
 
-def build_M(X: CayleyComplex, dense: bool | None = None):
-    """The edge walk M = Dt o T o D: symmetric, Markov, lambda-expanding."""
-    r = _require_square_regular(X)
-    m = X.n_edges
-    if dense is None:
-        dense = m <= DENSE_LIMIT
-    if dense:
-        D = build_D(X)
-        Dt = build_Dt(X)
-        T = build_T(X, dense=True).matrix
-        return DenseOperator(Dt @ T @ D)
-    u, v = X.edge_endpoint_arrays()
-    vi = X.vert_image
-    ea = X.edge_at
-    n = X.n_vertices
+def build_M(X: CayleyComplex) -> WalkOperator:
+    """The edge walk M = Dt o T o D: symmetric, Markov, lambda-expanding.
 
-    def fn(f):
-        df = f[ea].sum(axis=0) / (2 * r)
-        tdf = df[vi].sum(axis=0) / (2 * r)
-        return 0.5 * (tdf[u] + tdf[v])
-
-    return MatFreeOperator(m, fn)
-
+    Dt averages the two endpoints of an edge, T the 2r neighbours of a
+    vertex and D the 2r edges at a vertex, so row e lists the 8r^2 edges
+    that the count n2_edge = 8r^2 * M 1_R counts.
+    """
+    _require_square_regular(X)
+    endpoints = np.stack(X.edge_endpoint_arrays(), axis=1)       # (m, 2)
+    table = X.edge_at.T[X.vert_image.T[endpoints]]               # (m, 2, 2r, 2r)
+    return WalkOperator([(1, table.reshape(X.n_edges, -1))])
 
 def parallel_neighbor_table(X: CayleyComplex) -> np.ndarray:
     """(n_edges, r) ids: <g;l> moved along every opposite-type label."""
@@ -186,23 +127,9 @@ def parallel_neighbor_table(X: CayleyComplex) -> np.ndarray:
     return out
 
 
-def build_Mpar(X: CayleyComplex, dense: bool | None = None):
+def build_Mpar(X: CayleyComplex) -> WalkOperator:
     """Parallel walk: Mpar f(<g;l>) = (1/r) sum over opposite-type labels."""
-    r = _require_square_regular(X)
-    m = X.n_edges
-    nbrs = parallel_neighbor_table(X)
-    if dense is None:
-        dense = m <= DENSE_LIMIT
-    if dense:
-        M = np.zeros((m, m))
-        rows = np.repeat(np.arange(m), r)
-        np.add.at(M, (rows, nbrs.ravel()), 1.0 / r)
-        return DenseOperator(M)
-
-    def fn(f):
-        return f[nbrs].sum(axis=1) / r
-
-    return MatFreeOperator(m, fn)
+    return WalkOperator([(1, parallel_neighbor_table(X))])
 
 
 def edge_label_classes(X: CayleyComplex) -> list[dict]:
@@ -228,45 +155,13 @@ def edge_label_classes(X: CayleyComplex) -> list[dict]:
     return classes
 
 
-def build_Mpar_block(X: CayleyComplex, lbl: int):
-    """The block M_l_par on E_l, indexed by root vertex g -> <g;l>.
-
-    Returns (edge_of_root, matrix) where edge_of_root[g] is the edge id of
-    <g;l>; for self-inverse labels each edge appears under two roots and the
-    matrix is indexed by the distinct edge ids instead.
-    """
-    r = _require_square_regular(X)
-    eids = X.edge_at[lbl]
-    distinct = np.unique(eids)
-    pos = {int(e): k for k, e in enumerate(distinct)}
-    nloc = len(distinct)
-    M = np.zeros((nloc, nloc))
-    opposite = np.nonzero(X.label_type != X.label_type[lbl])[0]
-    counted = np.zeros(nloc, dtype=bool)
-    for g in range(X.n_vertices):
-        src = pos[int(eids[g])]
-        if counted[src]:
-            continue
-        counted[src] = True
-        for opp in opposite:
-            dst = pos[int(X.edge_at[lbl, X.vert_image[opp, g]])]
-            M[src, dst] += 1.0 / r
-    return distinct, M
-
-
-def build_Mgamma(X: CayleyComplex, gamma: float, dense: bool | None = None):
+def build_Mgamma(X: CayleyComplex, gamma: float) -> WalkOperator:
     """M_gamma = gamma*M + (1-gamma)*Mpar for 0 < gamma < 1."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    M = build_M(X, dense=dense)
-    P = build_Mpar(X, dense=dense)
-    if isinstance(M, DenseOperator) and isinstance(P, DenseOperator):
-        return DenseOperator(gamma * M.matrix + (1 - gamma) * P.matrix)
-
-    def fn(f):
-        return gamma * M.matvec(f) + (1 - gamma) * P.matvec(f)
-
-    return MatFreeOperator(M.dim, fn)
+    gamma = Fraction(gamma)
+    return WalkOperator([(gamma, build_M(X).terms[0][1]),
+                         (1 - gamma, parallel_neighbor_table(X))])
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +274,10 @@ def second_eigenvalue(graph: Graph, method: str = "auto",
     if not graph.is_connected():
         raise ValueError("graph is disconnected: second eigenvalue is trivially 1")
     if method == "auto":
-        method = "dense" if graph.n_vertices <= 4000 else "iterative"
+        method = "dense" if graph.n_vertices <= DENSE_MAX_DIM else "iterative"
     if method == "dense":
-        if graph.n_vertices > 4000:
-            raise ValueError("dense method capped at 4000 vertices")
+        if graph.n_vertices > DENSE_MAX_DIM:
+            raise ValueError(f"dense method capped at {DENSE_MAX_DIM} vertices")
         return _dense_second(graph)
     if method == "iterative":
         return _lanczos_second(graph, tol, budget)

@@ -187,6 +187,30 @@ def test_lps_end_to_end_build_and_ramanujan_verdict(tmp_path, capsys):
     assert rep["lambda"] <= rep["ramanujan_bound"]
 
 
+def test_ramanujan_verdict_counts_the_residual(z5_dir, tmp_path, capsys, monkeypatch):
+    # an LPS(5, q) manifest over the z5 artifacts; the spectrum is faked so
+    # that lambda alone passes 2*sqrt(5)/6 = 0.7454 but lambda + residual fails
+    from cayleyltc import spectral
+
+    manifest = json.loads((z5_dir / "manifest.json").read_text())
+    manifest["generators"]["lps"] = 5
+    manifest["files"]["complex"]["path"] = str(z5_dir / "complex.cay2.npz")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+
+    def fake_spectrum(residual):
+        side = {"lambda": 0.74, "residual": residual, "method": "iterative"}
+        return lambda X, method, tol: {"lambda": 0.74,
+                                       "cayley": {"left": side, "right": side}}
+
+    for residual, verdict, rc in ((0.0, "pass", 0), (0.01, "fail", 1)):
+        monkeypatch.setattr(spectral, "complex_spectrum", fake_spectrum(residual))
+        assert main(["analyze", str(path), "--which", "spectral"]) == rc
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["lambda"] <= rep["ramanujan_bound"]
+        assert rep["verdict"] == verdict
+
+
 def test_internal_error_has_its_own_exit_code(z5_dir, capsys, monkeypatch):
     from cayleyltc import analysis
     from cayleyltc.cli import EXIT_BOUND, EXIT_INTERNAL

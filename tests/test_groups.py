@@ -6,6 +6,7 @@ import pytest
 from cayleyltc import groups
 from cayleyltc.groups import (
     GeneratorSet,
+    Graph,
     cayley_graph,
     cyclic_group,
     lps_generators,
@@ -188,3 +189,55 @@ def test_graph_roundtrip():
 def test_group_manifest():
     m = json.loads(groups.group_manifest_json(psl2(5)))
     assert m == {"kind": "psl2", "parameters": {"q": 5}, "order": 60}
+
+
+def reference_is_connected(graph):
+    """Breadth-first search gathering each frontier vertex's arcs in Python."""
+    if graph.n_vertices == 0:
+        return True
+    seen = np.zeros(graph.n_vertices, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    src, dst = graph.arcs[:, 0], graph.arcs[:, 1]
+    order_ = np.argsort(src, kind="stable")
+    src_sorted, dst_sorted = src[order_], dst[order_]
+    starts = np.searchsorted(src_sorted, np.arange(graph.n_vertices))
+    ends = np.searchsorted(src_sorted, np.arange(graph.n_vertices) + 1)
+    while frontier.size:
+        nbrs = np.concatenate([dst_sorted[starts[v]:ends[v]] for v in frontier])
+        nbrs = np.unique(nbrs)
+        fresh = nbrs[~seen[nbrs]]
+        seen[fresh] = True
+        frontier = fresh
+    return bool(seen.all())
+
+
+def _undirected(n, pairs):
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return Graph(n, np.concatenate([pairs, pairs[:, ::-1]]))
+
+
+def test_is_connected_matches_reference():
+    z12 = cyclic_group(12)
+    cases = [
+        _undirected(0, []),
+        _undirected(1, []),
+        _undirected(1, [(0, 0)]),                              # loop only
+        _undirected(2, []),                                    # two isolated
+        _undirected(3, [(0, 1), (0, 1), (1, 2)]),              # multi-edge
+        _undirected(4, [(0, 1), (2, 3), (2, 2)]),              # two parts, loop
+        _undirected(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),      # path
+        _undirected(5, [(1, 2), (2, 3), (3, 4)]),              # 0 isolated
+        cayley_graph(z12, GeneratorSet(z12, (1, 11))),
+        cayley_graph(z12, GeneratorSet(z12, (3, 9))),          # <3> has index 3
+    ]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        cases.append(_undirected(n, pairs))
+    expected = [reference_is_connected(g) for g in cases]
+    assert [g.is_connected() for g in cases] == expected
+    assert expected[:10] == [True, True, True, False, True, False, True, False,
+                             True, False]
+    assert 20 < sum(expected) < 190            # random cases hit both answers

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,16 @@ from cayleyltc.groups import (
     schreier_graph,
 )
 from cayleyltc.spectral import (
-    DenseOperator,
-    build_D,
-    build_Dt,
+    DENSE_MAX_DIM,
+    OperatorCheckError,
+    WalkOperator,
     build_M,
     build_Mgamma,
     build_Mpar,
-    build_Mpar_block,
     build_T,
     edge_label_classes,
+    parallel_neighbor_table,
     second_eigenvalue,
-    underlying_graph,
     verify_expansion_implication,
 )
 
@@ -42,6 +43,88 @@ def z5():
 def z6():
     # contains the self-inverse generator 3, exercising the Schreier block
     return toy(6, (1, 3, 5))
+
+
+@pytest.fixture(scope="module")
+def instances(z5, z6, p13_instance):
+    return {"z5": z5, "z6": z6, "z10": toy(10, (1, 3, 5, 7, 9)),
+            "z12": toy(12, (1, 11), (5, 7)), "p13": p13_instance[0]}
+
+
+# ---------------------------------------------------------------------------
+# Dense reference builders: the np.add.at constructions that WalkOperator
+# replaced, kept as the reference its tables and matvec are compared with.
+# ---------------------------------------------------------------------------
+
+
+def ref_T(X):
+    """Tf(g) = (1/2r) sum_l f(g^l)."""
+    r, n = X.nA, X.n_vertices
+    T = np.zeros((n, n))
+    for lbl in range(X.n_labels):
+        np.add.at(T, (np.arange(n), X.vert_image[lbl]), 1.0 / (2 * r))
+    return T
+
+
+def ref_D(X):
+    """Edge-to-vertex averaging: Df(g) = (1/2r) sum_l f(<g;l>)."""
+    r, n, m = X.nA, X.n_vertices, X.n_edges
+    D = np.zeros((n, m))
+    for lbl in range(X.n_labels):
+        np.add.at(D, (np.arange(n), X.edge_at[lbl]), 1.0 / (2 * r))
+    return D
+
+
+def ref_Dt(X):
+    """Vertex-to-edge averaging: Dt f(<g;l>) = (f(g) + f(g^l)) / 2."""
+    n, m = X.n_vertices, X.n_edges
+    Dt = np.zeros((m, n))
+    u, v = X.edge_endpoint_arrays()
+    np.add.at(Dt, (np.arange(m), u), 0.5)
+    np.add.at(Dt, (np.arange(m), v), 0.5)
+    return Dt
+
+
+def ref_Mpar(X):
+    """Mpar f(<g;l>) = (1/r) sum over opposite-type labels, dense."""
+    r, m = X.nA, X.n_edges
+    M = np.zeros((m, m))
+    rows = np.repeat(np.arange(m), r)
+    np.add.at(M, (rows, parallel_neighbor_table(X).ravel()), 1.0 / r)
+    return M
+
+
+def ref_Mpar_block(X, lbl):
+    """The block M_l_par on E_l, built one root vertex at a time.
+
+    Returns (distinct edge ids of E_l, block indexed by them).
+    """
+    r = X.nA
+    eids = X.edge_at[lbl]
+    distinct = np.unique(eids)
+    pos = {int(e): k for k, e in enumerate(distinct)}
+    nloc = len(distinct)
+    M = np.zeros((nloc, nloc))
+    opposite = np.nonzero(X.label_type != X.label_type[lbl])[0]
+    counted = np.zeros(nloc, dtype=bool)
+    for g in range(X.n_vertices):
+        src = pos[int(eids[g])]
+        if counted[src]:
+            continue
+        counted[src] = True
+        for opp in opposite:
+            dst = pos[int(X.edge_at[lbl, X.vert_image[opp, g]])]
+            M[src, dst] += 1.0 / r
+    return distinct, M
+
+
+def ref_Mpar_matvec(X, f):
+    """Mpar f assembled from the per-label blocks, without an m x m matrix."""
+    out = np.zeros(X.n_edges)
+    for lbl in range(X.n_labels):
+        distinct, block = ref_Mpar_block(X, lbl)
+        out[distinct] = block @ f[distinct]
+    return out
 
 
 def complete_graph(n):
@@ -90,13 +173,13 @@ def test_spectral_report_json():
 def test_operator_markov_and_symmetric(z5, z6):
     for x in (z5, z6):
         for op in (build_T(x), build_M(x), build_Mpar(x), build_Mgamma(x, 0.4)):
-            assert isinstance(op, DenseOperator)
+            assert isinstance(op, WalkOperator)
             op.check(tol=1e-12)
 
 
 def test_D_Dt_row_stochastic(z5):
-    D = build_D(z5)
-    Dt = build_Dt(z5)
+    D = ref_D(z5)
+    Dt = ref_Dt(z5)
     assert np.abs(D.sum(axis=1) - 1).max() < 1e-12
     assert np.abs(Dt.sum(axis=1) - 1).max() < 1e-12
     M = build_M(z5).matrix
@@ -119,14 +202,69 @@ def test_M_expansion_bound(z5, z6):
 
 
 def test_matfree_matches_dense(z6):
-    for build in (build_T, build_M, build_Mpar):
-        dense = build(z6, dense=True)
-        free = build(z6, dense=False)
+    # the table matvec agrees with its own dense matrix
+    for op in (build_T(z6), build_M(z6), build_Mpar(z6), build_Mgamma(z6, 0.4)):
+        dense = op.matrix
         rng = np.random.default_rng(1)
         for _ in range(5):
-            f = rng.standard_normal(dense.dim)
-            assert np.abs(dense.matvec(f) - free.matvec(f)).max() < 1e-12
-        free.check(tol=1e-9)
+            f = rng.standard_normal(op.dim)
+            assert np.abs(dense @ f - op.matvec(f)).max() < 1e-12
+        op.check()
+
+
+@pytest.mark.parametrize("name", ["z5", "z6", "z10", "z12", "p13"])
+def test_operators_match_dense_reference(instances, name):
+    X = instances[name]
+    T, D, Dt = ref_T(X), ref_D(X), ref_Dt(X)
+    gamma = 0.375
+    rng = np.random.default_rng(7)
+    f_v = rng.standard_normal(X.n_vertices)
+    f_e = rng.standard_normal(X.n_edges)
+    mpar_f = ref_Mpar_matvec(X, f_e)
+    m_f = Dt @ (T @ (D @ f_e))
+    cases = [(build_T(X), T @ f_v, f_v), (build_M(X), m_f, f_e),
+             (build_Mpar(X), mpar_f, f_e),
+             (build_Mgamma(X, gamma), gamma * m_f + (1 - gamma) * mpar_f, f_e)]
+    for op, ref_f, f in cases:
+        assert np.abs(op.matvec(f) - ref_f).max() < 1e-13
+    if X.n_edges > DENSE_MAX_DIM:                 # p13: edge operators stay sparse
+        assert X.n_vertices <= DENSE_MAX_DIM
+        for op, _, _ in cases[1:]:
+            with pytest.raises(ValueError, match="capped"):
+                op.matrix
+        assert np.abs(cases[0][0].matrix - T).max() <= 1e-15
+        return
+    M, P = Dt @ T @ D, ref_Mpar(X)
+    for (op, _, _), ref in zip(cases, (T, M, P, gamma * M + (1 - gamma) * P)):
+        assert np.abs(op.matrix - ref).max() <= 1e-15
+
+
+def test_check_rejects_redirected_entry(z6):
+    for op in (build_T(z6), build_M(z6), build_Mpar(z6)):
+        table = op.terms[0][1].copy()
+        table[0, 0] = (table[0, 0] + 1) % op.dim
+        with pytest.raises(OperatorCheckError, match="transpose"):
+            WalkOperator([(1, table)]).check()
+
+
+def test_check_rejects_index_out_of_range(z6):
+    table = build_Mpar(z6).terms[0][1].copy()
+    for bad in (-1, z6.n_edges):
+        table[3, 1] = bad
+        with pytest.raises(OperatorCheckError, match="outside"):
+            WalkOperator([(1, table)]).check()
+
+
+def test_check_rejects_bad_weights(z6):
+    m_table = build_M(z6).terms[0][1]
+    p_table = build_Mpar(z6).terms[0][1]
+    for weights, match in (((Fraction(3, 8), Fraction(1, 2)), "sum"),
+                           ((Fraction(3, 2), Fraction(-1, 2)), "negative")):
+        op = WalkOperator(list(zip(weights, (m_table, p_table))))
+        with pytest.raises(OperatorCheckError, match=match):
+            op.check()
+    build_Mgamma(z6, 0.375).check()
+
 
 
 def test_mpar_block_structure(z6):
@@ -168,7 +306,8 @@ def test_mpar_block_self_inverse_is_schreier(z6):
     # Schreier graph of B acting on cosets of <3>
     lbl = list(z6.A.indices).index(3)
     assert z6.label_inv[lbl] == lbl
-    distinct, block = build_Mpar_block(z6, lbl)
+    distinct = np.unique(z6.edge_at[lbl])
+    block = build_Mpar(z6).matrix[np.ix_(distinct, distinct)]
     assert len(distinct) == z6.n_vertices // 2
     sch = schreier_graph(z6.group, z6.B, subgroup_generator=3, side="right")
     # match vertices: coset of g = {g, g+3}; schreier ids follow first-seen
@@ -195,14 +334,19 @@ def test_mpar_block_self_inverse_is_schreier(z6):
 def test_mpar_consistent_with_block_builder(z6):
     Mp = build_Mpar(z6).matrix
     for lbl in range(z6.n_labels):
-        distinct, block = build_Mpar_block(z6, lbl)
+        distinct, block = ref_Mpar_block(z6, lbl)
         sub = Mp[np.ix_(distinct, distinct)]
         assert np.abs(sub - block).max() < 1e-12
 
 
 def test_underlying_graph_regularity(z6):
-    g = underlying_graph(z6)
+    # T's table read as the (|A|+|B|)-regular graph on V with both edge types
+    T = build_T(z6)
+    table = T.terms[0][1]
+    arcs = np.stack([np.repeat(np.arange(T.dim), table.shape[1]), table.ravel()], axis=1)
+    g = Graph(T.dim, arcs)
     assert g.degree == z6.nA + z6.nB
+    assert np.abs(g.normalized_adjacency() - T.matrix).max() == 0.0
     rep = second_eigenvalue(g, method="dense")
     assert rep.lam <= 1.0
 
@@ -262,7 +406,8 @@ def test_expansion_implication_single_edge(z5):
 
 
 def test_expansion_implication_rejects_bad_operator():
-    bad = DenseOperator(np.array([[0.5, 0.6], [0.4, 0.5]]))
+    # rows 0 -> 1 and 1 -> 1: Markov, but the table is not its own transpose
+    bad = WalkOperator([(1, np.array([[1], [1]]))])
     with pytest.raises(spectral.OperatorCheckError):
         verify_expansion_implication(bad, [0], delta=0.5, lam=0.1)
 
