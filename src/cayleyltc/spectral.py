@@ -113,6 +113,7 @@ def build_M(X: CayleyComplex) -> WalkOperator:
     table = X.edge_at.T[X.vert_image.T[endpoints]]               # (m, 2, 2r, 2r)
     return WalkOperator([(1, table.reshape(X.n_edges, -1))])
 
+
 def parallel_neighbor_table(X: CayleyComplex) -> np.ndarray:
     """(n_edges, r) ids: <g;l> moved along every opposite-type label."""
     r = _require_square_regular(X)
