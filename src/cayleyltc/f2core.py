@@ -178,7 +178,9 @@ class BitMatrix:
             raise ValueError(f"length mismatch: matrix has {self.cols} cols, vector {v.n}")
         if self.rows == 0:
             return BitVector.zeros(0)
-        out = (_popcount(self.words & v.words[None, :]).sum(axis=1) & 1).astype(np.uint8)
+        # the parity of a row's popcounts is the parity of their XOR's popcount
+        folded = np.bitwise_xor.reduce(self.words & v.words[None, :], axis=1)
+        out = (_popcount(folded) & 1).astype(np.uint8)
         return BitVector(out)
 
     def stack(self, other: "BitMatrix") -> "BitMatrix":

@@ -10,9 +10,14 @@ labelling map, so degenerate vertices where TNC fails are handled), counts
 disagreeing edges Delta(W), and greedily replaces single-vertex views while
 any replacement strictly reduces Delta.  Termination with Delta = 0 yields
 a codeword; otherwise the word is declared far and the final dispute set
-supports the counting diagnostics n1, n_par, n2, n2'.  Vertices are grouped
-by fiber pattern (which slots of the view share a square); the start state,
-every vertex's nearest local codeword, is one array pass per pattern.
+supports the counting diagnostics n1, n_par, n2, n2'.  The state is one
+candidate id per vertex: a candidate's rows and columns carry line ids, so
+an edge is disputed iff its two lines have different ids, and the greedy
+steps evaluate sets of vertices in whole-array gathers.  Vertices are
+grouped by fiber pattern (which slots of the view share a square).  The
+start state, every vertex's nearest local codeword, is a lookup of each
+view's bits on an information set of the local code; only views that are
+no local codeword get a distance scan, one array pass per pattern.
 
 kappa_experiment and decode_experiment run seeded trials, one RNG stream
 per (seed, trial index), so their rows do not depend on the worker count.
@@ -27,13 +32,18 @@ import numpy as np
 
 from .codes import LinearCode, tensor_code
 from .complexes import CayleyComplex
-from .f2core import BitVector, DimensionBudgetError
+from .f2core import BitVector, DimensionBudgetError, rref
 from .spectral import parallel_neighbor_table
 
 NEAREST_SEARCH_MAX_DIM = 20
 # entries in one temporary of the decoder tables and the nearest-codeword
 # pass (8 MB of float64), so that large instances add no peak memory
 DECODE_BLOCK = 1 << 20
+
+
+def _as_bits(f) -> np.ndarray:
+    """The 0/1 bits of a word given as a BitVector or an array."""
+    return f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
 
 
 @dataclass
@@ -113,18 +123,18 @@ class SquareCodeTester:
 
     def reject_vector(self, f) -> np.ndarray:
         """Boolean per-vertex rejection, all vertices at once."""
-        f_bits = f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
+        f_bits = _as_bits(f)
         if f_bits.shape[0] != self.n_squares:
             raise ValueError(f"word length {f_bits.shape[0]} != |S| = {self.n_squares}")
         return self._rejects(f_bits[self._grid].astype(np.int64))
 
     def _rejects(self, views: np.ndarray) -> np.ndarray:
         """Boolean per vertex: some row or column of its view in the int64
-        (a, g, b) grid views fails a parity check of C1."""
+        (a, vertex, b) grid views fails a parity check of C1."""
         if self._h1.size == 0:
-            return np.zeros(self.X.n_vertices, dtype=bool)
-        col_syn = np.tensordot(self._h1, views, axes=([1], [0])) & 1   # (nh, n, r)
-        row_syn = np.tensordot(self._h1, views, axes=([1], [2])) & 1   # (nh, r, n)
+            return np.zeros(views.shape[1], dtype=bool)
+        col_syn = np.tensordot(self._h1, views, axes=([1], [0])) & 1   # (nh, m, r)
+        row_syn = np.tensordot(self._h1, views, axes=([1], [2])) & 1   # (nh, r, m)
         return col_syn.any(axis=(0, 2)) | row_syn.any(axis=(0, 1))
 
     def reject_probability(self, f) -> float:
@@ -134,14 +144,12 @@ class SquareCodeTester:
     def reject_probability_sampled(self, f, samples: int, seed: int = 0) -> dict:
         """Monte-Carlo estimate of D(f); clearly labeled as an estimate."""
         rng = np.random.default_rng(seed)
-        f_bits = f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
+        f_bits = _as_bits(f)
         verts = rng.integers(0, self.X.n_vertices, size=samples)
-        rejected = 0
-        for g in verts:
-            view = f_bits[self._grid[:, int(g), :]].astype(np.int64)
-            if self._h1.size:
-                bad = ((self._h1 @ view) & 1).any() or ((self._h1 @ view.T) & 1).any()
-                rejected += bad
+        step = max(1, DECODE_BLOCK // (self.r * self.r))
+        rejected = sum(int(self._rejects(f_bits[self._grid[:, verts[lo:lo + step], :]]
+                                         .astype(np.int64)).sum())
+                       for lo in range(0, samples, step))
         return {"estimate": rejected / samples, "samples": samples, "exact": False}
 
     def accepts_everywhere(self, f) -> bool:
@@ -163,12 +171,15 @@ class SquareCodeTester:
     # -- decoder tables -----------------------------------------------------
 
     def _ensure_tables(self):
-        """Candidate table and per-pattern decoder tables.
+        """Candidate table, line ids, per-pattern decoder tables and the
+        information-set key.
 
         A vertex's fiber pattern is key[j] = the first slot i of its r x r
         view that carries the same square as slot j.  Vertices with equal
-        keys share their distinct-square positions (first slots), their
-        fiber-constant candidates and those candidates' rows.
+        keys share their distinct-square positions (first slots) and their
+        fiber-constant candidates.  A candidate's lines are its r rows and
+        r columns; a line id names a distinct bit line, so two views agree
+        on an edge iff the edge's two lines have equal ids.
         """
         if self._pattern_of is not None:
             return
@@ -185,7 +196,7 @@ class SquareCodeTester:
             cand = np.stack([w.to_bits() for w in words])     # (n_cand, r^2)
             order = np.lexsort(cand.T[::-1])                  # lexicographic
             cand = np.ascontiguousarray(cand[order])
-            n, r2 = self.X.n_vertices, self.r * self.r
+            n, r, r2 = self.X.n_vertices, self.r, self.r * self.r
             keys = np.empty((n, r2), dtype=np.min_scalar_type(r2 - 1))
             step = max(1, DECODE_BLOCK // (r2 * r2))
             for lo in range(0, n, step):
@@ -195,15 +206,45 @@ class SquareCodeTester:
             key_rows = keys.view(np.dtype((np.void, keys.itemsize * r2))).ravel()
             _, first_vertex, pattern_of = np.unique(
                 key_rows, return_index=True, return_inverse=True)
-            firsts, cand_ids, rows = [], [], []
+
+            # lines 0..r-1 are the rows, r..2r-1 the columns, as the labels
+            grids = cand.reshape(-1, r, r)
+            lines = np.ascontiguousarray(
+                np.concatenate([grids, grids.transpose(0, 2, 1)], axis=1))
+            distinct, line_ids = np.unique(
+                lines.reshape(-1, r).view(np.dtype((np.void, r))), return_inverse=True)
+            id_type = np.min_scalar_type(-len(distinct))    # signed: -1 pads
+            cand_lines = line_ids.reshape(len(cand), 2 * r).astype(id_type)
+
+            scans = []        # per pattern: slots a, b, projection, weights, ids
             for key in keys[first_vertex].astype(np.intp):
-                firsts.append(np.flatnonzero(key == np.arange(r2)))
-                cand_ids.append(np.flatnonzero((cand[:, key] == cand).all(axis=1)))
-                rows.append(cand[cand_ids[-1]])
+                first = np.flatnonzero(key == np.arange(r2))
+                ids = np.flatnonzero((cand[:, key] == cand).all(axis=1))
+                proj = cand[ids][:, first]
+                scans.append((*np.divmod(first, r), proj.T.astype(np.float64),
+                              proj.sum(axis=1, dtype=np.float64), ids))
+            # padded per-pattern tables: a -1 line mismatches every edge, and
+            # real candidates come first, so padding never wins an argmin
+            c_max = max(len(scan[-1]) for scan in scans)
+            pattern_ids = np.full((len(scans), c_max), -1, dtype=np.int64)
+            pattern_lines = np.full((len(scans), 2 * r, c_max), -1, dtype=id_type)
+            for p, (*_, ids) in enumerate(scans):
+                pattern_ids[p, :len(ids)] = ids
+                pattern_lines[p, :, :len(ids)] = cand_lines[ids].T
+
+            # an information set of C0: its codewords differ on these slots
+            _, pivots = rref(self.C0.generator)
+            key_slots = np.array(pivots, dtype=np.intp)
+            key_weights = np.left_shift(1, np.arange(k0, dtype=np.int64))
+            key_table = np.empty(1 << k0, dtype=np.int32)
+            key_table[cand[:, key_slots] @ key_weights] = np.arange(len(cand))
+
             self._cand_flat = cand
-            self._pattern_first = firsts
-            self._pattern_cands = cand_ids
-            self._pattern_rows = rows
+            self._cand_lines = cand_lines
+            self._pattern_scans = scans
+            self._pattern_ids = pattern_ids
+            self._pattern_lines = pattern_lines
+            self._key = (key_slots, key_weights, key_table)
             self._pattern_of = pattern_of.reshape(-1)   # last: tables built
 
     def _nearest_in_pattern(self, f_bits: np.ndarray, p: int,
@@ -215,19 +256,32 @@ class SquareCodeTester:
         squares is wt(v) + wt(c) - 2<v, c>, exact in float64 at these
         sizes; argmin keeps the first (lexicographically least) minimum.
         """
-        first, cand_ids = self._pattern_first[p], self._pattern_cands[p]
-        a, b = np.divmod(first, self.r)
-        proj = self._pattern_rows[p][:, first]
-        proj_t = proj.T.astype(np.float64)
-        cand_wt = proj.sum(axis=1, dtype=np.float64)
+        a, b, proj_t, cand_wt, cand_ids = self._pattern_scans[p]
         out = np.empty(len(verts), dtype=np.int64)
-        step = max(1, DECODE_BLOCK // max(len(cand_ids), len(first)))
+        step = max(1, DECODE_BLOCK // max(len(cand_ids), len(a)))
         for lo in range(0, len(verts), step):
             v = verts[lo:lo + step]
             views = f_bits[self._grid[a[None, :], v[:, None], b[None, :]]]
             dists = (views.sum(axis=1, dtype=np.float64)[:, None] + cand_wt
                      - 2 * (views @ proj_t))
             out[lo:lo + step] = cand_ids[dists.argmin(axis=1)]
+        return out
+
+    def _lookup(self, f_bits: np.ndarray) -> np.ndarray:
+        """Per vertex, the candidate its view equals, else -1.
+
+        The view's bits on the information set name one codeword of C0; a
+        view equal to it is a fiber-constant candidate at distance 0, and
+        no other candidate is, so it is the vertex's nearest one.
+        """
+        slots, weights, table = self._key
+        n, r2 = self.X.n_vertices, self.r * self.r
+        out = np.empty(n, dtype=np.int64)
+        step = max(1, DECODE_BLOCK // r2)
+        for lo in range(0, n, step):
+            views = f_bits[self._grid[:, lo:lo + step, :]].transpose(1, 0, 2).reshape(-1, r2)
+            ci = table[views[:, slots] @ weights]
+            out[lo:lo + step] = np.where((self._cand_flat[ci] == views).all(axis=1), ci, -1)
         return out
 
     def nearest_local_codeword(self, f_bits: np.ndarray, g: int) -> int:
@@ -239,124 +293,106 @@ class SquareCodeTester:
         return int(self._nearest_in_pattern(f_bits, p, np.array([g]))[0])
 
     def nearest_local_codewords(self, f_bits: np.ndarray) -> np.ndarray:
-        """nearest_local_codeword at every vertex, one array pass per pattern."""
+        """nearest_local_codeword at every vertex: a key lookup, then one
+        array pass per pattern over the vertices whose view is no codeword."""
         self._ensure_tables()
-        out = np.empty(self.X.n_vertices, dtype=np.int64)
-        for p in range(len(self._pattern_first)):
-            verts = np.flatnonzero(self._pattern_of == p)
+        out = self._lookup(f_bits)
+        miss = np.flatnonzero(out < 0)
+        patterns = self._pattern_of[miss]
+        for p in np.unique(patterns):
+            verts = miss[patterns == p]
             out[verts] = self._nearest_in_pattern(f_bits, p, verts)
         return out
+
+    def _grid_of(self, ci: np.ndarray) -> np.ndarray:
+        """The (a, g, b) grid of the candidates ci, one per vertex."""
+        views = self._cand_flat[ci].reshape(-1, self.r, self.r)
+        return np.ascontiguousarray(views.transpose(1, 0, 2))
 
     def start_views(self, f) -> np.ndarray:
         """The decoder's start state: the (a, g, b) grid of every vertex's
         nearest local codeword."""
-        f_bits = f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
-        ci = self.nearest_local_codewords(f_bits)     # builds the tables first
-        views = self._cand_flat[ci]
-        return np.ascontiguousarray(views.reshape(-1, self.r, self.r).transpose(1, 0, 2))
+        return self._grid_of(self.nearest_local_codewords(_as_bits(f)))
 
     # -- decoder ------------------------------------------------------------
 
     def _edge_disagreements(self, wgrid: np.ndarray) -> np.ndarray:
         """Boolean per edge: the two endpoint views differ on the edge."""
+        return self._line_disagreements(
+            np.concatenate([wgrid, wgrid.transpose(2, 1, 0)]))
+
+    def _line_disagreements(self, lines: np.ndarray) -> np.ndarray:
+        """Boolean per edge: its line at one endpoint differs from its line
+        at the other.  lines[l, g] (any trailing shape) is vertex g's line
+        of label l: row l of its view for l < r, column l - r after."""
         X = self.X
-        nEA = X.n_left_edges
-        rep = X.edge_rep
-        la, lg = rep[:nEA, 1], rep[:nEA, 2]
-        ag = X.left_perms[la, lg]
-        va = wgrid[la, lg, :]
-        vb = wgrid[X.a_inv_pos[la], ag, :]
-        left_dis = (va != vb).any(axis=1)
-        rb, rg = rep[nEA:, 1], rep[nEA:, 2]
-        gb = X.right_perms[rb, rg]
-        wa = wgrid[:, rg, rb]
-        wb = wgrid[:, gb, X.b_inv_pos[rb]]
-        right_dis = (wa != wb).any(axis=0)
-        return np.concatenate([left_dis, right_dis])
+        t, pos, g = X.edge_rep.T
+        lbl = pos + t * X.nA
+        mine = lines[lbl, g]
+        other = lines[X.label_inv[lbl], X.vert_image[lbl, g]]
+        return (mine != other).reshape(len(lbl), -1).any(axis=1)
 
-    def _local_delta(self, wgrid: np.ndarray, g: int,
-                     cand_rows: np.ndarray) -> np.ndarray:
-        """Disputed incident edges per candidate view at g (vectorized)."""
-        X, r = self.X, self.r
-        total = np.zeros(cand_rows.shape[0], dtype=np.int64)
-        for a in range(r):
-            ag = int(X.left_perms[a, g])
-            nbr = wgrid[int(X.a_inv_pos[a]), ag, :]
-            mine = cand_rows[:, a * r:(a + 1) * r]
-            total += (mine != nbr[None, :]).any(axis=1)
-        for b in range(r):
-            gb = int(X.right_perms[b, g])
-            nbr = wgrid[:, gb, int(X.b_inv_pos[b])]
-            mine = cand_rows[:, b::r]
-            total += (mine != nbr[None, :]).any(axis=1)
-        return total
+    def _id_delta(self, ci: np.ndarray) -> int:
+        """Delta of the state ci, counted over the edges."""
+        return int(self._line_disagreements(self._cand_lines[ci].T).sum())
 
-    def decode(self, f, max_iterations: int | None = None,
-               full_rescan_every: int = 64) -> DecodeOutcome:
+    def _evaluate(self, ci: np.ndarray, verts: np.ndarray,
+                  gain: np.ndarray, best: np.ndarray) -> None:
+        """Set gain[v] and best[v] at verts from the state ci: the least
+        change of Delta over v's candidates and the first candidate that
+        reaches it, or gain 0 where no edge at v is disputed."""
+        lines, pattern_lines = self._cand_lines, self._pattern_lines
+        nbr = lines[ci[self.X.vert_image[:, verts].T], self.X.label_inv]   # (m, 2r)
+        current = (lines[ci[verts]] != nbr).sum(axis=1)
+        gain[verts] = 0
+        hot = np.flatnonzero(current)
+        step = max(1, DECODE_BLOCK // pattern_lines[0].size)
+        for lo in range(0, len(hot), step):
+            h = hot[lo:lo + step]
+            v = verts[h]
+            p = self._pattern_of[v]
+            # lines lead the candidates: summing over a short leading axis
+            # is a few vector adds, not one tiny reduction per candidate
+            mismatch = (pattern_lines[p] != nbr[h, :, None]).sum(axis=1, dtype=np.int16)
+            k = mismatch.argmin(axis=1)
+            gain[v] = mismatch[np.arange(len(h)), k] - current[h]
+            best[v] = self._pattern_ids[p, k]
+
+    def decode(self, f) -> DecodeOutcome:
         """Greedy local-view correction.
 
-        Start from per-vertex nearest local codewords, then repeatedly scan
-        vertices in ascending order and apply the best strictly-improving
-        single-vertex replacement, restarting the scan after each change.
+        The state is one candidate id per vertex, starting from the nearest
+        local codewords.  Each step replaces the view of the least vertex
+        whose best replacement strictly reduces Delta.  A step at g changes
+        only the evaluations at g and its neighbours, so only those are
+        recomputed; this is the ascending scan restarted after each change.
         """
-        X, r = self.X, self.r
-        n = X.n_vertices
-        wgrid = self.start_views(f)
-        disagree = self._edge_disagreements(wgrid)
-        delta = int(disagree.sum())
+        X = self.X
+        ci = self.nearest_local_codewords(_as_bits(f))
+        delta = self._id_delta(ci)
         delta0 = delta
         trace = [delta]
         iterations = 0
-        budget = delta0 if max_iterations is None else max_iterations
-
-        incident = X.edge_at                        # (2r, n)
-        # A replacement at g only changes evaluations at g and its
-        # neighbours, so caching clean vertices keeps the ascending-scan /
-        # restart schedule while skipping untouched re-evaluations.
-        dirty = np.ones(n, dtype=bool)
-        cached_gain = np.zeros(n, dtype=np.int64)   # best improvement, <= 0 ok
-        cached_best = np.zeros(n, dtype=np.int64)
+        gain = np.zeros(X.n_vertices, dtype=np.int64)
+        best = np.zeros(X.n_vertices, dtype=np.int64)
+        self._evaluate(ci, np.arange(X.n_vertices), gain, best)
         while delta > 0:
-            improved = False
-            for g in np.nonzero(dirty | (cached_gain < 0))[0]:
-                g = int(g)
-                if dirty[g]:
-                    current = int(disagree[incident[:, g]].sum())
-                    if current == 0:
-                        cached_gain[g] = 0
-                        dirty[g] = False
-                        continue
-                    cands = self._pattern_rows[self._pattern_of[g]]
-                    deltas = self._local_delta(wgrid, g, cands)
-                    best = int(np.argmin(deltas))
-                    cached_gain[g] = int(deltas[best]) - current
-                    cached_best[g] = best
-                    dirty[g] = False
-                if cached_gain[g] >= 0:
-                    continue
-                cands = self._pattern_rows[self._pattern_of[g]]
-                wgrid[:, g, :] = cands[cached_best[g]].reshape(r, r)
-                # refresh only the incident edges and mark the neighbourhood
-                for lbl in range(X.n_labels):
-                    e = int(incident[lbl, g])
-                    disagree[e] = self._edge_view_differs(wgrid, e)
-                    dirty[int(X.vert_image[lbl, g])] = True
-                dirty[g] = True
-                delta += int(cached_gain[g])
-                iterations += 1
-                trace.append(delta)
-                improved = True
+            negative = np.flatnonzero(gain < 0)
+            if not negative.size:
                 break
-            if not improved:
-                break
-            if iterations > budget:
+            g = negative[0]
+            ci[g] = best[g]
+            delta += int(gain[g])
+            iterations += 1
+            trace.append(delta)
+            if iterations > delta0:
                 raise AssertionError(
-                    f"greedy loop exceeded its certified budget {budget}")
-            if iterations % full_rescan_every == 0:
-                fresh = self._edge_disagreements(wgrid)
-                assert int(fresh.sum()) == delta, "incremental Delta drifted"
-                disagree = fresh
+                    f"greedy loop exceeded its certified budget {delta0}")
+            if iterations % 64 == 0:
+                assert self._id_delta(ci) == delta, "incremental Delta drifted"
+            self._evaluate(ci, np.append(X.vert_image[:, g], g), gain, best)
 
+        wgrid = self._grid_of(ci)
         fresh = self._edge_disagreements(wgrid)
         assert int(fresh.sum()) == delta, "incremental Delta drifted"
 
@@ -377,17 +413,6 @@ class SquareCodeTester:
         return DecodeOutcome(
             kind="codeword", word=word, iterations=iterations,
             delta_initial=delta0, delta_final=0, delta_trace=trace)
-
-    def _edge_view_differs(self, wgrid: np.ndarray, e: int) -> bool:
-        X = self.X
-        t, pos, g = (int(x) for x in X.edge_rep[e])
-        if t == 0:
-            ag = int(X.left_perms[pos, g])
-            return bool((wgrid[pos, g, :] !=
-                         wgrid[int(X.a_inv_pos[pos]), ag, :]).any())
-        gb = int(X.right_perms[pos, g])
-        return bool((wgrid[:, g, pos] !=
-                     wgrid[:, gb, int(X.b_inv_pos[pos])]).any())
 
 
 class LocalAssignment:
@@ -551,8 +576,8 @@ def kappa_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
     empirical kappa.
     """
     f_bits, D = _trial_word(tester, code, seed, trial_index, weight)
-    in_code = tester.accepts_everywhere(f_bits)
-    if weight > 0 and not in_code:
+    in_code = code.contains(BitVector(f_bits))
+    if not in_code:
         assert D > 0, "D(f) = 0 must certify membership"
     certified = weight > 0 and weight < certified_radius / 2
     return {

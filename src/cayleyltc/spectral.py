@@ -25,6 +25,7 @@ from .complexes import LEFT, CayleyComplex
 from .groups import Graph, cayley_graph
 
 DENSE_MAX_DIM = 4000        # largest dense matrix or dense eigensolve, in rows
+LANCZOS_FIRST_ROWS = 64     # Krylov rows allocated before the first doubling
 
 
 class OperatorCheckError(ValueError):
@@ -208,25 +209,27 @@ def _lanczos_second(graph: Graph, tol: float, budget: int,
     def deflate(w):
         return w - (ones @ w) * ones
 
-    v = deflate(rng.standard_normal(n))
-    v /= np.linalg.norm(v)
-    basis = [v]
+    max_steps = min(budget, n - 1)
+    # Krylov rows 0..k of basis[:k + 1]; the buffer doubles when full and is
+    # never pre-touched, so memory follows the iterations actually taken
+    basis = np.empty((min(max_steps + 1, LANCZOS_FIRST_ROWS), n))
+    basis[0] = deflate(rng.standard_normal(n))
+    basis[0] /= np.linalg.norm(basis[0])
     alphas: list[float] = []
     betas: list[float] = []
     theta_prev = None
     stable = 0
     iterations = 0
-    max_steps = min(budget, n - 1)
     for k in range(max_steps):
         iterations = k + 1
-        w = deflate(graph.matvec(basis[-1]))
-        alpha = float(basis[-1] @ w)
+        w = deflate(graph.matvec(basis[k]))
+        alpha = float(basis[k] @ w)
         alphas.append(alpha)
-        w = w - alpha * basis[-1]
+        w = w - alpha * basis[k]
         if k > 0:
-            w = w - betas[-1] * basis[-2]
+            w = w - betas[-1] * basis[k - 1]
         # explicit re-orthogonalization against the whole basis
-        Q = np.asarray(basis)
+        Q = basis[:k + 1]
         w = w - Q.T @ (Q @ w)
         tri = np.diag(alphas)
         if betas:
@@ -245,7 +248,11 @@ def _lanczos_second(graph: Graph, tol: float, budget: int,
         if beta < 1e-14:
             break          # Krylov space exhausted: theta is exact
         betas.append(beta)
-        basis.append(w / beta)
+        if k + 1 == len(basis):
+            grown = np.empty((min(2 * len(basis), max_steps + 1), n))
+            grown[:k + 1] = basis
+            basis = grown
+        basis[k + 1] = w / beta
     else:
         raise ConvergenceError(
             f"Lanczos did not converge within {max_steps} iterations (tol={tol:g})")
@@ -256,7 +263,7 @@ def _lanczos_second(graph: Graph, tol: float, budget: int,
         tri += np.diag(off, 1) + np.diag(off, -1)
     evals, evecs = np.linalg.eigh(tri)
     theta = float(evals[-1])
-    y = np.asarray(basis[: len(alphas)]).T @ evecs[:, -1]
+    y = basis[: len(alphas)].T @ evecs[:, -1]
     y /= np.linalg.norm(y)
     residual = float(np.linalg.norm(deflate(graph.matvec(y)) - theta * y))
     return SpectralReport(

@@ -1,3 +1,4 @@
+import functools
 import sys
 from fractions import Fraction
 
@@ -99,6 +100,39 @@ def test_sampled_mode_is_labeled(z5_instance):
     assert rec["exact"] is False
     assert rec["samples"] == 64
     assert 0 <= rec["estimate"] <= 1
+
+
+def loop_sampled_estimate(tester, f_bits, samples, seed):
+    """Reference: the sampled rejection estimate, one vertex at a time."""
+    rng = np.random.default_rng(seed)
+    h1 = tester.C1.parity.to_array().astype(np.int64)
+    rejected = 0
+    for g in rng.integers(0, tester.X.n_vertices, size=samples):
+        view = f_bits[tester.X.square_id[:, int(g), :]].astype(np.int64)
+        if h1.size:
+            rejected += bool(((h1 @ view) & 1).any() or ((h1 @ view.T) & 1).any())
+    return rejected / samples
+
+
+@pytest.mark.parametrize("base", ["rep", "full"])
+def test_sampled_estimate_matches_the_per_sample_loop(start_instances, base):
+    # full:r has no parity rows, so _rejects takes its early return
+    X = start_instances["z12"].X
+    tester = (start_instances["z12"] if base == "rep"
+              else SquareCodeTester(X, full_code(2)))
+    rng = np.random.default_rng(26)
+    for density in (0.0, 0.05, 0.3):
+        f = (rng.random(X.n_squares) < density).astype(np.uint8)
+        for samples, seed in ((1, 0), (7, 3), (500, 4)):
+            rec = tester.reject_probability_sampled(f, samples=samples, seed=seed)
+            assert rec["estimate"] == loop_sampled_estimate(tester, f, samples, seed)
+
+
+def test_rejects_counts_the_vertices_of_its_views(start_instances):
+    X = start_instances["z12"].X
+    for tester in (start_instances["z12"], SquareCodeTester(X, full_code(2))):
+        views = np.zeros((tester.r, 3, tester.r), dtype=np.int64)
+        assert tester._rejects(views).shape == (3,)
 
 
 # -- decoder ------------------------------------------------------------------
@@ -338,6 +372,16 @@ def test_kappa_trial_membership_check(z5_instance):
     assert not rec["in_code"]
 
 
+def test_kappa_trial_refuses_an_accepted_word_outside_the_code(z5_instance):
+    # every word is accepted by a full:2 tester, but a weight-1 corruption
+    # is outside the rep:2 square code: D = 0 without membership must fail
+    X, C1, code, _ = z5_instance
+    accepting = SquareCodeTester(X, full_code(2))
+    with pytest.raises(AssertionError, match="certify membership"):
+        kappa_trial(accepting, code, seed=11, trial_index=0, weight=1,
+                    certified_radius=5.0)
+
+
 def test_kappa_experiment_z5_exhaustive_flips(z5_instance):
     X, C1, code, tester = z5_instance
     lam = float(np.cos(2 * np.pi / 5))
@@ -389,22 +433,30 @@ def test_kappa_experiment_bound_relative_radius(p13_instance):
 # -- whole-array start state against the per-vertex reference -----------------
 
 
-def per_vertex_nearest(tester, f_bits):
-    """Reference: every vertex on its own.  Candidates are the tensor
-    codewords in lexicographic order; a vertex keeps those constant on each
-    fiber (slots carrying one square) and takes the first at least distance
-    on its distinct squares."""
+@functools.cache
+def vertex_candidates(tester):
+    """Reference: per vertex, its distinct squares, their first slots in
+    its view, and the ids of the tensor codewords, in lexicographic order,
+    that are constant on each fiber (slots carrying one square)."""
     cand = np.stack([w.to_bits() for w in tester.C0.codewords()])
     cand = cand[np.lexsort(cand.T[::-1])]
+    tester._ensure_tables()
     assert np.array_equal(cand, tester._cand_flat)
     out = []
     for g in range(tester.X.n_vertices):
         flat = tester.X.squares_of_vertex(g).ravel()
         _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
         ok = np.nonzero((cand == cand[:, first][:, inverse]).all(axis=1))[0]
-        dists = (cand[ok][:, first] != f_bits[flat[first]]).sum(axis=1)
-        out.append(int(ok[np.argmin(dists)]))
-    return np.array(out)
+        out.append((flat[first], first, ok))
+    return out
+
+
+def per_vertex_nearest(tester, f_bits):
+    """Reference: every vertex on its own takes the first of its candidates
+    at least distance on its distinct squares."""
+    cand = tester._cand_flat
+    return np.array([int(ok[np.argmin((cand[ok][:, first] != f_bits[squares]).sum(axis=1))])
+                     for squares, first, ok in vertex_candidates(tester)])
 
 
 @pytest.fixture(scope="module")
@@ -416,12 +468,19 @@ def start_instances(toy_instances, p13_instance):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["z5", "z12", "z20", "z10", "p13"]),
-       st.floats(0.001, 0.9), st.integers(0, 2**32 - 1))
+       st.floats(0.001, 0.9), st.integers(0, 2**32 - 1), st.booleans())
 def test_nearest_local_codewords_match_per_vertex(start_instances, name,
-                                                  density, seed):
+                                                  density, seed, near_code):
+    # near_code: a codeword with one flip, so the views that miss the flipped
+    # square are local codewords and take the key lookup; else a random word
     tester = start_instances[name]
     rng = np.random.default_rng(seed)
     f = (rng.random(tester.n_squares) < density).astype(np.uint8)
+    if near_code:
+        f = tester.code.random_codeword(rng).to_bits()
+        f[rng.integers(tester.n_squares)] ^= 1
+        tester._ensure_tables()
+        assert (tester._lookup(f) >= 0).any()
     ci = tester.nearest_local_codewords(f)
     assert np.array_equal(ci, per_vertex_nearest(tester, f))
     for g in rng.choice(tester.X.n_vertices, size=3):
@@ -434,15 +493,15 @@ def test_repeated_squares_restrict_the_candidates(start_instances):
     for name, n_cand in (("z5", 2), ("z10", 2**14)):
         tester = start_instances[name]
         tester._ensure_tables()
-        assert len(tester._pattern_first) == 1
-        assert len(tester._pattern_first[0]) < tester.r ** 2
-        assert len(tester._pattern_cands[0]) == n_cand
+        assert tester._pattern_ids.shape == (1, n_cand)
+        slots_a, *_ = tester._pattern_scans[0]
+        assert len(slots_a) < tester.r ** 2
 
 
 def test_p13_has_13_fiber_patterns(p13_instance):
     tester = p13_instance[3]
     tester._ensure_tables()
-    assert len(tester._pattern_first) == 13
+    assert len(tester._pattern_scans) == len(tester._pattern_ids) == 13
     assert tester._pattern_of.shape == (p13_instance[0].n_vertices,)
     assert np.bincount(tester._pattern_of).min() > 0
 
@@ -543,3 +602,136 @@ def test_valid_views_catch_a_fiber_clash(start_instances):
     assert tensor_membership(tester.C1, wgrid[:, 0, :])
     assert not local_view_valid(tester, wgrid, 0)
     assert tester.valid_views(wgrid).tolist() == [False] + [True] * (n - 1)
+
+
+# -- the candidate-id decoder against the per-vertex greedy reference ---------
+
+
+def edge_view_differs(X, wgrid, e):
+    """Reference: the two endpoint views of edge e differ on it."""
+    t, pos, g = (int(x) for x in X.edge_rep[e])
+    if t == 0:
+        ag = int(X.left_perms[pos, g])
+        return bool((wgrid[pos, g, :] != wgrid[int(X.a_inv_pos[pos]), ag, :]).any())
+    gb = int(X.right_perms[pos, g])
+    return bool((wgrid[:, g, pos] != wgrid[:, gb, int(X.b_inv_pos[pos])]).any())
+
+
+def local_delta(X, wgrid, g, cand_rows):
+    """Reference: disputed edges at g for each candidate view at g."""
+    r = X.nA
+    total = np.zeros(cand_rows.shape[0], dtype=np.int64)
+    for a in range(r):
+        nbr = wgrid[int(X.a_inv_pos[a]), int(X.left_perms[a, g]), :]
+        total += (cand_rows[:, a * r:(a + 1) * r] != nbr[None, :]).any(axis=1)
+    for b in range(r):
+        nbr = wgrid[:, int(X.right_perms[b, g]), int(X.b_inv_pos[b])]
+        total += (cand_rows[:, b::r] != nbr[None, :]).any(axis=1)
+    return total
+
+
+def reference_decode(tester, f_bits):
+    """Reference: the greedy decoder on the (a, g, b) bit grid, one vertex
+    at a time.  Scan vertices in ascending order, apply the first strictly
+    improving best replacement, restart the scan; clean vertices keep their
+    cached evaluation.  Returns (kind, iterations, delta_initial,
+    delta_trace, word bits or None, disputed edges or None)."""
+    X, r, n = tester.X, tester.r, tester.X.n_vertices
+    cand = tester._cand_flat
+    wgrid = np.ascontiguousarray(
+        cand[per_vertex_nearest(tester, f_bits)].reshape(n, r, r).transpose(1, 0, 2))
+    disagree = np.array([edge_view_differs(X, wgrid, e) for e in range(X.n_edges)])
+    delta = delta0 = int(disagree.sum())
+    trace, iterations = [delta], 0
+    rows = [cand[ok] for _, _, ok in vertex_candidates(tester)]
+    dirty = np.ones(n, dtype=bool)
+    cached_gain = np.zeros(n, dtype=np.int64)
+    cached_best = np.zeros(n, dtype=np.int64)
+    while delta > 0:
+        improved = False
+        for g in np.nonzero(dirty | (cached_gain < 0))[0]:
+            if dirty[g]:
+                current = int(disagree[X.edge_at[:, g]].sum())
+                if current == 0:
+                    cached_gain[g], dirty[g] = 0, False
+                    continue
+                deltas = local_delta(X, wgrid, g, rows[g])
+                cached_best[g] = int(np.argmin(deltas))
+                cached_gain[g] = int(deltas[cached_best[g]]) - current
+                dirty[g] = False
+            if cached_gain[g] >= 0:
+                continue
+            wgrid[:, g, :] = rows[g][cached_best[g]].reshape(r, r)
+            for lbl in range(X.n_labels):
+                disagree[X.edge_at[lbl, g]] = edge_view_differs(X, wgrid, X.edge_at[lbl, g])
+                dirty[X.vert_image[lbl, g]] = True
+            dirty[g] = True
+            delta += int(cached_gain[g])
+            iterations += 1
+            trace.append(delta)
+            improved = True
+            break
+        if not improved:
+            break
+    assert delta == int(tester._edge_disagreements(wgrid).sum())
+    if delta > 0:
+        return "far", iterations, delta0, trace, None, np.nonzero(disagree)[0]
+    rep = X.square_rep
+    return "codeword", iterations, delta0, trace, wgrid[rep[:, 0], rep[:, 1], rep[:, 2]], None
+
+
+def assert_decodes_like_reference(tester, f):
+    out = tester.decode(f)
+    kind, iterations, delta0, trace, word, disputed = reference_decode(tester, f)
+    assert (out.kind, out.iterations, out.delta_initial, out.delta_trace) == (
+        kind, iterations, delta0, trace)
+    assert out.delta_final == trace[-1]
+    if kind == "codeword":
+        assert np.array_equal(out.word.to_bits(), word)
+        assert out.disputed_edges is None
+    else:
+        assert out.word is None
+        assert np.array_equal(out.disputed_edges, disputed)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["z5", "z12", "z20", "z10", "p13"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 60), st.booleans())
+def test_decode_matches_per_vertex_reference(start_instances, name, seed,
+                                             weight, sparse):
+    # a codeword with `weight` flips, or a dense random word
+    tester = start_instances[name]
+    rng = np.random.default_rng(seed)
+    if sparse:
+        f = tester.code.random_codeword(rng).to_bits()
+        f[rng.choice(tester.n_squares, size=min(weight, tester.n_squares),
+                     replace=False)] ^= 1
+    else:
+        f = (rng.random(tester.n_squares) < weight / 120).astype(np.uint8)
+    assert_decodes_like_reference(tester, f)
+
+
+def test_decode_matches_reference_on_the_engineered_far_word(start_instances):
+    tester = start_instances["z20"]
+    X = tester.X
+    f = np.zeros(X.n_squares, dtype=np.uint8)
+    for g in range(10):
+        f[X.canonical_square(0, g, 0)] = 1
+    out = assert_decodes_like_reference(tester, f)
+    assert out.kind == "far" and out.delta_final == 4
+
+
+def test_decode_matches_reference_at_a_padded_pattern(start_instances):
+    # p13's patterns have different candidate counts, so the short ones are
+    # padded; corrupt the view of a vertex whose pattern is padded
+    tester = start_instances["p13"]
+    tester._ensure_tables()
+    padded = np.flatnonzero((tester._pattern_ids < 0).any(axis=1))
+    assert padded.size
+    rng = np.random.default_rng(25)
+    for p in padded[:3]:
+        g = int(np.flatnonzero(tester._pattern_of == p)[0])
+        f = tester.code.random_codeword(rng).to_bits()
+        f[np.unique(tester.X.squares_of_vertex(g))[:3]] ^= 1
+        assert_decodes_like_reference(tester, f)

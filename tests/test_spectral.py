@@ -161,6 +161,73 @@ def test_dense_vs_iterative_agree():
     assert it.iterations > 0
 
 
+def list_lanczos(graph, tol, budget, seed=0xC0DE):
+    """Reference: the Lanczos loop that keeps its Krylov basis as a list
+    and copies it into an array before every re-orthogonalisation.
+    Returns (lambda, residual, iterations)."""
+    n = graph.n_vertices
+    rng = np.random.default_rng(seed)
+    ones = np.ones(n) / np.sqrt(n)
+
+    def deflate(w):
+        return w - (ones @ w) * ones
+
+    v = deflate(rng.standard_normal(n))
+    v /= np.linalg.norm(v)
+    basis, alphas, betas = [v], [], []
+    theta_prev, stable, iterations = None, 0, 0
+    for k in range(min(budget, n - 1)):
+        iterations = k + 1
+        w = deflate(graph.matvec(basis[-1]))
+        alpha = float(basis[-1] @ w)
+        alphas.append(alpha)
+        w = w - alpha * basis[-1]
+        if k > 0:
+            w = w - betas[-1] * basis[-2]
+        Q = np.asarray(basis)
+        w = w - Q.T @ (Q @ w)
+        tri = np.diag(alphas)
+        if betas:
+            off = np.array(betas)
+            tri += np.diag(off, 1) + np.diag(off, -1)
+        theta = float(np.linalg.eigvalsh(tri)[-1])
+        if theta_prev is not None and abs(theta - theta_prev) < tol:
+            stable += 1
+            if stable >= 3:
+                break
+        else:
+            stable = 0
+        theta_prev = theta
+        beta = float(np.linalg.norm(w))
+        if beta < 1e-14:
+            break
+        betas.append(beta)
+        basis.append(w / beta)
+    tri = np.diag(alphas)
+    if betas[: len(alphas) - 1]:
+        off = np.array(betas[: len(alphas) - 1])
+        tri += np.diag(off, 1) + np.diag(off, -1)
+    evals, evecs = np.linalg.eigh(tri)
+    theta = float(evals[-1])
+    y = np.asarray(basis[: len(alphas)]).T @ evecs[:, -1]
+    y /= np.linalg.norm(y)
+    return theta, float(np.linalg.norm(deflate(graph.matvec(y)) - theta * y)), iterations
+
+
+@pytest.mark.parametrize("first_rows", [spectral.LANCZOS_FIRST_ROWS, 2])
+def test_lanczos_buffer_matches_list_basis(instances, p13_instance, lps41,
+                                           monkeypatch, first_rows):
+    # bit-identical lambda, residual and iteration count; two first rows
+    # make the buffer double several times
+    monkeypatch.setattr(spectral, "LANCZOS_FIRST_ROWS", first_rows)
+    graphs = [cayley_graph(instances["z10"].group, instances["z10"].A, "left"),
+              cayley_graph(p13_instance[0].group, p13_instance[0].A, "left"),
+              cayley_graph(lps41.group, lps41, "left")]
+    for graph in graphs:
+        rep = spectral._lanczos_second(graph, 1e-10, 100000)
+        assert (rep.lam, rep.residual, rep.iterations) == list_lanczos(graph, 1e-10, 100000)
+
+
 def test_spectral_report_json():
     rep = second_eigenvalue(complete_graph(4), method="dense")
     import json
