@@ -216,19 +216,20 @@ class SquareCodeTester:
             id_type = np.min_scalar_type(-len(distinct))    # signed: -1 pads
             cand_lines = line_ids.reshape(len(cand), 2 * r).astype(id_type)
 
-            scans = []        # per pattern: slots a, b, projection, weights, ids
+            scans, members = [], []    # per pattern: slots a, b, projection, weights
             for key in keys[first_vertex].astype(np.intp):
                 first = np.flatnonzero(key == np.arange(r2))
                 ids = np.flatnonzero((cand[:, key] == cand).all(axis=1))
                 proj = cand[ids][:, first]
                 scans.append((*np.divmod(first, r), proj.T.astype(np.float64),
-                              proj.sum(axis=1, dtype=np.float64), ids))
+                              proj.sum(axis=1, dtype=np.float64)))
+                members.append(ids)
             # padded per-pattern tables: a -1 line mismatches every edge, and
             # real candidates come first, so padding never wins an argmin
-            c_max = max(len(scan[-1]) for scan in scans)
+            c_max = max(len(ids) for ids in members)
             pattern_ids = np.full((len(scans), c_max), -1, dtype=np.int64)
             pattern_lines = np.full((len(scans), 2 * r, c_max), -1, dtype=id_type)
-            for p, (*_, ids) in enumerate(scans):
+            for p, ids in enumerate(members):
                 pattern_ids[p, :len(ids)] = ids
                 pattern_lines[p, :, :len(ids)] = cand_lines[ids].T
 
@@ -256,15 +257,15 @@ class SquareCodeTester:
         squares is wt(v) + wt(c) - 2<v, c>, exact in float64 at these
         sizes; argmin keeps the first (lexicographically least) minimum.
         """
-        a, b, proj_t, cand_wt, cand_ids = self._pattern_scans[p]
+        a, b, proj_t, cand_wt = self._pattern_scans[p]
         out = np.empty(len(verts), dtype=np.int64)
-        step = max(1, DECODE_BLOCK // max(len(cand_ids), len(a)))
+        step = max(1, DECODE_BLOCK // max(len(cand_wt), len(a)))
         for lo in range(0, len(verts), step):
             v = verts[lo:lo + step]
             views = f_bits[self._grid[a[None, :], v[:, None], b[None, :]]]
             dists = (views.sum(axis=1, dtype=np.float64)[:, None] + cand_wt
                      - 2 * (views @ proj_t))
-            out[lo:lo + step] = cand_ids[dists.argmin(axis=1)]
+            out[lo:lo + step] = self._pattern_ids[p, dists.argmin(axis=1)]
         return out
 
     def _lookup(self, f_bits: np.ndarray) -> np.ndarray:
