@@ -206,69 +206,53 @@ def cmd_analyze(args) -> int:
               _sha256(Path(args.manifest).read_bytes()),
               "tool_version": __version__}
 
-    if which == "spectral":
-        rec = spectral.complex_spectrum(X, method=args.method, tol=args.tol)
-        report.update(rec)
-        gens = manifest["generators"]
-        if gens.get("lps") and not gens.get("subset"):
-            p = gens["lps"]
-            bound = 2 * math.sqrt(p) / (p + 1)
-            report["ramanujan_bound"] = bound
-            # the residual is the error bar of each side's lambda (0 when dense)
-            ok = all(side["lambda"] + side["residual"] <= bound
-                     for side in rec["cayley"].values())
-            report["verdict"] = "pass" if ok else "fail"
-        else:
-            report["verdict"] = "na"
-            report["reason"] = "Ramanujan bound applies to full LPS generator sets"
-    elif which == "rate":
-        try:
+    # a budget refusal of any analysis is an na report, exit 2
+    try:
+        if which == "spectral":
+            rec = spectral.complex_spectrum(X, method=args.method, tol=args.tol)
+            report.update(rec)
+            gens = manifest["generators"]
+            if gens.get("lps") and not gens.get("subset"):
+                p = gens["lps"]
+                bound = 2 * math.sqrt(p) / (p + 1)
+                report["ramanujan_bound"] = bound
+                # the residual is the error bar of each side's lambda (0 when dense)
+                ok = all(side["lambda"] + side["residual"] <= bound
+                         for side in rec["cayley"].values())
+                report["verdict"] = "pass" if ok else "fail"
+            else:
+                report["verdict"] = "na"
+                report["reason"] = "Ramanujan bound applies to full LPS generator sets"
+        elif which == "rate":
             code = codes.square_code(X, C1)
-        except DimensionBudgetError as exc:
-            report.update(verdict="na", reason=str(exc))
-            _emit_report(report, args.out)
-            return EXIT_PRECONDITION
-        report.update(codes.check_rate_bound(code, "square"))
-    elif which == "distance":
-        lam = manifest["derived"]["lambda"]
-        d1 = manifest["derived"]["delta1"]
-        if d1 is None:
-            report.update(verdict="na", reason="base code has no distance")
-        else:
-            try:
+            report.update(codes.check_rate_bound(code, "square"))
+        elif which == "distance":
+            lam = manifest["derived"]["lambda"]
+            d1 = manifest["derived"]["delta1"]
+            if d1 is None:
+                report.update(verdict="na", reason="base code has no distance")
+            else:
                 code = codes.square_code(X, C1)
-            except DimensionBudgetError as exc:
-                report.update(verdict="na", reason=str(exc))
-                _emit_report(report, args.out)
-                return EXIT_PRECONDITION
-            report.update(codes.check_square_distance_bound(
-                code, delta1=d1[0] / d1[1], lam=lam))
-    elif which == "sigma":
-        try:
+                report.update(codes.check_square_distance_bound(
+                    code, delta1=d1[0] / d1[1], lam=lam))
+        elif which == "sigma":
             res = analysis.sigma_exact(C1)
-        except DimensionBudgetError as exc:
-            report.update(verdict="na", reason=str(exc))
-            _emit_report(report, args.out)
-            return EXIT_PRECONDITION
-        report["sigma"] = [res.value.numerator, res.value.denominator]
-        report["minimizer"] = {"f": res.f.astype(int).tolist(),
-                               "g": res.g.astype(int).tolist()}
-        report["verdict"] = "pass" if res.value <= 2 else "fail"
-    elif which == "smooth":
-        alpha = Fraction(args.alpha)
-        beta = Fraction(args.beta)
-        delta = Fraction(args.delta)
-        try:
+            report["sigma"] = [res.value.numerator, res.value.denominator]
+            report["minimizer"] = {"f": res.f.astype(int).tolist(),
+                                   "g": res.g.astype(int).tolist()}
+            report["verdict"] = "pass" if res.value <= 2 else "fail"
+        elif which == "smooth":
+            alpha = Fraction(args.alpha)
+            beta = Fraction(args.beta)
+            delta = Fraction(args.delta)
             rec = analysis.verify_us(C1, alpha, beta, delta, args.dldpc)
-        except DimensionBudgetError as exc:
-            report.update(verdict="na", reason=str(exc))
-            _emit_report(report, args.out)
-            return EXIT_PRECONDITION
-        report["us"] = {k: v for k, v in rec.items() if k != "witnesses"}
-        report["n_witnesses"] = len(rec.get("witnesses", []))
-        report["verdict"] = "pass" if rec["certified"] else "fail"
-    else:
-        raise PreconditionError(f"unknown analysis {which!r}")
+            report["us"] = {k: v for k, v in rec.items() if k != "witnesses"}
+            report["n_witnesses"] = len(rec.get("witnesses", []))
+            report["verdict"] = "pass" if rec["certified"] else "fail"
+        else:
+            raise PreconditionError(f"unknown analysis {which!r}")
+    except DimensionBudgetError as exc:
+        report.update(verdict="na", reason=str(exc))
 
     _emit_report(report, args.out)
     return _verdict_exit(report["verdict"])

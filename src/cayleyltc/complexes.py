@@ -10,11 +10,16 @@ Everything is stored as dense integer id arrays: per-label permutations of
 the vertex set, an edge id for every (label, vertex) slot, and a square id
 for every (a, g, b) slot.  The canonical representative of an edge or
 square is the lexicographically least of its equivalent slot tuples, so ids
-are deterministic and independent of discovery order.
+are deterministic and independent of discovery order.  A slot's key is its
+own flat index, so an id is the rank of its class's least key among all
+least keys, read off a running count with no sort.
 
 Degenerate squares (classes of size 2, occurring exactly when condition
 N2C fails) are retained and flagged; their vertex and edge sets are
 computed as sets of size 2-4.
+
+A complex is a function of (G, A, B), so its artifact ("cay2 v2") holds
+only the manifest; loading rebuilds the complex and checks it against that.
 """
 
 from __future__ import annotations
@@ -41,6 +46,15 @@ class ConditionReport:
     n2c_witness: tuple[int, int, int] | None = None
 
 
+def _class_ids(canon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(class id per slot, sorted least keys) from each slot's least
+    equivalent key canon, a key being the slot's flat index."""
+    least = canon.ravel() == np.arange(canon.size, dtype=np.int64)
+    rank = np.cumsum(least)
+    rank -= 1
+    return rank[canon], np.flatnonzero(least)
+
+
 def canonical_ids(perms: np.ndarray,
                   inv_pos: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Ids of the edges {g, s_k g} of one generator set, s_k acting by perms[k].
@@ -50,17 +64,16 @@ def canonical_ids(perms: np.ndarray,
     (edge count, (k, n) edge id per slot, sorted canonical keys).
     """
     k, n = perms.shape
-    keys = np.arange(k, dtype=np.int64)[:, None] * n + np.arange(n, dtype=np.int64)
-    canon = np.minimum(keys, inv_pos[:, None] * n + perms)
-    uniq, inverse = np.unique(canon.ravel(), return_inverse=True)
-    return len(uniq), inverse.reshape(k, n).astype(np.int64), uniq
+    canon = inv_pos[:, None] * n + perms
+    np.minimum(canon, np.arange(k * n, dtype=np.int64).reshape(k, n), out=canon)
+    ids, keys = _class_ids(canon)
+    return len(keys), ids, keys
 
 
 class CayleyComplex:
     """Vertices V = G, typed edges E_A | E_B, and square classes [a,g,b]."""
 
-    def __init__(self, group: FiniteGroup, A: GeneratorSet, B: GeneratorSet,
-                 _tables: dict | None = None):
+    def __init__(self, group: FiniteGroup, A: GeneratorSet, B: GeneratorSet):
         if A.group is not group or B.group is not group:
             raise ValueError("generator sets must belong to the given group")
         self.group = group
@@ -84,12 +97,8 @@ class CayleyComplex:
             np.zeros(self.nA, dtype=np.int64), np.ones(self.nB, dtype=np.int64)])
         self.label_inv = np.concatenate([self.a_inv_pos, self.b_inv_pos + self.nA])
 
-        if _tables is None:
-            self._build_edges()
-            self._build_squares()
-        else:
-            self.__dict__.update(_tables)
-        self._edge_slots = None
+        self._build_edges()
+        self._build_squares()
         self.verify_counts()
 
     # -- construction -----------------------------------------------------
@@ -104,39 +113,37 @@ class CayleyComplex:
         # edge_at[l, g] = id of the edge <g; l>, right ids offset past left ids
         self.edge_at = np.concatenate([left_ids, right_ids + self.n_left_edges])
         # canonical representative (type, generator position, root vertex)
-        self.edge_rep = np.empty((self.n_edges, 3), dtype=np.int64)
-        self.edge_rep[:self.n_left_edges] = np.stack(
-            [np.zeros_like(left_keys), left_keys // n, left_keys % n], axis=1)
-        self.edge_rep[self.n_left_edges:] = np.stack(
-            [np.ones_like(right_keys), right_keys // n, right_keys % n], axis=1)
+        keys = np.concatenate([left_keys, right_keys])
+        side = np.repeat([LEFT, RIGHT], [self.n_left_edges, self.n_right_edges])
+        self.edge_rep = np.stack([side, keys // n, keys % n], axis=1)
 
     def _build_squares(self):
-        n = self.n_vertices
-        nA, nB = self.nA, self.nB
-        g = np.arange(n, dtype=np.int64)
-        i = np.arange(nA, dtype=np.int64)
-        j = np.arange(nB, dtype=np.int64)
-
-        ag = self.left_perms                              # (nA, n)
-        gb = self.right_perms                             # (nB, n)
-        agb = self.right_perms[:, ag]                     # (nB, nA, n)
-        agb = np.ascontiguousarray(agb.transpose(1, 2, 0))  # (nA, n, nB)
-
-        def key(ii, gg, jj):
-            return (ii * n + gg) * nB + jj
-
-        k0 = key(i[:, None, None], g[None, :, None], j[None, None, :])
-        k1 = key(self.a_inv_pos[:, None, None], ag[:, :, None], j[None, None, :])
-        k2 = key(self.a_inv_pos[:, None, None], agb, self.b_inv_pos[None, None, :])
-        k3 = key(i[:, None, None], gb.T[None, :, :], self.b_inv_pos[None, None, :])
-        canon = np.minimum(np.minimum(k0, k1), np.minimum(k2, k3))
-
-        uniq, inverse = np.unique(canon.ravel(), return_inverse=True)
-        self.n_squares = len(uniq)
-        self.square_id = inverse.reshape(nA, n, nB).astype(np.int64)
-        self.square_rep = np.stack(
-            [uniq // (n * nB), (uniq // nB) % n, uniq % nB], axis=1)
-        self.square_class_size = np.bincount(inverse, minlength=self.n_squares)
+        # canon = least key (i * n + g) * nB + j of the triples equivalent
+        # to each slot, the slot's own first; the others fill one buffer in
+        # turn, so no more than two slot-sized arrays are alive at once
+        n, nA, nB = self.n_vertices, self.nA, self.nB
+        shape = (nA, n, nB)
+        canon = np.arange(nA * n * nB, dtype=np.int64).reshape(shape)
+        key = np.empty(shape, dtype=np.int64)
+        a_inv = (self.a_inv_pos * (n * nB))[:, None, None]
+        gb = self.right_perms.T
+        # (a^-1, ag, b), (a^-1, agb, b^-1), (a, gb, b^-1)
+        np.add(a_inv + self.left_perms[:, :, None] * nB, np.arange(nB), out=key)
+        np.minimum(canon, key, out=canon)
+        np.take(gb, self.left_perms, axis=0, out=key, mode="clip")
+        key *= nB
+        key += a_inv + self.b_inv_pos
+        np.minimum(canon, key, out=canon)
+        np.add(np.arange(nA)[:, None, None] * (n * nB), gb * nB + self.b_inv_pos,
+               out=key)
+        np.minimum(canon, key, out=canon)
+        del key
+        self.square_id, keys = _class_ids(canon)
+        del canon
+        self.n_squares = len(keys)
+        self.square_rep = np.stack(np.unravel_index(keys, shape), axis=1)
+        self.square_class_size = np.bincount(self.square_id.ravel(),
+                                             minlength=self.n_squares)
 
     # -- invariants --------------------------------------------------------
 
@@ -204,16 +211,16 @@ class CayleyComplex:
         return self.square_id[:, g, pos]
 
     def edge_slot_table(self) -> np.ndarray:
-        """(n_edges, r) square ids when |A| = |B| = r; the decoder hot path."""
-        if self._edge_slots is None:
-            if self.nA != self.nB:
-                raise ValueError("edge slot table requires |A| = |B|")
-            left = self.edge_rep[:self.n_left_edges]
-            right = self.edge_rep[self.n_left_edges:]
-            lt = self.square_id[left[:, 1], left[:, 2], :]
-            rt = self.square_id[:, right[:, 2], right[:, 1]].T
-            self._edge_slots = np.ascontiguousarray(np.vstack([lt, rt]))
-        return self._edge_slots
+        """(n_edges, r) square ids when |A| = |B| = r: row e is iota_e, the
+        squares along edge e, as the edge-wise checks of a square code read
+        them."""
+        if self.nA != self.nB:
+            raise ValueError("edge slot table requires |A| = |B|")
+        left = self.edge_rep[:self.n_left_edges]
+        right = self.edge_rep[self.n_left_edges:]
+        lt = self.square_id[left[:, 1], left[:, 2], :]
+        rt = self.square_id[:, right[:, 2], right[:, 1]].T
+        return np.vstack([lt, rt])
 
     def square_vertices(self, s: int) -> set[int]:
         i, g, j = (int(x) for x in self.square_rep[s])
@@ -251,7 +258,7 @@ class CayleyComplex:
     def manifest(self) -> dict:
         cond = self.check_conditions()
         return {
-            "format": "cay2 v1",
+            "format": "cay2 v2",
             "group": self.group.manifest(),
             "A": list(self.A.indices),
             "B": list(self.B.indices),
@@ -274,18 +281,10 @@ def build_complex(group: FiniteGroup, A: GeneratorSet, B: GeneratorSet) -> Cayle
 
 
 def serialize_complex(X: CayleyComplex) -> bytes:
-    """cay2 v1 container: a JSON manifest plus the binary id tables."""
+    """cay2 v2 container: an .npz whose one member is the JSON manifest."""
     buf = io.BytesIO()
-    np.savez_compressed(
-        buf,
-        manifest=np.frombuffer(json.dumps(X.manifest(), sort_keys=True).encode(),
-                               dtype=np.uint8),
-        edge_at=X.edge_at,
-        edge_rep=X.edge_rep,
-        square_id=X.square_id,
-        square_rep=X.square_rep,
-        square_class_size=X.square_class_size,
-    )
+    np.savez(buf, manifest=np.frombuffer(
+        json.dumps(X.manifest(), sort_keys=True).encode(), dtype=np.uint8))
     return buf.getvalue()
 
 
@@ -298,26 +297,30 @@ def _group_from_manifest(m: dict) -> FiniteGroup:
 
 
 def deserialize_complex(data: bytes) -> CayleyComplex:
+    """Rebuild the complex from a cay2 v1 or v2 manifest's group and
+    generator sets.  The file is rejected, with the field named, if another
+    manifest field (counts, tnc, n2c) or a v1 id table differs from the
+    rebuilt complex's."""
     with np.load(io.BytesIO(data)) as z:
         manifest = json.loads(bytes(z["manifest"]).decode())
-        if manifest.get("format") != "cay2 v1":
-            raise ValueError("not a cay2 v1 file")
+        fmt = manifest.get("format")
+        if fmt not in ("cay2 v1", "cay2 v2"):
+            raise ValueError("not a cay2 v1 or v2 file")
         group = _group_from_manifest(manifest["group"])
-        A = GeneratorSet(group, tuple(manifest["A"]))
-        B = GeneratorSet(group, tuple(manifest["B"]))
-        c = manifest["counts"]
-        tables = {
-            "n_left_edges": c["left_edges"],
-            "n_right_edges": c["right_edges"],
-            "n_edges": c["edges"],
-            "n_squares": c["squares"],
-            "edge_at": z["edge_at"],
-            "edge_rep": z["edge_rep"],
-            "square_id": z["square_id"],
-            "square_rep": z["square_rep"],
-            "square_class_size": z["square_class_size"],
-        }
-    return CayleyComplex(group, A, B, _tables=tables)
+        X = build_complex(group, GeneratorSet(group, tuple(manifest["A"])),
+                          GeneratorSet(group, tuple(manifest["B"])))
+        rebuilt = X.manifest()
+        for field in sorted(rebuilt.keys() - {"format"}):
+            if manifest.get(field) != rebuilt[field]:
+                raise ValueError(f"cay2 manifest field {field!r} differs from "
+                                 f"the rebuilt complex's {rebuilt[field]!r}")
+        if fmt == "cay2 v1":
+            for name in ("edge_at", "edge_rep", "square_id", "square_rep",
+                         "square_class_size"):
+                if not np.array_equal(z.get(name), getattr(X, name)):
+                    raise ValueError(f"cay2 v1 table {name!r} differs from "
+                                     "the rebuilt complex's")
+    return X
 
 
 def complex_content_hash(X: CayleyComplex) -> str:

@@ -224,3 +224,62 @@ def test_internal_error_has_its_own_exit_code(z5_dir, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "d_rc = 0 with f != g: implementation bug",
                    "type": "AssertionError"}
+
+
+@pytest.fixture(scope="module")
+def wide_dir(tmp_path_factory):
+    # r = 18: past the sigma budget (r*k1 = 18 > 12) and the US cap (r <= 16)
+    out = tmp_path_factory.mktemp("wide")
+    gens = ",".join(str(x) for x in [*range(1, 10), *range(28, 37)])
+    assert main(["build", "--group", "cyclic:37", "--gens", gens,
+                 "--base", "rep:18", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("which, reason", [
+    ("rate", "square code on 2997 coordinates exceeds budget 100"),
+    ("distance", "square code on 2997 coordinates exceeds budget 100"),
+    ("sigma", "r*k1 = 18 exceeds the sigma budget 12"),
+    ("smooth", "exhaustive US verification capped at r <= 16"),
+])
+def test_analyze_budget_refusal_is_an_na_report(wide_dir, tmp_path, capsys,
+                                                monkeypatch, which, reason):
+    import functools
+    import hashlib
+
+    from cayleyltc import __version__, codes
+    from cayleyltc.cli import EXIT_PRECONDITION
+
+    monkeypatch.setattr(codes, "square_code",
+                        functools.partial(codes.square_code, max_coords=100))
+    manifest = wide_dir / "manifest.json"
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["analyze", str(manifest), "--which", which, "--out", str(out)])
+    assert rc == EXIT_PRECONDITION == 2
+    expected = {
+        "instance": "cyclic:37", "base": "rep:18", "which": which,
+        "manifest_sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
+        "tool_version": __version__, "verdict": "na", "reason": reason,
+    }
+    text = json.dumps(expected, indent=2, sort_keys=True)
+    assert capsys.readouterr().out == text + "\n"
+    assert out.read_text() == text + "\n"
+
+
+def test_build_artifacts_are_byte_identical_across_processes(tmp_path):
+    # analyze and experiment reports hash manifest.json, which holds the
+    # artifact's sha256, so both files must be a function of the inputs
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    for out in ("a", "b"):
+        subprocess.run([sys.executable, "-m", "cayleyltc.cli", "build",
+                        "--group", "cyclic:5", "--gens", "1,4", "--base", "rep:2",
+                        "--out", str(tmp_path / out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+    for name in ("complex.cay2.npz", "manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

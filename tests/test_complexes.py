@@ -1,15 +1,24 @@
+import io
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleyltc.complexes import (
     LEFT,
     RIGHT,
     build_complex,
+    canonical_ids,
     complex_content_hash,
     deserialize_complex,
     serialize_complex,
 )
-from cayleyltc.groups import GeneratorSet, cyclic_group, psl2
+from cayleyltc.groups import GeneratorSet, cyclic_group, lps_generators, psl2
+
+TABLES = ("edge_at", "edge_rep", "square_id", "square_rep", "square_class_size")
 
 
 def toy(n, a_gens, b_gens=None):
@@ -226,7 +235,179 @@ def test_deserialize_rejects_corrupt(z5):
 
 def test_manifest_fields(z12):
     m = z12.manifest()
-    assert m["format"] == "cay2 v1"
+    assert m["format"] == "cay2 v2"
     assert m["counts"]["edges"] == 24
     assert m["counts"]["squares"] == 12
     assert m["tnc"] is True
+
+
+# ---------------------------------------------------------------------------
+# Reference construction: canonical keys ranked by np.unique
+# ---------------------------------------------------------------------------
+
+
+def unique_canonical_ids(perms, inv_pos):
+    k, n = perms.shape
+    keys = np.arange(k, dtype=np.int64)[:, None] * n + np.arange(n, dtype=np.int64)
+    canon = np.minimum(keys, inv_pos[:, None] * n + perms)
+    uniq, inverse = np.unique(canon.ravel(), return_inverse=True)
+    return len(uniq), inverse.reshape(k, n).astype(np.int64), uniq
+
+
+def unique_square_tables(X):
+    n, nA, nB = X.n_vertices, X.nA, X.nB
+    g = np.arange(n, dtype=np.int64)
+    i = np.arange(nA, dtype=np.int64)
+    j = np.arange(nB, dtype=np.int64)
+    ag = X.left_perms
+    gb = X.right_perms
+    agb = np.ascontiguousarray(X.right_perms[:, ag].transpose(1, 2, 0))
+
+    def key(ii, gg, jj):
+        return (ii * n + gg) * nB + jj
+
+    k0 = key(i[:, None, None], g[None, :, None], j[None, None, :])
+    k1 = key(X.a_inv_pos[:, None, None], ag[:, :, None], j[None, None, :])
+    k2 = key(X.a_inv_pos[:, None, None], agb, X.b_inv_pos[None, None, :])
+    k3 = key(i[:, None, None], gb.T[None, :, :], X.b_inv_pos[None, None, :])
+    canon = np.minimum(np.minimum(k0, k1), np.minimum(k2, k3))
+    uniq, inverse = np.unique(canon.ravel(), return_inverse=True)
+    return {
+        "square_id": inverse.reshape(nA, n, nB).astype(np.int64),
+        "square_rep": np.stack([uniq // (n * nB), (uniq // nB) % n, uniq % nB], axis=1),
+        "square_class_size": np.bincount(inverse, minlength=len(uniq)),
+    }
+
+
+def unique_tables(X):
+    n = X.n_vertices
+    nl, left_ids, left_keys = unique_canonical_ids(X.left_perms, X.a_inv_pos)
+    nr, right_ids, right_keys = unique_canonical_ids(X.right_perms, X.b_inv_pos)
+    edge_rep = np.empty((nl + nr, 3), dtype=np.int64)
+    edge_rep[:nl] = np.stack(
+        [np.zeros_like(left_keys), left_keys // n, left_keys % n], axis=1)
+    edge_rep[nl:] = np.stack(
+        [np.ones_like(right_keys), right_keys // n, right_keys % n], axis=1)
+    return {"edge_at": np.concatenate([left_ids, right_ids + nl]),
+            "edge_rep": edge_rep, **unique_square_tables(X)}
+
+
+def assert_reference_tables(X):
+    ref = unique_tables(X)
+    for name in TABLES:
+        got = getattr(X, name)
+        assert got.dtype == ref[name].dtype, name
+        assert np.array_equal(got, ref[name]), name
+    assert X.n_squares == len(ref["square_rep"])
+    assert X.n_left_edges == int((ref["edge_rep"][:, 0] == LEFT).sum())
+
+
+def lps41():
+    S = lps_generators(5, 41)
+    return build_complex(S.group, GeneratorSet(S.group, S.indices, side="left"),
+                         GeneratorSet(S.group, S.indices, side="right"))
+
+
+def test_tables_match_unique_reference(z3, z5, z12, p13):
+    for x in (z3, toy(4, (2,)), z5, z12, p13, lps41()):
+        assert_reference_tables(x)
+
+
+def symmetric_gens(n):
+    """A nonempty inverse-closed subset of Z_n without 0."""
+    return st.sets(st.integers(1, n - 1), min_size=1, max_size=4).map(
+        lambda s: tuple(sorted(s | {(-x) % n for x in s})))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 40).flatmap(
+    lambda n: st.tuples(st.just(n), symmetric_gens(n), symmetric_gens(n))))
+def test_random_cyclic_tables_match_unique_reference(case):
+    n, a, b = case
+    x = toy(n, a, b)
+    assert_reference_tables(x)
+    for perms, inv_pos in ((x.left_perms, x.a_inv_pos), (x.right_perms, x.b_inv_pos)):
+        count, ids, keys = canonical_ids(perms, inv_pos)
+        ref_count, ref_ids, ref_keys = unique_canonical_ids(perms, inv_pos)
+        assert count == ref_count
+        assert np.array_equal(ids, ref_ids) and np.array_equal(keys, ref_keys)
+
+
+# ---------------------------------------------------------------------------
+# Artifacts: the manifest alone, the complex rebuilt and checked on load
+# ---------------------------------------------------------------------------
+
+
+def container(manifest, **tables):
+    buf = io.BytesIO()
+    np.savez_compressed(buf, manifest=np.frombuffer(
+        json.dumps(manifest, sort_keys=True).encode(), dtype=np.uint8), **tables)
+    return buf.getvalue()
+
+
+def serialize_v1(X):
+    """The cay2 v1 writer: the manifest plus the binary id tables."""
+    return container(X.manifest() | {"format": "cay2 v1"},
+                     **{name: getattr(X, name) for name in TABLES})
+
+
+def assert_same_complex(x, y):
+    assert x.manifest() == y.manifest()
+    for name in TABLES:
+        assert np.array_equal(getattr(x, name), getattr(y, name)), name
+
+
+def test_v2_artifact_is_the_manifest_alone(z12, p13):
+    for x in (z12, p13):
+        blob = serialize_complex(x)
+        with np.load(io.BytesIO(blob)) as z:
+            assert z.files == ["manifest"]
+            assert json.loads(bytes(z["manifest"]).decode()) == x.manifest()
+        assert len(blob) < 1000
+        assert_same_complex(deserialize_complex(blob), x)
+
+
+def test_v1_artifact_loads_to_the_same_complex(z3, z12, p13):
+    for x in (z3, toy(4, (2,)), z12, p13):
+        assert_same_complex(deserialize_complex(serialize_v1(x)), x)
+
+
+def test_v1_artifact_with_an_altered_table_is_rejected(p13):
+    tables = {name: getattr(p13, name).copy() for name in TABLES}
+    tables["square_id"][1, 7, 2] ^= 1
+    blob = container(p13.manifest() | {"format": "cay2 v1"}, **tables)
+    with pytest.raises(ValueError, match="square_id"):
+        deserialize_complex(blob)
+    del tables["edge_rep"]
+    blob = container(p13.manifest() | {"format": "cay2 v1"}, **tables)
+    with pytest.raises(ValueError, match="edge_rep"):
+        deserialize_complex(blob)
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("counts", {"squares": 6}, "'counts'"),
+    ("tnc", True, "'tnc'"),
+    ("n2c", False, "'n2c'"),
+    ("A", [2, 3], "'tnc'"),            # a valid set of another complex
+    ("A", [1, 2], "not symmetric"),
+    ("format", "cay2 v3", "not a cay2"),
+])
+def test_v2_artifact_with_an_altered_field_is_rejected(z5, field, value, reason):
+    manifest = z5.manifest()
+    manifest[field] = (manifest[field] | value) if isinstance(value, dict) else value
+    with pytest.raises(ValueError, match=reason):
+        deserialize_complex(container(manifest))
+
+
+def test_build_peak_memory_is_bounded_by_its_tables():
+    g = psl2(13)
+    A = GeneratorSet(g, (79, 90, 91, 234), side="left")
+    B = GeneratorSet(g, (79, 90, 91, 234), side="right")
+    build_complex(g, A, B)
+    tracemalloc.start()
+    try:
+        x = build_complex(g, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(getattr(x, name).nbytes for name in TABLES)
