@@ -3,11 +3,10 @@
 Base codes (repetition, parity, BCH), tensor squares, Sipser-Spielman
 Tanner codes on labelled regular graphs, and the square-complex codes whose
 bits live on the squares of a left/right Cayley complex.  The square code
-is assembled two ways, edge-wise from the length-r base code and
-vertex-wise from its tensor square, and the equality of the two kernels is
-proved exactly at construction: every edge-wise codeword passes the
-vertex-wise checks (one packed product) and both check matrices have the
-same rank.
+is eliminated from its edge-wise checks (the length-r base code on every
+edge) alone; that its kernel is the vertex-wise code (the tensor square on
+every vertex) follows from two exact facts checked at construction, one on
+the complex's slot tables and one on the r x r grid.
 
 Coordinate conventions, used everywhere: tensor coordinates (a, b) are
 serialized row-major with rows indexed by A; "F_2^r (x) C" means every row
@@ -252,13 +251,18 @@ def _local_checks(views: np.ndarray, h_bits: np.ndarray, n: int) -> np.ndarray:
     return checks
 
 
-def tensor_code(C1: LinearCode) -> LinearCode:
-    """C1 (x) C1 on the r x r grid: all rows and all columns in C1."""
+def _row_column_checks(C1: LinearCode) -> BitMatrix:
+    """The checks of C1 on every row and every column of the r x r grid."""
     r = C1.n
     grid = np.arange(r * r).reshape(r, r)
-    checks = _local_checks(np.vstack([grid, grid.T]), C1.parity.to_array(), r * r)
-    code = LinearCode.from_parity_checks(BitMatrix(checks), provenance="tensor",
-                                         params={"r": r, "k1": C1.k})
+    return BitMatrix(_local_checks(np.vstack([grid, grid.T]),
+                                   C1.parity.to_array(), r * r))
+
+
+def tensor_code(C1: LinearCode) -> LinearCode:
+    """C1 (x) C1 on the r x r grid: all rows and all columns in C1."""
+    code = LinearCode.from_parity_checks(_row_column_checks(C1), provenance="tensor",
+                                         params={"r": C1.n, "k1": C1.k})
     assert code.k == C1.k * C1.k, "tensor dimension must be k1^2"
     return code
 
@@ -368,12 +372,21 @@ def square_code(X: CayleyComplex, C1: LinearCode,
                 max_coords: int = SQUARE_CODE_COORD_BUDGET) -> LinearCode:
     """The code on F_2^S whose view along every edge lies in C1.
 
-    Eliminates the edge-wise checks He (one C1 constraint set per edge)
-    once, for the parity basis, the generator G and, through LinearCode,
-    G H^T = 0.  The vertex-wise checks Hv (one tensor-square constraint set
-    per vertex) then must satisfy Hv G^T = 0, so ker He is inside ker Hv,
-    and rank Hv = rank He, so the two kernels have equal dimension: they
-    are equal.
+    Eliminates the edge-wise checks He (C1's checks on the squares est[e]
+    along each edge e) once, for H, G and, through LinearCode, G H^T = 0.
+    Two exact facts, each with its own AssertionError, prove that ker He is
+    the kernel of the vertex-wise checks Hv (C0 = tensor_code(C1) on each
+    vertex's r x r grid of squares):
+
+    - global: grid row a at vertex g is est[edge_at[a, g]], column b is
+      est[edge_at[nA + b, g]], and some slot names every edge;
+    - local: C1's row and column checks on the grid are orthogonal to C0's
+      generator and have rank r^2 - k(C0), so they span C0's checks.
+
+    Placing checks on a view is linear (repeated squares fold mod 2), so
+    each row of Hv is a sum of placed row and column checks, which are rows
+    of He, and each row of He is placed at a slot that names its edge: He
+    and Hv have one row space, so one kernel.
     """
     r = X.nA
     if X.nA != X.nB:
@@ -383,14 +396,19 @@ def square_code(X: CayleyComplex, C1: LinearCode,
     if X.n_squares > max_coords:
         raise DimensionBudgetError(
             f"square code on {X.n_squares} coordinates exceeds budget {max_coords}")
+    est = X.edge_slot_table()
+    if not (np.bincount(X.edge_at.ravel(), minlength=len(est)).all()
+            and np.array_equal(X.square_id, est[X.edge_at[:r]])
+            and np.array_equal(X.square_id.transpose(2, 1, 0), est[X.edge_at[r:]])):
+        raise AssertionError("vertex views are not the views along their edges")
+    C0 = tensor_code(C1)
+    checks = _row_column_checks(C1)
+    if not (f2core.rows_orthogonal(checks, C0.generator)
+            and f2core.rank(checks) == r * r - C0.k):
+        raise AssertionError("tensor code is not the row-and-column code of C1")
     code = LinearCode.from_parity_checks(
-        BitMatrix(_edge_wise_checks(X, C1)), provenance="square",
-        params={"r": r, "k1": C1.k, "group": X.group.manifest()})
-    Hv = BitMatrix(_vertex_wise_checks(X, tensor_code(C1)))
-    if not f2core.rows_orthogonal(Hv, code.generator):
-        raise AssertionError("edge-wise codeword fails vertex-wise checks")
-    if f2core.rank(Hv) != code.parity.rows:
-        raise AssertionError("edge-wise and vertex-wise kernels differ in rank")
+        BitMatrix(_local_checks(est, C1.parity.to_array(), X.n_squares)),
+        provenance="square", params={"r": r, "k1": C1.k, "group": X.group.manifest()})
     assert code.k * r >= (4 * C1.k - 3 * r) * X.n_squares, "square rate bound violated"
     assert 4 * X.n_squares >= r * r * X.n_vertices
     return code

@@ -261,24 +261,8 @@ class GeneratorSet:
         return np.array([lookup[self.group.inv(g)] for g in self.indices], dtype=np.int64)
 
     def generates_group(self) -> bool:
-        """Breadth-first orbit of the identity covers the whole group."""
-        n = self.group.order
-        perms = [self.group.left_perm(s) for s in self.indices]
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        count = 1
-        while frontier:
-            nxt = []
-            for p in perms:
-                imgs = p[frontier]
-                fresh = imgs[~seen[imgs]]
-                if fresh.size:
-                    seen[fresh] = True
-                    nxt.extend(int(x) for x in np.unique(fresh))
-                    count += len(np.unique(fresh))
-            frontier = nxt
-        return bool(seen.all())
+        """The Cayley graph is connected: the orbit of the identity is G."""
+        return cayley_graph(self.group, self).is_connected()
 
 
 @dataclass

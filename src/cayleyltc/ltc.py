@@ -141,17 +141,6 @@ class SquareCodeTester:
         """Exact D(f) by full vertex scan."""
         return float(self.reject_vector(f).sum()) / self.X.n_vertices
 
-    def reject_probability_sampled(self, f, samples: int, seed: int = 0) -> dict:
-        """Monte-Carlo estimate of D(f); clearly labeled as an estimate."""
-        rng = np.random.default_rng(seed)
-        f_bits = _as_bits(f)
-        verts = rng.integers(0, self.X.n_vertices, size=samples)
-        step = max(1, DECODE_BLOCK // (self.r * self.r))
-        rejected = sum(int(self._rejects(f_bits[self._grid[:, verts[lo:lo + step], :]]
-                                         .astype(np.int64)).sum())
-                       for lo in range(0, samples, step))
-        return {"estimate": rejected / samples, "samples": samples, "exact": False}
-
     def accepts_everywhere(self, f) -> bool:
         return not self.reject_vector(f).any()
 
@@ -557,6 +546,12 @@ def _trial_word(tester: SquareCodeTester, code: LinearCode, seed: int,
     return f_bits, tester.reject_probability(f_bits)
 
 
+def _check_weights(weights: tuple[int, int], n: int):
+    """A ValueError unless weights = (lo, hi) with 1 <= lo <= hi <= n."""
+    if not 1 <= weights[0] <= weights[1] <= n:
+        raise ValueError(f"weight range {weights} invalid for length {n}")
+
+
 def _run_trials(trial, trials: int, workers: int) -> list[dict]:
     """[trial(i) for i in range(trials)], on `workers` threads when > 1;
     each trial seeds its own RNG, so the rows never depend on `workers`."""
@@ -601,9 +596,8 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
     exhaustive oracle fits the budget, otherwise the square-code distance
     proposition bound (report marked bound-relative).
     """
+    _check_weights(weights, code.n)
     lo, hi = weights
-    if not 1 <= lo <= hi <= code.n:
-        raise ValueError(f"weight range {weights} invalid for length {code.n}")
     try:
         radius = float(code.distance_exact())
         radius_kind = "exact"
@@ -666,6 +660,7 @@ def decode_experiment(tester: SquareCodeTester, code: LinearCode, trials: int,
                       workers: int = 1) -> dict:
     """Seeded decode trials and their summary: far outcomes and whether
     every trial met the decoder contract."""
+    _check_weights(weights, code.n)
     rows = _run_trials(lambda i: decode_trial(tester, code, seed, i, weights),
                        trials, workers)
     return {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -120,6 +121,47 @@ def test_experiment_csv_stdout(z5_dir, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("trial,weight,D,kappa_hat,certified,in_code")
+
+
+@pytest.mark.parametrize("weights", ["3,2", "0,1", "1,20"])
+def test_experiment_weight_range_is_checked_for_both_kinds(z5_dir, tmp_path, capsys,
+                                                           weights):
+    # z5 has 5 squares; 3 trials cycle through weights 1..3 of "1,20" only
+    errors = []
+    for kind in ("kappa", "decode"):
+        rc = main(["experiment", str(z5_dir / "manifest.json"), "--kind", kind,
+                   "--trials", "3", "--seed", "1", "--weights", weights,
+                   "--out", str(tmp_path / kind)])
+        assert rc == 2
+        assert not (tmp_path / f"{kind}.csv").exists()
+        errors.append(capsys.readouterr().err)
+    lo, hi = weights.split(",")
+    assert errors == [json.dumps({"error": f"weight range ({lo}, {hi}) invalid "
+                                           "for length 5"}) + "\n"] * 2
+
+
+# sha256 of code.f2mat and code.json: a change to the square code's G, H
+# or sidecar must be deliberate
+GOLDEN_CODES = {
+    "z5": (["cyclic:5", "--gens", "1,4", "--base", "rep:2"],
+           "63c85a5b2b0a77d2f80dc6a6bc3552ed273c8cdf8bf5f9b69111697e0291735d",
+           "be4c3f676bef44973fc8824976c69afe2f88fa697c1bba33fd3fc78f3f9a9b78"),
+    "z10": (["cyclic:10", "--gens", "1,3,5,7,9", "--base", "parity:5"],
+            "641c8d970b469ce21d28db05007c4030c399f3cda2f9500fb43b8ff16b4c8195",
+            "669e41223f263c4cfff69adfe216d0a74181ee0204f397d3e0fa0cd7b196f687"),
+    "z12": (["cyclic:12", "--gens", "1,11", "--gens-b", "5,7", "--base", "rep:2"],
+            "3b330ad38bcb3d1eb6b08befbd6c4e99d9555b0dc714c9e9d1ea4aa9b6fe7572",
+            "5ad943a4b92dbd4232c06a39c5eaf7cc21ea1f1a8fca9535dc5808fe487d3684"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CODES))
+def test_build_writes_the_golden_square_code(tmp_path, capsys, name):
+    args, f2mat, sidecar = GOLDEN_CODES[name]
+    assert main(["build", "--group", *args, "--out", str(tmp_path)]) == 0
+    digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+              for f in ("code.f2mat", "code.json")}
+    assert digest == {"code.f2mat": f2mat, "code.json": sidecar}
 
 
 def test_inspect_artifacts(z5_dir, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,67 +355,82 @@ def test_check_builders_match_row_loop(args, C1):
                           _local_checks_loop(labelling, h, len(pairs)))
 
 
-def _independent_rows(Hv):
-    """Indices of rows of Hv that form a basis of its row space."""
-    return f2core.rref(BitMatrix(Hv.T))[1]
-
-
 SQUARE_CASES = {"z5": ((5, (1, 4)), repetition_code(2)),
                 "z12": ((12, (1, 11), (5, 7)), repetition_code(2)),
                 "z10": ((10, (1, 3, 5, 7, 9)), parity_code(5))}
 
 
 @pytest.mark.parametrize("name", sorted(SQUARE_CASES))
-def test_square_code_accepts_a_row_basis_of_the_vertex_checks(monkeypatch, name):
-    # the control for the two tests below: only the row space of Hv counts
+def test_square_code_is_the_edge_wise_elimination(name):
+    # the control for the tests below: the proof accepts the true complex
     args, C1 = SQUARE_CASES[name]
     X = toy_complex(*args)
-    real = codes._vertex_wise_checks
-    ref = square_code(X, C1)
-    monkeypatch.setattr(codes, "_vertex_wise_checks",
-                        lambda X, C0: real(X, C0)[_independent_rows(real(X, C0))])
+    ref = LinearCode.from_parity_checks(BitMatrix(codes._edge_wise_checks(X, C1)))
     code = square_code(X, C1)
     assert (code.generator, code.parity) == (ref.generator, ref.parity)
 
 
+def _swap_two_distinct(row):
+    j = np.flatnonzero(row != row[0])[0]
+    row[[0, j]] = row[[j, 0]]
+
+
+@pytest.mark.parametrize("table", ["left_edge", "right_edge", "square_id", "unnamed_row"])
 @pytest.mark.parametrize("name", sorted(SQUARE_CASES))
-def test_square_code_catches_a_dropped_vertex_check(monkeypatch, name):
-    # every row of Hv may be redundant, so drop the redundant rows first:
-    # a basis of the row space less one row has rank one lower
+def test_square_code_catches_a_broken_global_fact(monkeypatch, name, table):
+    # two distinct squares swapped along one left or right edge or in one
+    # vertex's row, or an edge-wise check on a row that no slot's edge names
     args, C1 = SQUARE_CASES[name]
     X = toy_complex(*args)
-    real = codes._vertex_wise_checks
-
-    def dropped(X, C0):
-        Hv = real(X, C0)
-        return Hv[_independent_rows(Hv)[1:]]
-
-    monkeypatch.setattr(codes, "_vertex_wise_checks", dropped)
-    with pytest.raises(AssertionError, match="differ in rank"):
+    est = X.edge_slot_table()
+    if table in ("left_edge", "right_edge"):
+        side = X.edge_rep[:, 0] == (table == "right_edge")
+        e = np.flatnonzero((est != est[:, :1]).any(axis=1) & side)[0]
+        _swap_two_distinct(est[e])
+        monkeypatch.setattr(X, "edge_slot_table", lambda: est)
+    elif table == "square_id":
+        a, g = np.argwhere((X.square_id != X.square_id[:, :, :1]).any(axis=2))[0]
+        _swap_two_distinct(X.square_id[a, g])
+    else:
+        monkeypatch.setattr(X, "edge_slot_table", lambda: np.vstack([est, est[:1]]))
+    with pytest.raises(AssertionError, match="views along their edges"):
         square_code(X, C1)
 
 
+@pytest.mark.parametrize("wrong", ["span", "dimension"])
 @pytest.mark.parametrize("name", sorted(SQUARE_CASES))
-def test_square_code_catches_an_equal_rank_wrong_span(monkeypatch, name):
-    # a basis of the row space with one row swapped for a vector outside
-    # it: same rank, different kernel
+def test_square_code_catches_a_broken_local_fact(monkeypatch, name, wrong):
+    # a tensor code with one generator swapped for a vector outside its
+    # span (dimension k1^2, other span), or with one generator dropped (a
+    # subcode, which the row and column checks still annihilate)
     args, C1 = SQUARE_CASES[name]
     X = toy_complex(*args)
-    real = codes._vertex_wise_checks
-
-    def swapped(X, C0):
-        Hv = real(X, C0)
-        rank = f2core.rank(BitMatrix(Hv))
-        outside = next(e for e in np.eye(X.n_squares, dtype=np.uint8)
-                       if f2core.rank(BitMatrix(np.vstack([Hv, e]))) > rank)
-        bad = Hv[_independent_rows(Hv)]
-        bad[0] = outside
-        assert f2core.rank(BitMatrix(bad)) == rank
-        return bad
-
-    monkeypatch.setattr(codes, "_vertex_wise_checks", swapped)
-    with pytest.raises(AssertionError, match="fails vertex-wise checks"):
+    real = tensor_code(C1)
+    G = real.generator.to_array()
+    if wrong == "span":
+        G[0] = next(e for e in np.eye(real.n, dtype=np.uint8)
+                    if not real.contains(BitVector(e)))
+    else:
+        G = G[1:]
+    bad = LinearCode.from_generators(BitMatrix(G), n=real.n)
+    assert bad.k == real.k - (wrong == "dimension")
+    monkeypatch.setattr(codes, "tensor_code", lambda C1: bad)
+    with pytest.raises(AssertionError, match="row-and-column code"):
         square_code(X, C1)
+
+
+def test_square_code_peak_memory_is_bounded_by_the_edge_checks(p13_instance):
+    # the edge-wise checks He as dense uint8 are the one large matrix the
+    # construction needs; a second dense check matrix would exceed this
+    X, C1 = p13_instance[:2]
+    he_bytes = X.n_edges * C1.parity.rows * X.n_squares
+    tracemalloc.start()
+    try:
+        square_code(X, C1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * he_bytes
 
 
 # -- bound checkers ----------------------------------------------------------

@@ -109,6 +109,40 @@ def test_lps_congruence_errors():
         lps_generators(3, 41)     # p != 1 mod 4
 
 
+def loop_generates_group(S):
+    """Reference: breadth-first orbit of the identity, one generator at a
+    time per level."""
+    n = S.group.order
+    perms = [S.group.left_perm(s) for s in S.indices]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for p in perms:
+            imgs = p[frontier]
+            fresh = imgs[~seen[imgs]]
+            if fresh.size:
+                seen[fresh] = True
+                nxt.extend(int(x) for x in np.unique(fresh))
+        frontier = nxt
+    return bool(seen.all())
+
+
+def test_generates_group_matches_the_orbit_loop(lps41):
+    z12 = cyclic_group(12)
+    p13 = psl2(13)
+    t = p13.index_of([1, 1, 0, 1])
+    u = p13.index_of([1, 0, 1, 1])
+    cases = [(GeneratorSet(z12, (3, 9)), False), (GeneratorSet(z12, (1, 11)), True),
+             (GeneratorSet(z12, (2, 10, 3, 9)), True), (GeneratorSet(z12, (4, 8)), False),
+             (GeneratorSet(p13, tuple(sorted({t, p13.inv(t)}))), False),
+             (GeneratorSet(p13, tuple(sorted({t, p13.inv(t), u, p13.inv(u)}))), True),
+             (lps41, True)]
+    for S, expected in cases:
+        assert S.generates_group() is loop_generates_group(S) is expected
+
+
 def test_lps_generators_13_53():
     s = lps_generators(13, 53)
     assert len(s) == 14

@@ -92,42 +92,6 @@ def test_reject_probability_length_check(z5_instance):
         tester.reject_probability(np.zeros(3, dtype=np.uint8))
 
 
-def test_sampled_mode_is_labeled(z5_instance):
-    X, C1, code, tester = z5_instance
-    f = np.zeros(X.n_squares, dtype=np.uint8)
-    f[0] = 1
-    rec = tester.reject_probability_sampled(f, samples=64, seed=2)
-    assert rec["exact"] is False
-    assert rec["samples"] == 64
-    assert 0 <= rec["estimate"] <= 1
-
-
-def loop_sampled_estimate(tester, f_bits, samples, seed):
-    """Reference: the sampled rejection estimate, one vertex at a time."""
-    rng = np.random.default_rng(seed)
-    h1 = tester.C1.parity.to_array().astype(np.int64)
-    rejected = 0
-    for g in rng.integers(0, tester.X.n_vertices, size=samples):
-        view = f_bits[tester.X.square_id[:, int(g), :]].astype(np.int64)
-        if h1.size:
-            rejected += bool(((h1 @ view) & 1).any() or ((h1 @ view.T) & 1).any())
-    return rejected / samples
-
-
-@pytest.mark.parametrize("base", ["rep", "full"])
-def test_sampled_estimate_matches_the_per_sample_loop(start_instances, base):
-    # full:r has no parity rows, so _rejects takes its early return
-    X = start_instances["z12"].X
-    tester = (start_instances["z12"] if base == "rep"
-              else SquareCodeTester(X, full_code(2)))
-    rng = np.random.default_rng(26)
-    for density in (0.0, 0.05, 0.3):
-        f = (rng.random(X.n_squares) < density).astype(np.uint8)
-        for samples, seed in ((1, 0), (7, 3), (500, 4)):
-            rec = tester.reject_probability_sampled(f, samples=samples, seed=seed)
-            assert rec["estimate"] == loop_sampled_estimate(tester, f, samples, seed)
-
-
 def test_rejects_counts_the_vertices_of_its_views(start_instances):
     X = start_instances["z12"].X
     for tester in (start_instances["z12"], SquareCodeTester(X, full_code(2))):
