@@ -38,8 +38,38 @@ def _rows_matrix(rows, n: int | None, kind: str) -> BitMatrix:
     return BitMatrix.from_rows(rows) if rows else BitMatrix.zeros(0, n)
 
 
+def _information_set(G: BitMatrix) -> np.ndarray:
+    """Columns I with G[:, I] = I_k, I[i] being the first column of weight
+    one whose one lies in row i.
+
+    A column is the unit vector e_i exactly when it has weight one with its
+    one in row i, so such an I exists iff every row has such a column;
+    otherwise this raises ValueError.  Finding one also proves that G has
+    full rank k.
+    """
+    words = G.words
+    if G.rows == 0:
+        return np.zeros(0, dtype=np.intp)
+    # a column has weight >= 2 iff some row meets a column an earlier row set
+    seen = np.bitwise_or.accumulate(words, axis=0)
+    single = seen[-1] & ~np.bitwise_or.reduce(words[1:] & seen[:-1], axis=0)
+    hits = words & single
+    nonzero = hits != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("generator is not the identity on any k columns")
+    w = nonzero.argmax(axis=1)
+    low = hits[np.arange(G.rows), w]
+    low &= ~low + np.uint64(1)                  # the lowest set bit
+    return 64 * w + f2core._popcount(low - np.uint64(1)).astype(np.intp)
+
+
 class LinearCode:
-    """A binary linear code with generator and parity-check bases."""
+    """A binary linear code with generator and parity-check bases.
+
+    The generator is systematic: it is the identity I_k on the columns
+    `information_set`, so a codeword is the sum of the generator rows that
+    its bits there select.
+    """
 
     def __init__(self, n: int, generator: BitMatrix, parity: BitMatrix,
                  provenance: str = "explicit", params: dict | None = None):
@@ -54,11 +84,16 @@ class LinearCode:
         self._distance: int | None = None
         if self.k + parity.rows != n:
             raise ValueError("k + rank(H) != n")
+        self.information_set = _information_set(generator)
         self._check_duality()
 
     def _check_duality(self):
         if not f2core.rows_orthogonal(self.generator, self.parity):
             raise AssertionError("generator/parity duality violated")
+
+    def _encode(self, coeffs: np.ndarray) -> np.ndarray:
+        """The packed sum of the generator rows selected by the boolean coeffs."""
+        return np.bitwise_xor.reduce(self.generator.words[coeffs], axis=0)
 
     @classmethod
     def from_generators(cls, rows, n: int | None = None, provenance: str = "explicit",
@@ -80,9 +115,12 @@ class LinearCode:
         return self.k / self.n if self.n else 0.0
 
     def contains(self, v: BitVector) -> bool:
+        """Whether v is the codeword its bits on the information set encode."""
         if v.n != self.n:
             raise ValueError(f"length mismatch: {v.n} != {self.n}")
-        return self.parity.rows == 0 or self.parity.matvec(v).weight() == 0
+        info = self.information_set
+        coeffs = (v.words[info >> 6] >> (info & 63).astype(np.uint64)) & np.uint64(1)
+        return bool(np.array_equal(self._encode(coeffs == 1), v.words))
 
     def codewords(self):
         """All 2^k codewords; only sensible for small k."""
@@ -93,10 +131,12 @@ class LinearCode:
         return [BitVector._from_words(w.copy(), self.n) for w in words]
 
     def distance_exact(self) -> int:
-        """Exact minimum distance via exhaustive enumeration (k <= 24)."""
+        """Exact minimum distance via exhaustive enumeration (k <= 24); a
+        larger k is refused before any row is read."""
         if self._distance is None:
             if self.k == 0:
                 raise ValueError("zero code has no distance")
+            f2core.check_enum_budget(self.k)
             self._distance = f2core.min_weight_exhaustive(
                 list(self.generator.row_iter()))
         return self._distance
@@ -106,8 +146,7 @@ class LinearCode:
 
     def random_codeword(self, rng: np.random.Generator) -> BitVector:
         coeffs = rng.integers(0, 2, size=self.k)
-        w = np.bitwise_xor.reduce(self.generator.words[coeffs == 1], axis=0)
-        return BitVector._from_words(w, self.n)
+        return BitVector._from_words(self._encode(coeffs == 1), self.n)
 
     def dual(self) -> "LinearCode":
         return LinearCode(self.n, self.parity, self.generator,

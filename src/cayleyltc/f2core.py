@@ -26,9 +26,19 @@ import numpy as np
 #: Hard cap on the dimension of exhaustive codeword enumeration (~16.7M words).
 MAX_ENUM_DIMENSION = 24
 
+#: dense uint8 entries packed at a time by BitMatrix (1 MB)
+PACK_BLOCK = 1 << 20
+
 
 class DimensionBudgetError(ValueError):
     """Raised when an exhaustive enumeration would exceed its stated budget."""
+
+
+def check_enum_budget(k: int) -> None:
+    """Refuse to enumerate a span of dimension k above MAX_ENUM_DIMENSION."""
+    if k > MAX_ENUM_DIMENSION:
+        raise DimensionBudgetError(
+            f"dimension {k} exceeds exhaustive enumeration budget {MAX_ENUM_DIMENSION}")
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -123,12 +133,15 @@ class BitMatrix:
     __slots__ = ("rows", "cols", "words")
 
     def __init__(self, entries):
-        entries = np.asarray(entries, dtype=np.uint8) & 1
+        entries = np.asarray(entries, dtype=np.uint8)
         if entries.ndim != 2:
             raise ValueError("BitMatrix expects a 2-d 0/1 array")
         self.rows, self.cols = (int(x) for x in entries.shape)
-        self.words = _pack_bits(entries) if self.rows else np.zeros(
-            (0, max(1, -(-self.cols // 64))), dtype=np.uint64)
+        self.words = np.zeros((self.rows, max(1, -(-self.cols // 64))), dtype=np.uint64)
+        # entries mod 2, a block of rows at a time: no masked copy of it all
+        step = max(1, PACK_BLOCK // max(1, self.cols))
+        for lo in range(0, self.rows, step):
+            self.words[lo:lo + step] = _pack_bits(entries[lo:lo + step] & 1)
         self.words.flags.writeable = False
 
     @classmethod
@@ -470,9 +483,7 @@ def min_weight_exhaustive(basis: list[BitVector]) -> int:
     k = B.rows
     if k == 0:
         raise ValueError("zero code: no nonzero codeword exists")
-    if k > MAX_ENUM_DIMENSION:
-        raise DimensionBudgetError(
-            f"dimension {k} exceeds exhaustive enumeration budget {MAX_ENUM_DIMENSION}")
+    check_enum_budget(k)
     words = _enumerate_span_words(B.words, k)
     wts = _popcount(words).sum(axis=1)
     return int(wts[1:].min()) if k > 0 else 0

@@ -32,7 +32,7 @@ import numpy as np
 
 from .codes import LinearCode, tensor_code
 from .complexes import CayleyComplex
-from .f2core import BitVector, DimensionBudgetError, rref
+from .f2core import BitVector, DimensionBudgetError
 from .spectral import parallel_neighbor_table
 
 NEAREST_SEARCH_MAX_DIM = 20
@@ -223,8 +223,7 @@ class SquareCodeTester:
                 pattern_lines[p, :, :len(ids)] = cand_lines[ids].T
 
             # an information set of C0: its codewords differ on these slots
-            _, pivots = rref(self.C0.generator)
-            key_slots = np.array(pivots, dtype=np.intp)
+            key_slots = self.C0.information_set
             key_weights = np.left_shift(1, np.arange(k0, dtype=np.int64))
             key_table = np.empty(1 << k0, dtype=np.int32)
             key_table[cand[:, key_slots] @ key_weights] = np.arange(len(cand))

@@ -94,6 +94,82 @@ def test_check_duality_catches_a_corrupted_parity_row():
     LinearCode(c.n, c.generator, c.parity)
 
 
+def test_information_set_is_the_identity_on_the_generator():
+    for c in (repetition_code(3), parity_code(4), full_code(3), bch_code(4, 5)):
+        for code in (c, c.dual(), tensor_code(c)):
+            G = code.generator.to_array()
+            assert np.array_equal(G[:, code.information_set],
+                                  np.eye(code.k, dtype=np.uint8))
+
+
+def test_generator_without_identity_columns_is_rejected():
+    # rows 1100 and 1111 span a code with checks 1100 and 0011, but no
+    # column of G is the unit vector of its first row
+    G = BitMatrix([[1, 1, 0, 0], [1, 1, 1, 1]])
+    H = BitMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])
+    with pytest.raises(ValueError, match="not the identity on any k columns"):
+        LinearCode(4, G, H)
+    for dependent in ([[1, 1, 0, 0], [1, 1, 0, 0]], [[1, 0, 1, 0], [0, 0, 0, 0]]):
+        with pytest.raises(ValueError, match="not the identity"):
+            LinearCode(4, BitMatrix(dependent), H)
+    assert LinearCode(4, H, H).information_set.tolist() == [0, 2]
+
+
+def _membership_words(code, rng):
+    """Zero, codewords, codewords plus 1..64 errors, and random words."""
+    n = code.n
+    words = [np.zeros(n, dtype=np.uint8)]
+    for _ in range(12):
+        c = code.random_codeword(rng).to_bits()
+        words.append(c)
+        for e in (1, 2, 3, 7, 64):
+            if e <= n:
+                err = np.zeros(n, dtype=np.uint8)
+                err[rng.choice(n, e, replace=False)] = 1
+                words.append(c ^ err)
+        words.append(rng.integers(0, 2, n, dtype=np.uint8))
+    if n <= 64:
+        words += list(np.eye(n, dtype=np.uint8))
+    return [BitVector(w) for w in words]
+
+
+def _assert_contains_matches_syndrome(code, rng):
+    for v in _membership_words(code, rng):
+        assert code.contains(v) == (code.parity.matvec(v).weight() == 0), code
+
+
+def test_contains_matches_the_syndrome_on_base_codes():
+    from cayleyltc.analysis import punctured_code
+    rng = np.random.default_rng(2)
+    for c in (repetition_code(3), repetition_code(70), parity_code(4),
+              parity_code(70), full_code(3), bch_code(3, 3), bch_code(4, 5),
+              bch_code(6, 9)):
+        tensors = (tensor_code(c), tensor_code(c).dual()) if c.n <= 15 else ()
+        for code in (c, c.dual(), *tensors):
+            _assert_contains_matches_syndrome(code, rng)
+    empty = punctured_code(repetition_code(3), range(3), range(3), 2)
+    assert empty.n == 0 and empty.contains(BitVector([]))
+    _assert_contains_matches_syndrome(empty, rng)
+
+
+@pytest.mark.parametrize("name", ["z5", "z10", "z12", "p13"])
+def test_contains_matches_the_syndrome_on_square_codes(toy_instances, p13_instance, name):
+    code = p13_instance[2] if name == "p13" else toy_instances[name][2]
+    _assert_contains_matches_syndrome(code, np.random.default_rng(3))
+
+
+def test_distance_is_refused_before_any_row_is_built(monkeypatch, p13_instance):
+    def called(*args):
+        raise AssertionError("distance_exact built rows before refusing")
+
+    code = p13_instance[2]
+    monkeypatch.setattr(f2core, "row_basis", called)
+    monkeypatch.setattr(BitMatrix, "from_rows", classmethod(called))
+    with pytest.raises(DimensionBudgetError) as info:
+        code.distance_exact()
+    assert str(info.value) == "dimension 1096 exceeds exhaustive enumeration budget 24"
+
+
 def _random_codeword_loop(code, rng):
     """Reference: XOR the generator rows one at a time."""
     coeffs = rng.integers(0, 2, size=code.k)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,38 @@ def test_pack_bits_layout(shape, seed):
     unpacked = (words[..., idx // 64] >> (idx % 64).astype(np.uint64)) & np.uint64(1)
     assert np.array_equal(unpacked[..., :n], bits)
     assert not unpacked[..., n:].any()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
+def test_bitmatrix_packs_entries_mod_2_in_row_blocks(monkeypatch, block):
+    # blocks of one row, of a few rows, and of the whole matrix give the
+    # one-pass packing of the masked entries; values above 1 count mod 2
+    monkeypatch.setattr(f2core, "PACK_BLOCK", block)
+    rng = np.random.default_rng(4)
+    for rows, cols in ((0, 5), (1, 1), (9, 70), (40, 3), (5, 0), (33, 130)):
+        entries = rng.integers(0, 256, size=(rows, cols), dtype=np.uint8)
+        M = BitMatrix(entries)
+        assert (M.rows, M.cols) == (rows, cols)
+        assert M.words.shape == (rows, max(1, -(-cols // 64)))
+        if rows:
+            assert np.array_equal(M.words, f2core._pack_bits(entries & 1))
+        assert np.array_equal(M.to_array(), entries & 1)
+    assert BitMatrix([[3, 2], [5, 4]]) == BitMatrix([[1, 0], [1, 0]])
+
+
+def test_bitmatrix_peak_memory_is_the_packed_matrix_and_one_block(p13_instance):
+    # a masked copy of the whole dense input (19 MB on p13) would exceed this
+    X, C1 = p13_instance[:2]
+    He = codes._edge_wise_checks(X, C1)
+    packed = He.shape[0] * (-(-He.shape[1] // 64)) * 8
+    tracemalloc.start()
+    try:
+        M = BitMatrix(He)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.words.nbytes == packed
+    assert peak < packed + (2 << 20)
 
 
 def test_matvec_matches_dense():

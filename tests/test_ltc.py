@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleyltc import f2core
 from cayleyltc.codes import (
     full_code,
     parity_code,
@@ -392,6 +393,23 @@ def test_kappa_experiment_bound_relative_radius(p13_instance):
     # delta1 = 0.5 < lambda makes the bound radius 0: trials uncertified
     assert report["n_certified"] == 0
     assert report["kappa_hat"] is None
+
+
+def test_kappa_experiment_runs_no_syndrome_or_elimination(monkeypatch, p13_instance):
+    # membership re-encodes on the code's information set, and the exact
+    # distance is refused before any rows are built
+    def called(*args):
+        raise AssertionError("a kappa trial ran a syndrome or an elimination")
+
+    X, C1, code, tester, lam = p13_instance
+    params = TesterParams(r=4, delta1=0.5, sigma1=0.5, lam=lam)
+    rows = [kappa_trial(tester, code, 15, i, 1 + i % 3, 0.0) for i in range(8)]
+    for name in ("row_basis", "rref", "_rref_words", "_echelon_words"):
+        monkeypatch.setattr(f2core, name, called)
+    monkeypatch.setattr(f2core.BitMatrix, "matvec", called)
+    report = kappa_experiment(tester, code, params, trials=8, weights=(1, 3), seed=15)
+    assert report["radius_kind"] == "bound-relative"
+    assert report["rows"] == rows
 
 
 # -- whole-array start state against the per-vertex reference -----------------
