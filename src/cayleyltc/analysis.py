@@ -241,21 +241,14 @@ def punctured_code(C: LinearCode, I, J, d: int) -> LinearCode:
         raise ValueError("J out of range")
     short = low_weight_dual_words(C, d)
     kept_rows = [v for v in short if all(v[i] == 0 for i in I)]
-    if kept_rows:
-        bigger = LinearCode.from_parity_checks(kept_rows, n=C.n)
-    else:
-        bigger = LinearCode.from_parity_checks([], n=C.n)
+    bigger = LinearCode.from_parity_checks(kept_rows, n=C.n)
     keep_coords = sorted(set(range(C.n)) - J)
-    gen_bits = bigger.generator.to_array()[:, keep_coords] if bigger.k else \
-        np.zeros((0, len(keep_coords)), dtype=np.uint8)
     if len(keep_coords) == 0:
         return LinearCode(0, BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0),
                           provenance="punctured", params={"I": sorted(I), "J": sorted(J)})
-    code = LinearCode.from_generators(
-        BitMatrix(gen_bits) if gen_bits.size else None, n=len(keep_coords),
+    return LinearCode.from_generators(
+        BitMatrix(bigger.generator.to_array()[:, keep_coords]),
         provenance="punctured", params={"I": sorted(I), "J": sorted(J), "d": d})
-    code.provenance = "punctured"
-    return code
 
 
 def punctured_normalized_distance(code: LinearCode) -> Fraction | None:
@@ -392,31 +385,3 @@ def verify_us(C: LinearCode, alpha: Fraction, beta: Fraction, delta: Fraction,
             "params": {"alpha": str(alpha), "beta": str(beta),
                        "delta": str(delta), "d": d}}
 
-
-# ---------------------------------------------------------------------------
-# Randomized distance upper bound
-# ---------------------------------------------------------------------------
-
-
-def min_distance_randomized(C: LinearCode, iterations: int, seed: int) -> int:
-    """Upper bound on the minimum distance via information-set sampling.
-
-    Each round row-reduces the generator matrix on a random column order
-    and records the lightest row and pairwise row sum seen.  The result is
-    strictly an upper bound on the true distance.
-    """
-    if C.k == 0:
-        raise ValueError("zero code has no distance")
-    rng = np.random.default_rng(seed)
-    G = C.generator.to_array()
-    best = int(G.sum(axis=1).min())
-    for _ in range(iterations):
-        perm = rng.permutation(C.n)
-        M = BitMatrix(G[:, perm])
-        R = f2core.row_basis(M).to_array()
-        wts = R.sum(axis=1)
-        best = min(best, int(wts.min()))
-        if R.shape[0] >= 2:
-            i, j = rng.choice(R.shape[0], size=2, replace=False)
-            best = min(best, int((R[i] ^ R[j]).sum()))
-    return best

@@ -2,10 +2,11 @@
 
 Subcommands: build (construct a complex + square code and write artifacts),
 analyze (measured value vs. proved bound, verdict pass/fail/na), experiment
-(seeded kappa/decode trials with CSV + JSON reports), inspect (summarize an
-artifact file).  Exit codes: 0 = pass, 1 = bound violation, 2 =
-precondition or budget refusal, 3 = internal error (any other exception,
-reported as {"error", "type"} JSON on stderr).
+(seeded kappa/decode trials with CSV + JSON reports), inspect (summarize a
+JSON manifest, an f2mat matrix or a cay2 complex, the files build writes).
+Exit codes: 0 = pass, 1 = bound violation, 2 = precondition or budget
+refusal, 3 = internal error (any other exception, reported as
+{"error", "type"} JSON on stderr).
 
 Every command is deterministic given its inputs and --seed: experiment
 trials derive per-trial RNG streams from (seed, trial index), so reports
@@ -344,18 +345,6 @@ def cmd_inspect(args) -> int:
         M = f2core.load_matrix(data.decode())
         print(json.dumps({"format": "f2mat v1", "rows": M.rows, "cols": M.cols,
                           "rank": f2core.rank(M)}))
-        return EXIT_PASS
-    if head.startswith("f2word"):
-        v = f2core.load_word(data.decode())
-        print(json.dumps({"format": "f2word v1", "length": v.n,
-                          "weight": v.weight()}))
-        return EXIT_PASS
-    if head.startswith("graph"):
-        from .groups import load_graph
-
-        g = load_graph(data.decode())
-        print(json.dumps({"format": "graph v1", "vertices": g.n_vertices,
-                          "edges": g.n_edges()}))
         return EXIT_PASS
     try:
         X = deserialize_complex(data)

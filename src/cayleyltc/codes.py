@@ -306,16 +306,6 @@ def tensor_code(C1: LinearCode) -> LinearCode:
     return code
 
 
-def tensor_membership(C1: LinearCode, grid: np.ndarray) -> bool:
-    """Direct row/column membership test of an r x r 0/1 grid."""
-    r = C1.n
-    grid = np.asarray(grid, dtype=np.uint8).reshape(r, r)
-    H = C1.parity.to_array()
-    if H.size == 0:
-        return True
-    return (not ((H @ grid.T) % 2).any()) and (not ((H @ grid) % 2).any())
-
-
 # ---------------------------------------------------------------------------
 # Tanner codes on labelled regular graphs
 # ---------------------------------------------------------------------------
@@ -446,8 +436,8 @@ def square_code(X: CayleyComplex, C1: LinearCode,
             and f2core.rank(checks) == r * r - C0.k):
         raise AssertionError("tensor code is not the row-and-column code of C1")
     code = LinearCode.from_parity_checks(
-        BitMatrix(_local_checks(est, C1.parity.to_array(), X.n_squares)),
-        provenance="square", params={"r": r, "k1": C1.k, "group": X.group.manifest()})
+        BitMatrix(_edge_wise_checks(X, C1)), provenance="square",
+        params={"r": r, "k1": C1.k, "group": X.group.manifest()})
     assert code.k * r >= (4 * C1.k - 3 * r) * X.n_squares, "square rate bound violated"
     assert 4 * X.n_squares >= r * r * X.n_vertices
     return code

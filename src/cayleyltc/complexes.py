@@ -15,8 +15,7 @@ own flat index, so an id is the rank of its class's least key among all
 least keys, read off a running count with no sort.
 
 Degenerate squares (classes of size 2, occurring exactly when condition
-N2C fails) are retained and flagged; their vertex and edge sets are
-computed as sets of size 2-4.
+N2C fails) are retained, with class size 2 in square_class_size.
 
 A complex is a function of (G, A, B), so its artifact ("cay2 v2") holds
 only the manifest; loading rebuilds the complex and checks it against that.
@@ -24,7 +23,6 @@ only the manifest; loading rebuilds the complex and checks it against that.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from dataclasses import dataclass
@@ -202,14 +200,6 @@ class CayleyComplex:
         """The labelling map iota_g as an (|A|, |B|) grid of square ids."""
         return self.square_id[:, g, :]
 
-    def squares_of_edge(self, e: int) -> np.ndarray:
-        """The labelling map iota_e: a vector of square ids over B (left
-        edge) or A (right edge), possibly with repeats when N2C fails."""
-        t, pos, g = (int(x) for x in self.edge_rep[e])
-        if t == LEFT:
-            return self.square_id[pos, g, :]
-        return self.square_id[:, g, pos]
-
     def edge_slot_table(self) -> np.ndarray:
         """(n_edges, r) square ids when |A| = |B| = r: row e is iota_e, the
         squares along edge e, as the edge-wise checks of a square code read
@@ -222,36 +212,16 @@ class CayleyComplex:
         rt = self.square_id[:, right[:, 2], right[:, 1]].T
         return np.vstack([lt, rt])
 
-    def square_vertices(self, s: int) -> set[int]:
-        i, g, j = (int(x) for x in self.square_rep[s])
-        ag = int(self.left_perms[i, g])
-        gb = int(self.right_perms[j, g])
-        agb = int(self.right_perms[j, ag])
-        return {g, ag, gb, agb}
-
-    def square_edges(self, s: int) -> set[int]:
-        i, g, j = (int(x) for x in self.square_rep[s])
-        ag = int(self.left_perms[i, g])
-        gb = int(self.right_perms[j, g])
-        return {
-            int(self.edge_at[i, g]), int(self.edge_at[self.nA + j, g]),
-            int(self.edge_at[i, gb]), int(self.edge_at[self.nA + j, ag]),
-        }
-
     def canonical_square(self, a_pos: int, g: int, b_pos: int) -> int:
         """Square id of [a,g,b]; equal for all four equivalent triples."""
         return int(self.square_id[a_pos, g, b_pos])
 
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        t, pos, g = (int(x) for x in self.edge_rep[e])
-        lbl = pos if t == LEFT else self.nA + pos
-        return g, int(self.vert_image[lbl, g])
-
-    def edge_endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """edge_endpoints of every edge: (root vertices, far vertices)."""
+    def edge_rep_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(label, root) of every edge's canonical slot: edge e is
+        <root; label>, so edge_at[label, root] = e and its far endpoint is
+        vert_image[label, root]."""
         t, pos, g = self.edge_rep.T
-        lbl = np.where(t == LEFT, pos, self.nA + pos)
-        return g, self.vert_image[lbl, g]
+        return pos + t * self.nA, g       # t is LEFT = 0 or RIGHT = 1
 
     # -- manifest / serialization -------------------------------------------
 
@@ -322,10 +292,3 @@ def deserialize_complex(data: bytes) -> CayleyComplex:
                                      "the rebuilt complex's")
     return X
 
-
-def complex_content_hash(X: CayleyComplex) -> str:
-    h = hashlib.sha256()
-    h.update(json.dumps(X.manifest(), sort_keys=True).encode())
-    h.update(X.square_id.tobytes())
-    h.update(X.edge_at.tobytes())
-    return h.hexdigest()

@@ -3,8 +3,8 @@
 Words and matrices are stored bit-packed into uint64 numpy arrays (LSB of
 word 0 = coordinate 0), so row operations run word-parallel.  Everything a
 code computation needs lives here: rank, reduced row echelon form, kernel
-bases, the product A B^T (Four-Russians tables), Hamming weight/distance,
-and the exhaustive minimum-weight oracle.
+bases, the product A B^T (Four-Russians tables), the exhaustive
+minimum-weight oracle and the f2mat text format.
 
 Elimination is blocked Four-Russians (Arlazarov et al. 1970; M4RI in
 Albrecht, Bard & Hart, ACM TOMS 2010).  Columns are taken a byte (8
@@ -115,12 +115,6 @@ class BitVector:
     def __hash__(self) -> int:
         return hash((self.n, self.words.tobytes()))
 
-    def dot(self, other: "BitVector") -> int:
-        """GF(2) inner product."""
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        return int(_popcount(self.words & other.words).sum()) & 1
-
     def __repr__(self) -> str:
         if self.n <= 64:
             return f"BitVector('{''.join(map(str, self.to_bits()))}')"
@@ -166,10 +160,6 @@ class BitMatrix:
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(np.zeros((rows, cols), dtype=np.uint8))
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(np.eye(n, dtype=np.uint8))
-
     def to_array(self) -> np.ndarray:
         if self.rows == 0:
             return np.zeros((0, self.cols), dtype=np.uint8)
@@ -181,9 +171,6 @@ class BitMatrix:
     def row_iter(self):
         for i in range(self.rows):
             yield self.row(i)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.to_array().T)
 
     def matvec(self, v: BitVector) -> BitVector:
         """Compute M v over GF(2)."""
@@ -429,18 +416,6 @@ def rows_orthogonal(A: BitMatrix, B: BitMatrix) -> bool:
     return not mul_transpose(A, B).words.any()
 
 
-def weight(v: BitVector) -> int:
-    """Hamming weight."""
-    return v.weight()
-
-
-def hamming_distance(u: BitVector, v: BitVector) -> int:
-    """Hamming distance; raises on length mismatch."""
-    if u.n != v.n:
-        raise ValueError(f"length mismatch: {u.n} != {v.n}")
-    return (u ^ v).weight()
-
-
 def _enumerate_span_words(rows: np.ndarray, k: int) -> np.ndarray:
     """All 2^k GF(2) combinations of the first k packed rows.
 
@@ -486,16 +461,15 @@ def min_weight_exhaustive(basis: list[BitVector]) -> int:
     check_enum_budget(k)
     words = _enumerate_span_words(B.words, k)
     wts = _popcount(words).sum(axis=1)
-    return int(wts[1:].min()) if k > 0 else 0
+    return int(wts[1:].min())
 
 
 # ---------------------------------------------------------------------------
-# Text exchange formats.
+# Text exchange format.
 #
 # "f2mat v1 <rows> <cols>" followed by one hex row per line; the most
 # significant hex digit of each line holds the lowest column indices
 # (column 0 = MSB of the first digit), zero-padded to ceil(cols/4) digits.
-# "f2word v1 <length>" followed by a single hex line, same digit convention.
 # ---------------------------------------------------------------------------
 
 
@@ -544,15 +518,3 @@ def load_matrix(text: str) -> BitMatrix:
     bits = np.stack([_hex_to_bits(ln.strip(), cols) for ln in lines[1:]])
     return BitMatrix(bits)
 
-
-def dump_word(v: BitVector) -> str:
-    return f"f2word v1 {v.n}\n" + _hex_lines(v.words[None], v.n)
-
-
-def load_word(text: str) -> BitVector:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "f2word" or head[1] != "v1":
-        raise ValueError(f"bad f2word header: {lines[0]!r}")
-    n = int(head[2])
-    return BitVector(_hex_to_bits(lines[1].strip(), n))

@@ -1,4 +1,4 @@
-"""Finite groups with indexed elements, plus Cayley/Schreier graph builders.
+"""Finite groups with indexed elements, and their Cayley graphs.
 
 Two concrete groups are provided: cyclic groups (small-instance test bed)
 and PSL2(F_q) for odd primes q, together with the Lubotzky-Phillips-Sarnak
@@ -12,7 +12,6 @@ permutations of the whole group are computed vectorized instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -66,24 +65,6 @@ class FiniteGroup:
 
     def manifest(self) -> dict:
         return {"kind": self.kind, "parameters": self.parameters(), "order": self.order}
-
-    def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != 0:
-            x = self.mul(x, i)
-            k += 1
-        return k
-
-    def check_axioms(self, samples: int = 64, seed: int = 0) -> None:
-        """Spot-check associativity on random triples; verify identity/inverse laws."""
-        rng = np.random.default_rng(seed)
-        n = self.order
-        for i in range(n):
-            assert self.mul(0, i) == i and self.mul(i, 0) == i
-            assert self.mul(i, self.inv(i)) == 0 and self.mul(self.inv(i), i) == 0
-        for _ in range(samples):
-            a, b, c = (int(x) for x in rng.integers(0, n, size=3))
-            assert self.mul(self.mul(a, b), c) == self.mul(a, self.mul(b, c))
 
 
 class CyclicGroup(FiniteGroup):
@@ -287,14 +268,6 @@ class Graph:
             raise ValueError("graph is not regular")
         return int(d)
 
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.arcs[:, 0], minlength=self.n_vertices)
-
-    def n_edges(self) -> int:
-        """Undirected edge count: non-loop arcs come in mirrored pairs."""
-        loops = int((self.arcs[:, 0] == self.arcs[:, 1]).sum())
-        return (len(self.arcs) - loops) // 2 + loops
-
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n_vertices, self.n_vertices))
         np.add.at(A, (self.arcs[:, 0], self.arcs[:, 1]), 1.0)
@@ -451,69 +424,3 @@ def cayley_graph(G: FiniteGroup, S: GeneratorSet, side: str = "left") -> Graph:
     arcs = np.concatenate(blocks)
     return Graph(n, arcs, name=f"cayley-{side}-{G.kind}{G.parameters()}")
 
-
-def schreier_graph(G: FiniteGroup, S: GeneratorSet, subgroup_generator: int,
-                   side: str = "right") -> Graph:
-    """Schreier graph of S acting on the cosets of <subgroup_generator>.
-
-    For the 'right' side the vertices are left cosets Hg with arcs
-    Hg -> Hgs; for 'left' they are right cosets gH with arcs gH -> sgH.
-    """
-    n = G.order
-    # orbit partition of G under the subgroup acting on the opposite side
-    h_perm = (G.left_perm(subgroup_generator) if side == "right"
-              else G.right_perm(subgroup_generator))
-    coset_id = np.full(n, -1, dtype=np.int64)
-    n_cosets = 0
-    for g in range(n):
-        if coset_id[g] >= 0:
-            continue
-        x = g
-        while coset_id[x] < 0:
-            coset_id[x] = n_cosets
-            x = int(h_perm[x])
-        n_cosets += 1
-    reps = np.zeros(n_cosets, dtype=np.int64)
-    seen = np.zeros(n_cosets, dtype=bool)
-    for g in range(n):
-        c = coset_id[g]
-        if not seen[c]:
-            reps[c] = g
-            seen[c] = True
-    blocks = []
-    cosets = np.arange(n_cosets, dtype=np.int64)
-    for s in S.indices:
-        perm = G.right_perm(s) if side == "right" else G.left_perm(s)
-        blocks.append(np.stack([cosets, coset_id[perm[reps]]], axis=1))
-    arcs = np.concatenate(blocks)
-    return Graph(n_cosets, arcs, name=f"schreier-{side}")
-
-
-def dump_graph(g: Graph) -> str:
-    pairs = g.edge_pairs()
-    lines = [f"graph v1 {g.n_vertices} {len(pairs)}"]
-    lines.extend(f"{u} {v}" for u, v in pairs)
-    return "\n".join(lines) + "\n"
-
-
-def load_graph(text: str) -> Graph:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "graph" or head[1] != "v1":
-        raise ValueError(f"bad graph header: {lines[0]!r}")
-    n, m = int(head[2]), int(head[3])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edges, found {len(lines) - 1}")
-    arcs = []
-    for ln in lines[1:]:
-        u, v = (int(x) for x in ln.split())
-        if u == v:
-            arcs.append((u, v))
-        else:
-            arcs.append((u, v))
-            arcs.append((v, u))
-    return Graph(n, np.array(arcs, dtype=np.int64).reshape(-1, 2))
-
-
-def group_manifest_json(G: FiniteGroup) -> str:
-    return json.dumps(G.manifest(), sort_keys=True)

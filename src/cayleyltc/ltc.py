@@ -144,19 +144,6 @@ class SquareCodeTester:
     def accepts_everywhere(self, f) -> bool:
         return not self.reject_vector(f).any()
 
-    def valid_views(self, wgrid: np.ndarray) -> np.ndarray:
-        """Boolean per vertex: its view in the (a, g, b) grid wgrid is
-        fiber-constant (equal wherever the underlying square is equal) and
-        lies in the local tensor code."""
-        n = self.X.n_vertices
-        ids = self._grid.transpose(1, 0, 2).reshape(n, -1)
-        vals = wgrid.transpose(1, 0, 2).reshape(n, -1)
-        order = np.argsort(ids, axis=1, kind="stable")
-        fs = np.take_along_axis(ids, order, axis=1)
-        vs = np.take_along_axis(vals, order, axis=1)
-        clash = (fs[:, 1:] == fs[:, :-1]) & (vs[:, 1:] != vs[:, :-1])
-        return ~clash.any(axis=1) & ~self._rejects(wgrid.astype(np.int64))
-
     # -- decoder tables -----------------------------------------------------
 
     def _ensure_tables(self):
@@ -298,11 +285,6 @@ class SquareCodeTester:
         views = self._cand_flat[ci].reshape(-1, self.r, self.r)
         return np.ascontiguousarray(views.transpose(1, 0, 2))
 
-    def start_views(self, f) -> np.ndarray:
-        """The decoder's start state: the (a, g, b) grid of every vertex's
-        nearest local codeword."""
-        return self._grid_of(self.nearest_local_codewords(_as_bits(f)))
-
     # -- decoder ------------------------------------------------------------
 
     def _edge_disagreements(self, wgrid: np.ndarray) -> np.ndarray:
@@ -315,8 +297,7 @@ class SquareCodeTester:
         at the other.  lines[l, g] (any trailing shape) is vertex g's line
         of label l: row l of its view for l < r, column l - r after."""
         X = self.X
-        t, pos, g = X.edge_rep.T
-        lbl = pos + t * X.nA
+        lbl, g = X.edge_rep_slots()
         mine = lines[lbl, g]
         other = lines[X.label_inv[lbl], X.vert_image[lbl, g]]
         return (mine != other).reshape(len(lbl), -1).any(axis=1)
@@ -404,45 +385,6 @@ class SquareCodeTester:
             delta_initial=delta0, delta_final=0, delta_trace=trace)
 
 
-class LocalAssignment:
-    """A per-vertex collection of local codewords W = (W_g).
-
-    Stored as the (a, g, b) grid of each vertex's opinion on its squares;
-    validity (every W_g fiber-constant and in the local tensor code) and the
-    disagreement count Delta(W) are recomputed from scratch here, each in
-    one whole-array pass, so this view suits diagnostics and hand-built
-    configurations rather than the decoder's hot loop.
-    """
-
-    def __init__(self, tester: SquareCodeTester, wgrid: np.ndarray):
-        self.tester = tester
-        self.wgrid = np.asarray(wgrid, dtype=np.uint8)
-        if self.wgrid.shape != tester._grid.shape:
-            raise ValueError("wgrid shape must match the (a, g, b) slot grid")
-        invalid = np.flatnonzero(~tester.valid_views(self.wgrid))
-        if invalid.size:
-            raise ValueError(f"W_{invalid[0]} is not a valid local codeword")
-
-    @classmethod
-    def from_nearest(cls, tester: SquareCodeTester, f) -> "LocalAssignment":
-        """The decoder's start state: per-vertex nearest local codewords."""
-        return cls(tester, tester.start_views(f))
-
-    @classmethod
-    def from_vertex_words(cls, tester: SquareCodeTester, words) -> "LocalAssignment":
-        """Build from one r x r grid per vertex (e.g. codewords glued across
-        a cut, the construction that exhibits far-but-locally-valid states)."""
-        wgrid = np.stack([np.asarray(words[g], dtype=np.uint8).reshape(
-            tester.r, tester.r) for g in range(tester.X.n_vertices)], axis=1)
-        return cls(tester, wgrid)
-
-    def disputed_edges(self) -> np.ndarray:
-        return np.nonzero(self.tester._edge_disagreements(self.wgrid))[0]
-
-    def delta(self) -> int:
-        return int(self.tester._edge_disagreements(self.wgrid).sum())
-
-
 # ---------------------------------------------------------------------------
 # Counting diagnostics on a dispute set R
 # ---------------------------------------------------------------------------
@@ -463,7 +405,8 @@ def dispute_counts(X: CayleyComplex, R) -> dict:
         mask[R] = 1
 
     n1_v = mask[X.edge_at].sum(axis=0)                        # (n,)
-    u, v = X.edge_endpoint_arrays()
+    lbl, u = X.edge_rep_slots()
+    v = X.vert_image[lbl, u]
     n1_e = n1_v[u] + n1_v[v]
 
     par = parallel_neighbor_table(X)
@@ -482,19 +425,6 @@ def dispute_counts(X: CayleyComplex, R) -> dict:
     return {
         "n1_vertex": n1_v, "n1_edge": n1_e, "npar_edge": npar_e,
         "n2_vertex": n2_v, "n2_edge": n2_e, "n2prime_vertex": n2p_v,
-    }
-
-
-def local_counts(X: CayleyComplex, R, e: int) -> dict:
-    """The counts at one edge: n1(e), n_par(e), n2(e) and n2' per endpoint."""
-    counts = dispute_counts(X, R)
-    u, v = X.edge_endpoints(e)
-    return {
-        "n1": int(counts["n1_edge"][e]),
-        "npar": int(counts["npar_edge"][e]),
-        "n2": int(counts["n2_edge"][e]),
-        "n2prime": {u: int(counts["n2prime_vertex"][u]),
-                    v: int(counts["n2prime_vertex"][v])},
     }
 
 

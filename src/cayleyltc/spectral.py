@@ -110,7 +110,8 @@ def build_M(X: CayleyComplex) -> WalkOperator:
     that the count n2_edge = 8r^2 * M 1_R counts.
     """
     _require_square_regular(X)
-    endpoints = np.stack(X.edge_endpoint_arrays(), axis=1)       # (m, 2)
+    lbl, g = X.edge_rep_slots()
+    endpoints = np.stack([g, X.vert_image[lbl, g]], axis=1)      # (m, 2)
     table = X.edge_at.T[X.vert_image.T[endpoints]]               # (m, 2, 2r, 2r)
     return WalkOperator([(1, table.reshape(X.n_edges, -1))])
 
@@ -118,10 +119,9 @@ def build_M(X: CayleyComplex) -> WalkOperator:
 def parallel_neighbor_table(X: CayleyComplex) -> np.ndarray:
     """(n_edges, r) ids: <g;l> moved along every opposite-type label."""
     r = _require_square_regular(X)
-    t, pos, g = X.edge_rep[:, 0], X.edge_rep[:, 1], X.edge_rep[:, 2]
-    lbl = np.where(t == LEFT, pos, X.nA + pos)
+    lbl, g = X.edge_rep_slots()
     out = np.empty((X.n_edges, r), dtype=np.int64)
-    left_mask = t == LEFT
+    left_mask = X.label_type[lbl] == LEFT
     for k in range(r):
         opp = np.where(left_mask, X.nA + k, k)       # opposite-type label
         moved = X.vert_image[opp, g]

@@ -11,7 +11,6 @@ from cayleyltc.analysis import (
     col_distance,
     is_d_ldpc,
     low_weight_dual_words,
-    min_distance_randomized,
     plain_distance,
     punctured_code,
     punctured_normalized_distance,
@@ -283,6 +282,19 @@ def test_punctured_hamming_example():
     assert d is not None and d >= 1
 
 
+def test_punctured_zero_and_full_relaxations():
+    # the zero code of length 3 has the unit duals: punctured at 0 with I
+    # empty its relaxation keeps them all, so C(I,J) = {0} of length 2
+    zero = LinearCode.from_generators([], n=3)
+    p = punctured_code(zero, [], [0], 1)
+    assert (p.n, p.k, p.provenance) == (2, 0, "punctured")
+    assert p.params == {"I": [], "J": [0], "d": 1}
+    assert punctured_normalized_distance(p) is None
+    # parity[3]'s one dual word 111 meets I, so nothing is kept: F_2^2
+    p = punctured_code(parity_code(3), [0], [0], 3)
+    assert (p.n, p.k, p.provenance) == (2, 2, "punctured")
+
+
 def test_punctured_requires_subset():
     with pytest.raises(ValueError):
         punctured_code(repetition_code(3), [1], [0], 2)
@@ -383,26 +395,3 @@ def test_verify_us_smooth_implies_agreement_crosscheck():
     sigma = sigma_exact(code).value
     assert sigma >= alpha * delta / d
 
-
-# -- randomized distance ------------------------------------------------------
-
-
-def test_randomized_distance_hamming():
-    c = bch_code(3, 3)
-    assert min_distance_randomized(c, 100, seed=1) == 3
-
-
-def test_randomized_distance_repetition():
-    assert min_distance_randomized(repetition_code(5), 10, seed=0) == 5
-
-
-def test_randomized_distance_is_upper_bound():
-    c = bch_code(4, 5)
-    bound = min_distance_randomized(c, 50, seed=3)
-    assert bound >= c.distance_exact()
-    assert bound <= c.n
-
-
-def test_randomized_distance_matches_exhaustive_on_square_toy(toy_instances):
-    _, _, code, _ = toy_instances["z5"]
-    assert min_distance_randomized(code, 50, seed=5) == code.distance_exact() == 5

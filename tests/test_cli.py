@@ -180,6 +180,10 @@ def test_inspect_rejects_garbage(tmp_path):
     bad = tmp_path / "junk.bin"
     bad.write_bytes(b"\x00\x01\x02")
     assert main(["inspect", str(bad)]) == 2
+    # inspect reads the formats build writes, and no others
+    for text in ("f2word v1 8\n81\n", "graph v1 2 1\n0 1\n"):
+        bad.write_text(text)
+        assert main(["inspect", str(bad)]) == 2
 
 
 def test_build_with_separate_b_generators(tmp_path, capsys):

@@ -10,11 +10,9 @@ from cayleyltc.f2core import (
     BitMatrix,
     BitVector,
     DimensionBudgetError,
-    hamming_distance,
     kernel_basis,
     min_weight_exhaustive,
     rank,
-    weight,
 )
 
 # Parity-check matrix of the [7,4] Hamming code (columns = 1..7 in binary).
@@ -49,7 +47,7 @@ def brute_force_rank(arr):
 
 
 def test_rank_identity_and_zero():
-    assert rank(BitMatrix.identity(3)) == 3
+    assert rank(BitMatrix(np.eye(3, dtype=np.uint8))) == 3
     assert rank(BitMatrix.zeros(2, 5)) == 0
 
 
@@ -60,7 +58,7 @@ def test_rank_hamming_parity_check():
 
 
 def test_kernel_trivial_cases():
-    assert kernel_basis(BitMatrix.identity(4)) == []
+    assert kernel_basis(BitMatrix(np.eye(4, dtype=np.uint8))) == []
     assert len(kernel_basis(BitMatrix.zeros(2, 3))) == 3
 
 
@@ -76,13 +74,13 @@ def test_kernel_hamming():
 
 
 def test_weight_and_distance():
-    assert weight(BitVector([0] * 8)) == 0
-    assert weight(BitVector([1] * 8)) == 8
+    assert BitVector([0] * 8).weight() == 0
+    assert BitVector([1] * 8).weight() == 8
     u = BitVector([1, 0, 1, 1, 0, 0, 0])
     z = BitVector([0] * 7)
-    assert hamming_distance(u, z) == 3
+    assert (u ^ z).weight() == 3
     with pytest.raises(ValueError):
-        hamming_distance(u, BitVector([1, 0]))
+        u ^ BitVector([1, 0])
 
 
 def test_min_weight_repetition():
@@ -134,7 +132,7 @@ def test_rank_transpose_and_kernel_dim(n, m, seed):
     arr = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
     M = BitMatrix(arr)
     r = rank(M)
-    assert r == rank(M.transpose())
+    assert r == rank(BitMatrix(M.to_array().T))
     assert len(kernel_basis(M)) + r == n
 
 
@@ -199,7 +197,8 @@ def test_rref_words_matches_loop(m, n, shape, seed):
 def test_rref_words_matches_loop_edge_cases():
     rng = np.random.default_rng(9)
     for M in (BitMatrix.zeros(0, 13), BitMatrix.zeros(4, 0), BitMatrix.zeros(5, 70),
-              BitMatrix.identity(67), BitMatrix(np.ones((9, 17), dtype=np.uint8)),
+              BitMatrix(np.eye(67, dtype=np.uint8)),
+              BitMatrix(np.ones((9, 17), dtype=np.uint8)),
               BitMatrix(np.eye(12, dtype=np.uint8)[::-1]),
               BitMatrix(rng.integers(0, 2, size=(300, 40), dtype=np.uint8)),
               BitMatrix(rng.integers(0, 2, size=(40, 300), dtype=np.uint8))):
@@ -255,21 +254,13 @@ def test_kernel_basis_matches_loop(m, n, shape, seed):
 
 def test_kernel_basis_matches_loop_edge_cases():
     rng = np.random.default_rng(5)
-    for M in (BitMatrix.zeros(0, 7), BitMatrix.zeros(3, 70), BitMatrix.identity(65),
+    for M in (BitMatrix.zeros(0, 7), BitMatrix.zeros(3, 70),
+              BitMatrix(np.eye(65, dtype=np.uint8)),
               BitMatrix(np.hstack([np.eye(5, dtype=np.uint8),
                                    rng.integers(0, 2, size=(5, 130), dtype=np.uint8)])),
               BitMatrix(rng.integers(0, 2, size=(40, 20), dtype=np.uint8))):
         _assert_kernel_matches_loop(M)
-    assert kernel_basis(BitMatrix.identity(65)) == []
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 100), st.integers(0, 2**32 - 1))
-def test_distance_is_weight_of_xor(n, seed):
-    rng = np.random.default_rng(seed)
-    u = BitVector(rng.integers(0, 2, size=n, dtype=np.uint8))
-    v = BitVector(rng.integers(0, 2, size=n, dtype=np.uint8))
-    assert hamming_distance(u, v) == weight(u ^ v)
+    assert kernel_basis(BitMatrix(np.eye(65, dtype=np.uint8))) == []
 
 
 def _mul_transpose_by_matvec(A, B):
@@ -392,8 +383,6 @@ def test_matrix_roundtrip_formats():
         M = BitMatrix(arr)
         M2 = f2core.load_matrix(f2core.dump_matrix(M))
         assert M == M2
-    v = BitVector(rng.integers(0, 2, size=77, dtype=np.uint8))
-    assert f2core.load_word(f2core.dump_word(v)) == v
 
 
 def _bits_to_hex(bits):
@@ -410,14 +399,10 @@ def test_dump_formats_match_row_formula():
             arr = M.to_array()
             lines = [f"f2mat v1 {rows} {cols}"] + [_bits_to_hex(arr[i]) for i in range(rows)]
             assert f2core.dump_matrix(M) == "\n".join(lines) + "\n"
-        v = BitVector(rng.integers(0, 2, size=cols, dtype=np.uint8))
-        assert f2core.dump_word(v) == f"f2word v1 {cols}\n{_bits_to_hex(v.to_bits())}\n"
 
 
 def test_format_hex_convention():
     # column 0 is the most significant digit's high bit
-    v = BitVector([1, 0, 0, 0, 0, 0, 0, 1])
-    assert f2core.dump_word(v).splitlines()[1] == "81"
     m = BitMatrix([[1, 0, 0, 0, 1]])
     assert f2core.dump_matrix(m).splitlines()[1] == "88"
 
@@ -428,4 +413,4 @@ def test_load_rejects_corrupt():
     with pytest.raises(ValueError):
         f2core.load_matrix("f2mat v1 2 4\n8\n")
     with pytest.raises(ValueError):
-        f2core.load_word("f2word v1 8\nzz\n")
+        f2core.load_matrix("f2mat v1 1 8\nzz\n")

@@ -1,9 +1,6 @@
-import json
-
 import numpy as np
 import pytest
 
-from cayleyltc import groups
 from cayleyltc.groups import (
     GeneratorSet,
     Graph,
@@ -11,9 +8,21 @@ from cayleyltc.groups import (
     cyclic_group,
     lps_generators,
     psl2,
-    schreier_graph,
     symmetric_subset,
 )
+
+
+def check_axioms(group, samples=64, seed=0):
+    """Reference: the identity and inverse laws at every element, and
+    associativity on random triples."""
+    rng = np.random.default_rng(seed)
+    n = group.order
+    for i in range(n):
+        assert group.mul(0, i) == i and group.mul(i, 0) == i
+        assert group.mul(i, group.inv(i)) == 0 and group.mul(group.inv(i), i) == 0
+    for _ in range(samples):
+        a, b, c = (int(x) for x in rng.integers(0, n, size=3))
+        assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
 
 
 def test_cyclic_basics():
@@ -26,14 +35,8 @@ def test_cyclic_basics():
         cyclic_group(1)
 
 
-def test_cyclic_element_order():
-    g = cyclic_group(12)
-    assert g.element_order(5) == 12
-    assert g.element_order(4) == 3
-
-
 def test_cyclic_axioms():
-    cyclic_group(12).check_axioms()
+    check_axioms(cyclic_group(12))
 
 
 @pytest.mark.parametrize("q,order", [(3, 12), (5, 60), (13, 1092)])
@@ -56,7 +59,7 @@ def test_psl2_rejects_bad_q():
 def test_psl2_identity_and_inverse():
     g = psl2(5)
     assert np.array_equal(g.mats[0], [1, 0, 0, 1])
-    g.check_axioms(samples=128)
+    check_axioms(g, samples=128)
     i = g.index_of([1, 2, 0, 1])
     j = g.inv(i)
     assert g.mul(i, j) == 0
@@ -178,7 +181,7 @@ def test_cayley_graph_cycle():
     s = GeneratorSet(g, (1, 4))
     graph = cayley_graph(g, s, "left")
     assert graph.n_vertices == 5
-    assert graph.n_edges() == 5
+    assert len(graph.edge_pairs()) == 5
     assert graph.degree == 2
     assert sorted(graph.edge_pairs()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
@@ -195,34 +198,15 @@ def test_cayley_graph_lps_counts():
     s = lps_generators(5, 41)
     graph = cayley_graph(s.group, s, "left")
     assert graph.n_vertices == 34440
-    assert graph.n_edges() == 34440 * 6 // 2 == 103320
+    assert len(graph.edge_pairs()) == 34440 * 6 // 2 == 103320
     assert graph.degree == 6
-    assert np.all(graph.degrees() == 6)
-
-
-def test_schreier_graph_cosets():
-    # Z_6 cosets of <3> under the action of {1,5}: a triangle-like quotient
-    g = cyclic_group(6)
-    s = GeneratorSet(g, (1, 5))
-    sch = schreier_graph(g, s, subgroup_generator=3, side="right")
-    assert sch.n_vertices == 3
-    assert len(sch.arcs) == 6
-    assert sch.is_connected()
-
-
-def test_graph_roundtrip():
-    g = cyclic_group(7)
-    s = GeneratorSet(g, (1, 6))
-    graph = cayley_graph(g, s)
-    text = groups.dump_graph(graph)
-    loaded = groups.load_graph(text)
-    assert loaded.n_vertices == graph.n_vertices
-    assert loaded.edge_pairs() == graph.edge_pairs()
+    assert np.all(np.bincount(graph.arcs[:, 0], minlength=graph.n_vertices) == 6)
 
 
 def test_group_manifest():
-    m = json.loads(groups.group_manifest_json(psl2(5)))
-    assert m == {"kind": "psl2", "parameters": {"q": 5}, "order": 60}
+    assert psl2(5).manifest() == {"kind": "psl2", "parameters": {"q": 5}, "order": 60}
+    assert cyclic_group(7).manifest() == {"kind": "cyclic", "parameters": {"n": 7},
+                                          "order": 7}
 
 
 def reference_is_connected(graph):

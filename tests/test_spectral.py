@@ -10,7 +10,6 @@ from cayleyltc.groups import (
     Graph,
     cayley_graph,
     cyclic_group,
-    schreier_graph,
 )
 from cayleyltc.spectral import (
     DENSE_MAX_DIM,
@@ -79,9 +78,10 @@ def ref_Dt(X):
     """Vertex-to-edge averaging: Dt f(<g;l>) = (f(g) + f(g^l)) / 2."""
     n, m = X.n_vertices, X.n_edges
     Dt = np.zeros((m, n))
-    u, v = X.edge_endpoint_arrays()
-    np.add.at(Dt, (np.arange(m), u), 0.5)
-    np.add.at(Dt, (np.arange(m), v), 0.5)
+    for e, (t, pos, g) in enumerate(X.edge_rep.tolist()):
+        far = (X.left_perms if t == 0 else X.right_perms)[pos, g]
+        Dt[e, g] += 0.5
+        Dt[e, far] += 0.5
     return Dt
 
 
@@ -366,6 +366,53 @@ def test_mpar_block_right_label_is_left_cayley(z5):
     block = Mp[np.ix_(eids, eids)]
     left = cayley_graph(z5.group, z5.A, "left")
     assert np.abs(block - left.normalized_adjacency()).max() < 1e-12
+
+
+def schreier_graph(G, S, subgroup_generator, side="right"):
+    """Reference: the Schreier graph of S acting on the cosets of
+    <subgroup_generator>.
+
+    For the 'right' side the vertices are left cosets Hg with arcs
+    Hg -> Hgs; for 'left' they are right cosets gH with arcs gH -> sgH.
+    """
+    n = G.order
+    # orbit partition of G under the subgroup acting on the opposite side
+    h_perm = (G.left_perm(subgroup_generator) if side == "right"
+              else G.right_perm(subgroup_generator))
+    coset_id = np.full(n, -1, dtype=np.int64)
+    n_cosets = 0
+    for g in range(n):
+        if coset_id[g] >= 0:
+            continue
+        x = g
+        while coset_id[x] < 0:
+            coset_id[x] = n_cosets
+            x = int(h_perm[x])
+        n_cosets += 1
+    reps = np.zeros(n_cosets, dtype=np.int64)
+    seen = np.zeros(n_cosets, dtype=bool)
+    for g in range(n):
+        c = coset_id[g]
+        if not seen[c]:
+            reps[c] = g
+            seen[c] = True
+    blocks = []
+    cosets = np.arange(n_cosets, dtype=np.int64)
+    for s in S.indices:
+        perm = G.right_perm(s) if side == "right" else G.left_perm(s)
+        blocks.append(np.stack([cosets, coset_id[perm[reps]]], axis=1))
+    arcs = np.concatenate(blocks)
+    return Graph(n_cosets, arcs, name=f"schreier-{side}")
+
+
+def test_schreier_graph_cosets():
+    # Z_6 cosets of <3> under the action of {1,5}: a triangle-like quotient
+    g = cyclic_group(6)
+    s = GeneratorSet(g, (1, 5))
+    sch = schreier_graph(g, s, subgroup_generator=3, side="right")
+    assert sch.n_vertices == 3
+    assert len(sch.arcs) == 6
+    assert sch.is_connected()
 
 
 def test_mpar_block_self_inverse_is_schreier(z6):
