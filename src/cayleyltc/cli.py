@@ -4,6 +4,8 @@ Subcommands: build (construct a complex + square code and write artifacts),
 analyze (measured value vs. proved bound, verdict pass/fail/na), experiment
 (seeded kappa/decode trials with CSV + JSON reports), inspect (summarize a
 JSON manifest, an f2mat matrix or a cay2 complex, the files build writes).
+build measures the spectrum once (dense eigvalsh up to DENSE_MAX_DIM vertices,
+Lanczos at tol 1e-10 above) and analyze --which spectral judges its record.
 Exit codes: 0 = pass, 1 = bound violation, 2 = precondition or budget
 refusal, 3 = internal error (any other exception, reported as
 {"error", "type"} JSON on stderr).
@@ -112,16 +114,12 @@ def _derived_parameters(X, C1, lam: float) -> dict:
     cond = X.check_conditions()
     derived["tnc"] = cond.tnc
     derived["n2c"] = cond.n2c
+    params = None
     if delta1 is not None and sigma1 is not None:
         params = ltc.TesterParams(r=X.nA, delta1=float(delta1),
                                   sigma1=float(sigma1), lam=lam)
-        derived["kappa_proof"] = params.kappa_proof
-        derived["kappa_statement"] = params.kappa_statement
-        derived["hypotheses_hold"] = params.hypotheses_hold
-    else:
-        derived["kappa_proof"] = None
-        derived["kappa_statement"] = None
-        derived["hypotheses_hold"] = None
+    for key in ("kappa_proof", "kappa_statement", "hypotheses_hold"):
+        derived[key] = None if params is None else getattr(params, key)
     return derived
 
 
@@ -136,7 +134,7 @@ def cmd_build(args) -> int:
     if len(A) != len(B):
         raise PreconditionError(f"|A| = {len(A)} != |B| = {len(B)}")
     X = build_complex(group, A, B)
-    lam_rec = spectral.complex_spectrum(X, method=args.method, tol=args.tol)
+    lam_rec = spectral.complex_spectrum(X)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -199,6 +197,27 @@ def _verdict_exit(verdict: str) -> int:
     return {"pass": EXIT_PASS, "na": EXIT_PRECONDITION}.get(verdict, EXIT_BOUND)
 
 
+def _recorded_spectrum(manifest: dict) -> dict:
+    """The spectrum build recorded, refused with the field named unless it
+    is whole and agrees with itself, as one complex_spectrum call leaves it."""
+    sides = [f"spectral.cayley.{side}" for side in ("left", "right")]
+    for field in ["spectral", *sides, *(f"{side}.{key}" for side in sides
+                                        for key in ("lambda", "residual"))]:
+        node = manifest
+        for key in field.split("."):
+            node = node.get(key) if isinstance(node, dict) else None
+        if node is None:
+            raise PreconditionError(f"manifest field {field!r} is missing")
+    rec = manifest["spectral"]
+    for other, lam in (("'derived.lambda'", manifest.get("derived", {}).get("lambda")),
+                       ("the larger side lambda",
+                        max(side["lambda"] for side in rec["cayley"].values()))):
+        if rec.get("lambda") != lam:
+            raise PreconditionError(
+                f"manifest field 'spectral.lambda' differs from {other}")
+    return rec
+
+
 def cmd_analyze(args) -> int:
     manifest, X, C1 = _load_instance(args.manifest)
     which = args.which
@@ -210,7 +229,7 @@ def cmd_analyze(args) -> int:
     # a budget refusal of any analysis is an na report, exit 2
     try:
         if which == "spectral":
-            rec = spectral.complex_spectrum(X, method=args.method, tol=args.tol)
+            rec = _recorded_spectrum(manifest)
             report.update(rec)
             gens = manifest["generators"]
             if gens.get("lps") and not gens.get("subset"):
@@ -242,16 +261,12 @@ def cmd_analyze(args) -> int:
             report["minimizer"] = {"f": res.f.astype(int).tolist(),
                                    "g": res.g.astype(int).tolist()}
             report["verdict"] = "pass" if res.value <= 2 else "fail"
-        elif which == "smooth":
-            alpha = Fraction(args.alpha)
-            beta = Fraction(args.beta)
-            delta = Fraction(args.delta)
-            rec = analysis.verify_us(C1, alpha, beta, delta, args.dldpc)
+        else:                                   # smooth; argparse checks choices
+            rec = analysis.verify_us(C1, Fraction(args.alpha), Fraction(args.beta),
+                                     Fraction(args.delta), args.dldpc)
             report["us"] = {k: v for k, v in rec.items() if k != "witnesses"}
             report["n_witnesses"] = len(rec.get("witnesses", []))
             report["verdict"] = "pass" if rec["certified"] else "fail"
-        else:
-            raise PreconditionError(f"unknown analysis {which!r}")
     except DimensionBudgetError as exc:
         report.update(verdict="na", reason=str(exc))
 
@@ -308,13 +323,11 @@ def cmd_experiment(args) -> int:
                                       weights=weights, seed=args.seed,
                                       workers=args.workers)
         fields = _KAPPA_FIELDS
-    elif args.kind == "decode":
+    else:                                       # decode; argparse checks choices
         report = ltc.decode_experiment(tester, code, trials=args.trials,
                                        weights=weights, seed=args.seed,
                                        workers=args.workers)
         fields = _DECODE_FIELDS
-    else:
-        raise PreconditionError(f"unknown experiment kind {args.kind!r}")
     rows = report.pop("rows")
 
     report["manifest_sha256"] = _sha256(Path(args.manifest).read_bytes())
@@ -367,8 +380,6 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--lps", type=int, help="use LPS generators S_{p,q} (p here)")
     b.add_argument("--subset", type=int, help="inverse-closed LPS subset size")
     b.add_argument("--base", required=True, help="rep:N, parity:N, full:N, bch:M,B")
-    b.add_argument("--method", default="auto", choices=["auto", "dense", "iterative"])
-    b.add_argument("--tol", type=float, default=1e-10)
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_build)
 
@@ -376,8 +387,6 @@ def make_parser() -> argparse.ArgumentParser:
     a.add_argument("manifest")
     a.add_argument("--which", required=True,
                    choices=["spectral", "rate", "distance", "sigma", "smooth"])
-    a.add_argument("--method", default="auto", choices=["auto", "dense", "iterative"])
-    a.add_argument("--tol", type=float, default=1e-10)
     a.add_argument("--alpha", default="1/4", help="US parameter (fraction)")
     a.add_argument("--beta", default="2/3", help="US parameter (fraction)")
     a.add_argument("--delta", default="1", help="US distance target (fraction)")

@@ -267,28 +267,19 @@ def _group_from_manifest(m: dict) -> FiniteGroup:
 
 
 def deserialize_complex(data: bytes) -> CayleyComplex:
-    """Rebuild the complex from a cay2 v1 or v2 manifest's group and
-    generator sets.  The file is rejected, with the field named, if another
-    manifest field (counts, tnc, n2c) or a v1 id table differs from the
-    rebuilt complex's."""
+    """Rebuild the complex from a cay2 v2 manifest's group and generator
+    sets.  The file is rejected, with the field named, if another manifest
+    field (counts, tnc, n2c) differs from the rebuilt complex's."""
     with np.load(io.BytesIO(data)) as z:
         manifest = json.loads(bytes(z["manifest"]).decode())
-        fmt = manifest.get("format")
-        if fmt not in ("cay2 v1", "cay2 v2"):
-            raise ValueError("not a cay2 v1 or v2 file")
-        group = _group_from_manifest(manifest["group"])
-        X = build_complex(group, GeneratorSet(group, tuple(manifest["A"])),
-                          GeneratorSet(group, tuple(manifest["B"])))
-        rebuilt = X.manifest()
-        for field in sorted(rebuilt.keys() - {"format"}):
-            if manifest.get(field) != rebuilt[field]:
-                raise ValueError(f"cay2 manifest field {field!r} differs from "
-                                 f"the rebuilt complex's {rebuilt[field]!r}")
-        if fmt == "cay2 v1":
-            for name in ("edge_at", "edge_rep", "square_id", "square_rep",
-                         "square_class_size"):
-                if not np.array_equal(z.get(name), getattr(X, name)):
-                    raise ValueError(f"cay2 v1 table {name!r} differs from "
-                                     "the rebuilt complex's")
+    if manifest.get("format") != "cay2 v2":
+        raise ValueError("not a cay2 v2 file")
+    group = _group_from_manifest(manifest["group"])
+    X = build_complex(group, GeneratorSet(group, tuple(manifest["A"])),
+                      GeneratorSet(group, tuple(manifest["B"])))
+    rebuilt = X.manifest()
+    for field in sorted(rebuilt.keys() - {"format"}):
+        if manifest.get(field) != rebuilt[field]:
+            raise ValueError(f"cay2 manifest field {field!r} differs from "
+                             f"the rebuilt complex's {rebuilt[field]!r}")
     return X
-

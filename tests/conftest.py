@@ -1,6 +1,5 @@
 """Session-scoped instances shared between the unit and acceptance suites."""
 
-import numpy as np
 import pytest
 
 from cayleyltc import analysis, codes, ltc, spectral

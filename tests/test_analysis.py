@@ -30,7 +30,7 @@ from cayleyltc.codes import (
     tanner_code_on_graph,
     tensor_code,
 )
-from cayleyltc.f2core import BitMatrix, BitVector, DimensionBudgetError
+from cayleyltc.f2core import BitMatrix, DimensionBudgetError
 from cayleyltc.groups import Graph
 
 

@@ -210,51 +210,109 @@ def test_decode_experiment_z12_all_codewords(tmp_path, capsys):
     assert rep["all_contracts_ok"] is True
 
 
-def test_lps_end_to_end_build_and_ramanujan_verdict(tmp_path, capsys):
-    # full LPS instance: square code over budget is skipped, manifest still
-    # carries the derived parameters; spectral analysis passes the
-    # Ramanujan bound 2*sqrt(5)/6
-    out = tmp_path / "lps"
-    rc = main(["build", "--group", "psl2:41", "--lps", "5", "--base", "parity:6",
-               "--out", str(out)])
-    assert rc == 0
-    capsys.readouterr()
-    manifest = json.loads((out / "manifest.json").read_text())
+@pytest.fixture(scope="module")
+def x41_dir(tmp_path_factory):
+    # full LPS instance: the square code over budget is skipped, the manifest
+    # still carries the derived parameters and the spectrum
+    out = tmp_path_factory.mktemp("lps")
+    assert main(["build", "--group", "psl2:41", "--lps", "5", "--base", "parity:6",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_lps_end_to_end_build_and_ramanujan_verdict(x41_dir, capsys):
+    # spectral analysis passes the Ramanujan bound 2*sqrt(5)/6
+    manifest = json.loads((x41_dir / "manifest.json").read_text())
     assert manifest["derived"]["n_edges"] == 206640
     assert manifest["derived"]["n_squares"] == 309960
     assert manifest["derived"]["delta1"] == [1, 3]
     assert manifest["derived"]["sigma1"] is None       # r*k1 = 30 over budget
     assert "skipped" in manifest["square_code"]
-    rc = main(["analyze", str(out / "manifest.json"), "--which", "spectral",
-               "--method", "iterative"])
+    rc = main(["analyze", str(x41_dir / "manifest.json"), "--which", "spectral"])
     rep = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert rep["verdict"] == "pass"
     assert rep["lambda"] <= rep["ramanujan_bound"]
 
 
-def test_ramanujan_verdict_counts_the_residual(z5_dir, tmp_path, capsys, monkeypatch):
-    # an LPS(5, q) manifest over the z5 artifacts; the spectrum is faked so
-    # that lambda alone passes 2*sqrt(5)/6 = 0.7454 but lambda + residual fails
+def test_analyze_spectral_solves_nothing(x41_dir, capsys, monkeypatch):
+    # the verdict is on the spectrum build recorded; analyze never re-solves it
     from cayleyltc import spectral
 
+    manifest = str(x41_dir / "manifest.json")
+    assert main(["analyze", manifest, "--which", "spectral"]) == 0
+    unpatched = capsys.readouterr().out
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("analyze solved an eigenproblem")
+
+    monkeypatch.setattr(spectral, "second_eigenvalue", no_solve)
+    assert main(["analyze", manifest, "--which", "spectral"]) == 0
+    out = capsys.readouterr().out
+    assert out == unpatched
+    assert json.loads(out)["verdict"] == "pass"
+
+
+def z5_manifest_copy(z5_dir, tmp_path, alter):
+    """Path of a copy of the z5 manifest, changed by alter(manifest)."""
     manifest = json.loads((z5_dir / "manifest.json").read_text())
-    manifest["generators"]["lps"] = 5
     manifest["files"]["complex"]["path"] = str(z5_dir / "complex.cay2.npz")
+    alter(manifest)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
+    return path
 
-    def fake_spectrum(residual):
-        side = {"lambda": 0.74, "residual": residual, "method": "iterative"}
-        return lambda X, method, tol: {"lambda": 0.74,
-                                       "cayley": {"left": side, "right": side}}
 
+def test_ramanujan_verdict_counts_the_residual(z5_dir, tmp_path, capsys):
+    # an LPS(5, q) manifest over the z5 artifacts, its recorded spectrum faked
+    # so that lambda alone passes 2*sqrt(5)/6 = 0.7454 but lambda + residual fails
     for residual, verdict, rc in ((0.0, "pass", 0), (0.01, "fail", 1)):
-        monkeypatch.setattr(spectral, "complex_spectrum", fake_spectrum(residual))
+        side = {"lambda": 0.74, "residual": residual, "method": "iterative"}
+
+        def fake(m):
+            m["generators"]["lps"] = 5
+            m["spectral"] = {"lambda": 0.74, "cayley": {"left": side, "right": side}}
+            m["derived"]["lambda"] = 0.74
+
+        path = z5_manifest_copy(z5_dir, tmp_path, fake)
         assert main(["analyze", str(path), "--which", "spectral"]) == rc
         rep = json.loads(capsys.readouterr().out)
         assert rep["lambda"] <= rep["ramanujan_bound"]
         assert rep["verdict"] == verdict
+
+
+def _halve_lambda(m):
+    m["spectral"]["lambda"] = m["derived"]["lambda"] = 0.5 * m["derived"]["lambda"]
+
+
+@pytest.mark.parametrize("alter, field", [
+    (lambda m: m.pop("spectral"), "'spectral' is missing"),
+    (lambda m: m["spectral"]["cayley"].pop("right"), "'spectral.cayley.right' is missing"),
+    (lambda m: m["spectral"]["cayley"]["left"].pop("residual"),
+     "'spectral.cayley.left.residual' is missing"),
+    (lambda m: m["derived"].update({"lambda": 0.5}),
+     "'spectral.lambda' differs from 'derived.lambda'"),
+    (_halve_lambda, "'spectral.lambda' differs from the larger side lambda"),
+])
+def test_analyze_spectral_refuses_an_inconsistent_record(z5_dir, tmp_path, capsys,
+                                                         alter, field):
+    path = z5_manifest_copy(z5_dir, tmp_path, alter)
+    assert main(["analyze", str(path), "--which", "spectral"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": f"manifest field {field}"}
+
+
+def test_solver_flags_are_not_options(z5_dir, tmp_path):
+    # build has one solver policy; analyze solves nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--group", "cyclic:5", "--gens", "1,4", "--base", "rep:2",
+              "--method", "dense", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(z5_dir / "manifest.json"), "--which", "spectral",
+              "--tol", "1e-12"])
+    assert exc.value.code == 2
 
 
 def test_internal_error_has_its_own_exit_code(z5_dir, capsys, monkeypatch):

@@ -1,5 +1,5 @@
 """Every library definition is reached by a command, the benchmark or an
-acceptance criterion.
+acceptance criterion, and every import is used.
 
 A top-level function or class, or a method that is not a dunder, of
 `src/cayleyltc` must be named somewhere in `src/`, in `perfbench/*.py` or in
@@ -7,6 +7,9 @@ A top-level function or class, or a method that is not a dunder, of
 an `ast.Name`, as the attribute of an `ast.Attribute`, as an imported name,
 or as a part of a dotted string such as a `perfbench/spans.py` target.  A
 definition that only its own unit tests call belongs in those tests.
+
+A name that a module of `src/` or `tests/` imports must appear in that
+module as an `ast.Name`; `from __future__` imports are exempt.
 """
 
 import ast
@@ -69,3 +72,22 @@ def test_every_library_definition_has_a_caller():
 def test_allowlist_names_existing_definitions():
     defined = {qual for p in LIBRARY for qual, _ in _definitions(p)}
     assert set(ALLOWED) <= defined
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    modules = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    unused = {str(p.relative_to(ROOT)): names for p in modules
+              if (names := _unused_imports(p))}
+    assert not unused, f"imported names never used: {unused}"

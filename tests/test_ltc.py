@@ -1,6 +1,5 @@
 import functools
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from cayleyltc.codes import (
     square_code,
 )
 from cayleyltc.complexes import build_complex
-from cayleyltc.f2core import BitVector, DimensionBudgetError
+from cayleyltc.f2core import DimensionBudgetError
 from cayleyltc.groups import GeneratorSet, cyclic_group
 from cayleyltc.ltc import (
     SquareCodeTester,
