@@ -74,9 +74,7 @@ def _generators(group, args) -> tuple[GeneratorSet, GeneratorSet, dict]:
     if args.lps is not None:
         if group.kind != "psl2":
             raise PreconditionError("--lps requires a psl2 group")
-        S = lps_generators(args.lps, group.parameters()["q"])
-        # lps_generators builds its own group object; re-key indices abstractly
-        group = S.group
+        S = lps_generators(group, args.lps)
         if args.subset is not None:
             S = symmetric_subset(S, args.subset)
         gen_spec = {"lps": args.lps, "subset": args.subset}
@@ -126,7 +124,6 @@ def _derived_parameters(X, C1, lam: float) -> dict:
 def cmd_build(args) -> int:
     group = _parse_group(args.group)
     A, B, gen_spec = _generators(group, args)
-    group = A.group
     C1 = _parse_base(args.base)
     if C1.n != len(A):
         raise PreconditionError(
@@ -173,6 +170,7 @@ def cmd_build(args) -> int:
 
 
 def _load_instance(manifest_path: str):
+    """The manifest, the complex file's checked bytes and the base code."""
     mpath = Path(manifest_path)
     manifest = json.loads(mpath.read_text())
     if manifest.get("format") != "instance v1":
@@ -181,9 +179,7 @@ def _load_instance(manifest_path: str):
     blob = (base / manifest["files"]["complex"]["path"]).read_bytes()
     if _sha256(blob) != manifest["files"]["complex"]["sha256"]:
         raise PreconditionError("complex file hash mismatch: artifacts corrupted")
-    X = deserialize_complex(blob)
-    C1 = _parse_base(manifest["base_spec"])
-    return manifest, X, C1
+    return manifest, blob, _parse_base(manifest["base_spec"])
 
 
 def _emit_report(report: dict, out: str | None) -> None:
@@ -219,7 +215,7 @@ def _recorded_spectrum(manifest: dict) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    manifest, X, C1 = _load_instance(args.manifest)
+    manifest, blob, C1 = _load_instance(args.manifest)
     which = args.which
     report = {"instance": manifest["group_spec"], "base": manifest["base_spec"],
               "which": which, "manifest_sha256":
@@ -244,7 +240,7 @@ def cmd_analyze(args) -> int:
                 report["verdict"] = "na"
                 report["reason"] = "Ramanujan bound applies to full LPS generator sets"
         elif which == "rate":
-            code = codes.square_code(X, C1)
+            code = codes.square_code(deserialize_complex(blob), C1)
             report.update(codes.check_rate_bound(code, "square"))
         elif which == "distance":
             lam = manifest["derived"]["lambda"]
@@ -252,7 +248,7 @@ def cmd_analyze(args) -> int:
             if d1 is None:
                 report.update(verdict="na", reason="base code has no distance")
             else:
-                code = codes.square_code(X, C1)
+                code = codes.square_code(deserialize_complex(blob), C1)
                 report.update(codes.check_square_distance_bound(
                     code, delta1=d1[0] / d1[1], lam=lam))
         elif which == "sigma":
@@ -299,7 +295,8 @@ def _write_rows(path: Path, fields: list[str], rows: list[dict]) -> bytes:
 
 
 def cmd_experiment(args) -> int:
-    manifest, X, C1 = _load_instance(args.manifest)
+    manifest, blob, C1 = _load_instance(args.manifest)
+    X = deserialize_complex(blob)
     try:
         code = codes.square_code(X, C1)
     except DimensionBudgetError as exc:

@@ -5,7 +5,8 @@ and PSL2(F_q) for odd primes q, together with the Lubotzky-Phillips-Sarnak
 generating sets that make their Cayley graphs Ramanujan.
 
 Elements are dense integer indices 0..order-1 with index 0 the identity.
-PSL2 multiplication is matrix arithmetic on canonical representatives, so
+PSL2 multiplication is matrix arithmetic followed by one gather in a table
+of q^3 int32 slots that maps a matrix and its negation to their element, so
 no quadratic multiplication table is ever materialized; per-generator
 permutations of the whole group are computed vectorized instead.
 """
@@ -98,6 +99,9 @@ class PSL2(FiniteGroup):
     The canonical representative of {M, -M} is the one whose first nonzero
     entry in row-major order lies in {1, ..., (q-1)/2}.  Elements are sorted
     by their canonical 4-tuple, except the identity is moved to index 0.
+    A determinant-1 matrix [[a, b], [c, d]] is fixed by (a, b, c) when
+    a != 0 and by (a, b, d) when a = 0, so one int32 table of q^3 slots,
+    keyed (a q + b) q + (c if a else d), maps both M and -M to their index.
     """
 
     kind = "psl2"
@@ -109,106 +113,57 @@ class PSL2(FiniteGroup):
         self.mats = self._enumerate(q)          # (order, 4) int64 canonical tuples
         self.order = len(self.mats)
         assert self.order == q * (q * q - 1) // 2
-        self._keys = self._encode(self.mats)
-        self._sorter = np.argsort(self._keys)
-        self._sorted_keys = self._keys[self._sorter]
+        self._table = np.full(q ** 3, -1, dtype=np.int32)   # a = b = 0 slots stay -1
+        for sign in (1, -1):
+            self._table[self._slot(*(sign * self.mats.T))] = np.arange(self.order)
 
     @staticmethod
     def _enumerate(q: int) -> np.ndarray:
-        inv_table = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            inv_table[x] = pow(x, q - 2, q)
-        # SL2: a != 0 -> d = (1 + b c) / a;  a = 0 -> c = -1/b, b != 0, d free
-        a, b, c = np.meshgrid(np.arange(1, q), np.arange(q), np.arange(q), indexing="ij")
-        a, b, c = a.ravel(), b.ravel(), c.ravel()
-        d = (1 + b * c) % q * inv_table[a] % q
-        part1 = np.stack([a, b, c, d], axis=1)
-        b0, d0 = np.meshgrid(np.arange(1, q), np.arange(q), indexing="ij")
-        b0, d0 = b0.ravel(), d0.ravel()
-        c0 = (q - inv_table[b0]) % q
-        part2 = np.stack([np.zeros_like(b0), b0, c0, d0], axis=1)
-        sl2 = np.concatenate([part1, part2])
-        canon = PSL2._canonicalize(sl2, q)
-        keys = PSL2._encode_static(canon, q)
-        uniq, idx = np.unique(keys, return_index=True)
-        assert len(uniq) == len(sl2) // 2
-        mats = canon[np.sort(idx)]
-        # identity first, remainder in lexicographic order of canonical tuples
-        order_keys = PSL2._encode_static(mats, q)
-        mats = mats[np.argsort(order_keys)]
-        id_row = np.array([1, 0, 0, 1], dtype=np.int64)
-        id_pos = int(np.nonzero((mats == id_row).all(axis=1))[0][0])
-        if id_pos != 0:
-            mats = np.vstack([mats[id_pos:id_pos + 1], mats[:id_pos], mats[id_pos + 1:]])
-        return mats
+        """Canonical tuples in lexicographic order, the identity moved first."""
+        inv_table = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
+        half = np.arange(1, (q + 1) // 2)
+        # a = 0: b in 1..(q-1)/2, c = -1/b, d free
+        b0, d0 = (x.ravel() for x in np.meshgrid(half, np.arange(q), indexing="ij"))
+        zero_a = np.stack([np.zeros_like(b0), b0, q - inv_table[b0], d0], axis=1)
+        # a in 1..(q-1)/2: b, c free, d = (1 + b c) / a; the first row is the identity
+        a, b, c = (x.ravel() for x in np.meshgrid(half, np.arange(q), np.arange(q),
+                                                   indexing="ij"))
+        nonzero_a = np.stack([a, b, c, (1 + b * c) % q * inv_table[a] % q], axis=1)
+        return np.concatenate([nonzero_a[:1], zero_a, nonzero_a[1:]])
 
-    @staticmethod
-    def _canonicalize(mats: np.ndarray, q: int) -> np.ndarray:
-        """Pick the +-M representative with first nonzero entry in {1..(q-1)/2}."""
-        mats = mats % q
-        first = mats[:, 0].copy()
-        zero_a = first == 0
-        first[zero_a] = mats[zero_a, 1]
-        flip = first > (q - 1) // 2
-        out = mats.copy()
-        out[flip] = (-out[flip]) % q
-        return out
+    def _slot(self, a, b, c, d):
+        """Table slot of [[a, b], [c, d]] (entries or columns of entries), mod q."""
+        q = self.q
+        a = a % q
+        return (a * q + b % q) * q + np.where(a != 0, c, d) % q
 
-    @staticmethod
-    def _encode_static(mats: np.ndarray, q: int) -> np.ndarray:
-        return ((mats[:, 0] * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
-
-    def _encode(self, mats: np.ndarray) -> np.ndarray:
-        return self._encode_static(mats, self.q)
+    def _product(self, x, y):
+        """Indices of x y for row-major 4-tuples x, y of entries or columns."""
+        a, b, c, d = x
+        e, f, g, h = y
+        return self._table[self._slot(a * e + b * g, a * f + b * h,
+                                      c * e + d * g, c * f + d * h)]
 
     def index_of(self, mat) -> int:
         """Index of a 2x2 matrix given as a length-4 sequence (row-major)."""
-        canon = self._canonicalize(np.asarray(mat, dtype=np.int64)[None, :], self.q)
-        key = self._encode(canon)[0]
-        pos = int(np.searchsorted(self._sorted_keys, key))
-        if pos >= self.order or self._sorted_keys[pos] != key:
+        a, b, c, d = (int(x) % self.q for x in mat)
+        if (a * d - b * c) % self.q != 1:
             raise ValueError(f"matrix {list(mat)} is not in PSL2({self.q})")
-        return int(self._sorter[pos])
-
-    def _indices_of(self, mats: np.ndarray) -> np.ndarray:
-        canon = self._canonicalize(mats, self.q)
-        keys = self._encode(canon)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        return self._sorter[pos]
+        return int(self._table[self._slot(a, b, c, d)])
 
     def mul(self, i: int, j: int) -> int:
-        a = self.mats[i]
-        b = self.mats[j]
-        prod = [
-            a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3],
-        ]
-        return self.index_of([int(x) % self.q for x in prod])
+        return int(self._product(self.mats[i], self.mats[j]))
 
     def inv(self, i: int) -> int:
-        a, b, c, d = (int(x) for x in self.mats[i])
-        return self.index_of([d, (-b) % self.q, (-c) % self.q, a])
+        a, b, c, d = self.mats[i]
+        return int(self._table[self._slot(d, -b, -c, a)])
 
-    def _perm(self, s: int, side: str) -> np.ndarray:
-        g = self.mats
-        m = self.mats[s]
-        if side == "left":       # s * g
-            prod = np.stack([
-                m[0] * g[:, 0] + m[1] * g[:, 2], m[0] * g[:, 1] + m[1] * g[:, 3],
-                m[2] * g[:, 0] + m[3] * g[:, 2], m[2] * g[:, 1] + m[3] * g[:, 3],
-            ], axis=1)
-        else:                    # g * s
-            prod = np.stack([
-                g[:, 0] * m[0] + g[:, 1] * m[2], g[:, 0] * m[1] + g[:, 1] * m[3],
-                g[:, 2] * m[0] + g[:, 3] * m[2], g[:, 2] * m[1] + g[:, 3] * m[3],
-            ], axis=1)
-        return self._indices_of(prod % self.q)
-
+    # permutations stay int64: complexes multiplies them into slot keys
     def left_perm(self, s: int) -> np.ndarray:
-        return self._perm(s, "left")
+        return self._product(self.mats[s], self.mats.T).astype(np.int64)
 
     def right_perm(self, s: int) -> np.ndarray:
-        return self._perm(s, "right")
+        return self._product(self.mats.T, self.mats[s]).astype(np.int64)
 
     def parameters(self) -> dict:
         return {"q": self.q}
@@ -284,40 +239,31 @@ class Graph:
 
     def is_connected(self) -> bool:
         """Breadth-first search from vertex 0, one CSR gather per level."""
-        if self.n_vertices == 0:
+        n = self.n_vertices
+        if n == 0:
             return True
-        order_ = np.argsort(self.arcs[:, 0], kind="stable")
-        dst_sorted = self.arcs[order_, 1]
-        starts = np.searchsorted(self.arcs[order_, 0], np.arange(self.n_vertices + 1))
-        seen = np.zeros(self.n_vertices, dtype=bool)
+        dst_sorted = self.arcs[np.argsort(self.arcs[:, 0], kind="stable"), 1]
+        starts = np.concatenate([[0], np.cumsum(np.bincount(self.arcs[:, 0], minlength=n))])
+        seen = np.zeros(n, dtype=bool)
         seen[0] = True
         frontier = np.array([0])
         while frontier.size:
             lo, count = starts[frontier], starts[frontier + 1] - starts[frontier]
             # positions lo[v] .. lo[v] + count[v] - 1 of every frontier vertex v
             pos = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-            nbrs = dst_sorted[pos]
-            frontier = np.unique(nbrs[~seen[nbrs]])
+            reached = np.zeros(n, dtype=bool)
+            reached[dst_sorted[pos]] = True
+            frontier = np.flatnonzero(reached & ~seen)
             seen[frontier] = True
         return bool(seen.all())
 
     def edge_pairs(self) -> list[tuple[int, int]]:
-        """Canonical undirected edge list (u <= v), with multiplicity."""
-        pairs = []
-        u, v = self.arcs[:, 0], self.arcs[:, 1]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        loops = lo == hi
-        nonloop = np.stack([lo[~loops], hi[~loops]], axis=1)
-        # every non-loop arc appears mirrored; keep one per pair
-        keys, counts = np.unique(nonloop[:, 0] * self.n_vertices + nonloop[:, 1],
-                                 return_counts=True)
-        for k, c in zip(keys, counts):
-            assert c % 2 == 0
-            pairs.extend([(int(k) // self.n_vertices, int(k) % self.n_vertices)] * (c // 2))
-        lkeys, lcounts = np.unique(lo[loops], return_counts=True)
-        for k, c in zip(lkeys, lcounts):
-            pairs.extend([(int(k), int(k))] * int(c))
-        return sorted(pairs)
+        """Canonical undirected edge list (u <= v), with multiplicity: one
+        pair per u < v arc, whose reversal is its mirror, and per loop arc."""
+        u, v = self.arcs[:, 0].tolist(), self.arcs[:, 1].tolist()
+        pairs = sorted((x, y) for x, y in zip(u, v) if x < y)
+        assert pairs == sorted((y, x) for x, y in zip(u, v) if x > y), "arcs not mirrored"
+        return sorted(pairs + [(x, y) for x, y in zip(u, v) if x == y])
 
 
 def cyclic_group(n: int) -> CyclicGroup:
@@ -330,8 +276,8 @@ def psl2(q: int) -> PSL2:
     return PSL2(q)
 
 
-def lps_generators(p: int, q: int) -> GeneratorSet:
-    """The p+1 Lubotzky-Phillips-Sarnak generators of PSL2(F_q).
+def lps_generators(group: PSL2, p: int) -> GeneratorSet:
+    """The p+1 Lubotzky-Phillips-Sarnak generators of group = PSL2(F_q).
 
     Requires primes p ≡ 1 (mod 4) and q ≡ 1 (mod 4p) with p < q.  Each
     integer quadruple (a0, a1, a2, a3) with a0^2+a1^2+a2^2+a3^2 = p, a0 > 0
@@ -339,13 +285,13 @@ def lps_generators(p: int, q: int) -> GeneratorSet:
     [[a0 + i*a1, a2 + i*a3], [-a2 + i*a3, a0 - i*a1]] mod q, i^2 = -1 (q),
     scaled into PSL2 by an inverse square root of its determinant p.
     """
+    q = group.q
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"p must be a prime congruent to 1 mod 4, got {p}")
-    if not is_prime(q) or q % (4 * p) != 1:
+    if q % (4 * p) != 1:
         raise ValueError(f"q must be a prime congruent to 1 mod 4p={4 * p}, got {q}")
     if p >= q:
         raise ValueError(f"need p < q, got p={p}, q={q}")
-    group = psl2(q)
     i_unit = sqrt_mod(q - 1, q)
     sqrt_p_inv = pow(sqrt_mod(p, q), q - 2, q)
     bound = math.isqrt(p)

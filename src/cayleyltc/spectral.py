@@ -26,6 +26,8 @@ from .groups import Graph, cayley_graph
 
 DENSE_MAX_DIM = 4000        # largest dense matrix or dense eigensolve, in rows
 LANCZOS_FIRST_ROWS = 64     # Krylov rows allocated before the first doubling
+LANCZOS_MAX_STEPS = 100000  # Lanczos iterations before ConvergenceError
+LANCZOS_SEED = 0xC0DE       # seed of the random start vector
 
 
 class OperatorCheckError(ValueError):
@@ -200,16 +202,15 @@ def _dense_second(graph: Graph) -> SpectralReport:
         lambda_min=float(vals[0]))
 
 
-def _lanczos_second(graph: Graph, tol: float, budget: int,
-                    seed: int = 0xC0DE) -> SpectralReport:
+def _lanczos_second(graph: Graph, tol: float) -> SpectralReport:
     n = graph.n_vertices
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LANCZOS_SEED)
     ones = np.ones(n) / np.sqrt(n)
 
     def deflate(w):
         return w - (ones @ w) * ones
 
-    max_steps = min(budget, n - 1)
+    max_steps = min(LANCZOS_MAX_STEPS, n - 1)
     # Krylov rows 0..k of basis[:k + 1]; the buffer doubles when full and is
     # never pre-touched, so memory follows the iterations actually taken
     basis = np.empty((min(max_steps + 1, LANCZOS_FIRST_ROWS), n))
@@ -272,7 +273,7 @@ def _lanczos_second(graph: Graph, tol: float, budget: int,
 
 
 def second_eigenvalue(graph: Graph, method: str = "auto",
-                      tol: float = 1e-10, budget: int = 100000) -> SpectralReport:
+                      tol: float = 1e-10) -> SpectralReport:
     """Second-largest eigenvalue of the normalized adjacency operator.
 
     One-sided: the largest eigenvalue on the complement of the constant
@@ -288,7 +289,7 @@ def second_eigenvalue(graph: Graph, method: str = "auto",
             raise ValueError(f"dense method capped at {DENSE_MAX_DIM} vertices")
         return _dense_second(graph)
     if method == "iterative":
-        return _lanczos_second(graph, tol, budget)
+        return _lanczos_second(graph, tol)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -32,7 +32,7 @@ def p13_instance():
 
 @pytest.fixture(scope="session")
 def lps41():
-    return lps_generators(5, 41)
+    return lps_generators(psl2(41), 5)
 
 
 @pytest.fixture(scope="session")

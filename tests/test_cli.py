@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cayleyltc import cli
 from cayleyltc.cli import main
 
 
@@ -77,9 +78,11 @@ def test_analyze_detects_corruption(z5_dir, tmp_path, capsys):
     shutil.copytree(z5_dir, broken)
     blob = (broken / "complex.cay2.npz").read_bytes()
     (broken / "complex.cay2.npz").write_bytes(blob + b"tampered")
-    rc = main(["analyze", str(broken / "manifest.json"), "--which", "rate"])
-    assert rc == 2
-    assert "hash mismatch" in capsys.readouterr().err
+    # spectral never deserialises the complex, but still checks its hash
+    for which in ("rate", "spectral"):
+        rc = main(["analyze", str(broken / "manifest.json"), "--which", which])
+        assert rc == 2
+        assert "hash mismatch" in capsys.readouterr().err
 
 
 def test_experiment_kappa_deterministic_across_workers(z5_dir, tmp_path):
@@ -251,6 +254,24 @@ def test_analyze_spectral_solves_nothing(x41_dir, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out == unpatched
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_analyze_loads_no_complex_where_the_verdict_reads_none(x41_dir, z5_dir, capsys,
+                                                              monkeypatch):
+    cases = [(x41_dir, "spectral"), (z5_dir, "sigma"), (z5_dir, "smooth")]
+    unpatched = []
+    for path, which in cases:
+        rc = main(["analyze", str(path / "manifest.json"), "--which", which])
+        unpatched.append((rc, capsys.readouterr().out))
+
+    def no_load(blob):
+        raise AssertionError("analyze deserialised the complex")
+
+    monkeypatch.setattr(cli, "deserialize_complex", no_load)
+    for (path, which), expected in zip(cases, unpatched):
+        rc = main(["analyze", str(path / "manifest.json"), "--which", which])
+        assert (rc, capsys.readouterr().out) == expected
+    assert [json.loads(out)["verdict"] for _, out in unpatched] == ["pass"] * 3
 
 
 def z5_manifest_copy(z5_dir, tmp_path, alter):

@@ -312,7 +312,7 @@ def assert_reference_tables(X):
 
 
 def lps41():
-    S = lps_generators(5, 41)
+    S = lps_generators(psl2(41), 5)
     return build_complex(S.group, GeneratorSet(S.group, S.indices, side="left"),
                          GeneratorSet(S.group, S.indices, side="right"))
 

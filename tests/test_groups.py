@@ -83,6 +83,77 @@ def test_psl2_canonical_sign_well_defined():
     assert i == j
 
 
+class SortedKeyPSL2:
+    """Reference: PSL2(F_q) as canonical +-M tuples, found by binary search
+    among their sorted base-q keys."""
+
+    def __init__(self, q):
+        self.q = q
+        inv = [0] + [pow(x, q - 2, q) for x in range(1, q)]
+        sl2 = [(a, b, c, (1 + b * c) * inv[a] % q)
+               for a in range(1, q) for b in range(q) for c in range(q)]
+        sl2 += [(0, b, -inv[b] % q, d) for b in range(1, q) for d in range(q)]
+        mats = np.unique(self.canonical(np.array(sl2)), axis=0)
+        ident = np.flatnonzero((mats == [1, 0, 0, 1]).all(axis=1))[0]
+        self.mats = np.vstack([mats[ident], mats[:ident], mats[ident + 1:]])
+        self.keys = self.encode(self.mats)
+        self.sorter = np.argsort(self.keys)
+
+    def canonical(self, mats):
+        """The +-M representative whose first nonzero entry is in 1..(q-1)/2."""
+        mats = mats % self.q
+        first = np.where(mats[:, 0] != 0, mats[:, 0], mats[:, 1])
+        flip = first > (self.q - 1) // 2
+        mats[flip] = -mats[flip] % self.q
+        return mats
+
+    def encode(self, mats):
+        q = self.q
+        return ((mats[:, 0] * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
+
+    def indices_of(self, mats):
+        keys = self.encode(self.canonical(np.asarray(mats, dtype=np.int64)))
+        pos = np.searchsorted(self.keys, keys, sorter=self.sorter)
+        assert np.array_equal(self.keys[self.sorter[pos]], keys)
+        return self.sorter[pos]
+
+    def perm(self, s, side):
+        x, y = (self.mats[s], self.mats) if side == "left" else (self.mats, self.mats[s])
+        x, y = x.reshape(-1, 2, 2), y.reshape(-1, 2, 2)
+        return self.indices_of((x @ y).reshape(-1, 4))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_psl2_table_matches_sorted_key_reference(q):
+    g, ref = psl2(q), SortedKeyPSL2(q)
+    assert np.array_equal(g.mats, ref.mats)
+    every = np.arange(g.order)
+    for mats in (g.mats, -g.mats % q):
+        assert np.array_equal(ref.indices_of(mats), every)
+        assert [g.index_of(m) for m in mats] == every.tolist()
+    for s in range(g.order):
+        for side, perm in (("left", g.left_perm(s)), ("right", g.right_perm(s))):
+            assert perm.dtype == np.int64
+            assert np.array_equal(perm, ref.perm(s, side))
+
+
+def test_psl2_lps_perms_match_sorted_key_reference(lps41):
+    g, ref = lps41.group, SortedKeyPSL2(41)
+    assert np.array_equal(g.mats, ref.mats)
+    for s in lps41.indices:
+        assert np.array_equal(g.left_perm(s), ref.perm(s, "left"))
+        assert np.array_equal(g.right_perm(s), ref.perm(s, "right"))
+
+
+def test_psl2_index_of_refuses_det_not_one_and_reduces_mod_q():
+    g = psl2(13)
+    with pytest.raises(ValueError, match=r"matrix \[2, 0, 0, 2\] is not in PSL2\(13\)"):
+        g.index_of([2, 0, 0, 2])                 # det 4
+    with pytest.raises(ValueError, match=r"matrix \[0, 0, 1, 1\] is not in PSL2"):
+        g.index_of([0, 0, 1, 1])                 # det 0: an a = b = 0 slot
+    assert g.index_of([14, 13, 0, 1]) == 0       # the identity, entries mod 13
+
+
 def test_generator_set_validation():
     g = cyclic_group(5)
     with pytest.raises(ValueError):
@@ -96,7 +167,7 @@ def test_generator_set_validation():
 
 
 def test_lps_generators_5_41():
-    s = lps_generators(5, 41)
+    s = lps_generators(psl2(41), 5)
     assert len(s) == 6
     inv = {s.group.inv(i) for i in s.indices}
     assert inv == set(s.indices)
@@ -105,11 +176,11 @@ def test_lps_generators_5_41():
 
 def test_lps_congruence_errors():
     with pytest.raises(ValueError):
-        lps_generators(5, 13)     # 13 != 1 mod 20
+        lps_generators(psl2(13), 5)     # 13 != 1 mod 20
     with pytest.raises(ValueError):
-        lps_generators(6, 41)     # p not prime
+        lps_generators(psl2(41), 6)     # p not prime
     with pytest.raises(ValueError):
-        lps_generators(3, 41)     # p != 1 mod 4
+        lps_generators(psl2(41), 3)     # p != 1 mod 4
 
 
 def loop_generates_group(S):
@@ -147,7 +218,7 @@ def test_generates_group_matches_the_orbit_loop(lps41):
 
 
 def test_lps_generators_13_53():
-    s = lps_generators(13, 53)
+    s = lps_generators(psl2(53), 13)
     assert len(s) == 14
     assert s.generates_group()
     graph = cayley_graph(s.group, s)
@@ -155,7 +226,7 @@ def test_lps_generators_13_53():
 
 
 def test_symmetric_subset():
-    s = lps_generators(5, 41)
+    s = lps_generators(psl2(41), 5)
     full = symmetric_subset(s, 6)
     assert set(full.indices) == set(s.indices)
     sub = symmetric_subset(s, 4)
@@ -195,7 +266,7 @@ def test_cayley_graph_left_right_abelian_equal():
 
 
 def test_cayley_graph_lps_counts():
-    s = lps_generators(5, 41)
+    s = lps_generators(psl2(41), 5)
     graph = cayley_graph(s.group, s, "left")
     assert graph.n_vertices == 34440
     assert len(graph.edge_pairs()) == 34440 * 6 // 2 == 103320
