@@ -28,7 +28,7 @@ from .codes import LinearCode, tensor_code
 from .f2core import BitMatrix, BitVector, DimensionBudgetError
 
 SIGMA_MAX_RK = 12
-#: Entries of one (representative, w, g) block in sigma_exact (16 MB int64).
+#: Entries of one (representative, w, g) block in sigma_exact (2 MB of uint8).
 SIGMA_BLOCK = 1 << 21
 RC_MAX_K0 = 20
 
@@ -138,9 +138,11 @@ def sigma_exact(C1: LinearCode) -> SigmaResult:
     representative, so the value and the minimizing pair are those of the
     full enumeration.
 
-    Budget: r * k1 <= 12 (the two spaces have 2^(r k1) elements each).
-    Pairs with f = g are excluded; d_rc = 0 for f != g is impossible and
-    treated as an error.
+    Budget: r * k1 <= 12 (the two spaces have 2^(r k1) elements each).  The
+    row and column mismatch counts, at most r, and their sums, at most 2r,
+    are held in uint8, and d_col is summed one column at a time.  Pairs
+    with f = g are excluded; d_rc = 0 for f != g is impossible and treated
+    as an error.
     """
     r = C1.n
     if r * C1.k > SIGMA_MAX_RK:
@@ -168,8 +170,10 @@ def sigma_exact(C1: LinearCode) -> SigmaResult:
     reps = np.sort(first)
 
     # d_row(f,w) and d_col(g,w) as integer row/column mismatch counts
-    D_row = (F_rows[reps][:, :, None] != W_rows.T[None]).sum(axis=1)  # (reps, |W|)
-    D_col = (W_cols[:, None, :] != G_cols[None]).sum(axis=2)         # (|W|, |G|)
+    D_row = (F_rows[reps][:, :, None] != W_rows.T[None]).sum(axis=1, dtype=np.uint8)
+    D_col = np.zeros((len(W), len(G)), dtype=np.uint8)              # (|W|, |G|)
+    for b in range(r):
+        D_col += W_cols[:, b, None] != G_cols[:, b]
 
     # scan the representatives in order, a block of them at a time; the
     # block keeps the (rep, w, g) temporary under SIGMA_BLOCK entries
@@ -189,7 +193,7 @@ def sigma_exact(C1: LinearCode) -> SigmaResult:
         # ratio = (wt/r^2) / (minsum/2r) = 2 wt / (r * minsum); the first
         # minimum in (rep, g) order is the one a pair-by-pair scan keeps
         ratios = np.full(wt.shape, np.inf)
-        np.divide(2 * wt, r * minsum, out=ratios, where=neq)
+        np.divide(2 * wt, r * minsum.astype(np.float64), out=ratios, where=neq)
         t, j = np.unravel_index(np.argmin(ratios), ratios.shape)
         cand = Fraction(2 * int(wt[t, j]), r * int(minsum[t, j]))
         if best is None or cand < best:
@@ -214,7 +218,7 @@ def low_weight_dual_words(C: LinearCode, d: int) -> list[BitVector]:
             f"dual dimension {dual_dim} exceeds the enumeration budget")
     if dual_dim == 0:
         return []
-    words = f2core._enumerate_span_words(C.parity.words, dual_dim)
+    words = f2core._xor_table(C.parity.words)
     wts = np.bitwise_count(words).sum(axis=1)
     keep = np.nonzero((wts <= d) & (wts > 0))[0]
     return [BitVector._from_words(words[i].copy(), C.n) for i in keep]

@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, analysis, codes, f2core, ltc, spectral
+from . import __version__, analysis, codes, complexes, f2core, ltc, spectral
 from .complexes import build_complex, deserialize_complex, serialize_complex
 from .f2core import DimensionBudgetError
 from .groups import (
@@ -182,6 +182,14 @@ def _load_instance(manifest_path: str):
     return manifest, blob, _parse_base(manifest["base_spec"])
 
 
+def _square_code(blob: bytes, C1: codes.LinearCode):
+    """The complex and its square code, refused by the coordinate budget on
+    the complex file's square count before the complex is rebuilt."""
+    codes.check_square_code_budget(complexes.complex_manifest(blob)["counts"]["squares"])
+    X = deserialize_complex(blob)
+    return X, codes.square_code(X, C1)
+
+
 def _emit_report(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
@@ -240,7 +248,7 @@ def cmd_analyze(args) -> int:
                 report["verdict"] = "na"
                 report["reason"] = "Ramanujan bound applies to full LPS generator sets"
         elif which == "rate":
-            code = codes.square_code(deserialize_complex(blob), C1)
+            _, code = _square_code(blob, C1)
             report.update(codes.check_rate_bound(code, "square"))
         elif which == "distance":
             lam = manifest["derived"]["lambda"]
@@ -248,7 +256,7 @@ def cmd_analyze(args) -> int:
             if d1 is None:
                 report.update(verdict="na", reason="base code has no distance")
             else:
-                code = codes.square_code(deserialize_complex(blob), C1)
+                _, code = _square_code(blob, C1)
                 report.update(codes.check_square_distance_bound(
                     code, delta1=d1[0] / d1[1], lam=lam))
         elif which == "sigma":
@@ -296,9 +304,8 @@ def _write_rows(path: Path, fields: list[str], rows: list[dict]) -> bytes:
 
 def cmd_experiment(args) -> int:
     manifest, blob, C1 = _load_instance(args.manifest)
-    X = deserialize_complex(blob)
     try:
-        code = codes.square_code(X, C1)
+        X, code = _square_code(blob, C1)
     except DimensionBudgetError as exc:
         print(json.dumps({"verdict": "na", "reason": str(exc)}))
         return EXIT_PRECONDITION

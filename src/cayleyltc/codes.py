@@ -126,8 +126,7 @@ class LinearCode:
         """All 2^k codewords; only sensible for small k."""
         if self.k > f2core.MAX_ENUM_DIMENSION:
             raise DimensionBudgetError(f"k={self.k} too large to enumerate")
-        words = f2core._enumerate_span_words(self.generator.words, self.k) \
-            if self.k else np.zeros((1, self.generator.words.shape[1]), dtype=np.uint64)
+        words = f2core._xor_table(self.generator.words)
         return [BitVector._from_words(w.copy(), self.n) for w in words]
 
     def distance_exact(self) -> int:
@@ -397,6 +396,14 @@ def _vertex_wise_checks(X: CayleyComplex, C0: LinearCode) -> np.ndarray:
     return _local_checks(views, C0.parity.to_array(), X.n_squares)
 
 
+def check_square_code_budget(n_squares: int,
+                             max_coords: int = SQUARE_CODE_COORD_BUDGET) -> None:
+    """Refuse a square code on more than max_coords coordinates (squares)."""
+    if n_squares > max_coords:
+        raise DimensionBudgetError(
+            f"square code on {n_squares} coordinates exceeds budget {max_coords}")
+
+
 def square_code(X: CayleyComplex, C1: LinearCode,
                 max_coords: int = SQUARE_CODE_COORD_BUDGET) -> LinearCode:
     """The code on F_2^S whose view along every edge lies in C1.
@@ -422,9 +429,7 @@ def square_code(X: CayleyComplex, C1: LinearCode,
         raise ValueError(f"square codes need |A| = |B|, got {X.nA} != {X.nB}")
     if C1.n != r:
         raise ValueError(f"base code length {C1.n} != degree r = {r}")
-    if X.n_squares > max_coords:
-        raise DimensionBudgetError(
-            f"square code on {X.n_squares} coordinates exceeds budget {max_coords}")
+    check_square_code_budget(X.n_squares, max_coords)
     est = X.edge_slot_table()
     if not (np.bincount(X.edge_at.ravel(), minlength=len(est)).all()
             and np.array_equal(X.square_id, est[X.edge_at[:r]])

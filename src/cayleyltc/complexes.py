@@ -266,14 +266,20 @@ def _group_from_manifest(m: dict) -> FiniteGroup:
     raise ValueError(f"unknown group kind {m['kind']!r}")
 
 
-def deserialize_complex(data: bytes) -> CayleyComplex:
-    """Rebuild the complex from a cay2 v2 manifest's group and generator
-    sets.  The file is rejected, with the field named, if another manifest
-    field (counts, tnc, n2c) differs from the rebuilt complex's."""
+def complex_manifest(data: bytes) -> dict:
+    """The manifest of a cay2 v2 file, read without rebuilding the complex."""
     with np.load(io.BytesIO(data)) as z:
         manifest = json.loads(bytes(z["manifest"]).decode())
     if manifest.get("format") != "cay2 v2":
         raise ValueError("not a cay2 v2 file")
+    return manifest
+
+
+def deserialize_complex(data: bytes) -> CayleyComplex:
+    """Rebuild the complex from a cay2 v2 manifest's group and generator
+    sets.  The file is rejected, with the field named, if another manifest
+    field (counts, tnc, n2c) differs from the rebuilt complex's."""
+    manifest = complex_manifest(data)
     group = _group_from_manifest(manifest["group"])
     X = build_complex(group, GeneratorSet(group, tuple(manifest["A"])),
                       GeneratorSet(group, tuple(manifest["B"])))

@@ -208,7 +208,8 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
     k = rows.shape[-2]
     table = np.zeros(rows.shape[:-2] + (1 << k, rows.shape[-1]), dtype=np.uint64)
     for i in range(k):
-        table[..., 1 << i: 2 << i, :] = table[..., : 1 << i, :] ^ rows[..., i, None, :]
+        np.bitwise_xor(table[..., : 1 << i, :], rows[..., i, None, :],
+                       out=table[..., 1 << i: 2 << i, :])
     return table
 
 
@@ -416,35 +417,6 @@ def rows_orthogonal(A: BitMatrix, B: BitMatrix) -> bool:
     return not mul_transpose(A, B).words.any()
 
 
-def _enumerate_span_words(rows: np.ndarray, k: int) -> np.ndarray:
-    """All 2^k GF(2) combinations of the first k packed rows.
-
-    Gray-order blockwise: low half via an explicitly materialized table,
-    high half XORed in per chunk.  Returns an array of shape (2^k, nwords).
-    """
-    nwords = rows.shape[1]
-    k_lo = min(k, 12)
-    k_hi = k - k_lo
-    lo = np.zeros((1 << k_lo, nwords), dtype=np.uint64)
-    for i in range(k_lo):
-        half = 1 << i
-        lo[half: 2 * half] = lo[:half] ^ rows[i]
-    if k_hi == 0:
-        return lo
-    out = np.empty((1 << k, nwords), dtype=np.uint64)
-    hi = np.zeros(nwords, dtype=np.uint64)
-    # Gray code over the high bits so each chunk differs by one row XOR.
-    prev = 0
-    for j in range(1 << k_hi):
-        g = j ^ (j >> 1)
-        diff = g ^ prev
-        if diff:
-            hi = hi ^ rows[k_lo + diff.bit_length() - 1]
-            prev = g
-        out[g << k_lo: (g + 1) << k_lo] = lo ^ hi
-    return out
-
-
 def min_weight_exhaustive(basis: list[BitVector]) -> int:
     """Exact minimum weight of a nonzero codeword in span(basis).
 
@@ -459,7 +431,7 @@ def min_weight_exhaustive(basis: list[BitVector]) -> int:
     if k == 0:
         raise ValueError("zero code: no nonzero codeword exists")
     check_enum_budget(k)
-    words = _enumerate_span_words(B.words, k)
+    words = _xor_table(B.words)
     wts = _popcount(words).sum(axis=1)
     return int(wts[1:].min())
 

@@ -2,8 +2,11 @@
 
 The tester picks a uniform random vertex g and accepts a word f on the
 squares iff the local view f|_{S(g)}, pulled back through the labelling
-map, lies in the tensor square of the base code.  reject_probability
-computes the exact rejection probability D(f) by a full vertex scan.
+map, lies in the tensor square of the base code, i.e. iff every row and
+column of the view lies in C1.  A line's syndrome is the XOR of C1's check
+columns, each packed into words, at the line's set bits, so the tester
+works in exact GF(2) on packed words.  reject_probability computes the
+exact rejection probability D(f) by a full vertex scan.
 
 The decoder keeps one local codeword W_g per vertex (fiber-constant on the
 labelling map, so degenerate vertices where TNC fails are handled), counts
@@ -32,7 +35,7 @@ import numpy as np
 
 from .codes import LinearCode, tensor_code
 from .complexes import CayleyComplex
-from .f2core import BitVector, DimensionBudgetError
+from .f2core import BitVector, DimensionBudgetError, _pack_bits
 from .spectral import parallel_neighbor_table
 
 NEAREST_SEARCH_MAX_DIM = 20
@@ -113,7 +116,7 @@ class SquareCodeTester:
         self.code = code
         self.r = X.nA
         self.n_squares = X.n_squares
-        self._h1 = C1.parity.to_array().astype(np.int64)
+        self._hcols = _pack_bits(C1.parity.to_array().T)   # (r, words): bit j = check j
         self._grid = X.square_id                     # (r, n, r)
         self._cand_flat = None
         self._pattern_of = None      # set last by _ensure_tables, with _pattern_*
@@ -126,16 +129,19 @@ class SquareCodeTester:
         f_bits = _as_bits(f)
         if f_bits.shape[0] != self.n_squares:
             raise ValueError(f"word length {f_bits.shape[0]} != |S| = {self.n_squares}")
-        return self._rejects(f_bits[self._grid].astype(np.int64))
+        return self._rejects(f_bits[self._grid])
 
     def _rejects(self, views: np.ndarray) -> np.ndarray:
-        """Boolean per vertex: some row or column of its view in the int64
-        (a, vertex, b) grid views fails a parity check of C1."""
-        if self._h1.size == 0:
+        """Boolean per vertex: some row or column of its view in the
+        (a, vertex, b) grid views, read mod 2, fails a check of C1: its
+        syndrome, the XOR of the packed check columns at its bits, is not 0."""
+        if not self._hcols.any():
             return np.zeros(views.shape[1], dtype=bool)
-        col_syn = np.tensordot(self._h1, views, axes=([1], [0])) & 1   # (nh, m, r)
-        row_syn = np.tensordot(self._h1, views, axes=([1], [2])) & 1   # (nh, r, m)
-        return col_syn.any(axis=(0, 2)) | row_syn.any(axis=(0, 1))
+        row_syn = col_syn = 0      # uint64 bits, as int64 x uint64 is float64
+        for i, h in enumerate(self._hcols):
+            row_syn = row_syn ^ (views[:, :, i, None] & 1).astype(np.uint64) * h
+            col_syn = col_syn ^ (views[i, :, :, None] & 1).astype(np.uint64) * h
+        return row_syn.any(axis=(0, 2)) | col_syn.any(axis=(1, 2))
 
     def reject_probability(self, f) -> float:
         """Exact D(f) by full vertex scan."""

@@ -231,6 +231,59 @@ def test_rc_distance_invariant_under_tensor_shift(name, seed):
     assert (shifted["d"], shifted["d_rc"]) == (rec["d"], rec["d_rc"])
 
 
+def _sigma_int64_scan(C1):
+    """Reference: the coset-representative scan of sigma_exact with int64
+    mismatch counts and whole (|W|, |G|, r) comparisons, one representative
+    block at a time; returns (value, f, g, pairs scanned)."""
+    r = C1.n
+    F, F_rows = _row_valid_matrices(C1)
+    G = np.swapaxes(F, 1, 2).copy()
+    C0 = tensor_code(C1)
+    W = np.stack([w.to_bits().reshape(r, r) for w in C0.codewords()])
+    pows = (1 << np.arange(r)).astype(np.int64)
+    W_rows = W.reshape(-1, r, r) @ pows
+    W_cols = np.swapaxes(W, 1, 2) @ pows
+    G_cols = np.swapaxes(G, 1, 2) @ pows
+    F_flat = F.reshape(len(F), -1).astype(np.float64)
+    G_flat = G.reshape(len(G), -1).astype(np.float64)
+    F_wt, G_wt = F_flat.sum(axis=1), G_flat.sum(axis=1)
+    H0 = C0.parity.to_array().T.astype(np.float64)
+    syndromes = np.packbits((F_flat @ H0) % 2 != 0, axis=1)
+    reps = np.sort(np.unique(syndromes, axis=0, return_index=True)[1])
+    D_row = (F_rows[reps][:, :, None] != W_rows.T[None]).sum(axis=1)
+    D_col = (W_cols[:, None, :] != G_cols[None]).sum(axis=2)
+    block = max(1, (1 << 21) // D_col.size)
+    best, best_pair, pairs = None, None, 0
+    for start in range(0, len(reps), block):
+        idx = reps[start:start + block]
+        minsum = (D_row[start:start + block, :, None] + D_col[None]).min(axis=1)
+        wt = F_wt[idx, None] + G_wt[None] - 2 * (F_flat[idx] @ G_flat.T)
+        neq = wt != 0
+        pairs += int(neq.sum())
+        ratios = np.full(wt.shape, np.inf)
+        np.divide(2 * wt, r * minsum, out=ratios, where=neq)
+        t, j = np.unravel_index(np.argmin(ratios), ratios.shape)
+        cand = Fraction(2 * int(wt[t, j]), r * int(minsum[t, j]))
+        if best is None or cand < best:
+            best, best_pair = cand, (F[idx[t]].copy(), G[j].copy())
+    return best, best_pair[0], best_pair[1], pairs
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"rep:{r}" for r in range(2, 13)), "parity:2", "parity:3", "parity:4",
+    "full:2", "full:3", "bch:3,7",
+])
+def test_sigma_uint8_counts_match_the_int64_scan(spec):
+    # every base code with r * k1 <= 12; bch:3,7 is the [7, 1] BCH code
+    kind, _, arg = spec.partition(":")
+    c = bch_code(3, 7) if kind == "bch" else _SIGMA_CODES[kind](int(arg))
+    assert c.n * c.k <= 12
+    res = sigma_exact(c)
+    value, f, g, pairs = _sigma_int64_scan(c)
+    assert (res.value, res.pairs_scanned) == (value, pairs)
+    assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
+
+
 def test_sigma_parity4_pinned():
     res = sigma_exact(parity_code(4))
     assert res.value == Fraction(1, 2)

@@ -392,6 +392,107 @@ def test_analyze_budget_refusal_is_an_na_report(wide_dir, tmp_path, capsys,
     assert out.read_text() == text + "\n"
 
 
+X41_REFUSAL = "square code on 309960 coordinates exceeds budget 20000"
+
+
+def _forbid_rebuild(monkeypatch):
+    from cayleyltc import complexes
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("the complex was rebuilt")
+
+    monkeypatch.setattr(cli, "deserialize_complex", rebuilt)
+    monkeypatch.setattr(complexes, "build_complex", rebuilt)
+
+
+def x41_manifest_copy(x41_dir, tmp_path, alter):
+    """Path of a copy of the X41 manifest, changed by alter(manifest)."""
+    manifest = json.loads((x41_dir / "manifest.json").read_text())
+    manifest["files"]["complex"]["path"] = str(x41_dir / "complex.cay2.npz")
+    alter(manifest)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("which", ["rate", "distance"])
+def test_over_budget_analysis_is_refused_before_the_rebuild(x41_dir, capsys,
+                                                            monkeypatch, which):
+    from cayleyltc import __version__
+
+    manifest = x41_dir / "manifest.json"
+    _forbid_rebuild(monkeypatch)
+    assert main(["analyze", str(manifest), "--which", which]) == 2
+    expected = {
+        "instance": "psl2:41", "base": "parity:6", "which": which,
+        "manifest_sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
+        "tool_version": __version__, "verdict": "na", "reason": X41_REFUSAL,
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_over_budget_experiment_is_refused_before_the_rebuild(x41_dir, tmp_path,
+                                                              capsys, monkeypatch):
+    _forbid_rebuild(monkeypatch)
+    rc = main(["experiment", str(x41_dir / "manifest.json"), "--kind", "decode",
+               "--trials", "2", "--out", str(tmp_path / "runs" / "d")])
+    assert rc == 2
+    assert capsys.readouterr().out == json.dumps(
+        {"verdict": "na", "reason": X41_REFUSAL}) + "\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_refusal_keeps_the_hash_check_and_the_distance_na_first(x41_dir, tmp_path,
+                                                                capsys, monkeypatch):
+    _forbid_rebuild(monkeypatch)
+    bad_hash = x41_manifest_copy(
+        x41_dir, tmp_path, lambda m: m["files"]["complex"].update(sha256="0" * 64))
+    for argv in (["analyze", str(bad_hash), "--which", "rate"],
+                 ["analyze", str(bad_hash), "--which", "distance"],
+                 ["experiment", str(bad_hash), "--kind", "decode", "--trials", "2",
+                  "--out", str(tmp_path / "d")]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "complex file hash mismatch: artifacts corrupted"}
+    no_delta = x41_manifest_copy(x41_dir, tmp_path, lambda m: m["derived"].update(delta1=None))
+    assert main(["analyze", str(no_delta), "--which", "distance"]) == 2
+    assert json.loads(capsys.readouterr().out)["reason"] == "base code has no distance"
+
+
+def test_z5_square_code_outputs_are_unchanged(z5_dir, tmp_path, capsys):
+    # the budget check reads the complex file's square count; under budget,
+    # the reports and trial rows are those of the rebuilt complex's code
+    from cayleyltc import __version__
+
+    manifest = z5_dir / "manifest.json"
+    common = {"instance": "cyclic:5", "base": "rep:2", "tool_version": __version__,
+              "manifest_sha256": hashlib.sha256(manifest.read_bytes()).hexdigest()}
+    expected = {
+        "rate": {"which": "rate", "k": 1, "n": 5, "bound": -5.0, "verdict": "pass"},
+        "distance": {"which": "distance", "bound": 0.8637287570313152, "delta0": 1.0,
+                     "distance": 5, "hypothesis_holds": True,
+                     "lambda": 0.3090169943749478, "verdict": "pass"},
+    }
+    for which, fields in expected.items():
+        assert main(["analyze", str(manifest), "--which", which]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            {**common, **fields}, indent=2, sort_keys=True) + "\n"
+    rows = {
+        "decode": ["trial,weight,D,outcome,iterations,delta_initial,dist_to_output,"
+                   "dist_bound,contract_ok", "0,1,0.6,codeword,0,0,0.2,12,1",
+                   "1,2,1,codeword,1,4,0.4,20,1", "2,3,0.8,far,0,4,nan,16,1",
+                   "3,4,0.6,codeword,0,0,0.2,12,1"],
+        "kappa": ["trial,weight,D,kappa_hat,certified,in_code", "0,1,0.6,3,1,0",
+                  "1,2,1,2.5,1,0", "2,3,0.8,1.33333333333,0,0", "3,4,0.6,0.75,0,0"],
+    }
+    for kind, lines in rows.items():
+        assert main(["experiment", str(manifest), "--kind", kind, "--trials", "4",
+                     "--seed", "3", "--weights", "1,4", "--format", "csv",
+                     "--out", str(tmp_path / kind)]) == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 def test_build_artifacts_are_byte_identical_across_processes(tmp_path):
     # analyze and experiment reports hash manifest.json, which holds the
     # artifact's sha256, so both files must be a function of the inputs

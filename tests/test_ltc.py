@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cayleyltc import f2core
 from cayleyltc.codes import (
+    bch_code,
     full_code,
     parity_code,
     repetition_code,
@@ -95,6 +96,74 @@ def test_rejects_counts_the_vertices_of_its_views(start_instances):
     for tester in (start_instances["z12"], SquareCodeTester(X, full_code(2))):
         views = np.zeros((tester.r, 3, tester.r), dtype=np.int64)
         assert tester._rejects(views).shape == (3,)
+
+
+def tensordot_rejects(tester, f):
+    """Reference: the int64 tensordot form of the tester.  A vertex rejects
+    iff some column (sum over a) or row (sum over b) of its view has a
+    nonzero syndrome mod 2 under C1's checks."""
+    views = np.asarray(f, dtype=np.uint8)[tester._grid].astype(np.int64)
+    h1 = tester.C1.parity.to_array().astype(np.int64)
+    if h1.size == 0:
+        return np.zeros(views.shape[1], dtype=bool)
+    col_syn = np.tensordot(h1, views, axes=([1], [0])) & 1   # (nh, m, r)
+    row_syn = np.tensordot(h1, views, axes=([1], [2])) & 1   # (nh, r, m)
+    return col_syn.any(axis=(0, 2)) | row_syn.any(axis=(0, 1))
+
+
+def words_for_tester(tester, code, rng):
+    """Zero, all-ones, a uint8 word of 0..3 (the tester reads the low bit),
+    random words, and codewords (all-ones without a code) with 1..64 errors."""
+    n = tester.n_squares
+    words = [np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8),
+             rng.integers(0, 4, n, dtype=np.uint8)]
+    words += [(rng.random(n) < p).astype(np.uint8) for p in (0.01, 0.5)]
+    for w in (1, 2, 5, 64):
+        c = (np.ones(n, dtype=np.uint8) if code is None
+             else code.random_codeword(rng).to_bits())
+        words.append(c.copy())
+        c[rng.choice(n, size=min(w, n), replace=False)] ^= 1
+        words.append(c)
+    return words
+
+
+def _bases(r):
+    """Base codes of length r: rep, parity, full (no checks), BCH at r = 7,
+    and the duals of each."""
+    bases = [repetition_code(r), parity_code(r), full_code(r)]
+    if r == 7:
+        bases.append(bch_code(3, 3))
+    return bases + [c.dual() for c in bases]
+
+
+@pytest.mark.parametrize("name", ["z5", "z12", "z7reg", "p13"])
+def test_packed_syndromes_match_the_tensordot_reference(start_instances, name):
+    X = toy(16, (1, 15, 3, 13, 5, 11, 8)) if name == "z7reg" else start_instances[name].X
+    rng = np.random.default_rng(61)
+    for C1 in _bases(X.nA):
+        tester = SquareCodeTester(X, C1)
+        code = square_code(X, C1)
+        for f in words_for_tester(tester, code, rng):
+            got = tester.reject_vector(f)
+            assert got.dtype == bool
+            assert np.array_equal(got, tensordot_rejects(tester, f))
+
+
+def test_packed_syndromes_span_words_past_64_checks():
+    # rep:66 has 65 checks, so each packed check column takes two words
+    X = toy(67, tuple(range(1, 67)))
+    tester = SquareCodeTester(X, repetition_code(66))
+    assert tester._hcols.shape == (66, 2)
+    rng = np.random.default_rng(62)
+    for f in words_for_tester(tester, None, rng):
+        assert np.array_equal(tester.reject_vector(f), tensordot_rejects(tester, f))
+    # one flip at slot (65, 65) of vertex 0 fails only check 64 there: the
+    # checks are x_0 + x_(j+1), so only the second word sees it
+    assert tester.C1.parity.to_array()[64].nonzero()[0].tolist() == [0, 65]
+    f = np.ones(X.n_squares, dtype=np.uint8)
+    f[X.square_id[65, 0, 65]] = 0
+    got = tester.reject_vector(f)
+    assert got[0] and np.array_equal(got, tensordot_rejects(tester, f))
 
 
 # -- decoder ------------------------------------------------------------------
