@@ -274,10 +274,10 @@ def test_analyze_loads_no_complex_where_the_verdict_reads_none(x41_dir, z5_dir, 
     assert [json.loads(out)["verdict"] for _, out in unpatched] == ["pass"] * 3
 
 
-def z5_manifest_copy(z5_dir, tmp_path, alter):
-    """Path of a copy of the z5 manifest, changed by alter(manifest)."""
-    manifest = json.loads((z5_dir / "manifest.json").read_text())
-    manifest["files"]["complex"]["path"] = str(z5_dir / "complex.cay2.npz")
+def manifest_copy(instance_dir, tmp_path, alter):
+    """Path of a copy of an instance's manifest, changed by alter(manifest)."""
+    manifest = json.loads((instance_dir / "manifest.json").read_text())
+    manifest["files"]["complex"]["path"] = str(instance_dir / "complex.cay2.npz")
     alter(manifest)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
@@ -295,7 +295,7 @@ def test_ramanujan_verdict_counts_the_residual(z5_dir, tmp_path, capsys):
             m["spectral"] = {"lambda": 0.74, "cayley": {"left": side, "right": side}}
             m["derived"]["lambda"] = 0.74
 
-        path = z5_manifest_copy(z5_dir, tmp_path, fake)
+        path = manifest_copy(z5_dir, tmp_path, fake)
         assert main(["analyze", str(path), "--which", "spectral"]) == rc
         rep = json.loads(capsys.readouterr().out)
         assert rep["lambda"] <= rep["ramanujan_bound"]
@@ -317,7 +317,7 @@ def _halve_lambda(m):
 ])
 def test_analyze_spectral_refuses_an_inconsistent_record(z5_dir, tmp_path, capsys,
                                                          alter, field):
-    path = z5_manifest_copy(z5_dir, tmp_path, alter)
+    path = manifest_copy(z5_dir, tmp_path, alter)
     assert main(["analyze", str(path), "--which", "spectral"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -405,16 +405,6 @@ def _forbid_rebuild(monkeypatch):
     monkeypatch.setattr(complexes, "build_complex", rebuilt)
 
 
-def x41_manifest_copy(x41_dir, tmp_path, alter):
-    """Path of a copy of the X41 manifest, changed by alter(manifest)."""
-    manifest = json.loads((x41_dir / "manifest.json").read_text())
-    manifest["files"]["complex"]["path"] = str(x41_dir / "complex.cay2.npz")
-    alter(manifest)
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
-    return path
-
-
 @pytest.mark.parametrize("which", ["rate", "distance"])
 def test_over_budget_analysis_is_refused_before_the_rebuild(x41_dir, capsys,
                                                             monkeypatch, which):
@@ -445,7 +435,7 @@ def test_over_budget_experiment_is_refused_before_the_rebuild(x41_dir, tmp_path,
 def test_refusal_keeps_the_hash_check_and_the_distance_na_first(x41_dir, tmp_path,
                                                                 capsys, monkeypatch):
     _forbid_rebuild(monkeypatch)
-    bad_hash = x41_manifest_copy(
+    bad_hash = manifest_copy(
         x41_dir, tmp_path, lambda m: m["files"]["complex"].update(sha256="0" * 64))
     for argv in (["analyze", str(bad_hash), "--which", "rate"],
                  ["analyze", str(bad_hash), "--which", "distance"],
@@ -455,7 +445,8 @@ def test_refusal_keeps_the_hash_check_and_the_distance_na_first(x41_dir, tmp_pat
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err) == {"error": "complex file hash mismatch: artifacts corrupted"}
-    no_delta = x41_manifest_copy(x41_dir, tmp_path, lambda m: m["derived"].update(delta1=None))
+    no_delta = manifest_copy(x41_dir, tmp_path,
+                             lambda m: m["derived"].update(delta1=None))
     assert main(["analyze", str(no_delta), "--which", "distance"]) == 2
     assert json.loads(capsys.readouterr().out)["reason"] == "base code has no distance"
 
