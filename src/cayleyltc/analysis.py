@@ -3,16 +3,13 @@
 Agreement testability of a length-r code C compares pairs (f, g) of r x r
 matrices where every row of f and every column of g lies in C: sigma(C) is
 the worst-case ratio of their plain disagreement d(f,g) to the row/column
-correction cost d_rc((f,g), C (x) C).  The oracles here search exactly,
-so they only run at small budgets, and they return exact fractions:
-sigma_exact scans one row-valid f per coset of C (x) C against every
-column-valid g, rc_distance scans the whole tensor code.
+correction cost d_rc((f,g), C (x) C).  sigma_exact searches exactly, so it
+only runs at small budgets, and it returns an exact fraction.
 
 Uniform smoothness: a d-LDPC code C is (alpha, beta, delta, d)-US when
 every small erased set I extends to a set J, of size at most |I|/beta,
 with the I-relaxed J-punctured code C(I,J) keeping normalized distance
-delta.  verify_us checks this per I, either by exhaustive search over J or
-constructively through the expander smoothing procedure.
+delta.  verify_us checks this per I by exhaustive search over J.
 """
 
 from __future__ import annotations
@@ -30,77 +27,6 @@ from .f2core import BitMatrix, BitVector, DimensionBudgetError
 SIGMA_MAX_RK = 12
 #: Entries of one (representative, w, g) block in sigma_exact (2 MB of uint8).
 SIGMA_BLOCK = 1 << 21
-RC_MAX_K0 = 20
-
-
-# ---------------------------------------------------------------------------
-# Row/column distances and d_rc
-# ---------------------------------------------------------------------------
-
-
-def _as_grid(x, r: int) -> np.ndarray:
-    if isinstance(x, BitVector):
-        x = x.to_bits()
-    grid = np.asarray(x, dtype=np.uint8).reshape(r, r) & 1
-    return grid
-
-
-def plain_distance(f, g, r: int) -> Fraction:
-    """d(f,g) = wt(f - g) / r^2."""
-    return Fraction(int((_as_grid(f, r) ^ _as_grid(g, r)).sum()), r * r)
-
-
-def row_distance(f, w, r: int) -> Fraction:
-    fg, wg = _as_grid(f, r), _as_grid(w, r)
-    return Fraction(int(((fg != wg).any(axis=1)).sum()), r)
-
-
-def col_distance(g, w, r: int) -> Fraction:
-    gg, wg = _as_grid(g, r), _as_grid(w, r)
-    return Fraction(int(((gg != wg).any(axis=0)).sum()), r)
-
-
-def _validate_pair(C1: LinearCode, f: np.ndarray, g: np.ndarray):
-    r = C1.n
-    for a in range(r):
-        if not C1.contains(BitVector(f[a, :])):
-            raise ValueError(f"row {a} of f is not a codeword")
-        if not C1.contains(BitVector(g[:, a])):
-            raise ValueError(f"column {a} of g is not a codeword")
-
-
-def rc_distance(f, g, C1: LinearCode) -> dict:
-    """Exact d, d_row, d_col and d_rc((f,g), C1 (x) C1) with the minimizer.
-
-    f must have all rows in C1 and g all columns in C1; the minimization
-    enumerates the tensor square, so k1^2 is budget-capped.
-    """
-    r = C1.n
-    if C1.k * C1.k > RC_MAX_K0:
-        raise DimensionBudgetError(
-            f"tensor dimension {C1.k ** 2} exceeds the d_rc budget {RC_MAX_K0}")
-    fg, gg = _as_grid(f, r), _as_grid(g, r)
-    _validate_pair(C1, fg, gg)
-    C0 = tensor_code(C1)
-    best = None
-    best_w = None
-    for w in C0.codewords():
-        s = row_distance(fg, w, r) + col_distance(gg, w, r)
-        if best is None or s < best:
-            best, best_w = s, w
-    d_rc = best / 2
-    rec = {
-        "d": plain_distance(fg, gg, r),
-        "d_rc": d_rc,
-        "d_row": row_distance(fg, best_w, r),
-        "d_col": col_distance(gg, best_w, r),
-        "witness": best_w,
-    }
-    if rec["d"] != 0 and d_rc == 0:
-        raise AssertionError("d_rc = 0 with f != g: implementation bug")
-    # the pairwise form of sigma <= 2
-    assert rec["d"] <= 2 * d_rc or rec["d"] == 0
-    return rec
 
 
 @dataclass
@@ -262,118 +188,35 @@ def punctured_normalized_distance(code: LinearCode) -> Fraction | None:
     return Fraction(code.distance_exact(), code.n)
 
 
-class SmoothingFailure(RuntimeError):
-    """The iterative vertex-growing procedure exceeded its step bound."""
-
-    def __init__(self, msg, violating_set):
-        super().__init__(msg)
-        self.violating_set = violating_set
-
-
-def smoothing_set(graph, labelling: np.ndarray, I, delta0: Fraction) -> dict:
-    """Grow the erased edge set I into the smoothing superset J.
-
-    Starts from the endpoints U0 of I and repeatedly absorbs any vertex
-    with more than delta0*d/2 neighbours inside the current set; J is every
-    edge touching the final set.  The procedure must stop within |U0| steps
-    when the graph expands enough (lambda < delta0/4); exceeding it raises
-    SmoothingFailure with the violating set.
-
-    Returns {"J", "U", "steps"} with the three certified properties
-    I Subset J, |J| <= 4d|I|, and every outside vertex sees at most
-    delta0*d/2 edges of J (the stopping rule only absorbs vertices with
-    strictly more).
-    """
-    labelling = np.asarray(labelling)
-    n_vertices, d = labelling.shape
-    I = sorted(set(I))
-    edge_vertices: dict[int, list[int]] = {}
-    for v in range(n_vertices):
-        for e in labelling[v]:
-            edge_vertices.setdefault(int(e), []).append(v)
-    U = set()
-    for e in I:
-        U.update(edge_vertices[e])
-    u0 = len(U)
-    threshold = delta0 * d / 2
-    steps = 0
-    while True:
-        candidate = None
-        for v in range(n_vertices):
-            if v in U:
-                continue
-            nbrs_in = 0
-            for e in labelling[v]:
-                for w in edge_vertices[int(e)]:
-                    if w != v and w in U:
-                        nbrs_in += 1
-            if Fraction(nbrs_in) > threshold:
-                candidate = v
-                break
-        if candidate is None:
-            break
-        U.add(candidate)
-        steps += 1
-        if steps > u0:
-            raise SmoothingFailure(
-                f"smoothing grew for more than |U0| = {u0} steps: "
-                "expansion hypothesis (lambda < delta0/4) fails", U)
-    J = sorted({int(e) for v in U for e in labelling[v]})
-    assert set(I) <= set(J)
-    assert len(J) <= 4 * d * max(len(I), 0) or not I
-    J_set = set(J)
-    for v in range(n_vertices):
-        if v not in U:
-            inc = sum(1 for e in labelling[v] if int(e) in J_set)
-            assert Fraction(inc) <= threshold, "outside vertex sees too many J edges"
-    return {"J": J, "U": sorted(U), "steps": steps, "U0_size": u0}
-
-
 def verify_us(C: LinearCode, alpha: Fraction, beta: Fraction, delta: Fraction,
-              d: int, strategy: str = "exhaustive",
-              graph=None, labelling=None, local_delta0: Fraction | None = None) -> dict:
+              d: int) -> dict:
     """Certificate or counterexample for (alpha, beta, delta, d)-US.
 
-    exhaustive: for every I with |I| <= alpha*r, search all J Superset I with
-    |J| <= |I|/beta for one with delta(C(I,J)) >= delta.  constructive:
-    produce J by the smoothing procedure on the Tanner graph of C, whose
-    absorption threshold uses the local code distance local_delta0.
+    For every I with |I| <= alpha*r, search all J Superset I with
+    |J| <= |I|/beta for one with delta(C(I,J)) >= delta.
     """
     r = C.n
     if not is_d_ldpc(C, d):
         return {"certified": False, "reason": f"not a {d}-LDPC code"}
     max_i = int(alpha * r)
-    if strategy == "exhaustive" and r > 16:
+    if r > 16:
         raise DimensionBudgetError("exhaustive US verification capped at r <= 16")
-    if strategy == "constructive" and (graph is None or labelling is None
-                                       or local_delta0 is None):
-        raise ValueError(
-            "constructive strategy needs the Tanner graph, labelling and delta0")
     witnesses = []
     for size in range(max_i + 1):
         for I in combinations(range(r), size):
             budget = int(Fraction(len(I)) / beta) if I else 0
             found = None
-            if strategy == "constructive":
-                rec = smoothing_set(graph, labelling, I, delta0=local_delta0)
-                J = rec["J"]
-                if len(J) <= budget or not I:
+            for jsize in range(len(I), budget + 1):
+                for extra in combinations(sorted(set(range(r)) - set(I)),
+                                          jsize - len(I)):
+                    J = sorted(set(I) | set(extra))
                     delta_meas = punctured_normalized_distance(
                         punctured_code(C, I, J, d))
                     if delta_meas is None or delta_meas >= delta:
                         found = (J, delta_meas)
-            else:
-                for jsize in range(len(I), budget + 1):
-                    for extra in combinations(sorted(set(range(r)) - set(I)),
-                                              jsize - len(I)):
-                        J = sorted(set(I) | set(extra))
-                        delta_meas = punctured_normalized_distance(
-                            punctured_code(C, I, J, d))
-                        if delta_meas is None or delta_meas >= delta:
-                            found = (J, delta_meas)
-                            break
-                    if found:
                         break
+                if found:
+                    break
             if found is None:
                 return {
                     "certified": False,
@@ -388,4 +231,3 @@ def verify_us(C: LinearCode, alpha: Fraction, beta: Fraction, delta: Fraction,
     return {"certified": True, "witnesses": witnesses,
             "params": {"alpha": str(alpha), "beta": str(beta),
                        "delta": str(delta), "d": d}}
-

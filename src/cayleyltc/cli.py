@@ -94,7 +94,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _derived_parameters(X, C1, lam: float) -> dict:
+def _derived_parameters(X, C1, lam: float, cay2: dict) -> dict:
+    """The manifest's derived block; tnc and n2c are copied from cay2, the
+    manifest of the complex file, so the conditions are checked once."""
     delta1 = Fraction(C1.distance_exact(), C1.n) if C1.k else None
     sigma1 = None
     if C1.k and C1.n * C1.k <= analysis.SIGMA_MAX_RK:
@@ -109,9 +111,8 @@ def _derived_parameters(X, C1, lam: float) -> dict:
         "sigma1": None if sigma1 is None else [sigma1.numerator, sigma1.denominator],
         "query_count": X.nA * X.nA,
     }
-    cond = X.check_conditions()
-    derived["tnc"] = cond.tnc
-    derived["n2c"] = cond.n2c
+    derived["tnc"] = cay2["tnc"]
+    derived["n2c"] = cay2["n2c"]
     params = None
     if delta1 is not None and sigma1 is not None:
         params = ltc.TesterParams(r=X.nA, delta1=float(delta1),
@@ -157,7 +158,8 @@ def cmd_build(args) -> int:
         "base_spec": args.base,
         "generators": {"A": list(A.indices), "B": list(B.indices), **gen_spec},
         "base_code": json.loads(C1.sidecar_json()),
-        "derived": _derived_parameters(X, C1, lam_rec["lambda"]),
+        "derived": _derived_parameters(X, C1, lam_rec["lambda"],
+                                       complexes.complex_manifest(blob)),
         "spectral": lam_rec,
         "square_code": code_info,
         "files": files,
@@ -169,17 +171,28 @@ def cmd_build(args) -> int:
     return EXIT_PASS
 
 
+def _field(manifest: dict, field: str):
+    """The value of a dotted manifest field, refused with the first absent
+    field on its path named."""
+    node, path = manifest, []
+    for key in field.split("."):
+        path.append(key)
+        if not isinstance(node, dict) or key not in node:
+            raise PreconditionError(f"manifest field {'.'.join(path)!r} is missing")
+        node = node[key]
+    return node
+
+
 def _load_instance(manifest_path: str):
     """The manifest, the complex file's checked bytes and the base code."""
     mpath = Path(manifest_path)
     manifest = json.loads(mpath.read_text())
     if manifest.get("format") != "instance v1":
         raise PreconditionError(f"{manifest_path} is not an instance manifest")
-    base = mpath.parent
-    blob = (base / manifest["files"]["complex"]["path"]).read_bytes()
-    if _sha256(blob) != manifest["files"]["complex"]["sha256"]:
+    blob = (mpath.parent / _field(manifest, "files.complex.path")).read_bytes()
+    if _sha256(blob) != _field(manifest, "files.complex.sha256"):
         raise PreconditionError("complex file hash mismatch: artifacts corrupted")
-    return manifest, blob, _parse_base(manifest["base_spec"])
+    return manifest, blob, _parse_base(_field(manifest, "base_spec"))
 
 
 def _square_code(blob: bytes, C1: codes.LinearCode):
@@ -207,13 +220,10 @@ def _recorded_spectrum(manifest: dict) -> dict:
     sides = [f"spectral.cayley.{side}" for side in ("left", "right")]
     for field in ["spectral", *sides, *(f"{side}.{key}" for side in sides
                                         for key in ("lambda", "residual"))]:
-        node = manifest
-        for key in field.split("."):
-            node = node.get(key) if isinstance(node, dict) else None
-        if node is None:
+        if _field(manifest, field) is None:
             raise PreconditionError(f"manifest field {field!r} is missing")
     rec = manifest["spectral"]
-    for other, lam in (("'derived.lambda'", manifest.get("derived", {}).get("lambda")),
+    for other, lam in (("'derived.lambda'", _field(manifest, "derived.lambda")),
                        ("the larger side lambda",
                         max(side["lambda"] for side in rec["cayley"].values()))):
         if rec.get("lambda") != lam:
@@ -225,7 +235,8 @@ def _recorded_spectrum(manifest: dict) -> dict:
 def cmd_analyze(args) -> int:
     manifest, blob, C1 = _load_instance(args.manifest)
     which = args.which
-    report = {"instance": manifest["group_spec"], "base": manifest["base_spec"],
+    report = {"instance": _field(manifest, "group_spec"),
+              "base": _field(manifest, "base_spec"),
               "which": which, "manifest_sha256":
               _sha256(Path(args.manifest).read_bytes()),
               "tool_version": __version__}
@@ -235,7 +246,7 @@ def cmd_analyze(args) -> int:
         if which == "spectral":
             rec = _recorded_spectrum(manifest)
             report.update(rec)
-            gens = manifest["generators"]
+            gens = _field(manifest, "generators")
             if gens.get("lps") and not gens.get("subset"):
                 p = gens["lps"]
                 bound = 2 * math.sqrt(p) / (p + 1)
@@ -249,10 +260,10 @@ def cmd_analyze(args) -> int:
                 report["reason"] = "Ramanujan bound applies to full LPS generator sets"
         elif which == "rate":
             _, code = _square_code(blob, C1)
-            report.update(codes.check_rate_bound(code, "square"))
+            report.update(codes.check_rate_bound(code))
         elif which == "distance":
-            lam = manifest["derived"]["lambda"]
-            d1 = manifest["derived"]["delta1"]
+            lam = _field(manifest, "derived.lambda")
+            d1 = _field(manifest, "derived.delta1")
             if d1 is None:
                 report.update(verdict="na", reason="base code has no distance")
             else:
@@ -317,12 +328,11 @@ def cmd_experiment(args) -> int:
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
 
     if args.kind == "kappa":
-        d = manifest["derived"]
+        d1, s1 = (_field(manifest, f"derived.{key}") for key in ("delta1", "sigma1"))
         params = ltc.TesterParams(
-            r=X.nA,
-            delta1=(d["delta1"][0] / d["delta1"][1]) if d["delta1"] else 0.0,
-            sigma1=(d["sigma1"][0] / d["sigma1"][1]) if d["sigma1"] else 0.0,
-            lam=d["lambda"])
+            r=X.nA, delta1=(d1[0] / d1[1]) if d1 else 0.0,
+            sigma1=(s1[0] / s1[1]) if s1 else 0.0,
+            lam=_field(manifest, "derived.lambda"))
         report = ltc.kappa_experiment(tester, code, params, trials=args.trials,
                                       weights=weights, seed=args.seed,
                                       workers=args.workers)

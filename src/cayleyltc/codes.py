@@ -96,9 +96,9 @@ class LinearCode:
         return np.bitwise_xor.reduce(self.generator.words[coeffs], axis=0)
 
     @classmethod
-    def from_generators(cls, rows, n: int | None = None, provenance: str = "explicit",
+    def from_generators(cls, rows, provenance: str = "explicit",
                         params: dict | None = None) -> "LinearCode":
-        G = f2core.row_basis(_rows_matrix(rows, n, "generator"))
+        G = f2core.row_basis(_rows_matrix(rows, None, "generator"))
         H = f2core.reduced_kernel_basis(G)
         return cls(G.cols, G, H, provenance, params)
 
@@ -146,10 +146,6 @@ class LinearCode:
     def random_codeword(self, rng: np.random.Generator) -> BitVector:
         coeffs = rng.integers(0, 2, size=self.k)
         return BitVector._from_words(self._encode(coeffs == 1), self.n)
-
-    def dual(self) -> "LinearCode":
-        return LinearCode(self.n, self.parity, self.generator,
-                          provenance=f"dual({self.provenance})", params=self.params)
 
     def sidecar_json(self) -> str:
         return json.dumps({
@@ -333,22 +329,20 @@ def graph_edge_labelling(graph: Graph) -> tuple[list[tuple[int, int]], np.ndarra
     return pairs, labelling
 
 
-def cayley_edge_labelling(G: FiniteGroup, S: GeneratorSet,
-                          side: str = "left") -> tuple[int, np.ndarray]:
-    """Labelling of Cay(S;G) edges by generator position.
+def cayley_edge_labelling(G: FiniteGroup, S: GeneratorSet) -> tuple[int, np.ndarray]:
+    """Edge labelling of the left Cayley graph Cay(S;G) by generator position.
 
-    Edge <s,g> (connecting g and sg for the left side) gets the coordinate
-    of s at vertex g and of s^-1 at vertex sg; ids follow the canonical
-    (min position, root) representative.  Returns (n_edges, labelling).
+    Edge <s,g> (connecting g and sg) gets the coordinate of s at vertex g
+    and of s^-1 at vertex sg; ids follow the canonical (min position, root)
+    representative.  Returns (n_edges, labelling).
     """
-    perms = np.stack([(G.left_perm(s) if side == "left" else G.right_perm(s))
-                      for s in S.indices])
+    perms = np.stack([G.left_perm(s) for s in S.indices])
     n_edges, edge_ids, _ = canonical_ids(perms, S.inverse_positions)
     return n_edges, edge_ids.T.copy()   # labelling[v, pos]
 
 
 def tanner_code(n_edges: int, labelling: np.ndarray, C0: LinearCode,
-                provenance: str = "tanner", params: dict | None = None) -> LinearCode:
+                params: dict | None = None) -> LinearCode:
     """Edge-bit code: the local view at every vertex must lie in C0.
 
     labelling[v] maps local coordinates 0..deg-1 to edge ids; its width
@@ -359,7 +353,7 @@ def tanner_code(n_edges: int, labelling: np.ndarray, C0: LinearCode,
         raise ValueError(
             f"local code length {C0.n} != vertex degree {labelling.shape[1]}")
     checks = _local_checks(labelling, C0.parity.to_array(), n_edges)
-    code = (LinearCode.from_parity_checks(BitMatrix(checks), provenance=provenance,
+    code = (LinearCode.from_parity_checks(BitMatrix(checks), provenance="tanner",
                                           params=params)
             if len(checks) else full_code(n_edges))
     assert code.k * C0.n >= (2 * C0.k - C0.n) * n_edges, "Tanner rate bound violated"
@@ -375,9 +369,8 @@ def tanner_code_on_graph(graph: Graph, C0: LinearCode) -> LinearCode:
                        params={"graph": graph.name, "n_vertices": graph.n_vertices})
 
 
-def tanner_code_on_cayley(G: FiniteGroup, S: GeneratorSet, C0: LinearCode,
-                          side: str = "left") -> LinearCode:
-    n_edges, labelling = cayley_edge_labelling(G, S, side)
+def tanner_code_on_cayley(G: FiniteGroup, S: GeneratorSet, C0: LinearCode) -> LinearCode:
+    n_edges, labelling = cayley_edge_labelling(G, S)
     return tanner_code(n_edges, labelling, C0,
                        params={"group": G.manifest(), "S": list(S.indices)})
 
@@ -396,16 +389,15 @@ def _vertex_wise_checks(X: CayleyComplex, C0: LinearCode) -> np.ndarray:
     return _local_checks(views, C0.parity.to_array(), X.n_squares)
 
 
-def check_square_code_budget(n_squares: int,
-                             max_coords: int = SQUARE_CODE_COORD_BUDGET) -> None:
-    """Refuse a square code on more than max_coords coordinates (squares)."""
-    if n_squares > max_coords:
-        raise DimensionBudgetError(
-            f"square code on {n_squares} coordinates exceeds budget {max_coords}")
+def check_square_code_budget(n_squares: int) -> None:
+    """Refuse a square code on more than SQUARE_CODE_COORD_BUDGET coordinates
+    (squares)."""
+    if n_squares > SQUARE_CODE_COORD_BUDGET:
+        raise DimensionBudgetError(f"square code on {n_squares} coordinates "
+                                   f"exceeds budget {SQUARE_CODE_COORD_BUDGET}")
 
 
-def square_code(X: CayleyComplex, C1: LinearCode,
-                max_coords: int = SQUARE_CODE_COORD_BUDGET) -> LinearCode:
+def square_code(X: CayleyComplex, C1: LinearCode) -> LinearCode:
     """The code on F_2^S whose view along every edge lies in C1.
 
     Eliminates the edge-wise checks He (C1's checks on the squares est[e]
@@ -429,7 +421,7 @@ def square_code(X: CayleyComplex, C1: LinearCode,
         raise ValueError(f"square codes need |A| = |B|, got {X.nA} != {X.nB}")
     if C1.n != r:
         raise ValueError(f"base code length {C1.n} != degree r = {r}")
-    check_square_code_budget(X.n_squares, max_coords)
+    check_square_code_budget(X.n_squares)
     est = X.edge_slot_table()
     if not (np.bincount(X.edge_at.ravel(), minlength=len(est)).all()
             and np.array_equal(X.square_id, est[X.edge_at[:r]])
@@ -453,7 +445,7 @@ def square_code(X: CayleyComplex, C1: LinearCode,
 # ---------------------------------------------------------------------------
 
 
-def _distance_bound_record(code: LinearCode, n: int, delta0: float, lam: float,
+def _distance_bound_record(code: LinearCode, delta0: float, lam: float,
                            bound_fn) -> dict:
     """Shared shape for the two distance-bound propositions.
 
@@ -465,7 +457,7 @@ def _distance_bound_record(code: LinearCode, n: int, delta0: float, lam: float,
     rec = {
         "lambda": lam, "delta0": delta0,
         "hypothesis_holds": delta0 > lam_eff,
-        "bound": bound_fn(delta0, lam_eff) * n,
+        "bound": bound_fn(delta0, lam_eff) * code.n,
     }
     if not rec["hypothesis_holds"]:
         rec["verdict"] = "na"
@@ -484,33 +476,26 @@ def _distance_bound_record(code: LinearCode, n: int, delta0: float, lam: float,
 
 def check_tanner_distance_bound(code: LinearCode, delta0: float, lam: float) -> dict:
     """delta(C) >= delta0 (delta0 - lambda) when delta0 > lambda."""
-    return _distance_bound_record(code, code.n, delta0, lam,
+    return _distance_bound_record(code, delta0, lam,
                                   lambda d, l: d * (d - l))
 
 
 def check_square_distance_bound(code: LinearCode, delta1: float, lam: float) -> dict:
     """delta(C) >= (1/4) delta1^2 (delta1 - lambda) when delta1 > lambda."""
-    return _distance_bound_record(code, code.n, delta1, lam,
+    return _distance_bound_record(code, delta1, lam,
                                   lambda d, l: 0.25 * d * d * (d - l))
 
 
-def check_rate_bound(code: LinearCode, kind: str) -> dict:
-    """k >= (2 rho0 - 1) n (Tanner) or k >= (4 rho1 - 3) n (square).
+def check_rate_bound(code: LinearCode) -> dict:
+    """k >= (4 rho1 - 3) n for a square code, with rho1 = k1 / r.
 
-    The verdict is decided in integers, k n0 >= (2 k0 - n0) n and
-    k r >= (4 k1 - 3 r) n; the float bound is reported alongside.
+    The verdict is decided in integers, k r >= (4 k1 - 3 r) n; the float
+    bound is reported alongside.  Tanner codes need no checker here:
+    tanner_code asserts k n0 >= (2 k0 - n0) n when it builds the code.
     """
     p = code.params
-    if kind == "tanner":
-        bound = (2 * p["rho0"] - 1) * code.n
-        holds = code.k * p["n0"] >= (2 * p["k0"] - p["n0"]) * code.n
-    elif kind == "square":
-        rho1 = p["k1"] / p["r"]
-        bound = (4 * rho1 - 3) * code.n
-        holds = code.k * p["r"] >= (4 * p["k1"] - 3 * p["r"]) * code.n
-    else:
-        raise ValueError(f"unknown rate bound kind {kind!r}")
+    holds = code.k * p["r"] >= (4 * p["k1"] - 3 * p["r"]) * code.n
     return {
-        "k": code.k, "n": code.n, "bound": bound,
+        "k": code.k, "n": code.n, "bound": (4 * (p["k1"] / p["r"]) - 3) * code.n,
         "verdict": "pass" if holds else "fail",
     }

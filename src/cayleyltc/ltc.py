@@ -29,7 +29,7 @@ per (seed, trial index), so their rows do not depend on the worker count.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class DecodeOutcome:
     delta_final: int
     delta_trace: list[int]
     disputed_edges: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 class SquareCodeTester:

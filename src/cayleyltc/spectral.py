@@ -293,21 +293,20 @@ def second_eigenvalue(graph: Graph, method: str = "auto",
     raise ValueError(f"unknown method {method!r}")
 
 
-def complex_spectrum(X: CayleyComplex, method: str = "auto",
-                     tol: float = 1e-10) -> dict:
+def complex_spectrum(X: CayleyComplex, method: str = "auto") -> dict:
     """{"lambda": max of the two Cayley graph eigenvalues, "cayley": {"left":
     ..., "right": ...}}, each side's SpectralReport as a JSON object."""
     reports = {}
     for side, S in (("left", X.A), ("right", X.B)):
-        rep = second_eigenvalue(cayley_graph(X.group, S, side), method=method, tol=tol)
+        rep = second_eigenvalue(cayley_graph(X.group, S, side), method=method)
         reports[side] = json.loads(rep.to_json())
     lam = max(reports["left"]["lambda"], reports["right"]["lambda"])
     return {"lambda": lam, "cayley": reports}
 
 
-def complex_lambda(X: CayleyComplex, method: str = "auto", tol: float = 1e-10) -> float:
+def complex_lambda(X: CayleyComplex, method: str = "auto") -> float:
     """Expansion of the complex: max of the two Cayley graph eigenvalues."""
-    return complex_spectrum(X, method, tol)["lambda"]
+    return complex_spectrum(X, method)["lambda"]
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,20 @@ def test_analyze_distance(z5_dir, capsys):
 
 
 def test_analyze_smooth(z5_dir, capsys):
-    rc = main(["analyze", str(z5_dir / "manifest.json"), "--which", "smooth",
+    from cayleyltc import __version__
+
+    manifest = z5_dir / "manifest.json"
+    rc = main(["analyze", str(manifest), "--which", "smooth",
                "--alpha", "1/4", "--beta", "2/3", "--delta", "1", "--dldpc", "2"])
-    rep = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert rep["verdict"] == "pass"
+    expected = {
+        "instance": "cyclic:5", "base": "rep:2", "which": "smooth",
+        "manifest_sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
+        "tool_version": __version__, "n_witnesses": 1, "verdict": "pass",
+        "us": {"certified": True,
+               "params": {"alpha": "1/4", "beta": "2/3", "d": 2, "delta": "1"}},
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_analyze_spectral_non_lps_is_na(z5_dir, capsys):
@@ -324,6 +333,33 @@ def test_analyze_spectral_refuses_an_inconsistent_record(z5_dir, tmp_path, capsy
     assert json.loads(err) == {"error": f"manifest field {field}"}
 
 
+@pytest.mark.parametrize("field, argv", [
+    ("files", ["analyze", "--which", "rate"]),
+    ("base_spec", ["analyze", "--which", "rate"]),
+    ("group_spec", ["analyze", "--which", "sigma"]),
+    ("derived", ["analyze", "--which", "distance"]),
+    ("generators", ["analyze", "--which", "spectral"]),
+    ("files", ["experiment", "--kind", "decode", "--trials", "1"]),
+    ("base_spec", ["experiment", "--kind", "decode", "--trials", "1"]),
+    ("derived", ["experiment", "--kind", "kappa", "--trials", "1"]),
+])
+def test_a_missing_manifest_field_is_refused_by_name(z5_dir, tmp_path, capsys,
+                                                    field, argv):
+    path = manifest_copy(z5_dir, tmp_path, lambda m: m.pop(field))
+    if argv[0] == "experiment":
+        argv = [*argv, "--out", str(tmp_path / "runs" / "e")]
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": f"manifest field {field!r} is missing"}
+
+
+def test_analyze_rate_reads_no_derived_field(z5_dir, tmp_path, capsys):
+    path = manifest_copy(z5_dir, tmp_path, lambda m: m.pop("derived"))
+    assert main(["analyze", str(path), "--which", "rate"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
 def test_solver_flags_are_not_options(z5_dir, tmp_path):
     # build has one solver policy; analyze solves nothing
     with pytest.raises(SystemExit) as exc:
@@ -369,14 +405,10 @@ def wide_dir(tmp_path_factory):
 ])
 def test_analyze_budget_refusal_is_an_na_report(wide_dir, tmp_path, capsys,
                                                 monkeypatch, which, reason):
-    import functools
-    import hashlib
-
     from cayleyltc import __version__, codes
     from cayleyltc.cli import EXIT_PRECONDITION
 
-    monkeypatch.setattr(codes, "square_code",
-                        functools.partial(codes.square_code, max_coords=100))
+    monkeypatch.setattr(codes, "SQUARE_CODE_COORD_BUDGET", 100)
     manifest = wide_dir / "manifest.json"
     out = tmp_path / "report.json"
     capsys.readouterr()

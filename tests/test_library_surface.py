@@ -1,5 +1,5 @@
-"""Every library definition is reached by a command, the benchmark or an
-acceptance criterion, and every import is used.
+"""Every library definition and every default is reached by a command, the
+benchmark or an acceptance criterion, and every import is used.
 
 A top-level function or class, or a method that is not a dunder, of
 `src/cayleyltc` must be named somewhere in `src/`, in `perfbench/*.py` or in
@@ -7,6 +7,13 @@ A top-level function or class, or a method that is not a dunder, of
 an `ast.Name`, as the attribute of an `ast.Attribute`, as an imported name,
 or as a part of a dotted string such as a `perfbench/spans.py` target.  A
 definition that only its own unit tests call belongs in those tests.
+
+Every defaulted parameter of such a function or method, and every defaulted
+field of a dataclass, must be set by some call in those same files: by
+keyword, by enough positional arguments (not counting self or cls), or
+through *args or **kwargs.  The callee is matched by its bare name, and a
+constructor (`__init__` or a dataclass) by its class name.  A parameter that
+only unit tests set is an option with one value in use.
 
 A name that a module of `src/` or `tests/` imports must appear in that
 module as an `ast.Name`; `from __future__` imports are exempt.
@@ -19,12 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "cayleyltc").glob("*.py"))
 
-#: definitions kept with no caller outside the unit tests, and why
-ALLOWED = {
-    "analysis.rc_distance": "the independent d_rc oracle that the sigma "
-                            "tests check the minimizer of sigma_exact against",
-    "codes.LinearCode.dual": "the dual-code factory that the code tests exercise",
-}
+SOURCES = (LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
@@ -59,19 +62,88 @@ def _references(path: Path) -> set[str]:
 
 
 def test_every_library_definition_has_a_caller():
-    sources = (LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
-               + [ROOT / "tests" / "test_acceptance.py"])
-    referenced = set().union(*(_references(p) for p in sources))
+    referenced = set().union(*(_references(p) for p in SOURCES))
     unreached = sorted(qual for p in LIBRARY for qual, name in _definitions(p)
-                       if name not in referenced and qual not in ALLOWED)
+                       if name not in referenced)
     assert not unreached, (
         "definitions that no command, benchmark workload or acceptance "
         f"criterion reaches: {unreached}")
 
 
-def test_allowlist_names_existing_definitions():
-    defined = {qual for p in LIBRARY for qual, _ in _definitions(p)}
-    assert set(ALLOWED) <= defined
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _function_defaults(qual: str, callee: str, fn: ast.FunctionDef, bound: bool):
+    """(qualified name, callee, parameter, position or None if keyword-only)
+    of each defaulted parameter of fn; a bound method's position skips self."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args][1 if bound else 0:]
+    first = len(positional) - len(a.defaults)
+    for pos, arg in enumerate(positional[first:], start=first):
+        yield qual, callee, arg.arg, pos
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield qual, callee, arg.arg, None
+
+
+def _defaults(path: Path):
+    """The defaulted parameters of each top-level function and method, and
+    the defaulted fields of each dataclass, as _function_defaults yields."""
+    module = path.stem
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _function_defaults(f"{module}.{node.name}", node.name, node, False)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                callee = node.name if item.name == "__init__" else item.name
+                yield from _function_defaults(f"{module}.{node.name}.{item.name}",
+                                              callee, item, not static)
+        if _is_dataclass(node):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)]
+            for pos, item in enumerate(fields):
+                if item.value is not None:
+                    yield f"{module}.{node.name}", node.name, item.target.id, pos
+
+
+def _setters(paths) -> dict[str, tuple[set[str], int, bool]]:
+    """Per bare callee name: the keywords its calls pass, the most positional
+    arguments one call passes, and whether a call passes *args or **kwargs."""
+    out: dict[str, tuple[set[str], int, bool]] = {}
+    for node in (n for p in paths for n in ast.walk(ast.parse(p.read_text()))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        kws, npos, star = out.get(name, (set(), 0, False))
+        out[name] = (kws | {k.arg for k in node.keywords if k.arg is not None},
+                     max(npos, len(node.args)),
+                     star or any(k.arg is None for k in node.keywords)
+                     or any(isinstance(x, ast.Starred) for x in node.args))
+    return out
+
+
+def test_every_library_default_is_set_by_a_caller():
+    setters = _setters(SOURCES)
+    unset = []
+    for p in LIBRARY:
+        for qual, callee, param, pos in _defaults(p):
+            kws, npos, star = setters.get(callee, (set(), 0, False))
+            if not (star or param in kws or (pos is not None and npos > pos)):
+                unset.append(f"{qual}({param})")
+    assert not unset, (
+        "defaults that no command, benchmark workload or acceptance "
+        f"criterion sets: {unset}")
 
 
 def _unused_imports(path: Path) -> list[str]:

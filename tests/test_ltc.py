@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cayleyltc import f2core
 from cayleyltc.codes import (
+    LinearCode,
     bch_code,
     full_code,
     parity_code,
@@ -133,7 +134,7 @@ def _bases(r):
     bases = [repetition_code(r), parity_code(r), full_code(r)]
     if r == 7:
         bases.append(bch_code(3, 3))
-    return bases + [c.dual() for c in bases]
+    return bases + [LinearCode(c.n, c.parity, c.generator) for c in bases]
 
 
 @pytest.mark.parametrize("name", ["z5", "z12", "z7reg", "p13"])
