@@ -6,6 +6,10 @@ analyze (measured value vs. proved bound, verdict pass/fail/na), experiment
 JSON manifest, an f2mat matrix or a cay2 complex, the files build writes).
 build measures the spectrum once (dense eigvalsh up to DENSE_MAX_DIM vertices,
 Lanczos at tol 1e-10 above) and analyze --which spectral judges its record.
+analyze --which rate|distance judge the square code build recorded (n and k,
+cross-checked against the sha256 and header of code.f2mat); only distance
+rebuilds the code, and only when its exact distance decides the verdict.
+experiment always rebuilds it, since its trials need the generator.
 Exit codes: 0 = pass, 1 = bound violation, 2 = precondition or budget
 refusal, 3 = internal error (any other exception, reported as
 {"error", "type"} JSON on stderr).
@@ -23,9 +27,11 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__, analysis, codes, complexes, f2core, ltc, spectral
 from .complexes import build_complex, deserialize_complex, serialize_complex
@@ -195,12 +201,43 @@ def _load_instance(manifest_path: str):
     return manifest, blob, _parse_base(_field(manifest, "base_spec"))
 
 
-def _square_code(blob: bytes, C1: codes.LinearCode):
-    """The complex and its square code, refused by the coordinate budget on
-    the complex file's square count before the complex is rebuilt."""
+def _check_square_code_budget(blob: bytes) -> None:
+    """Refuse the square code by the coordinate budget on the complex
+    file's square count, before anything is rebuilt or read."""
     codes.check_square_code_budget(complexes.complex_manifest(blob)["counts"]["squares"])
+
+
+def _square_code(blob: bytes, C1: codes.LinearCode):
+    """The complex and its square code, rebuilt within the budget only."""
+    _check_square_code_budget(blob)
     X = deserialize_complex(blob)
     return X, codes.square_code(X, C1)
+
+
+def _recorded_square_code(manifest: dict, manifest_path: str,
+                          blob: bytes) -> tuple[int, int]:
+    """n and k of the square code build recorded, refused by the budget
+    first and then, with the field named, unless the code file has its
+    recorded sha256 and its f2mat header gives n columns and n - k rows."""
+    _check_square_code_budget(blob)
+    n, k = (_field(manifest, f"square_code.{key}") for key in ("n", "k"))
+    data = (Path(manifest_path).parent / _field(manifest, "files.code.path")).read_bytes()
+    if _sha256(data) != _field(manifest, "files.code.sha256"):
+        raise PreconditionError(
+            "manifest field 'files.code.sha256' differs from the code file's sha256")
+    head = re.match(rb"f2mat v1 (\d+) (\d+)\n", data)
+    if head is None:
+        raise PreconditionError(
+            "manifest field 'files.code.path' names no f2mat v1 file")
+    rows, cols = int(head[1]), int(head[2])
+    if cols != n:
+        raise PreconditionError(
+            f"manifest field 'square_code.n' differs from the code file's {cols} columns")
+    if rows != n - k:
+        raise PreconditionError(
+            f"manifest field 'square_code.k' differs from n - rows = {n - rows} "
+            "of the code file")
+    return n, k
 
 
 def _emit_report(report: dict, out: str | None) -> None:
@@ -259,17 +296,20 @@ def cmd_analyze(args) -> int:
                 report["verdict"] = "na"
                 report["reason"] = "Ramanujan bound applies to full LPS generator sets"
         elif which == "rate":
-            _, code = _square_code(blob, C1)
-            report.update(codes.check_rate_bound(code))
+            n, k = _recorded_square_code(manifest, args.manifest, blob)
+            report.update(codes.check_rate_bound(k, n, C1.n, C1.k))
         elif which == "distance":
             lam = _field(manifest, "derived.lambda")
             d1 = _field(manifest, "derived.delta1")
             if d1 is None:
                 report.update(verdict="na", reason="base code has no distance")
             else:
-                _, code = _square_code(blob, C1)
+                n, k = _recorded_square_code(manifest, args.manifest, blob)
+                # the code is rebuilt only if its distance decides the verdict
+                recorded = SimpleNamespace(n=n, k=k, distance_exact=lambda: (
+                    _square_code(blob, C1)[1].distance_exact()))
                 report.update(codes.check_square_distance_bound(
-                    code, delta1=d1[0] / d1[1], lam=lam))
+                    recorded, delta1=Fraction(*d1), lam=Fraction(lam)))
         elif which == "sigma":
             res = analysis.sigma_exact(C1)
             report["sigma"] = [res.value.numerator, res.value.denominator]
@@ -315,6 +355,12 @@ def _write_rows(path: Path, fields: list[str], rows: list[dict]) -> bytes:
 
 def cmd_experiment(args) -> int:
     manifest, blob, C1 = _load_instance(args.manifest)
+    if args.kind == "kappa":        # every field is read before anything is built
+        d1, s1 = (_field(manifest, f"derived.{key}") for key in ("delta1", "sigma1"))
+        params = ltc.TesterParams(
+            r=C1.n, delta1=(d1[0] / d1[1]) if d1 else 0.0,
+            sigma1=(s1[0] / s1[1]) if s1 else 0.0,
+            lam=_field(manifest, "derived.lambda"))
     try:
         X, code = _square_code(blob, C1)
     except DimensionBudgetError as exc:
@@ -328,11 +374,6 @@ def cmd_experiment(args) -> int:
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
 
     if args.kind == "kappa":
-        d1, s1 = (_field(manifest, f"derived.{key}") for key in ("delta1", "sigma1"))
-        params = ltc.TesterParams(
-            r=X.nA, delta1=(d1[0] / d1[1]) if d1 else 0.0,
-            sigma1=(s1[0] / s1[1]) if s1 else 0.0,
-            lam=_field(manifest, "derived.lambda"))
         report = ltc.kappa_experiment(tester, code, params, trials=args.trials,
                                       weights=weights, seed=args.seed,
                                       workers=args.workers)

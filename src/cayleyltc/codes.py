@@ -16,6 +16,7 @@ lies in C and "C (x) F_2^r" means every column lies in C.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,9 +134,7 @@ class LinearCode:
         """Exact minimum distance via exhaustive enumeration (k <= 24); a
         larger k is refused before any row is read."""
         if self._distance is None:
-            if self.k == 0:
-                raise ValueError("zero code has no distance")
-            f2core.check_enum_budget(self.k)
+            _check_distance_budget(self.k)
             self._distance = f2core.min_weight_exhaustive(
                 list(self.generator.row_iter()))
         return self._distance
@@ -445,32 +444,43 @@ def square_code(X: CayleyComplex, C1: LinearCode) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 
-def _distance_bound_record(code: LinearCode, delta0: float, lam: float,
-                           bound_fn) -> dict:
+def _check_distance_budget(k: int) -> None:
+    """Refuse the exact distance of a k-dimensional code before any row is
+    read: the zero code has none, and k > MAX_ENUM_DIMENSION is refused."""
+    if k == 0:
+        raise ValueError("zero code has no distance")
+    f2core.check_enum_budget(k)
+
+
+def _distance_bound_record(code, delta0, lam, bound_fn) -> dict:
     """Shared shape for the two distance-bound propositions.
 
+    code needs only n, k and distance_exact(), which is called only when
+    the hypothesis holds and the distance is within budget.  delta0 and lam
+    are rationals or floats; the hypothesis and the verdict are decided on
+    their exact values, and lambda, delta0 and bound are reported as floats.
     Bounds are evaluated with lambda clamped below at 0: the expansion
     parameter in the propositions is a positive upper bound, so a negative
     second eigenvalue (complete graphs) certifies at least lambda -> 0+.
     """
-    lam_eff = max(lam, 0.0)
+    d0, lam_eff = Fraction(delta0), max(Fraction(lam), 0)
     rec = {
-        "lambda": lam, "delta0": delta0,
-        "hypothesis_holds": delta0 > lam_eff,
-        "bound": bound_fn(delta0, lam_eff) * code.n,
+        "lambda": float(lam), "delta0": float(delta0),
+        "hypothesis_holds": d0 > lam_eff,
+        "bound": bound_fn(float(delta0), max(float(lam), 0.0)) * code.n,
     }
     if not rec["hypothesis_holds"]:
         rec["verdict"] = "na"
         rec["reason"] = "delta0 <= lambda: proposition hypothesis fails"
         return rec
     try:
-        d = code.distance_exact()
-    except (DimensionBudgetError, ValueError) as exc:
+        _check_distance_budget(code.k)
+    except ValueError as exc:
         rec["verdict"] = "na"
         rec["reason"] = f"exact distance unavailable: {exc}"
         return rec
-    rec["distance"] = d
-    rec["verdict"] = "pass" if d >= rec["bound"] - 1e-9 else "fail"
+    rec["distance"] = d = code.distance_exact()
+    rec["verdict"] = "pass" if d >= bound_fn(d0, lam_eff) * code.n else "fail"
     return rec
 
 
@@ -480,22 +490,28 @@ def check_tanner_distance_bound(code: LinearCode, delta0: float, lam: float) -> 
                                   lambda d, l: d * (d - l))
 
 
-def check_square_distance_bound(code: LinearCode, delta1: float, lam: float) -> dict:
-    """delta(C) >= (1/4) delta1^2 (delta1 - lambda) when delta1 > lambda."""
+def check_square_distance_bound(code, delta1, lam) -> dict:
+    """delta(C) >= (1/4) delta1^2 (delta1 - lambda) when delta1 > lambda.
+
+    `analyze --which distance` passes the n and k that build recorded, with
+    a distance_exact() that rebuilds the code, so the code is built only
+    when its distance decides the verdict.
+    """
     return _distance_bound_record(code, delta1, lam,
-                                  lambda d, l: 0.25 * d * d * (d - l))
+                                  lambda d, l: d * d * (d - l) / 4)
 
 
-def check_rate_bound(code: LinearCode) -> dict:
-    """k >= (4 rho1 - 3) n for a square code, with rho1 = k1 / r.
+def check_rate_bound(k: int, n: int, r: int, k1: int) -> dict:
+    """k >= (4 rho1 - 3) n for a square code of dimension k on n squares
+    over a base code of length r and dimension k1, with rho1 = k1 / r.
+    `analyze --which rate` passes the k and n that build recorded, so no
+    code is built to judge it.
 
     The verdict is decided in integers, k r >= (4 k1 - 3 r) n; the float
     bound is reported alongside.  Tanner codes need no checker here:
     tanner_code asserts k n0 >= (2 k0 - n0) n when it builds the code.
     """
-    p = code.params
-    holds = code.k * p["r"] >= (4 * p["k1"] - 3 * p["r"]) * code.n
     return {
-        "k": code.k, "n": code.n, "bound": (4 * (p["k1"] / p["r"]) - 3) * code.n,
-        "verdict": "pass" if holds else "fail",
+        "k": k, "n": n, "bound": (4 * (k1 / r) - 3) * n,
+        "verdict": "pass" if k * r >= (4 * k1 - 3 * r) * n else "fail",
     }

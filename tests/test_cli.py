@@ -286,7 +286,8 @@ def test_analyze_loads_no_complex_where_the_verdict_reads_none(x41_dir, z5_dir, 
 def manifest_copy(instance_dir, tmp_path, alter):
     """Path of a copy of an instance's manifest, changed by alter(manifest)."""
     manifest = json.loads((instance_dir / "manifest.json").read_text())
-    manifest["files"]["complex"]["path"] = str(instance_dir / "complex.cay2.npz")
+    for record in manifest["files"].values():
+        record["path"] = str(instance_dir / record["path"])
     alter(manifest)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
@@ -352,6 +353,7 @@ def test_a_missing_manifest_field_is_refused_by_name(z5_dir, tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": f"manifest field {field!r} is missing"}
+    assert not (tmp_path / "runs").exists()
 
 
 def test_analyze_rate_reads_no_derived_field(z5_dir, tmp_path, capsys):
@@ -514,6 +516,130 @@ def test_z5_square_code_outputs_are_unchanged(z5_dir, tmp_path, capsys):
                      "--seed", "3", "--weights", "1,4", "--format", "csv",
                      "--out", str(tmp_path / kind)]) == 0
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def z12_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("z12")
+    assert main(["build", "--group", "cyclic:12", "--gens", "1,11", "--gens-b", "5,7",
+                 "--base", "rep:2", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def p13_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("p13")
+    assert main(["build", "--group", "psl2:13", "--gens", "79,90,91,234",
+                 "--base", "parity:4", "--out", str(out)]) == 0
+    return out
+
+
+def _rebuilt_code_report(instance_dir, which):
+    """The exit code and report of analyze --which rate|distance by the
+    reference route: the square code rebuilt from the complex file, the rate
+    judged on it and the distance bound decided in floats with 1e-9 slack."""
+    from cayleyltc import __version__, codes
+
+    manifest_path = instance_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    C1 = cli._parse_base(manifest["base_spec"])
+    code = codes.square_code(
+        cli.deserialize_complex((instance_dir / "complex.cay2.npz").read_bytes()), C1)
+    r, k1 = code.params["r"], code.params["k1"]
+    if which == "rate":
+        holds = code.k * r >= (4 * k1 - 3 * r) * code.n
+        rec = {"k": code.k, "n": code.n, "bound": (4 * (k1 / r) - 3) * code.n,
+               "verdict": "pass" if holds else "fail"}
+    else:
+        d1, lam = manifest["derived"]["delta1"], manifest["derived"]["lambda"]
+        delta0, lam_eff = d1[0] / d1[1], max(lam, 0.0)
+        rec = {"lambda": lam, "delta0": delta0, "hypothesis_holds": delta0 > lam_eff,
+               "bound": 0.25 * delta0 * delta0 * (delta0 - lam_eff) * code.n}
+        if not rec["hypothesis_holds"]:
+            rec.update(verdict="na", reason="delta0 <= lambda: proposition hypothesis fails")
+        else:
+            try:
+                d = code.distance_exact()
+            except ValueError as exc:
+                rec.update(verdict="na", reason=f"exact distance unavailable: {exc}")
+            else:
+                rec.update(distance=d,
+                           verdict="pass" if d >= rec["bound"] - 1e-9 else "fail")
+    report = {"instance": manifest["group_spec"], "base": manifest["base_spec"],
+              "which": which, "tool_version": __version__,
+              "manifest_sha256": hashlib.sha256(manifest_path.read_bytes()).hexdigest(),
+              **rec}
+    rc = {"pass": 0, "fail": 1, "na": 2}[rec["verdict"]]
+    return rc, json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", ["z5", "z12", "p13"])
+def test_recorded_code_reports_equal_the_rebuilt_code_reports(request, capsys, name):
+    instance_dir = request.getfixturevalue(f"{name}_dir")
+    capsys.readouterr()
+    for which in ("rate", "distance"):
+        rc = main(["analyze", str(instance_dir / "manifest.json"), "--which", which])
+        assert (rc, capsys.readouterr().out) == _rebuilt_code_report(instance_dir, which)
+
+
+def test_rate_and_a_vacuous_distance_rebuild_nothing(z5_dir, p13_dir, capsys,
+                                                     monkeypatch):
+    _forbid_rebuild(monkeypatch)
+    for instance_dir, which, rc, verdict in ((z5_dir, "rate", 0, "pass"),
+                                             (p13_dir, "rate", 0, "pass"),
+                                             (p13_dir, "distance", 2, "na")):
+        assert main(["analyze", str(instance_dir / "manifest.json"),
+                     "--which", which]) == rc
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+
+
+def test_a_distance_that_decides_the_verdict_rebuilds_the_code(z5_dir, capsys,
+                                                               monkeypatch):
+    loads = []
+
+    def counted(blob):
+        loads.append(len(blob))
+        return deserialize(blob)
+
+    deserialize = cli.deserialize_complex
+    monkeypatch.setattr(cli, "deserialize_complex", counted)
+    assert main(["analyze", str(z5_dir / "manifest.json"), "--which", "distance"]) == 0
+    assert json.loads(capsys.readouterr().out)["distance"] == 5
+    assert len(loads) == 1
+
+
+def _code_file(text):
+    """An alteration pointing files.code at a new file holding text."""
+    def alter(m, tmp_path):
+        path = tmp_path / "other.f2mat"
+        path.write_text(text)
+        m["files"]["code"] = {"path": str(path),
+                              "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    return alter
+
+
+@pytest.mark.parametrize("which", ["rate", "distance"])
+@pytest.mark.parametrize("alter, error", [
+    (lambda m, _: m["files"].pop("code"), "manifest field 'files.code' is missing"),
+    (lambda m, _: m["square_code"].pop("k"), "manifest field 'square_code.k' is missing"),
+    (lambda m, _: m["files"]["code"].update(sha256="0" * 64),
+     "manifest field 'files.code.sha256' differs from the code file's sha256"),
+    (lambda m, _: m["square_code"].update(k=2),
+     "manifest field 'square_code.k' differs from n - rows = 1 of the code file"),
+    (_code_file("f2mat v1 4 6\n88\n48\n28\n18\n"),
+     "manifest field 'square_code.n' differs from the code file's 6 columns"),
+    (_code_file("f2word v1 8\n81\n"),
+     "manifest field 'files.code.path' names no f2mat v1 file"),
+])
+def test_an_inconsistent_code_record_is_refused_by_name(z5_dir, tmp_path, capsys,
+                                                        monkeypatch, which, alter,
+                                                        error):
+    _forbid_rebuild(monkeypatch)
+    path = manifest_copy(z5_dir, tmp_path, lambda m: alter(m, tmp_path))
+    assert main(["analyze", str(path), "--which", which]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": error}
 
 
 def test_build_artifacts_are_byte_identical_across_processes(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -504,16 +506,14 @@ def test_square_code_peak_memory_is_bounded_by_the_edge_checks(p13_instance):
 def test_rate_bounds():
     X = toy_complex(5, (1, 4))
     sq = square_code(X, repetition_code(2))
-    rec = check_rate_bound(sq)
-    assert rec["verdict"] == "pass"
+    rec = check_rate_bound(sq.k, sq.n, 2, 1)
+    assert rec == {"k": 1, "n": 5, "bound": -5.0, "verdict": "pass"}
 
 
 def test_rate_verdicts_are_exact_at_the_bound():
     # (4 * 5/6 - 3) * 9 = 3 exactly, but 3.0000000000000013 in floats
     for k, verdict in ((3, "pass"), (2, "fail")):
-        code = LinearCode.from_generators(
-            BitMatrix(np.eye(9, dtype=np.uint8)[:k]), params={"r": 6, "k1": 5})
-        rec = check_rate_bound(code)
+        rec = check_rate_bound(k, 9, 6, 5)
         assert rec["bound"] == (4 * (5 / 6) - 3) * 9
         assert rec["verdict"] == verdict
 
@@ -551,6 +551,43 @@ def test_square_distance_bound_z5():
     rec = check_square_distance_bound(code, delta1=1.0, lam=lam)
     assert rec["verdict"] == "pass"
     assert rec["distance"] == 5
+
+
+def test_distance_verdicts_are_exact_at_the_bound():
+    # Petersen: d = 5 and (2/3)(2/3 - 1/6) * 15 = 5 exactly; 1e-12 less lambda
+    # puts the bound 1e-11 above d, inside the old float slack of 1e-9
+    code = tanner_code_on_graph(petersen(), parity_code(3))
+    for lam, verdict in ((Fraction(1, 6), "pass"),
+                         (Fraction(1, 6) - Fraction(1, 10**12), "fail")):
+        rec = check_tanner_distance_bound(code, delta0=Fraction(2, 3), lam=lam)
+        assert rec["distance"] == 5
+        assert rec["bound"] == pytest.approx(5)
+        assert rec["verdict"] == verdict
+
+
+def test_distance_hypothesis_is_exact():
+    # the float 1/3 lies below the rational 1/3, which therefore exceeds it
+    code = tanner_code_on_graph(petersen(), parity_code(3))
+    assert check_tanner_distance_bound(code, Fraction(1, 3), 1 / 3)["hypothesis_holds"]
+    assert not check_tanner_distance_bound(code, 1 / 3, 1 / 3)["hypothesis_holds"]
+
+
+def test_square_distance_is_computed_only_when_it_decides():
+    def no_distance():
+        raise AssertionError("the distance was computed")
+
+    for k, lam, reason in (
+            (1, Fraction(1, 2), "delta0 <= lambda: proposition hypothesis fails"),
+            (0, 0.25, "exact distance unavailable: zero code has no distance"),
+            (25, 0.25, "exact distance unavailable: dimension 25 exceeds "
+                       "exhaustive enumeration budget 24")):
+        recorded = SimpleNamespace(n=100, k=k, distance_exact=no_distance)
+        rec = check_square_distance_bound(recorded, Fraction(1, 2), lam)
+        assert (rec["verdict"], rec["reason"]) == ("na", reason)
+        assert rec["bound"] == 0.25 * 0.5 * 0.5 * (0.5 - max(float(lam), 0.0)) * 100
+    recorded = SimpleNamespace(n=100, k=24, distance_exact=lambda: 2)
+    rec = check_square_distance_bound(recorded, Fraction(1, 2), 0.25)
+    assert (rec["distance"], rec["bound"], rec["verdict"]) == (2, 1.5625, "pass")
 
 
 def test_distance_bound_vacuous_reports_na():
