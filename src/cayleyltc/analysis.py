@@ -22,7 +22,7 @@ import numpy as np
 
 from . import f2core
 from .codes import LinearCode, tensor_code
-from .f2core import BitMatrix, BitVector, DimensionBudgetError
+from .f2core import BitMatrix, DimensionBudgetError
 
 SIGMA_MAX_RK = 12
 #: Entries of one (representative, w, g) block in sigma_exact (2 MB of uint8).
@@ -36,15 +36,12 @@ class SigmaResult:
     g: np.ndarray
     pairs_scanned: int
 
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 def _row_valid_matrices(C1: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     """All matrices with every row in C1, as (count, r, r) bits plus an
     encoding of each row as a small int for fast row comparisons."""
     r = C1.n
-    words = np.stack([w.to_bits() for w in C1.codewords()])     # (2^k1, r)
+    words = C1.codewords()                                      # (2^k1, r)
     k = words.shape[0]
     idx = np.indices((k,) * r).reshape(r, -1).T                 # (k^r, r)
     mats = words[idx]                                           # (k^r, r, r)
@@ -79,7 +76,7 @@ def sigma_exact(C1: LinearCode) -> SigmaResult:
     F, F_rows = _row_valid_matrices(C1)
     G = np.swapaxes(F, 1, 2).copy()               # column-valid matrices
     C0 = tensor_code(C1)
-    W = np.stack([w.to_bits().reshape(r, r) for w in C0.codewords()])
+    W = C0.codewords().reshape(-1, r, r)
     pows = (1 << np.arange(r)).astype(np.int64)
     W_rows = W.reshape(-1, r, r) @ pows                          # (|W|, r)
     W_cols = np.swapaxes(W, 1, 2) @ pows
@@ -136,56 +133,45 @@ def sigma_exact(C1: LinearCode) -> SigmaResult:
 # ---------------------------------------------------------------------------
 
 
-def low_weight_dual_words(C: LinearCode, d: int) -> list[BitVector]:
-    """All dual codewords of weight <= d, by exhaustive dual enumeration."""
+def low_weight_dual_words(C: LinearCode, d: int) -> np.ndarray:
+    """The dual codewords of weight 1..d, packed, in the order of the
+    exhaustive dual enumeration."""
     dual_dim = C.n - C.k
     if dual_dim > f2core.MAX_ENUM_DIMENSION:
         raise DimensionBudgetError(
             f"dual dimension {dual_dim} exceeds the enumeration budget")
-    if dual_dim == 0:
-        return []
     words = f2core._xor_table(C.parity.words)
     wts = np.bitwise_count(words).sum(axis=1)
-    keep = np.nonzero((wts <= d) & (wts > 0))[0]
-    return [BitVector._from_words(words[i].copy(), C.n) for i in keep]
+    return words[(wts <= d) & (wts > 0)]
 
 
-def is_d_ldpc(C: LinearCode, d: int) -> bool:
-    """C is defined by its weight-<=d constraints: C = (C^perp_<=d)^perp."""
-    short = low_weight_dual_words(C, d)
-    if not short:
-        return C.k == C.n
-    return f2core.rank(BitMatrix.from_rows(short)) == C.n - C.k
+def is_d_ldpc(C: LinearCode, short: np.ndarray) -> bool:
+    """C is defined by its short dual words, low_weight_dual_words(C, d):
+    C = (C^perp_<=d)^perp."""
+    return f2core.rank(BitMatrix._from_words(short, len(short), C.n)) == C.n - C.k
 
 
-def punctured_code(C: LinearCode, I, J, d: int) -> LinearCode:
-    """C(I,J): relax the weight-<=d constraints meeting I, puncture J.
+def _first_good_puncture(words: np.ndarray, I: tuple, r: int, beta: Fraction,
+                         delta: Fraction):
+    """(J, delta(C(I,J))) for the first J Superset I with |J| <= |I|/beta,
+    by size and then in combinations order, where delta(C(I,J)) >= delta
+    or C(I,J) = {0} (delta None); None when no J qualifies.
 
-    Builds C^perp_<=d(I) = short constraints vanishing on I, takes its
-    annihilator, and restricts the resulting codewords to [r] \\ J.
+    words are the packed codewords of the relaxed code C_I.  Masked to
+    [r] \\ J they are the words of C(I,J), so its distance is their least
+    nonzero weight.
     """
-    I, J = set(I), set(J)
-    if not I <= J:
-        raise ValueError("need I Subset of J")
-    if not J <= set(range(C.n)):
-        raise ValueError("J out of range")
-    short = low_weight_dual_words(C, d)
-    kept_rows = [v for v in short if all(v[i] == 0 for i in I)]
-    bigger = LinearCode.from_parity_checks(kept_rows, n=C.n)
-    keep_coords = sorted(set(range(C.n)) - J)
-    if len(keep_coords) == 0:
-        return LinearCode(0, BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0),
-                          provenance="punctured", params={"I": sorted(I), "J": sorted(J)})
-    return LinearCode.from_generators(
-        BitMatrix(bigger.generator.to_array()[:, keep_coords]),
-        provenance="punctured", params={"I": sorted(I), "J": sorted(J), "d": d})
-
-
-def punctured_normalized_distance(code: LinearCode) -> Fraction | None:
-    """delta(C(I,J)); None means the punctured code is {0} (vacuously good)."""
-    if code.n == 0 or code.k == 0:
-        return None
-    return Fraction(code.distance_exact(), code.n)
+    budget = int(Fraction(len(I)) / beta) if I else 0
+    rest = sorted(set(range(r)) - set(I))
+    for jsize in range(len(I), budget + 1):
+        for extra in combinations(rest, jsize - len(I)):
+            J = sorted(set(I) | set(extra))
+            wts = np.bitwise_count(words & ~np.uint64(sum(1 << j for j in J)))
+            wts = wts[wts > 0]
+            delta_meas = Fraction(int(wts.min()), r - len(J)) if wts.size else None
+            if delta_meas is None or delta_meas >= delta:
+                return J, delta_meas
+    return None
 
 
 def verify_us(C: LinearCode, alpha: Fraction, beta: Fraction, delta: Fraction,
@@ -193,30 +179,28 @@ def verify_us(C: LinearCode, alpha: Fraction, beta: Fraction, delta: Fraction,
     """Certificate or counterexample for (alpha, beta, delta, d)-US.
 
     For every I with |I| <= alpha*r, search all J Superset I with
-    |J| <= |I|/beta for one with delta(C(I,J)) >= delta.
+    |J| <= |I|/beta for one with delta(C(I,J)) >= delta.  The short dual
+    words are enumerated once; C_I, the code of those that vanish on I, is
+    enumerated once per distinct set of them, and every J reads it.
     """
     r = C.n
-    if not is_d_ldpc(C, d):
+    short = low_weight_dual_words(C, d)
+    if not is_d_ldpc(C, short):
         return {"certified": False, "reason": f"not a {d}-LDPC code"}
     max_i = int(alpha * r)
     if r > 16:
         raise DimensionBudgetError("exhaustive US verification capped at r <= 16")
+    relaxed = {}        # kept short words, as bytes -> packed words of C_I
+    checks = short[:, 0]            # r <= 16: one packed word per short word
     witnesses = []
     for size in range(max_i + 1):
         for I in combinations(range(r), size):
-            budget = int(Fraction(len(I)) / beta) if I else 0
-            found = None
-            for jsize in range(len(I), budget + 1):
-                for extra in combinations(sorted(set(range(r)) - set(I)),
-                                          jsize - len(I)):
-                    J = sorted(set(I) | set(extra))
-                    delta_meas = punctured_normalized_distance(
-                        punctured_code(C, I, J, d))
-                    if delta_meas is None or delta_meas >= delta:
-                        found = (J, delta_meas)
-                        break
-                if found:
-                    break
+            kept = (checks & np.uint64(sum(1 << i for i in I))) == 0
+            key = kept.tobytes()
+            if key not in relaxed:
+                H = f2core.row_basis(BitMatrix._from_words(short[kept], int(kept.sum()), r))
+                relaxed[key] = f2core._xor_table(f2core.reduced_kernel_basis(H).words)[:, 0]
+            found = _first_good_puncture(relaxed[key], I, r, beta, delta)
             if found is None:
                 return {
                     "certified": False,

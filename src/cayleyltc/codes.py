@@ -73,7 +73,7 @@ class LinearCode:
     """
 
     def __init__(self, n: int, generator: BitMatrix, parity: BitMatrix,
-                 provenance: str = "explicit", params: dict | None = None):
+                 provenance: str, params: dict | None):
         if generator.cols != n or parity.cols != n:
             raise ValueError("generator/parity width must equal the code length")
         self.n = n
@@ -123,20 +123,21 @@ class LinearCode:
         coeffs = (v.words[info >> 6] >> (info & 63).astype(np.uint64)) & np.uint64(1)
         return bool(np.array_equal(self._encode(coeffs == 1), v.words))
 
-    def codewords(self):
-        """All 2^k codewords; only sensible for small k."""
-        if self.k > f2core.MAX_ENUM_DIMENSION:
-            raise DimensionBudgetError(f"k={self.k} too large to enumerate")
-        words = f2core._xor_table(self.generator.words)
-        return [BitVector._from_words(w.copy(), self.n) for w in words]
+    def codewords(self) -> np.ndarray:
+        """All 2^k codewords as a (2^k, n) 0/1 array, row x the sum of the
+        generator rows at the set bits of x; refused for k > 24."""
+        f2core.check_enum_budget(self.k)
+        return f2core._unpack_bits(f2core._xor_table(self.generator.words), self.n)
 
     def distance_exact(self) -> int:
-        """Exact minimum distance via exhaustive enumeration (k <= 24); a
-        larger k is refused before any row is read."""
+        """Exact minimum distance, the least weight in the packed codeword
+        table past row 0: the generator has full rank, so only row 0 is the
+        zero word.  The zero code and k > 24 are refused before the table
+        is built."""
         if self._distance is None:
             _check_distance_budget(self.k)
-            self._distance = f2core.min_weight_exhaustive(
-                list(self.generator.row_iter()))
+            table = f2core._xor_table(self.generator.words)
+            self._distance = int(f2core._popcount(table[1:]).sum(axis=1).min())
         return self._distance
 
     def normalized_distance(self) -> float:

@@ -3,8 +3,9 @@
 Words and matrices are stored bit-packed into uint64 numpy arrays (LSB of
 word 0 = coordinate 0), so row operations run word-parallel.  Everything a
 code computation needs lives here: rank, reduced row echelon form, kernel
-bases, the product A B^T (Four-Russians tables), the exhaustive
-minimum-weight oracle and the f2mat text format.
+bases, the product A B^T (Four-Russians tables), the table of all XOR
+combinations of some rows (the codewords a generator spans) and the f2mat
+text format.
 
 Elimination is blocked Four-Russians (Arlazarov et al. 1970; M4RI in
 Albrecht, Bard & Hart, ACM TOMS 2010).  Columns are taken a byte (8
@@ -97,11 +98,6 @@ class BitVector:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"coordinate {i} out of range [0, {self.n})")
-        return int((self.words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} != {other.n}")
@@ -164,13 +160,6 @@ class BitMatrix:
         if self.rows == 0:
             return np.zeros((0, self.cols), dtype=np.uint8)
         return _unpack_bits(self.words, self.cols)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector._from_words(self.words[i].copy(), self.cols)
-
-    def row_iter(self):
-        for i in range(self.rows):
-            yield self.row(i)
 
     def matvec(self, v: BitVector) -> BitVector:
         """Compute M v over GF(2)."""
@@ -415,25 +404,6 @@ def rows_orthogonal(A: BitMatrix, B: BitMatrix) -> bool:
     if B.rows > A.rows:
         A, B = B, A
     return not mul_transpose(A, B).words.any()
-
-
-def min_weight_exhaustive(basis: list[BitVector]) -> int:
-    """Exact minimum weight of a nonzero codeword in span(basis).
-
-    Enumerates all 2^k codewords of the spanned code; refuses above
-    MAX_ENUM_DIMENSION.  Raises ValueError for the zero code.
-    """
-    if not basis:
-        raise ValueError("zero code: no nonzero codeword exists")
-    M = BitMatrix.from_rows(basis)
-    B = row_basis(M)
-    k = B.rows
-    if k == 0:
-        raise ValueError("zero code: no nonzero codeword exists")
-    check_enum_budget(k)
-    words = _xor_table(B.words)
-    wts = _popcount(words).sum(axis=1)
-    return int(wts[1:].min())
 
 
 # ---------------------------------------------------------------------------

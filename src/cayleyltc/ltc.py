@@ -173,8 +173,7 @@ class SquareCodeTester:
                     f"local code dimension k1^2 = {k0} exceeds the nearest-codeword "
                     f"search budget {NEAREST_SEARCH_MAX_DIM}; the greedy loop needs "
                     f"an enumerable local code")
-            words = self.C0.codewords()
-            cand = np.stack([w.to_bits() for w in words])     # (n_cand, r^2)
+            cand = self.C0.codewords()                        # (n_cand, r^2)
             order = np.lexsort(cand.T[::-1])                  # lexicographic
             cand = np.ascontiguousarray(cand[order])
             n, r, r2 = self.X.n_vertices, self.r, self.r * self.r
@@ -471,13 +470,13 @@ def random_error(rng: np.random.Generator, n: int, w: int) -> np.ndarray:
 
 
 def _trial_word(tester: SquareCodeTester, code: LinearCode, seed: int,
-                index: int, weight: int) -> tuple[np.ndarray, float]:
+                index: int, weight: int) -> tuple[np.ndarray, int]:
     """Trial `index`'s word c + e, wt(e) = weight, from its own RNG stream
-    (seed, index), and its rejection probability D."""
+    (seed, index), and the number of vertices that reject it."""
     rng = np.random.default_rng([seed, index])
     c = code.random_codeword(rng)
     f_bits = c.to_bits() ^ random_error(rng, code.n, weight)
-    return f_bits, tester.reject_probability(f_bits)
+    return f_bits, int(tester.reject_vector(f_bits).sum())
 
 
 def _check_weights(weights: tuple[int, int], n: int):
@@ -505,10 +504,11 @@ def kappa_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
     case dist(f, C) = weight / |S| exactly and the trial contributes to the
     empirical kappa.
     """
-    f_bits, D = _trial_word(tester, code, seed, trial_index, weight)
+    f_bits, rejects = _trial_word(tester, code, seed, trial_index, weight)
+    D = rejects / tester.X.n_vertices
     in_code = code.contains(BitVector(f_bits))
     if not in_code:
-        assert D > 0, "D(f) = 0 must certify membership"
+        assert rejects > 0, "D(f) = 0 must certify membership"
     certified = weight > 0 and weight < certified_radius / 2
     return {
         "trial": trial_index,
@@ -566,20 +566,28 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
 def decode_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
                  index: int, weights: tuple[int, int]) -> dict:
     """One decode trial on f = c + e, wt(e) cycling through the weight
-    range, and whether the outcome meets the decoder contract."""
+    range, and whether the outcome meets the decoder contract.
+
+    With rej the number of rejecting vertices, so D = rej / |V|, the
+    contract is decided in integers: Delta_0 |V| <= 2 rej |E| and, for a
+    codeword output w, wt(f - w) |V| <= (4 + 8r) rej |S|.
+    """
     lo, hi = weights
     w = int(lo + (index % (hi - lo + 1)))
-    f_bits, D = _trial_word(tester, code, seed, index, w)
+    f_bits, rejects = _trial_word(tester, code, seed, index, w)
+    X = tester.X
+    D = rejects / X.n_vertices
     out = tester.decode(f_bits)
-    ok = out.delta_initial <= 2 * D * tester.X.n_edges + 1e-9
+    ok = out.delta_initial * X.n_vertices <= 2 * rejects * X.n_edges
     ok &= out.iterations <= max(out.delta_initial, 0)
     dist = float("nan")
     if out.kind == "codeword":
-        dist = float((out.word.to_bits() != f_bits).sum()) / code.n
-        ok &= dist <= (4 + 8 * tester.r) * D + 1e-9
+        wrong = int((out.word.to_bits() != f_bits).sum())
+        dist = wrong / code.n
+        ok &= wrong * X.n_vertices <= (4 + 8 * tester.r) * rejects * code.n
     else:
         diag = check_far_diagnostics(
-            tester.X, out, tester.C1.distance_exact(), tester.C1.n)
+            X, out, tester.C1.distance_exact(), tester.C1.n)
         ok &= diag["dispute_edge_bound_holds"]
     return {
         "trial": index, "weight": w, "D": D, "outcome": out.kind,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from cayleyltc.analysis import (
     _row_valid_matrices,
     is_d_ldpc,
     low_weight_dual_words,
-    punctured_code,
-    punctured_normalized_distance,
     sigma_exact,
     verify_us,
 )
@@ -23,7 +22,7 @@ from cayleyltc.codes import (
     tanner_code_on_graph,
     tensor_code,
 )
-from cayleyltc.f2core import BitMatrix, BitVector, DimensionBudgetError
+from cayleyltc.f2core import BitMatrix, BitVector, DimensionBudgetError, rank
 from cayleyltc.groups import Graph
 
 
@@ -133,7 +132,7 @@ def test_rc_distance_validates_memberships():
 def test_rc_pairwise_sigma_le_2_random():
     c = parity_code(3)
     rng = np.random.default_rng(4)
-    words = [w.to_bits() for w in c.codewords()]
+    words = c.codewords()
     for _ in range(25):
         f = np.stack([words[rng.integers(len(words))] for _ in range(3)])
         g = np.stack([words[rng.integers(len(words))] for _ in range(3)]).T
@@ -144,11 +143,11 @@ def test_rc_pairwise_sigma_le_2_random():
 def test_distance_translation_invariance():
     c = parity_code(3)
     rng = np.random.default_rng(7)
-    words = [w.to_bits() for w in c.codewords()]
+    words = c.codewords()
     from cayleyltc.codes import tensor_code
 
     t = tensor_code(c)
-    tensor_words = [w.to_bits().reshape(3, 3) for w in t.codewords()]
+    tensor_words = t.codewords().reshape(-1, 3, 3)
     f = np.stack([words[rng.integers(len(words))] for _ in range(3)])
     g = np.stack([words[rng.integers(len(words))] for _ in range(3)]).T
     for w in tensor_words[:8]:
@@ -201,7 +200,7 @@ def _sigma_full_enumeration(C1):
     F, F_rows = _row_valid_matrices(C1)
     G = np.swapaxes(F, 1, 2).copy()
     C0 = tensor_code(C1)
-    W = np.stack([w.to_bits().reshape(r, r) for w in C0.codewords()])
+    W = C0.codewords().reshape(-1, r, r)
     pows = (1 << np.arange(r)).astype(np.int64)
     W_rows = W.reshape(-1, r, r) @ pows
     W_cols = np.swapaxes(W, 1, 2) @ pows
@@ -273,7 +272,7 @@ def test_rc_distance_invariant_under_tensor_shift(name, seed):
     else:
         c = _SIGMA_CODES[name[:-1]](int(name[-1]))
     r = c.n
-    words = [w.to_bits() for w in c.codewords()]
+    words = c.codewords()
     f = np.stack([words[i] for i in rng.integers(len(words), size=r)])
     g = np.stack([words[i] for i in rng.integers(len(words), size=r)]).T
     shift = tensor_code(c).random_codeword(rng).to_bits().reshape(r, r)
@@ -290,7 +289,7 @@ def _sigma_int64_scan(C1):
     F, F_rows = _row_valid_matrices(C1)
     G = np.swapaxes(F, 1, 2).copy()
     C0 = tensor_code(C1)
-    W = np.stack([w.to_bits().reshape(r, r) for w in C0.codewords()])
+    W = C0.codewords().reshape(-1, r, r)
     pows = (1 << np.arange(r)).astype(np.int64)
     W_rows = W.reshape(-1, r, r) @ pows
     W_cols = np.swapaxes(W, 1, 2) @ pows
@@ -346,19 +345,99 @@ def test_sigma_parity4_pinned():
 # -- punctured codes ----------------------------------------------------------
 
 
+def punctured_code(C: LinearCode, I, J, d: int) -> LinearCode:
+    """Reference C(I,J): relax the weight-<=d constraints meeting I, puncture J.
+
+    Builds C^perp_<=d(I) = short constraints vanishing on I, takes its
+    annihilator, and restricts the resulting codewords to [r] \\ J.
+    """
+    I, J = set(I), set(J)
+    if not I <= J:
+        raise ValueError("need I Subset of J")
+    if not J <= set(range(C.n)):
+        raise ValueError("J out of range")
+    short = [BitVector._from_words(w.copy(), C.n) for w in low_weight_dual_words(C, d)]
+    kept_rows = [v for v in short if not v.to_bits()[sorted(I)].any()]
+    bigger = LinearCode.from_parity_checks(kept_rows, n=C.n)
+    keep_coords = sorted(set(range(C.n)) - J)
+    if len(keep_coords) == 0:
+        return LinearCode(0, BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0),
+                          provenance="punctured", params={"I": sorted(I), "J": sorted(J)})
+    return LinearCode.from_generators(
+        BitMatrix(bigger.generator.to_array()[:, keep_coords]),
+        provenance="punctured", params={"I": sorted(I), "J": sorted(J), "d": d})
+
+
+def punctured_normalized_distance(code: LinearCode) -> Fraction | None:
+    """delta(C(I,J)); None means the punctured code is {0} (vacuously good)."""
+    if code.n == 0 or code.k == 0:
+        return None
+    return Fraction(code.distance_exact(), code.n)
+
+
+def verify_us_reference(C: LinearCode, alpha: Fraction, beta: Fraction,
+                        delta: Fraction, d: int) -> dict:
+    """Reference verify_us: a fresh punctured_code for every (I, J)."""
+    r = C.n
+    short = [BitVector._from_words(w.copy(), r) for w in low_weight_dual_words(C, d)]
+    if (rank(BitMatrix.from_rows(short)) if short else 0) != r - C.k:
+        return {"certified": False, "reason": f"not a {d}-LDPC code"}
+    max_i = int(alpha * r)
+    if r > 16:
+        raise DimensionBudgetError("exhaustive US verification capped at r <= 16")
+    witnesses = []
+    for size in range(max_i + 1):
+        for I in combinations(range(r), size):
+            budget = int(Fraction(len(I)) / beta) if I else 0
+            found = None
+            for jsize in range(len(I), budget + 1):
+                for extra in combinations(sorted(set(range(r)) - set(I)),
+                                          jsize - len(I)):
+                    J = sorted(set(I) | set(extra))
+                    delta_meas = punctured_normalized_distance(
+                        punctured_code(C, I, J, d))
+                    if delta_meas is None or delta_meas >= delta:
+                        found = (J, delta_meas)
+                        break
+                if found:
+                    break
+            if found is None:
+                return {
+                    "certified": False,
+                    "counterexample_I": list(I),
+                    "reason": "no admissible J reaches the distance target",
+                }
+            witnesses.append({
+                "I": list(I), "J": list(found[0]),
+                "delta": None if found[1] is None else
+                [found[1].numerator, found[1].denominator],
+            })
+    return {"certified": True, "witnesses": witnesses,
+            "params": {"alpha": str(alpha), "beta": str(beta),
+                       "delta": str(delta), "d": d}}
+
+
+def _ldpc(c: LinearCode, d: int) -> bool:
+    return is_d_ldpc(c, low_weight_dual_words(c, d))
+
+
 def test_low_weight_duals_hamming():
     # the dual of [7,4,3] Hamming is the simplex code, all weights 4
     c = bch_code(3, 3)
-    assert low_weight_dual_words(c, 3) == []
-    assert len(low_weight_dual_words(c, 4)) == 7
+    assert len(low_weight_dual_words(c, 3)) == 0
+    words = low_weight_dual_words(c, 4)
+    assert np.bitwise_count(words).sum(axis=1).tolist() == [4] * 7
+    duals = BitMatrix._from_words(words, 7, 7).to_array()
+    assert not (c.codewords().astype(int) @ duals.T % 2).any()
 
 
 def test_is_d_ldpc():
-    assert is_d_ldpc(repetition_code(4), 2)
-    assert is_d_ldpc(bch_code(3, 3), 4)
-    assert not is_d_ldpc(bch_code(3, 3), 3)
-    assert not is_d_ldpc(parity_code(3), 2)
-    assert is_d_ldpc(parity_code(3), 3)
+    assert _ldpc(repetition_code(4), 2)
+    assert _ldpc(bch_code(3, 3), 4)
+    assert not _ldpc(bch_code(3, 3), 3)
+    assert not _ldpc(parity_code(3), 2)
+    assert _ldpc(parity_code(3), 3)
+    assert _ldpc(full_code(3), 2)       # no short duals, and none needed
 
 
 def test_punctured_identity_on_empty_sets():
@@ -456,3 +535,47 @@ def test_verify_us_smooth_implies_agreement_crosscheck():
     sigma = sigma_exact(code).value
     assert sigma >= alpha * delta / d
 
+
+
+def _simplex_code():
+    hamming = bch_code(3, 3)
+    return LinearCode(7, hamming.parity, hamming.generator, "dual", None)
+
+
+_US_CODES = {
+    "rep:4": lambda: repetition_code(4),
+    "rep:8": lambda: repetition_code(8),
+    "parity:4": lambda: parity_code(4),
+    "bch:3,3": lambda: bch_code(3, 3),
+    "bch:4,3": lambda: bch_code(4, 3),
+    "full:6": lambda: full_code(6),
+    "simplex:3": _simplex_code,         # 3-LDPC: the Hamming words of weight 3
+    "pairs:6": lambda: LinearCode.from_generators(BitMatrix(np.kron(
+        np.eye(3, dtype=np.uint8), np.ones((1, 2), dtype=np.uint8)))),
+    "zero:3": lambda: LinearCode.from_generators(BitMatrix.zeros(0, 3)),
+    # two weight-3 checks meeting at 0: at d = 3, C_{0} is all of F_2^5, so
+    # C({0}, J) is wider than C punctured at J
+    "star:5": lambda: LinearCode.from_parity_checks(
+        BitMatrix([[1, 1, 1, 0, 0], [1, 0, 0, 1, 1]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_US_CODES))
+def test_verify_us_equals_the_punctured_code_reference(name):
+    # one enumeration per relaxed code must give the whole report, witnesses
+    # and counterexamples included, of a fresh C(I, J) for every (I, J)
+    code = _US_CODES[name]()
+    for d in (2, 3, 4, 8):
+        for alpha, beta, delta in [(Fraction(1, 4), Fraction(2, 3), Fraction(1)),
+                                   (Fraction(1, 3), Fraction(9, 10), Fraction(1, 2)),
+                                   (Fraction(1, 2), Fraction(1, 2), Fraction(1, 3))]:
+            ref = verify_us_reference(code, alpha, beta, delta, d)
+            assert verify_us(code, alpha, beta, delta, d) == ref, (d, alpha, beta, delta)
+
+
+def test_verify_us_vacuous_punctures_have_no_delta():
+    # every C(I, J) of the zero code is {0}: each I is its own witness
+    zero = LinearCode.from_generators(BitMatrix.zeros(0, 3))
+    rec = verify_us(zero, Fraction(1, 3), Fraction(1, 2), Fraction(1), 1)
+    assert rec["witnesses"] == [{"I": I, "J": I, "delta": None}
+                                for I in ([], [0], [1], [2])]

@@ -72,6 +72,45 @@ def test_analyze_smooth(z5_dir, capsys):
     assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.fixture(scope="module")
+def r8_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("r8")
+    assert main(["build", "--group", "cyclic:17", "--gens", "1,2,3,4,13,14,15,16",
+                 "--base", "rep:8", "--out", str(out)]) == 0
+    return out
+
+
+def _us_params(alpha, beta, d, delta):
+    return {"alpha": alpha, "beta": beta, "d": d, "delta": delta}
+
+
+# reports of the verify_us route that built a punctured code per (I, J)
+@pytest.mark.parametrize("argv, rc, n_witnesses, us", [
+    ([], 0, 37, {"certified": True, "params": _us_params("1/4", "2/3", 2, "1")}),
+    (["--alpha", "1/2", "--beta", "1/2", "--delta", "1/3", "--dldpc", "8"], 0, 163,
+     {"certified": True, "params": _us_params("1/2", "1/2", 8, "1/3")}),
+    (["--alpha", "3/8", "--beta", "3/4", "--delta", "3/4", "--dldpc", "4"], 0, 93,
+     {"certified": True, "params": _us_params("3/8", "3/4", 4, "3/4")}),
+    (["--delta", "2"], 1, 0,
+     {"certified": False, "counterexample_I": [],
+      "reason": "no admissible J reaches the distance target"}),
+    (["--dldpc", "1"], 1, 0, {"certified": False, "reason": "not a 1-LDPC code"}),
+])
+def test_analyze_smooth_rep8(r8_dir, capsys, argv, rc, n_witnesses, us):
+    from cayleyltc import __version__
+
+    manifest = r8_dir / "manifest.json"
+    capsys.readouterr()
+    assert main(["analyze", str(manifest), "--which", "smooth", *argv]) == rc
+    expected = {
+        "instance": "cyclic:17", "base": "rep:8", "which": "smooth",
+        "manifest_sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
+        "tool_version": __version__, "n_witnesses": n_witnesses,
+        "verdict": "pass" if rc == 0 else "fail", "us": us,
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_analyze_spectral_non_lps_is_na(z5_dir, capsys):
     rc = main(["analyze", str(z5_dir / "manifest.json"), "--which", "spectral"])
     rep = json.loads(capsys.readouterr().out)

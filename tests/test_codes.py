@@ -56,14 +56,12 @@ def toy_complex(n, a_gens, b_gens=None):
 
 def dual(code):
     """Reference: the dual code, its generator and parity bases swapped."""
-    return LinearCode(code.n, code.parity, code.generator)
+    return LinearCode(code.n, code.parity, code.generator, "dual", None)
 
 
 def weight_distribution(code):
-    dist = {}
-    for w in code.codewords():
-        dist[w.weight()] = dist.get(w.weight(), 0) + 1
-    return dist
+    weights, counts = np.unique(code.codewords().sum(axis=1), return_counts=True)
+    return dict(zip(weights.tolist(), counts.tolist()))
 
 
 # -- base codes --------------------------------------------------------------
@@ -94,8 +92,8 @@ def test_check_duality_catches_a_corrupted_parity_row():
         bad = H.copy()
         bad[3, j] ^= 1                     # h + e_j meets a generator at j
         with pytest.raises(AssertionError, match="duality"):
-            LinearCode(c.n, c.generator, BitMatrix(bad))
-    LinearCode(c.n, c.generator, c.parity)
+            LinearCode(c.n, c.generator, BitMatrix(bad), "explicit", None)
+    LinearCode(c.n, c.generator, c.parity, "explicit", None)
 
 
 def test_information_set_is_the_identity_on_the_generator():
@@ -112,11 +110,11 @@ def test_generator_without_identity_columns_is_rejected():
     G = BitMatrix([[1, 1, 0, 0], [1, 1, 1, 1]])
     H = BitMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])
     with pytest.raises(ValueError, match="not the identity on any k columns"):
-        LinearCode(4, G, H)
+        LinearCode(4, G, H, "explicit", None)
     for dependent in ([[1, 1, 0, 0], [1, 1, 0, 0]], [[1, 0, 1, 0], [0, 0, 0, 0]]):
         with pytest.raises(ValueError, match="not the identity"):
-            LinearCode(4, BitMatrix(dependent), H)
-    assert LinearCode(4, H, H).information_set.tolist() == [0, 2]
+            LinearCode(4, BitMatrix(dependent), H, "explicit", None)
+    assert LinearCode(4, H, H, "explicit", None).information_set.tolist() == [0, 2]
 
 
 def _membership_words(code, rng):
@@ -143,7 +141,6 @@ def _assert_contains_matches_syndrome(code, rng):
 
 
 def test_contains_matches_the_syndrome_on_base_codes():
-    from cayleyltc.analysis import punctured_code
     rng = np.random.default_rng(2)
     for c in (repetition_code(3), repetition_code(70), parity_code(4),
               parity_code(70), full_code(3), bch_code(3, 3), bch_code(4, 5),
@@ -151,7 +148,7 @@ def test_contains_matches_the_syndrome_on_base_codes():
         tensors = (tensor_code(c), dual(tensor_code(c))) if c.n <= 15 else ()
         for code in (c, dual(c), *tensors):
             _assert_contains_matches_syndrome(code, rng)
-    empty = punctured_code(repetition_code(3), range(3), range(3), 2)
+    empty = LinearCode(0, BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0), "punctured", None)
     assert empty.n == 0 and empty.contains(BitVector([]))
     _assert_contains_matches_syndrome(empty, rng)
 
@@ -168,10 +165,60 @@ def test_distance_is_refused_before_any_row_is_built(monkeypatch, p13_instance):
 
     code = p13_instance[2]
     monkeypatch.setattr(f2core, "row_basis", called)
+    monkeypatch.setattr(f2core, "_xor_table", called)
     monkeypatch.setattr(BitMatrix, "from_rows", classmethod(called))
     with pytest.raises(DimensionBudgetError) as info:
         code.distance_exact()
     assert str(info.value) == "dimension 1096 exceeds exhaustive enumeration budget 24"
+
+
+def _min_weight_by_row_combinations(rows):
+    """Reference: the least weight of a nonzero XOR of some of the rows,
+    over all 2^m subsets of them; None when every XOR is zero."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    subsets = (np.arange(1 << len(rows))[:, None] >> np.arange(len(rows))) & 1
+    weights = (subsets @ rows % 2).sum(axis=1)
+    return int(weights[weights > 0].min()) if weights.any() else None
+
+
+def test_distance_exact_matches_the_row_combinations():
+    # the generator is a reduced basis of the rows: its table's least nonzero
+    # weight is the least over the original rows' combinations, dependent or not
+    assert repetition_code(3).distance_exact() == 3
+    hamming = [[1, 1, 1, 0, 0, 0, 0], [1, 0, 0, 1, 1, 0, 0],
+               [0, 1, 0, 1, 0, 1, 0], [1, 1, 0, 1, 0, 0, 1]]
+    assert LinearCode.from_generators(BitMatrix(hamming)).distance_exact() == 3
+    rng = np.random.default_rng(7)
+    for m, n in [(6, 20), (8, 6), (5, 70), (3, 3)]:
+        for _ in range(5):
+            rows = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+            ref = _min_weight_by_row_combinations(rows)
+            if ref is not None:
+                assert LinearCode.from_generators(BitMatrix(rows)).distance_exact() == ref
+
+
+def test_distance_exact_refuses_the_zero_code_and_the_budget():
+    for zero in (LinearCode.from_generators(BitMatrix.zeros(0, 3)),
+                 LinearCode.from_generators([BitVector([0, 0, 0])])):
+        with pytest.raises(ValueError, match="^zero code has no distance$"):
+            zero.distance_exact()
+    big = LinearCode.from_generators(BitMatrix(np.eye(30, dtype=np.uint8)))
+    for oracle in (big.distance_exact, big.codewords):
+        with pytest.raises(DimensionBudgetError) as info:
+            oracle()
+        assert str(info.value) == "dimension 30 exceeds exhaustive enumeration budget 24"
+
+
+def test_codeword_x_is_the_sum_of_the_generator_rows_at_the_bits_of_x():
+    for code in (repetition_code(3), parity_code(4), bch_code(4, 5), repetition_code(70),
+                 tensor_code(parity_code(3)), LinearCode.from_generators(BitMatrix.zeros(0, 5))):
+        G = code.generator.to_array()
+        words = code.codewords()
+        assert words.shape == (1 << code.k, code.n) and words.dtype == np.uint8
+        for x in range(1 << code.k):
+            bits = (x >> np.arange(code.k)) & 1
+            assert np.array_equal(words[x], np.bitwise_xor.reduce(
+                G[bits == 1], axis=0, initial=0)), (code, x)
 
 
 def _random_codeword_loop(code, rng):

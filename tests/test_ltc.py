@@ -134,7 +134,7 @@ def _bases(r):
     bases = [repetition_code(r), parity_code(r), full_code(r)]
     if r == 7:
         bases.append(bch_code(3, 3))
-    return bases + [LinearCode(c.n, c.parity, c.generator) for c in bases]
+    return bases + [LinearCode(c.n, c.parity, c.generator, "dual", None) for c in bases]
 
 
 @pytest.mark.parametrize("name", ["z5", "z12", "z7reg", "p13"])
@@ -457,7 +457,7 @@ def vertex_candidates(tester):
     """Reference: per vertex, its distinct squares, their first slots in
     its view, and the ids of the tensor codewords, in lexicographic order,
     that are constant on each fiber (slots carrying one square)."""
-    cand = np.stack([w.to_bits() for w in tester.C0.codewords()])
+    cand = tester.C0.codewords()
     cand = cand[np.lexsort(cand.T[::-1])]
     tester._ensure_tables()
     assert np.array_equal(cand, tester._cand_flat)
@@ -552,6 +552,32 @@ def test_decode_experiment_summarises_its_trials(z12_instance):
     assert str(rows[5]) == str(decode_trial(tester, code, 23, 5, (1, 3)))
     assert one["n_far"] == sum(r["outcome"] == "far" for r in rows)
     assert one["all_contracts_ok"] == all(r["contract_ok"] for r in rows)
+
+
+@pytest.mark.parametrize("delta0, wrong, ok", [
+    (3, 5, True),           # Delta_0 |V| = 2 rej |E| and wt |V| = (4 + 8r) rej |S|
+    (4, 5, False),          # one disputed edge over the first bound
+    (3, 6, False),          # one wrong bit over the second
+])
+def test_decode_contract_holds_with_equality(monkeypatch, delta0, wrong, ok):
+    # |V| = 24, |E| = 36, |S| = 10, r = 1 and rej = 1: 2 rej |E| / |V| = 3 and
+    # (4 + 8r) rej |S| / |V| = 5; the contract is decided in integers
+    from types import SimpleNamespace
+
+    from cayleyltc import ltc
+
+    f = np.zeros(10, dtype=np.uint8)
+    w = np.zeros(10, dtype=np.uint8)
+    w[:wrong] = 1
+    out = SimpleNamespace(kind="codeword", word=f2core.BitVector(w), iterations=0,
+                          delta_initial=delta0)
+    tester = SimpleNamespace(X=SimpleNamespace(n_vertices=24, n_edges=36), r=1,
+                             decode=lambda bits: out)
+    monkeypatch.setattr(ltc, "_trial_word", lambda *args: (f, 1))
+    row = decode_trial(tester, SimpleNamespace(n=10), 0, 0, (1, 1))
+    assert row["contract_ok"] is ok
+    assert (row["D"], row["dist_to_output"], row["dist_bound"]) == (1 / 24, wrong / 10,
+                                                                    12 / 24)
 
 
 def test_threads_share_one_table_build(toy_instances):
