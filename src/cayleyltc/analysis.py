@@ -145,12 +145,6 @@ def low_weight_dual_words(C: LinearCode, d: int) -> np.ndarray:
     return words[(wts <= d) & (wts > 0)]
 
 
-def is_d_ldpc(C: LinearCode, short: np.ndarray) -> bool:
-    """C is defined by its short dual words, low_weight_dual_words(C, d):
-    C = (C^perp_<=d)^perp."""
-    return f2core.rank(BitMatrix._from_words(short, len(short), C.n)) == C.n - C.k
-
-
 def _first_good_puncture(words: np.ndarray, I: tuple, r: int, beta: Fraction,
                          delta: Fraction):
     """(J, delta(C(I,J))) for the first J Superset I with |J| <= |I|/beta,
@@ -180,27 +174,25 @@ def verify_us(C: LinearCode, alpha: Fraction, beta: Fraction, delta: Fraction,
 
     For every I with |I| <= alpha*r, search all J Superset I with
     |J| <= |I|/beta for one with delta(C(I,J)) >= delta.  The short dual
-    words are enumerated once; C_I, the code of those that vanish on I, is
-    enumerated once per distinct set of them, and every J reads it.
+    words are enumerated once; C is d-LDPC when they span its dual.  For
+    each I, C_I, the code of the short words that vanish on I, is
+    enumerated once, and every J reads it.
     """
     r = C.n
     short = low_weight_dual_words(C, d)
-    if not is_d_ldpc(C, short):
+    if f2core.rank(BitMatrix._from_words(short, len(short), r)) != r - C.k:
         return {"certified": False, "reason": f"not a {d}-LDPC code"}
     max_i = int(alpha * r)
     if r > 16:
         raise DimensionBudgetError("exhaustive US verification capped at r <= 16")
-    relaxed = {}        # kept short words, as bytes -> packed words of C_I
     checks = short[:, 0]            # r <= 16: one packed word per short word
     witnesses = []
     for size in range(max_i + 1):
         for I in combinations(range(r), size):
-            kept = (checks & np.uint64(sum(1 << i for i in I))) == 0
-            key = kept.tobytes()
-            if key not in relaxed:
-                H = f2core.row_basis(BitMatrix._from_words(short[kept], int(kept.sum()), r))
-                relaxed[key] = f2core._xor_table(f2core.reduced_kernel_basis(H).words)[:, 0]
-            found = _first_good_puncture(relaxed[key], I, r, beta, delta)
+            kept = short[(checks & np.uint64(sum(1 << i for i in I))) == 0]
+            H = f2core.row_basis(BitMatrix._from_words(kept, len(kept), r))
+            words = f2core._xor_table(f2core.reduced_kernel_basis(H).words)[:, 0]
+            found = _first_good_puncture(words, I, r, beta, delta)
             if found is None:
                 return {
                     "certified": False,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cayleyltc.analysis import (
     _row_valid_matrices,
-    is_d_ldpc,
     low_weight_dual_words,
     sigma_exact,
     verify_us,
@@ -418,7 +417,11 @@ def verify_us_reference(C: LinearCode, alpha: Fraction, beta: Fraction,
 
 
 def _ldpc(c: LinearCode, d: int) -> bool:
-    return is_d_ldpc(c, low_weight_dual_words(c, d))
+    """verify_us's d-LDPC check alone: at alpha = delta = 0 it certifies
+    every d-LDPC code and refuses every other."""
+    rec = verify_us(c, Fraction(0), Fraction(1), Fraction(0), d)
+    assert rec["certified"] or rec["reason"] == f"not a {d}-LDPC code"
+    return rec["certified"]
 
 
 def test_low_weight_duals_hamming():
