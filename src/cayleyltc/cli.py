@@ -149,10 +149,10 @@ def cmd_build(args) -> int:
     code_info = None
     try:
         code = codes.square_code(X, C1)
-        text = f2core.dump_matrix(code.parity)
-        (out / "code.f2mat").write_text(text)
+        data = f2core.dump_matrix(code.parity).encode()
+        (out / "code.f2mat").write_bytes(data)
         (out / "code.json").write_text(code.sidecar_json() + "\n")
-        files["code"] = {"path": "code.f2mat", "sha256": _sha256(text.encode())}
+        files["code"] = {"path": "code.f2mat", "sha256": _sha256(data)}
         code_info = {"n": code.n, "k": code.k}
     except DimensionBudgetError as exc:
         code_info = {"skipped": str(exc)}

@@ -55,13 +55,9 @@ def _information_set(G: BitMatrix) -> np.ndarray:
     seen = np.bitwise_or.accumulate(words, axis=0)
     single = seen[-1] & ~np.bitwise_or.reduce(words[1:] & seen[:-1], axis=0)
     hits = words & single
-    nonzero = hits != 0
-    if not nonzero.any(axis=1).all():
+    if not hits.any(axis=1).all():
         raise ValueError("generator is not the identity on any k columns")
-    w = nonzero.argmax(axis=1)
-    low = hits[np.arange(G.rows), w]
-    low &= ~low + np.uint64(1)                  # the lowest set bit
-    return 64 * w + f2core._popcount(low - np.uint64(1)).astype(np.intp)
+    return f2core._leading_bits(hits)
 
 
 class LinearCode:
@@ -273,24 +269,29 @@ def bch_code(m: int, b: int) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 
-def _local_checks(views: np.ndarray, h_bits: np.ndarray, n: int) -> np.ndarray:
-    """Dense checks on F_2^n, row v * len(h_bits) + i = parity row i of the
-    local code placed on the coordinates views[v]; repeated coordinates
-    cancel mod 2."""
+def _local_checks(views: np.ndarray, h_bits: np.ndarray, n: int) -> BitMatrix:
+    """Checks on F_2^n, row v * len(h_bits) + i = parity row i of the local
+    code placed on the coordinates views[v].
+
+    Each placed bit is XORed straight into the packed words, one local
+    coordinate at a time for all views, so repeated coordinates cancel mod
+    2 and no dense matrix is made.
+    """
     nv, nh = len(views), len(h_bits)
-    checks = np.zeros((nv * nh, n), dtype=np.uint8)
-    rows = np.arange(nv * nh).reshape(nv, nh, 1)
-    np.add.at(checks, (rows, views[:, None, :]), h_bits[None])
-    checks &= 1
-    return checks
+    words = np.zeros((nv * nh, max(1, -(-n // 64))), dtype=np.uint64)
+    base = np.arange(nv)[:, None] * nh
+    for c in range(views.shape[1]):
+        rows = base + np.flatnonzero(h_bits[:, c])
+        words[rows, views[:, c, None] >> 6] ^= np.uint64(1) << (
+            views[:, c, None] & 63).astype(np.uint64)
+    return BitMatrix._from_words(words, nv * nh, n)
 
 
 def _row_column_checks(C1: LinearCode) -> BitMatrix:
     """The checks of C1 on every row and every column of the r x r grid."""
     r = C1.n
     grid = np.arange(r * r).reshape(r, r)
-    return BitMatrix(_local_checks(np.vstack([grid, grid.T]),
-                                   C1.parity.to_array(), r * r))
+    return _local_checks(np.vstack([grid, grid.T]), C1.parity.to_array(), r * r)
 
 
 def tensor_code(C1: LinearCode) -> LinearCode:
@@ -353,9 +354,8 @@ def tanner_code(n_edges: int, labelling: np.ndarray, C0: LinearCode,
         raise ValueError(
             f"local code length {C0.n} != vertex degree {labelling.shape[1]}")
     checks = _local_checks(labelling, C0.parity.to_array(), n_edges)
-    code = (LinearCode.from_parity_checks(BitMatrix(checks), provenance="tanner",
-                                          params=params)
-            if len(checks) else full_code(n_edges))
+    code = (LinearCode.from_parity_checks(checks, provenance="tanner", params=params)
+            if checks.rows else full_code(n_edges))
     assert code.k * C0.n >= (2 * C0.k - C0.n) * n_edges, "Tanner rate bound violated"
     code.params.setdefault("rho0", C0.rate)
     code.params.setdefault("k0", C0.k)
@@ -381,12 +381,14 @@ def tanner_code_on_cayley(G: FiniteGroup, S: GeneratorSet, C0: LinearCode) -> Li
 
 
 def _edge_wise_checks(X: CayleyComplex, C1: LinearCode) -> np.ndarray:
-    return _local_checks(X.edge_slot_table(), C1.parity.to_array(), X.n_squares)
+    """He as a dense 0/1 array (square_code places it packed)."""
+    return _local_checks(X.edge_slot_table(), C1.parity.to_array(), X.n_squares).to_array()
 
 
 def _vertex_wise_checks(X: CayleyComplex, C0: LinearCode) -> np.ndarray:
+    """Hv as a dense 0/1 array."""
     views = X.square_id.transpose(1, 0, 2).reshape(X.n_vertices, -1)
-    return _local_checks(views, C0.parity.to_array(), X.n_squares)
+    return _local_checks(views, C0.parity.to_array(), X.n_squares).to_array()
 
 
 def check_square_code_budget(n_squares: int) -> None:
@@ -433,7 +435,7 @@ def square_code(X: CayleyComplex, C1: LinearCode) -> LinearCode:
             and f2core.rank(checks) == r * r - C0.k):
         raise AssertionError("tensor code is not the row-and-column code of C1")
     code = LinearCode.from_parity_checks(
-        BitMatrix(_edge_wise_checks(X, C1)), provenance="square",
+        _local_checks(est, C1.parity.to_array(), X.n_squares), provenance="square",
         params={"r": r, "k1": C1.k, "group": X.group.manifest()})
     assert code.k * r >= (4 * C1.k - 3 * r) * X.n_squares, "square rate bound violated"
     assert 4 * X.n_squares >= r * r * X.n_vertices

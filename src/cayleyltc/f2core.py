@@ -16,6 +16,11 @@ rows; rows with a zero byte are skipped.  rank runs this forward pass only;
 rref, row_basis and kernel_basis add a back pass, last block first, that
 clears the rows above each block's pivots the same way.
 
+No matrix is unpacked whole on the way from checks to a kernel basis and
+its duality product: dense temporaries are slabs of at most PACK_BLOCK
+bytes (1 MB), and the product's tables hold at most PRODUCT_BLOCK words
+(2 MB) at a time.
+
 All values are immutable after construction from the caller's perspective;
 the operations below are pure functions.
 """
@@ -27,7 +32,7 @@ import numpy as np
 #: Hard cap on the dimension of exhaustive codeword enumeration (~16.7M words).
 MAX_ENUM_DIMENSION = 24
 
-#: dense uint8 entries packed at a time by BitMatrix (1 MB)
+#: bytes of one dense slab packed by BitMatrix or _kernel_words (1 MB)
 PACK_BLOCK = 1 << 20
 
 
@@ -329,20 +334,47 @@ def row_basis(M: BitMatrix) -> BitMatrix:
     return BitMatrix._from_words(R.words[:r].copy(), r, M.cols)
 
 
+def _leading_bits(words: np.ndarray) -> np.ndarray:
+    """Column of the lowest set bit of each packed row; every row must be
+    nonzero."""
+    w = (words != 0).argmax(axis=1)
+    low = words[np.arange(len(words)), w]
+    low &= ~low + np.uint64(1)
+    return 64 * w + _popcount(low - np.uint64(1)).astype(np.intp)
+
+
 def _kernel_words(R: np.ndarray, n: int) -> np.ndarray:
     """Packed kernel basis of the packed rows R of a reduced row echelon
     form with no zero rows; shape (n - len(R), nwords).
 
     One vector per free column f: e_f plus column f of R scattered onto the
-    pivot coordinates (the leading bit of each row).
+    pivot coordinates (the leading bit of each row).  K is written a block
+    of its columns at a time: the block's pivot rows of R, read on the free
+    columns, and its unit entries fill a dense (free x block) slab, which is
+    packed into K's words there.  The slab and those bits of R fill at most
+    PACK_BLOCK bytes between them (one word of K a block at the least).
     """
-    Rbits = _unpack_bits(R, n)
-    pivots = Rbits.argmax(axis=1) if Rbits.size else np.zeros(0, dtype=np.intp)
+    pivots = _leading_bits(R)
     free = np.setdiff1d(np.arange(n), pivots)
-    B = np.zeros((free.size, n), dtype=np.uint8)
-    B[np.arange(free.size), free] = 1
-    B[:, pivots] = Rbits[:, free].T
-    return _pack_bits(B)
+    nfree = free.size
+    K = np.zeros((nfree, R.shape[1]), dtype=np.uint64)
+    if not nfree:
+        return K
+    Rb = np.ascontiguousarray(R).view(np.uint8)
+    byte, shift = free >> 3, (free & 7).astype(np.uint8)
+    width = 64 * max(1, PACK_BLOCK // (128 * nfree))
+    for c0 in range(0, n, width):
+        c1 = min(n, c0 + width)
+        (i0, i1), (f0, f1) = np.searchsorted(pivots, [c0, c1]), np.searchsorted(free, [c0, c1])
+        slab = np.zeros((nfree, c1 - c0), dtype=np.uint8)
+        bits = Rb[i0:i1][:, byte]
+        bits >>= shift
+        bits &= 1
+        slab[:, pivots[i0:i1] - c0] = bits.T
+        del bits
+        slab[np.arange(f0, f1), free[f0:f1] - c0] = 1
+        K[:, c0 >> 6: -(-c1 // 64)] = _pack_bits(slab)
+    return K
 
 
 def kernel_basis(M: BitMatrix) -> list[BitVector]:
@@ -361,8 +393,8 @@ def reduced_kernel_basis(R: BitMatrix) -> BitMatrix:
     return BitMatrix._from_words(K, K.shape[0], R.cols)
 
 
-#: uint64 words in one block of Four-Russians tables (8 MB)
-PRODUCT_BLOCK = 1 << 20
+#: uint64 words in one block of Four-Russians product tables (2 MB)
+PRODUCT_BLOCK = 1 << 18
 
 
 def mul_transpose(A: BitMatrix, B: BitMatrix) -> BitMatrix:
@@ -374,8 +406,11 @@ def mul_transpose(A: BitMatrix, B: BitMatrix) -> BitMatrix:
     eight at a time; a table of all 256 XOR combinations of each group is
     indexed by the matching byte of every packed row of A whose byte is not
     zero, so sparse check matrices cost in proportion to their nonzero
-    bytes.  Only B is transposed, so B should be the operand with fewer
-    rows.
+    bytes.  Groups go a block at a time, the block's tables filling at most
+    PRODUCT_BLOCK words: its columns of B are transposed from B's bytes and
+    its bytes of A read column-wise for that block only, and the tables are
+    freed before the next block's are built.  Only B is transposed, so B
+    should be the operand with fewer rows.
     """
     if A.cols != B.cols:
         raise ValueError(f"column count mismatch: {A.cols} != {B.cols}")
@@ -384,18 +419,20 @@ def mul_transpose(A: BitMatrix, B: BitMatrix) -> BitMatrix:
     C = np.zeros((m, pw), dtype=np.uint64)
     groups = -(-n // 8)
     if m and B.rows and n:
-        Bt = np.zeros((groups * 8, pw), dtype=np.uint64)
-        Bt[:n] = _pack_bits(B.to_array().T)
-        Abytes = np.ascontiguousarray(
-            np.ascontiguousarray(A.words).view(np.uint8)[:, :groups].T)
+        Ab = np.ascontiguousarray(A.words).view(np.uint8)
+        Bb = np.ascontiguousarray(B.words).view(np.uint8)
         step = max(1, PRODUCT_BLOCK // (256 * pw))
         for lo in range(0, groups, step):
             hi = min(groups, lo + step)
+            # rows 8 lo .. 8 hi of B^T, bit j of row c = entry (j, c) of B
+            Bt = _pack_bits(np.unpackbits(Bb[:, lo:hi], axis=1, bitorder="little").T)
             # table[g, x] = XOR of the rows 8(lo+g)+t of B^T with bit t of x set
-            table = _xor_table(Bt[8 * lo: 8 * hi].reshape(hi - lo, 8, pw))
-            for g in range(lo, hi):
+            table = _xor_table(Bt.reshape(hi - lo, 8, pw))
+            Abytes = np.ascontiguousarray(Ab[:, lo:hi].T)
+            for g in range(hi - lo):
                 hit = np.flatnonzero(Abytes[g])
-                C[hit] ^= table[g - lo][Abytes[g, hit]]
+                C[hit] ^= table[g][Abytes[g, hit]]
+            del Bt, table, Abytes
     return BitMatrix._from_words(C, m, B.rows)
 
 
@@ -415,21 +452,11 @@ def rows_orthogonal(A: BitMatrix, B: BitMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-#: _REVERSED_BITS[b] is the byte b with its bit order reversed
-_REVERSED_BITS = np.packbits(np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"), axis=1).ravel()
-
-
-def _hex_lines(words: np.ndarray, n: int) -> str:
-    """One hex line per packed row of length n: the first ceil(n/4) digits,
-    column 0 the high bit, from one byte lookup and one hex conversion of
-    all rows."""
-    ndigits = -(-n // 4)
-    packed = _REVERSED_BITS[np.ascontiguousarray(words).view(np.uint8)[:, : -(-n // 8)]]
-    digits = np.frombuffer(packed.tobytes().hex().encode(), dtype=np.uint8)
-    lines = np.full((len(words), ndigits + 1), ord("\n"), dtype=np.uint8)
-    lines[:, :ndigits] = digits.reshape(packed.shape[0], 2 * packed.shape[1])[:, :ndigits]
-    return lines.tobytes().decode()
+#: _HEX_DIGITS[b] is the two ASCII hex digits of the byte b with its bit
+#: order reversed, so that column 0 is the high bit of the first digit
+_HEX_DIGITS = np.frombuffer(bytes(np.packbits(np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"),
+    axis=1).ravel()).hex().encode(), dtype=np.uint8).reshape(256, 2)
 
 
 def _hex_to_bits(h: str, n: int) -> np.ndarray:
@@ -444,7 +471,22 @@ def _hex_to_bits(h: str, n: int) -> np.ndarray:
 
 
 def dump_matrix(M: BitMatrix) -> str:
-    return f"f2mat v1 {M.rows} {M.cols}\n" + _hex_lines(M.words, M.cols)
+    """The f2mat text of M, written into one byte buffer: the header, then
+    each row's first ceil(cols/4) digits and a newline, by one lookup in
+    _HEX_DIGITS per packed byte, a block of rows at a time."""
+    head = f"f2mat v1 {M.rows} {M.cols}\n".encode()
+    ndigits, nbytes = -(-M.cols // 4), -(-M.cols // 8)
+    buf = np.empty(len(head) + M.rows * (ndigits + 1), dtype=np.uint8)
+    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    lines = buf[len(head):].reshape(M.rows, ndigits + 1)
+    lines[:, ndigits] = ord("\n")
+    Wb = np.ascontiguousarray(M.words).view(np.uint8)
+    step = max(1, PACK_BLOCK // max(1, 2 * nbytes))
+    for lo in range(0, M.rows, step):
+        hi = min(M.rows, lo + step)
+        lines[lo:hi, :ndigits] = _HEX_DIGITS[Wb[lo:hi, :nbytes]].reshape(
+            hi - lo, 2 * nbytes)[:, :ndigits]
+    return str(buf.data, "ascii")
 
 
 def load_matrix(text: str) -> BitMatrix:

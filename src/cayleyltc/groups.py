@@ -279,19 +279,24 @@ def psl2(q: int) -> PSL2:
 def lps_generators(group: PSL2, p: int) -> GeneratorSet:
     """The p+1 Lubotzky-Phillips-Sarnak generators of group = PSL2(F_q).
 
-    Requires primes p ≡ 1 (mod 4) and q ≡ 1 (mod 4p) with p < q.  Each
-    integer quadruple (a0, a1, a2, a3) with a0^2+a1^2+a2^2+a3^2 = p, a0 > 0
-    odd and a1, a2, a3 even is mapped to
+    Requires primes p ≡ 1 (mod 4) and q ≡ 1 (mod 4) with p < q and p a
+    square mod q (Legendre symbol (p/q) = 1), so that i = √-1 and √p exist
+    mod q and the generators land in PSL2; q ≡ 1 (mod 4p) implies this by
+    quadratic reciprocity.  When (p/q) = -1 the LPS graph lives on
+    PGL2(F_q), which is refused.  Each integer quadruple (a0, a1, a2, a3)
+    with a0^2+a1^2+a2^2+a3^2 = p, a0 > 0 odd and a1, a2, a3 even is mapped to
     [[a0 + i*a1, a2 + i*a3], [-a2 + i*a3, a0 - i*a1]] mod q, i^2 = -1 (q),
     scaled into PSL2 by an inverse square root of its determinant p.
     """
     q = group.q
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"p must be a prime congruent to 1 mod 4, got {p}")
-    if q % (4 * p) != 1:
-        raise ValueError(f"q must be a prime congruent to 1 mod 4p={4 * p}, got {q}")
+    if q % 4 != 1:
+        raise ValueError(f"q must be a prime congruent to 1 mod 4, got {q}")
     if p >= q:
         raise ValueError(f"need p < q, got p={p}, q={q}")
+    if pow(p, (q - 1) // 2, q) != 1:
+        raise ValueError(f"p={p} must be a square mod q={q}: Legendre symbol (p/q) = -1")
     i_unit = sqrt_mod(q - 1, q)
     sqrt_p_inv = pow(sqrt_mod(p, q), q - 2, q)
     bound = math.isqrt(p)

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleyltc import codes, f2core
 from cayleyltc.codes import (
@@ -443,12 +445,32 @@ def _local_checks_loop(views, h_bits, n):
     return checks & 1
 
 
+def _caller_views(X, C1):
+    """(name, views, h_bits, n) as each caller of the packed placer gives
+    them: square_code (edges), the vertex views, the r x r grid of
+    _row_column_checks, and tanner_code on the left Cayley graph."""
+    C0 = tensor_code(C1)
+    r = C1.n
+    grid = np.arange(r * r).reshape(r, r)
+    n_edges, labelling = cayley_edge_labelling(X.group, X.A)
+    return [
+        ("edge", X.edge_slot_table(), C1.parity.to_array(), X.n_squares),
+        ("vertex", X.square_id.transpose(1, 0, 2).reshape(X.n_vertices, -1),
+         C0.parity.to_array(), X.n_squares),
+        ("grid", np.vstack([grid, grid.T]), C1.parity.to_array(), r * r),
+        ("tanner", labelling, parity_code(len(X.A)).parity.to_array(), n_edges)]
+
+
 @pytest.mark.parametrize("args,C1", [
     ((3, (1, 2)), repetition_code(2)), ((5, (1, 4)), repetition_code(2)),
     ((5, (1, 4)), full_code(2)), ((12, (1, 11), (5, 7)), repetition_code(2)),
-    ((10, (1, 3, 5, 7, 9)), parity_code(5))])
+    ((10, (1, 3, 5, 7, 9)), parity_code(5)), ((10, (1, 3, 5, 7, 9)), repetition_code(5))])
 def test_check_builders_match_row_loop(args, C1):
+    # z5 and z10 repeat squares within a view, so placed bits must cancel
     X = toy_complex(*args)
+    for name, views, h_bits, n in _caller_views(X, C1):
+        assert codes._local_checks(views, h_bits, n) == BitMatrix(
+            _local_checks_loop(views, h_bits, n)), name
     C0 = tensor_code(C1)
     edge = codes._edge_wise_checks(X, C1)
     vert = codes._vertex_wise_checks(X, C0)
@@ -465,8 +487,21 @@ def test_check_builders_match_row_loop(args, C1):
     assert C0.parity == f2core.row_basis(BitMatrix(tensor_checks))
     pairs, labelling = codes.graph_edge_labelling(petersen())
     h = parity_code(3).parity.to_array()
-    assert np.array_equal(codes._local_checks(labelling, h, len(pairs)),
+    assert np.array_equal(codes._local_checks(labelling, h, len(pairs)).to_array(),
                           _local_checks_loop(labelling, h, len(pairs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 6), st.integers(0, 4),
+       st.sampled_from([1, 2, 63, 64, 65, 130]), st.integers(0, 2**32 - 1))
+def test_packed_placer_matches_row_loop_on_random_views(nv, width, nh, n, seed):
+    # views drawn with replacement from few coordinates repeat often
+    rng = np.random.default_rng(seed)
+    views = rng.integers(0, min(n, 1 + rng.integers(0, 4) * width), size=(nv, width))
+    h_bits = rng.integers(0, 2, size=(nh, width), dtype=np.uint8)
+    M = codes._local_checks(views, h_bits, n)
+    assert (M.rows, M.cols) == (nv * nh, n)
+    assert M == BitMatrix(_local_checks_loop(views, h_bits, n))
 
 
 SQUARE_CASES = {"z5": ((5, (1, 4)), repetition_code(2)),
@@ -545,6 +580,21 @@ def test_square_code_peak_memory_is_bounded_by_the_edge_checks(p13_instance):
     finally:
         tracemalloc.stop()
     assert peak < 3 * he_bytes
+
+
+def test_square_code_peak_memory_is_a_few_packed_edge_checks(p13_instance):
+    # He placed packed, the kernel and the duality product built a block at
+    # a time: a dense He (19 MB on p13) or any dense temporary of its size
+    # would exceed this (2.3 MiB packed, 13.8 MiB bound)
+    X, C1 = p13_instance[:2]
+    packed = X.n_edges * C1.parity.rows * (-(-X.n_squares // 64)) * 8
+    tracemalloc.start()
+    try:
+        square_code(X, C1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * packed
 
 
 # -- bound checkers ----------------------------------------------------------

@@ -219,6 +219,59 @@ def test_kernel_basis_matches_loop_edge_cases():
     assert kernel_basis(BitMatrix(np.eye(65, dtype=np.uint8))) == []
 
 
+def _kernel_words_unpacked(R, n):
+    """Reference: the kernel basis of a packed RREF without zero rows, from
+    the whole unpacked R: e_f plus column f of R on the pivot coordinates."""
+    Rbits = f2core._unpack_bits(R, n)
+    pivots = Rbits.argmax(axis=1) if Rbits.size else np.zeros(0, dtype=np.intp)
+    free = np.setdiff1d(np.arange(n), pivots)
+    B = np.zeros((free.size, n), dtype=np.uint8)
+    B[np.arange(free.size), free] = 1
+    B[:, pivots] = Rbits[:, free].T
+    return f2core._pack_bits(B)
+
+
+@pytest.mark.parametrize("shape", ["random", "sparse", "full_rank", "no_rows"])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@settings(max_examples=12, deadline=None)
+@given(m=st.integers(0, 220), block=st.sampled_from([1, 64 * 7, f2core.PACK_BLOCK]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_words_matches_unpacked(n, shape, m, block, seed):
+    # block 1 makes every word of K a block of its own, 64 * 7 a few words;
+    # no rows is full_code, whose kernel is the identity
+    rng = np.random.default_rng(seed)
+    if shape == "full_rank":
+        arr = np.hstack([np.eye(min(m, n), dtype=np.uint8),
+                         rng.integers(0, 2, size=(min(m, n), n - min(m, n)), dtype=np.uint8)])
+        arr = arr[:, rng.permutation(n)]
+    elif shape == "no_rows":
+        arr = np.zeros((0, n), dtype=np.uint8)
+    else:
+        arr = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        if shape == "sparse":
+            arr &= rng.random((m, n)) < 0.05
+    R = f2core.row_basis(BitMatrix(arr))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(f2core, "PACK_BLOCK", block)
+        K = f2core._kernel_words(R.words, n)
+    assert K.dtype == np.uint64
+    assert np.array_equal(K, _kernel_words_unpacked(R.words, n))
+
+
+def test_reduced_kernel_basis_peak_memory_is_one_block_over_its_operands(p13_instance):
+    # an unpacked R (14 MB on p13) or K would exceed this
+    X, C1 = p13_instance[:2]
+    R = f2core.row_basis(BitMatrix(codes._edge_wise_checks(X, C1)))
+    tracemalloc.start()
+    try:
+        K = f2core.reduced_kernel_basis(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.rows == R.cols - R.rows
+    assert peak < R.words.nbytes + K.words.nbytes + f2core.PACK_BLOCK
+
+
 def _mul_transpose_by_matvec(A, B):
     """Reference: column j of A B^T is A times row j of B."""
     cols = [A.matvec(BitVector(b)).to_bits() for b in B.to_array()]
@@ -241,6 +294,20 @@ def test_mul_transpose_matches_matvec(m, p, n, block, density, seed):
     assert np.array_equal(C.to_array(), _mul_transpose_by_matvec(A, B))
     assert f2core.rows_orthogonal(A, B) == f2core.rows_orthogonal(B, A) \
         == (not C.to_array().any())
+
+
+@pytest.mark.parametrize("groups_per_block", [1, 2, 7])
+def test_mul_transpose_packs_bt_a_column_block_at_a_time(monkeypatch, groups_per_block):
+    # n = 203 is 26 byte groups, so B^T is packed in several column blocks,
+    # the last one partial
+    rng = np.random.default_rng(groups_per_block)
+    for p in (1, 64, 65, 130):
+        pw = -(-p // 64)
+        monkeypatch.setattr(f2core, "PRODUCT_BLOCK", 256 * pw * groups_per_block)
+        A = BitMatrix(rng.random((70, 203)) < 0.3)
+        B = BitMatrix(rng.random((p, 203)) < 0.3)
+        assert np.array_equal(f2core.mul_transpose(A, B).to_array(),
+                              _mul_transpose_by_matvec(A, B))
 
 
 def test_mul_transpose_rejects_width_mismatch():

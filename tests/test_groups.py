@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cayleyltc.groups import (
     psl2,
     symmetric_subset,
 )
+from cayleyltc.spectral import second_eigenvalue
 
 
 def check_axioms(group, samples=64, seed=0):
@@ -175,8 +178,10 @@ def test_lps_generators_5_41():
 
 
 def test_lps_congruence_errors():
-    with pytest.raises(ValueError):
-        lps_generators(psl2(13), 5)     # 13 != 1 mod 20
+    with pytest.raises(ValueError, match=r"Legendre symbol \(p/q\) = -1"):
+        lps_generators(psl2(13), 5)     # 5 is no square mod 13
+    with pytest.raises(ValueError, match="1 mod 4"):
+        lps_generators(psl2(7), 5)      # 7 != 1 mod 4
     with pytest.raises(ValueError):
         lps_generators(psl2(41), 6)     # p not prime
     with pytest.raises(ValueError):
@@ -223,6 +228,16 @@ def test_lps_generators_13_53():
     assert s.generates_group()
     graph = cayley_graph(s.group, s)
     assert graph.is_connected()
+
+
+def test_lps_generators_13_17():
+    # 17 != 1 mod 52, but 13 is a square mod 17: a full LPS set in PSL2(F_17)
+    s = lps_generators(psl2(17), 13)
+    assert len(s) == 14
+    assert {s.group.inv(i) for i in s.indices} == set(s.indices)
+    assert s.generates_group()
+    lam = second_eigenvalue(cayley_graph(s.group, s, "left"), method="dense").lam
+    assert lam <= 2 * math.sqrt(13) / 14
 
 
 def test_symmetric_subset():
