@@ -452,11 +452,12 @@ def rows_orthogonal(A: BitMatrix, B: BitMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-#: _HEX_DIGITS[b] is the two ASCII hex digits of the byte b with its bit
-#: order reversed, so that column 0 is the high bit of the first digit
-_HEX_DIGITS = np.frombuffer(bytes(np.packbits(np.unpackbits(
+#: _HEX_PAIRS[b] holds, as the two bytes of one uint16, the two ASCII hex
+#: digits of the byte b with its bit order reversed, so that column 0 is the
+#: high bit of the first digit
+_HEX_PAIRS = np.frombuffer(bytes(np.packbits(np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"),
-    axis=1).ravel()).hex().encode(), dtype=np.uint8).reshape(256, 2)
+    axis=1).ravel()).hex().encode(), dtype=np.uint16)
 
 
 def _hex_to_bits(h: str, n: int) -> np.ndarray:
@@ -473,7 +474,7 @@ def _hex_to_bits(h: str, n: int) -> np.ndarray:
 def dump_matrix(M: BitMatrix) -> str:
     """The f2mat text of M, written into one byte buffer: the header, then
     each row's first ceil(cols/4) digits and a newline, by one lookup in
-    _HEX_DIGITS per packed byte, a block of rows at a time."""
+    _HEX_PAIRS per packed byte, a block of rows at a time."""
     head = f"f2mat v1 {M.rows} {M.cols}\n".encode()
     ndigits, nbytes = -(-M.cols // 4), -(-M.cols // 8)
     buf = np.empty(len(head) + M.rows * (ndigits + 1), dtype=np.uint8)
@@ -481,11 +482,12 @@ def dump_matrix(M: BitMatrix) -> str:
     lines = buf[len(head):].reshape(M.rows, ndigits + 1)
     lines[:, ndigits] = ord("\n")
     Wb = np.ascontiguousarray(M.words).view(np.uint8)
-    step = max(1, PACK_BLOCK // max(1, 2 * nbytes))
+    # np.take widens a block's byte indices to intp, 8 bytes each
+    step = max(1, PACK_BLOCK // max(1, 8 * nbytes))
     for lo in range(0, M.rows, step):
         hi = min(M.rows, lo + step)
-        lines[lo:hi, :ndigits] = _HEX_DIGITS[Wb[lo:hi, :nbytes]].reshape(
-            hi - lo, 2 * nbytes)[:, :ndigits]
+        lines[lo:hi, :ndigits] = np.take(_HEX_PAIRS, Wb[lo:hi, :nbytes]).view(
+            np.uint8)[:, :ndigits]
     return str(buf.data, "ascii")
 
 

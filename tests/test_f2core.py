@@ -405,7 +405,10 @@ def _bits_to_hex(bits):
     return np.packbits(bits, bitorder="big").tobytes().hex()[:ndigits]
 
 
-def test_dump_formats_match_row_formula():
+@pytest.mark.parametrize("block", [1, f2core.PACK_BLOCK])
+def test_dump_formats_match_row_formula(monkeypatch, block):
+    # block 1 writes each row's digits as a block of its own
+    monkeypatch.setattr(f2core, "PACK_BLOCK", block)
     rng = np.random.default_rng(13)
     for cols in range(0, 131):
         for rows in (0, 1, 3):
