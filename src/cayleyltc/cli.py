@@ -27,7 +27,6 @@ import hashlib
 import io
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -149,7 +148,7 @@ def cmd_build(args) -> int:
     code_info = None
     try:
         code = codes.square_code(X, C1)
-        data = f2core.dump_matrix(code.parity).encode()
+        data = f2core.dump_matrix(code.parity)
         (out / "code.f2mat").write_bytes(data)
         (out / "code.json").write_text(code.sidecar_json() + "\n")
         files["code"] = {"path": "code.f2mat", "sha256": _sha256(data)}
@@ -225,11 +224,11 @@ def _recorded_square_code(manifest: dict, manifest_path: str,
     if _sha256(data) != _field(manifest, "files.code.sha256"):
         raise PreconditionError(
             "manifest field 'files.code.sha256' differs from the code file's sha256")
-    head = re.match(rb"f2mat v1 (\d+) (\d+)\n", data)
-    if head is None:
+    try:
+        rows, cols = f2core.f2mat_shape(data)
+    except ValueError:
         raise PreconditionError(
-            "manifest field 'files.code.path' names no f2mat v1 file")
-    rows, cols = int(head[1]), int(head[2])
+            "manifest field 'files.code.path' names no f2mat v1 file") from None
     if cols != n:
         raise PreconditionError(
             f"manifest field 'square_code.n' differs from the code file's {cols} columns")
@@ -408,9 +407,8 @@ def cmd_inspect(args) -> int:
         doc = json.loads(data.decode())
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_PASS
-    head = data[:64].decode(errors="replace")
-    if head.startswith("f2mat"):
-        M = f2core.load_matrix(data.decode())
+    if data.startswith(b"f2mat"):
+        M = f2core.load_matrix(data)
         print(json.dumps({"format": "f2mat v1", "rows": M.rows, "cols": M.cols,
                           "rank": f2core.rank(M)}))
         return EXIT_PASS

@@ -28,17 +28,6 @@ from .groups import FiniteGroup, GeneratorSet, Graph
 SQUARE_CODE_COORD_BUDGET = 20000
 
 
-def _rows_matrix(rows, n: int | None, kind: str) -> BitMatrix:
-    """A BitMatrix from a BitMatrix, or from BitVector rows (n gives the
-    width of an empty list)."""
-    if isinstance(rows, BitMatrix):
-        return rows
-    rows = list(rows) if rows is not None else []
-    if not rows and n is None:
-        raise ValueError(f"need n for an empty {kind} list")
-    return BitMatrix.from_rows(rows) if rows else BitMatrix.zeros(0, n)
-
-
 def _information_set(G: BitMatrix) -> np.ndarray:
     """Columns I with G[:, I] = I_k, I[i] being the first column of weight
     one whose one lies in row i.
@@ -93,17 +82,16 @@ class LinearCode:
         return np.bitwise_xor.reduce(self.generator.words[coeffs], axis=0)
 
     @classmethod
-    def from_generators(cls, rows, provenance: str = "explicit",
+    def from_generators(cls, rows: BitMatrix, provenance: str = "explicit",
                         params: dict | None = None) -> "LinearCode":
-        G = f2core.row_basis(_rows_matrix(rows, None, "generator"))
+        G = f2core.row_basis(rows)
         H = f2core.reduced_kernel_basis(G)
         return cls(G.cols, G, H, provenance, params)
 
     @classmethod
-    def from_parity_checks(cls, rows, n: int | None = None,
-                           provenance: str = "explicit",
+    def from_parity_checks(cls, rows: BitMatrix, provenance: str = "explicit",
                            params: dict | None = None) -> "LinearCode":
-        H = f2core.row_basis(_rows_matrix(rows, n, "check"))
+        H = f2core.row_basis(rows)
         G = f2core.reduced_kernel_basis(H)
         return cls(G.cols, G, H, provenance, params)
 
@@ -155,17 +143,17 @@ class LinearCode:
 
 
 def repetition_code(n: int) -> LinearCode:
-    return LinearCode.from_generators([BitVector([1] * n)], provenance="explicit",
+    return LinearCode.from_generators(BitMatrix(np.ones((1, n))), provenance="explicit",
                                       params={"family": "repetition", "n": n})
 
 
 def parity_code(n: int) -> LinearCode:
-    return LinearCode.from_parity_checks([BitVector([1] * n)], provenance="explicit",
+    return LinearCode.from_parity_checks(BitMatrix(np.ones((1, n))), provenance="explicit",
                                          params={"family": "parity", "n": n})
 
 
 def full_code(n: int) -> LinearCode:
-    return LinearCode.from_parity_checks([], n=n, provenance="explicit",
+    return LinearCode.from_parity_checks(BitMatrix.zeros(0, n), provenance="explicit",
                                          params={"family": "full", "n": n})
 
 
@@ -307,27 +295,25 @@ def tensor_code(C1: LinearCode) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 
-def graph_edge_labelling(graph: Graph) -> tuple[list[tuple[int, int]], np.ndarray]:
+def graph_edge_labelling(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Edge ids for a simple regular graph plus a per-vertex labelling.
 
-    Returns (edges, labelling) where edges[i] is the vertex pair of edge i
-    and labelling[v] lists the incident edge ids in ascending order.
+    Returns (edges, labelling) where edges[i] = (u, v), u < v, is the vertex
+    pair of edge i, in lexicographic order, and labelling[v] lists the
+    incident edge ids in ascending order.  An arc's edge id is the rank of
+    its key min * n + max among the sorted keys of the u < v arcs.
     """
-    pairs = graph.edge_pairs()
-    if len(set(pairs)) != len(pairs) or any(u == v for u, v in pairs):
+    n, (u, v) = graph.n_vertices, graph.arcs.T
+    keys = np.sort(u[u < v] * n + v[u < v])
+    assert np.array_equal(keys, np.sort(v[u > v] * n + u[u > v])), "arcs not mirrored"
+    if (u == v).any() or (keys[1:] == keys[:-1]).any():
         raise ValueError("Tanner codes need a simple graph")
-    index = {p: i for i, p in enumerate(pairs)}
     deg = graph.degree
-    labelling = np.full((graph.n_vertices, deg), -1, dtype=np.int64)
-    fill = np.zeros(graph.n_vertices, dtype=np.int64)
-    for (u, v), i in index.items():
-        labelling[u, fill[u]] = i
-        fill[u] += 1
-        labelling[v, fill[v]] = i
-        fill[v] += 1
-    if (labelling < 0).any():
+    if (np.bincount(u, minlength=n) != deg).any():
         raise ValueError("graph is not regular")
-    return pairs, labelling
+    ids = np.searchsorted(keys, np.minimum(u, v) * n + np.maximum(u, v))
+    labelling = ids[np.lexsort((ids, u))].reshape(n, deg)
+    return np.stack([keys // n, keys % n], axis=1), labelling
 
 
 def cayley_edge_labelling(G: FiniteGroup, S: GeneratorSet) -> tuple[int, np.ndarray]:
@@ -354,8 +340,7 @@ def tanner_code(n_edges: int, labelling: np.ndarray, C0: LinearCode,
         raise ValueError(
             f"local code length {C0.n} != vertex degree {labelling.shape[1]}")
     checks = _local_checks(labelling, C0.parity.to_array(), n_edges)
-    code = (LinearCode.from_parity_checks(checks, provenance="tanner", params=params)
-            if checks.rows else full_code(n_edges))
+    code = LinearCode.from_parity_checks(checks, provenance="tanner", params=params)
     assert code.k * C0.n >= (2 * C0.k - C0.n) * n_edges, "Tanner rate bound violated"
     code.params.setdefault("rho0", C0.rate)
     code.params.setdefault("k0", C0.k)

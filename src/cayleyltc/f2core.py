@@ -5,7 +5,7 @@ word 0 = coordinate 0), so row operations run word-parallel.  Everything a
 code computation needs lives here: rank, reduced row echelon form, kernel
 bases, the product A B^T (Four-Russians tables), the table of all XOR
 combinations of some rows (the codewords a generator spans) and the f2mat
-text format.
+format, written and read as bytes.
 
 Elimination is blocked Four-Russians (Arlazarov et al. 1970; M4RI in
 Albrecht, Bard & Hart, ACM TOMS 2010).  Columns are taken a byte (8
@@ -145,17 +145,6 @@ class BitMatrix:
         m.rows, m.cols, m.words = rows, cols, words
         m.words.flags.writeable = False
         return m
-
-    @classmethod
-    def from_rows(cls, vectors) -> "BitMatrix":
-        vectors = list(vectors)
-        if not vectors:
-            raise ValueError("from_rows needs at least one row; use zeros() instead")
-        n = vectors[0].n
-        if any(v.n != n for v in vectors):
-            raise ValueError("rows have mismatched lengths")
-        words = np.stack([v.words for v in vectors])
-        return cls._from_words(words, len(vectors), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
@@ -460,22 +449,33 @@ _HEX_PAIRS = np.frombuffer(bytes(np.packbits(np.unpackbits(
     axis=1).ravel()).hex().encode(), dtype=np.uint16)
 
 
-def _hex_to_bits(h: str, n: int) -> np.ndarray:
-    ndigits = max(1, -(-n // 4))
-    if len(h) != ndigits:
-        raise ValueError(f"expected {ndigits} hex digits for length {n}, got {len(h)}")
-    if len(h) % 2:
-        h += "0"
-    raw = np.frombuffer(bytes.fromhex(h), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="big")[:n]
-    return bits
+#: _NIBBLES[c] is the hex digit of the ASCII byte c with its 4 bits reversed,
+#: so that its low bit is the digit's first column; 255 marks a byte that is
+#: not a digit dump_matrix writes
+_NIBBLES = np.full(256, 255, dtype=np.uint8)
+_NIBBLES[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.packbits(
+    np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:],
+    axis=1, bitorder="little").ravel()
 
 
-def dump_matrix(M: BitMatrix) -> str:
-    """The f2mat text of M, written into one byte buffer: the header, then
-    each row's first ceil(cols/4) digits and a newline, by one lookup in
+def f2mat_shape(data: bytes) -> tuple[int, int]:
+    """(rows, cols) from the header line that opens the f2mat bytes data,
+    which must be the line dump_matrix writes; ValueError otherwise."""
+    end = data.find(b"\n")
+    fields = data[:end].split(b" ") if end >= 0 else []
+    if len(fields) == 4 and fields[2].isdigit() and fields[3].isdigit():
+        rows, cols = int(fields[2]), int(fields[3])
+        if data[:end + 1] == b"f2mat v1 %d %d\n" % (rows, cols):
+            return rows, cols
+    head = data[:64].partition(b"\n")[0]
+    raise ValueError(f"bad f2mat header: {head!r}")
+
+
+def dump_matrix(M: BitMatrix) -> bytes:
+    """The f2mat bytes of M, written into one buffer: the header, then each
+    row's first ceil(cols/4) digits and a newline, by one lookup in
     _HEX_PAIRS per packed byte, a block of rows at a time."""
-    head = f"f2mat v1 {M.rows} {M.cols}\n".encode()
+    head = b"f2mat v1 %d %d\n" % (M.rows, M.cols)
     ndigits, nbytes = -(-M.cols // 4), -(-M.cols // 8)
     buf = np.empty(len(head) + M.rows * (ndigits + 1), dtype=np.uint8)
     buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
@@ -488,19 +488,44 @@ def dump_matrix(M: BitMatrix) -> str:
         hi = min(M.rows, lo + step)
         lines[lo:hi, :ndigits] = np.take(_HEX_PAIRS, Wb[lo:hi, :nbytes]).view(
             np.uint8)[:, :ndigits]
-    return str(buf.data, "ascii")
+    return buf.tobytes()
 
 
-def load_matrix(text: str) -> BitMatrix:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "f2mat" or head[1] != "v1":
-        raise ValueError(f"bad f2mat header: {lines[0]!r}")
-    rows, cols = int(head[2]), int(head[3])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
-    if rows == 0:
-        return BitMatrix.zeros(0, cols)
-    bits = np.stack([_hex_to_bits(ln.strip(), cols) for ln in lines[1:]])
-    return BitMatrix(bits)
+def load_matrix(data: bytes) -> BitMatrix:
+    """The BitMatrix of f2mat bytes, the exact inverse of dump_matrix.
 
+    The body must be rows lines of ceil(cols/4) lowercase hex digits and a
+    newline, with nothing after the last; anything else is refused with
+    its reason.  Digits map through _NIBBLES and pairs of them are ORed into
+    the packed bytes a block of rows at a time; bits past cols in the last
+    digit are dropped.
+    """
+    rows, cols = f2mat_shape(data)
+    start = data.index(b"\n") + 1
+    ndigits, nbytes = -(-cols // 4), -(-cols // 8)
+    body, need = len(data) - start, rows * (ndigits + 1)
+    if body < need:
+        raise ValueError(f"truncated f2mat body: {body} of {need} bytes")
+    if body > need:
+        raise ValueError(f"{body - need} trailing bytes after the f2mat body")
+    lines = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(rows, ndigits + 1)
+    short = np.flatnonzero(lines[:, ndigits] != ord("\n"))
+    if short.size:
+        raise ValueError(f"f2mat row {short[0]} is not {ndigits} digits and a newline")
+    words = np.zeros((rows, max(1, -(-cols // 64))), dtype=np.uint64)
+    Wb = words.view(np.uint8)
+    step = max(1, PACK_BLOCK // max(1, ndigits))
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        nib = _NIBBLES[lines[lo:hi, :ndigits]]
+        if nib.max(initial=0) > 15:
+            r, c = np.argwhere(nib > 15)[0]
+            raise ValueError(f"f2mat row {lo + r} has the non-hex digit "
+                             f"{bytes([lines[lo + r, c]])!r}")
+        nib[:, 1::2] <<= 4
+        Wb[lo:hi, :nbytes] = nib[:, 0::2]
+        Wb[lo:hi, : ndigits // 2] |= nib[:, 1::2]
+        del nib
+    if cols % 64:
+        words[:, -1] &= np.uint64((1 << cols % 64) - 1)
+    return BitMatrix._from_words(words, rows, cols)

@@ -257,14 +257,6 @@ class Graph:
             seen[frontier] = True
         return bool(seen.all())
 
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        """Canonical undirected edge list (u <= v), with multiplicity: one
-        pair per u < v arc, whose reversal is its mirror, and per loop arc."""
-        u, v = self.arcs[:, 0].tolist(), self.arcs[:, 1].tolist()
-        pairs = sorted((x, y) for x, y in zip(u, v) if x < y)
-        assert pairs == sorted((y, x) for x, y in zip(u, v) if x > y), "arcs not mirrored"
-        return sorted(pairs + [(x, y) for x, y in zip(u, v) if x == y])
-
 
 def cyclic_group(n: int) -> CyclicGroup:
     """Z_n; raises for n < 2."""

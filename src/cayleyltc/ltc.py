@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearCode, tensor_code
+from .codes import LinearCode, check_square_distance_bound, tensor_code
 from .complexes import CayleyComplex
 from .f2core import BitVector, DimensionBudgetError, _pack_bits
 from .spectral import parallel_neighbor_table
@@ -528,7 +528,8 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
 
     Uses the exact code distance for the certification radius when the
     exhaustive oracle fits the budget, otherwise the square-code distance
-    proposition bound (report marked bound-relative).
+    proposition bound of check_square_distance_bound, at least 0 (report
+    marked bound-relative).
     """
     _check_weights(weights, code.n)
     lo, hi = weights
@@ -536,8 +537,8 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
         radius = float(code.distance_exact())
         radius_kind = "exact"
     except (DimensionBudgetError, ValueError):
-        radius = 0.25 * params.delta1 ** 2 * (params.delta1 - params.lam) * code.n
-        radius = max(radius, 0.0)
+        bound = check_square_distance_bound(code, params.delta1, params.lam)["bound"]
+        radius = max(bound, 0.0)
         radius_kind = "bound-relative"
     wlist = [lo + (i % (hi - lo + 1)) for i in range(trials)]
     rows = _run_trials(

@@ -15,7 +15,6 @@ checker records what the expansion of an operator implies for a set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -183,12 +182,6 @@ class SpectralReport:
     n_vertices: int
     lambda_min: float          # most negative eigenvalue (diagnostic)
 
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        d["nvertices"] = d.pop("n_vertices")
-        return json.dumps(d, sort_keys=True)
-
 
 class ConvergenceError(RuntimeError):
     pass
@@ -295,11 +288,13 @@ def second_eigenvalue(graph: Graph, method: str = "auto",
 
 def complex_spectrum(X: CayleyComplex, method: str = "auto") -> dict:
     """{"lambda": max of the two Cayley graph eigenvalues, "cayley": {"left":
-    ..., "right": ...}}, each side's SpectralReport as a JSON object."""
+    ..., "right": ...}}, each side's SpectralReport as a dict of its fields,
+    lam and n_vertices renamed lambda and nvertices."""
     reports = {}
     for side, S in (("left", X.A), ("right", X.B)):
-        rep = second_eigenvalue(cayley_graph(X.group, S, side), method=method)
-        reports[side] = json.loads(rep.to_json())
+        rep = asdict(second_eigenvalue(cayley_graph(X.group, S, side), method=method))
+        rep["lambda"], rep["nvertices"] = rep.pop("lam"), rep.pop("n_vertices")
+        reports[side] = rep
     lam = max(reports["left"]["lambda"], reports["right"]["lambda"])
     return {"lambda": lam, "cayley": reports}
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cayleyltc import f2core
 from cayleyltc.analysis import (
     _row_valid_matrices,
     low_weight_dual_words,
@@ -355,9 +356,8 @@ def punctured_code(C: LinearCode, I, J, d: int) -> LinearCode:
         raise ValueError("need I Subset of J")
     if not J <= set(range(C.n)):
         raise ValueError("J out of range")
-    short = [BitVector._from_words(w.copy(), C.n) for w in low_weight_dual_words(C, d)]
-    kept_rows = [v for v in short if not v.to_bits()[sorted(I)].any()]
-    bigger = LinearCode.from_parity_checks(kept_rows, n=C.n)
+    short = f2core._unpack_bits(low_weight_dual_words(C, d), C.n)
+    bigger = LinearCode.from_parity_checks(BitMatrix(short[~short[:, sorted(I)].any(axis=1)]))
     keep_coords = sorted(set(range(C.n)) - J)
     if len(keep_coords) == 0:
         return LinearCode(0, BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0),
@@ -378,8 +378,8 @@ def verify_us_reference(C: LinearCode, alpha: Fraction, beta: Fraction,
                         delta: Fraction, d: int) -> dict:
     """Reference verify_us: a fresh punctured_code for every (I, J)."""
     r = C.n
-    short = [BitVector._from_words(w.copy(), r) for w in low_weight_dual_words(C, d)]
-    if (rank(BitMatrix.from_rows(short)) if short else 0) != r - C.k:
+    short = f2core._unpack_bits(low_weight_dual_words(C, d), r)
+    if rank(BitMatrix(short)) != r - C.k:
         return {"certified": False, "reason": f"not a {d}-LDPC code"}
     max_i = int(alpha * r)
     if r > 16:

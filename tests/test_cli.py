@@ -232,7 +232,7 @@ def test_inspect_rejects_garbage(tmp_path):
     bad.write_bytes(b"\x00\x01\x02")
     assert main(["inspect", str(bad)]) == 2
     # inspect reads the formats build writes, and no others
-    for text in ("f2word v1 8\n81\n", "graph v1 2 1\n0 1\n"):
+    for text in ("f2word v1 8\n81\n", "graph v1 2 1\n0 1\n", "f2mat v1 1 8\r\nff\r\n"):
         bad.write_text(text)
         assert main(["inspect", str(bad)]) == 2
 
@@ -679,6 +679,17 @@ def test_an_inconsistent_code_record_is_refused_by_name(z5_dir, tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": error}
+
+
+def test_a_code_header_is_the_line_build_writes(z5_dir, tmp_path, capsys, monkeypatch):
+    # n = 5 written as 05 would give the recorded shape, but build never
+    # writes it
+    _forbid_rebuild(monkeypatch)
+    path = manifest_copy(z5_dir, tmp_path, lambda m: _code_file(
+        "f2mat v1 4 05\n88\n48\n28\n18\n")(m, tmp_path))
+    assert main(["analyze", str(path), "--which", "rate"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "manifest field 'files.code.path' names no f2mat v1 file"}
 
 
 def test_build_artifacts_are_byte_identical_across_processes(tmp_path):

@@ -168,7 +168,6 @@ def test_distance_is_refused_before_any_row_is_built(monkeypatch, p13_instance):
     code = p13_instance[2]
     monkeypatch.setattr(f2core, "row_basis", called)
     monkeypatch.setattr(f2core, "_xor_table", called)
-    monkeypatch.setattr(BitMatrix, "from_rows", classmethod(called))
     with pytest.raises(DimensionBudgetError) as info:
         code.distance_exact()
     assert str(info.value) == "dimension 1096 exceeds exhaustive enumeration budget 24"
@@ -201,7 +200,7 @@ def test_distance_exact_matches_the_row_combinations():
 
 def test_distance_exact_refuses_the_zero_code_and_the_budget():
     for zero in (LinearCode.from_generators(BitMatrix.zeros(0, 3)),
-                 LinearCode.from_generators([BitVector([0, 0, 0])])):
+                 LinearCode.from_generators(BitMatrix([[0, 0, 0]]))):
         with pytest.raises(ValueError, match="^zero code has no distance$"):
             zero.distance_exact()
     big = LinearCode.from_generators(BitMatrix(np.eye(30, dtype=np.uint8)))
@@ -241,21 +240,12 @@ def test_random_codeword_matches_row_loop():
             assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
-def test_from_rows_inputs_agree():
-    rows = [BitVector([1, 1, 0, 1]), BitVector([0, 1, 1, 1]), BitVector([1, 0, 1, 0])]
-    M = BitMatrix.from_rows(rows)
-    for build in (LinearCode.from_generators, LinearCode.from_parity_checks):
-        a, b = build(rows), build(M)
-        assert (a.generator, a.parity) == (b.generator, b.parity)
+def test_empty_inputs_give_the_zero_and_the_full_code():
     zero = LinearCode.from_generators(BitMatrix.zeros(0, 6))
-    assert (zero.n, zero.k) == (6, 0)
-    full = LinearCode.from_parity_checks([], n=6)
-    assert (full.n, full.k) == (6, 6)
-    assert LinearCode.from_parity_checks(None, n=6).generator == full.generator
-    with pytest.raises(ValueError, match="need n for an empty generator list"):
-        LinearCode.from_generators([])
-    with pytest.raises(ValueError, match="need n for an empty check list"):
-        LinearCode.from_parity_checks(None)
+    assert (zero.n, zero.k, zero.parity) == (6, 0, BitMatrix(np.eye(6)))
+    full = LinearCode.from_parity_checks(BitMatrix.zeros(0, 6))
+    assert (full.n, full.k, full.generator) == (6, 6, BitMatrix(np.eye(6)))
+    assert (full.generator, full.parity) == (full_code(6).generator, full_code(6).parity)
 
 
 # -- BCH ---------------------------------------------------------------------
@@ -343,6 +333,13 @@ def test_tanner_k4_parity():
     assert code.n == 6
     assert code.k == 3
     assert code.distance_exact() == 3   # triangle
+
+
+def test_tanner_code_over_the_full_code_has_no_checks():
+    # a (0 x n) check matrix is an ordinary input: the whole edge space
+    code = tanner_code_on_graph(petersen(), full_code(3))
+    assert (code.n, code.k, code.parity.rows, code.provenance) == (15, 15, 0, "tanner")
+    assert code.generator == BitMatrix(np.eye(15))
 
 
 def test_tanner_degree_mismatch():

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -68,7 +69,7 @@ def test_kernel_hamming():
         assert H.matvec(v).weight() == 0
     # the kernel of H is exactly the Hamming code spanned by HAMMING_G
     G = BitMatrix(HAMMING_G)
-    assert rank(G.stack(BitMatrix.from_rows(basis))) == 4
+    assert rank(G.stack(BitMatrix([v.to_bits() for v in basis]))) == 4
 
 
 def test_weight_and_distance():
@@ -407,7 +408,8 @@ def _bits_to_hex(bits):
 
 @pytest.mark.parametrize("block", [1, f2core.PACK_BLOCK])
 def test_dump_formats_match_row_formula(monkeypatch, block):
-    # block 1 writes each row's digits as a block of its own
+    # block 1 writes and reads each row's digits as a block of its own;
+    # cols = 0 writes empty lines, which load_matrix reads back
     monkeypatch.setattr(f2core, "PACK_BLOCK", block)
     rng = np.random.default_rng(13)
     for cols in range(0, 131):
@@ -415,19 +417,67 @@ def test_dump_formats_match_row_formula(monkeypatch, block):
             M = BitMatrix(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
             arr = M.to_array()
             lines = [f"f2mat v1 {rows} {cols}"] + [_bits_to_hex(arr[i]) for i in range(rows)]
-            assert f2core.dump_matrix(M) == "\n".join(lines) + "\n"
+            data = f2core.dump_matrix(M)
+            assert data == ("\n".join(lines) + "\n").encode()
+            assert f2core.f2mat_shape(data) == (rows, cols)
+            assert f2core.load_matrix(data) == M
 
 
 def test_format_hex_convention():
     # column 0 is the most significant digit's high bit
     m = BitMatrix([[1, 0, 0, 0, 1]])
-    assert f2core.dump_matrix(m).splitlines()[1] == "88"
+    assert f2core.dump_matrix(m).splitlines()[1] == b"88"
+
+
+def test_load_ignores_padding_bits_past_cols():
+    # the last digit of 5 columns holds 3 padding bits
+    M = f2core.load_matrix(b"f2mat v1 2 5\nff\n8f\n")
+    assert np.array_equal(M.to_array(), [[1, 1, 1, 1, 1], [1, 0, 0, 0, 1]])
+    assert M == BitMatrix(M.to_array())
+
+
+CORRUPT_F2MAT = [
+    (b"f2mat v2 1 1\n8\n", "bad f2mat header: b'f2mat v2 1 1'"),
+    (b"f2mat v1 1 8", "bad f2mat header: b'f2mat v1 1 8'"),
+    (b"f2mat v1 01 8\nff\n", "bad f2mat header: b'f2mat v1 01 8'"),
+    (b"f2mat v1 -1 8\n", "bad f2mat header: b'f2mat v1 -1 8'"),
+    (b"f2mat v1 1 8\r\nff\r\n", "bad f2mat header: b'f2mat v1 1 8\\r'"),
+    (b"\x00\x01", "bad f2mat header: b'\\x00\\x01'"),
+    (b"f2mat v1 2 4\n8\n", "truncated f2mat body: 2 of 4 bytes"),
+    (b"f2mat v1 2 4\n8\n8", "truncated f2mat body: 3 of 4 bytes"),
+    (b"f2mat v1 1 4\n8\n\n", "1 trailing bytes after the f2mat body"),
+    (b"f2mat v1 1 8\nff\r\n", "1 trailing bytes after the f2mat body"),
+    (b"f2mat v1 2 8\nf\nfff\n", "f2mat row 0 is not 2 digits and a newline"),
+    (b"f2mat v1 2 8\nff\n f\n", "f2mat row 1 has the non-hex digit b' '"),
+    (b"f2mat v1 1 8\nzz\n", "f2mat row 0 has the non-hex digit b'z'"),
+    (b"f2mat v1 1 8\nFF\n", "f2mat row 0 has the non-hex digit b'F'"),
+]
 
 
 def test_load_rejects_corrupt():
-    with pytest.raises(ValueError):
-        f2core.load_matrix("f2mat v2 1 1\n8\n")
-    with pytest.raises(ValueError):
-        f2core.load_matrix("f2mat v1 2 4\n8\n")
-    with pytest.raises(ValueError):
-        f2core.load_matrix("f2mat v1 1 8\nzz\n")
+    for data, reason in CORRUPT_F2MAT:
+        with pytest.raises(ValueError) as info:
+            f2core.load_matrix(data)
+        assert str(info.value) == reason
+
+
+def test_load_matrix_peak_memory_is_its_words_and_one_block(p13_instance):
+    # a dense (rows x cols) array (14 MB on p13) would exceed this
+    H = p13_instance[2].parity
+    data = f2core.dump_matrix(H)
+    tracemalloc.start()
+    try:
+        M = f2core.load_matrix(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M == H
+    assert peak < H.words.nbytes + len(data) + f2core.PACK_BLOCK
+
+
+def test_p13_square_code_dump_is_the_recorded_file(p13_instance):
+    # the sha256 of the p13 code.f2mat that build wrote before dump_matrix
+    # returned bytes
+    data = f2core.dump_matrix(p13_instance[2].parity)
+    assert hashlib.sha256(data).hexdigest() == (
+        "1c7bb2b7abff6fc33e13ee06be272fb52134f6643880481e52c8aa9c744e7bf9")

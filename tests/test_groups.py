@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cayleyltc import codes
 from cayleyltc.groups import (
     GeneratorSet,
     Graph,
@@ -13,6 +14,35 @@ from cayleyltc.groups import (
     symmetric_subset,
 )
 from cayleyltc.spectral import second_eigenvalue
+
+
+def edge_pairs(graph):
+    """Reference: the canonical undirected edge list (u <= v), with
+    multiplicity: one pair per u < v arc, whose reversal is its mirror, and
+    per loop arc."""
+    u, v = graph.arcs[:, 0].tolist(), graph.arcs[:, 1].tolist()
+    pairs = sorted((x, y) for x, y in zip(u, v) if x < y)
+    assert pairs == sorted((y, x) for x, y in zip(u, v) if x > y), "arcs not mirrored"
+    return sorted(pairs + [(x, y) for x, y in zip(u, v) if x == y])
+
+
+def reference_edge_labelling(graph):
+    """Reference: edge i is edge_pairs[i], and each vertex's incident ids
+    are filled in one edge at a time, in id order."""
+    pairs = edge_pairs(graph)
+    if len(set(pairs)) != len(pairs) or any(u == v for u, v in pairs):
+        raise ValueError("Tanner codes need a simple graph")
+    labelling = np.full((graph.n_vertices, graph.degree), -1, dtype=np.int64)
+    fill = np.zeros(graph.n_vertices, dtype=np.int64)
+    for i, (u, v) in enumerate(pairs):
+        for w in (u, v):
+            if fill[w] == graph.degree:
+                raise ValueError("graph is not regular")
+            labelling[w, fill[w]] = i
+            fill[w] += 1
+    if (labelling < 0).any():
+        raise ValueError("graph is not regular")
+    return pairs, labelling
 
 
 def check_axioms(group, samples=64, seed=0):
@@ -267,9 +297,9 @@ def test_cayley_graph_cycle():
     s = GeneratorSet(g, (1, 4))
     graph = cayley_graph(g, s, "left")
     assert graph.n_vertices == 5
-    assert len(graph.edge_pairs()) == 5
+    assert len(edge_pairs(graph)) == 5
     assert graph.degree == 2
-    assert sorted(graph.edge_pairs()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    assert sorted(edge_pairs(graph)) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
 
 def test_cayley_graph_left_right_abelian_equal():
@@ -277,14 +307,14 @@ def test_cayley_graph_left_right_abelian_equal():
     s = GeneratorSet(g, (1, 11))
     left = cayley_graph(g, s, "left")
     right = cayley_graph(g, s, "right")
-    assert left.edge_pairs() == right.edge_pairs()
+    assert edge_pairs(left) == edge_pairs(right)
 
 
 def test_cayley_graph_lps_counts():
     s = lps_generators(psl2(41), 5)
     graph = cayley_graph(s.group, s, "left")
     assert graph.n_vertices == 34440
-    assert len(graph.edge_pairs()) == 34440 * 6 // 2 == 103320
+    assert len(edge_pairs(graph)) == 34440 * 6 // 2 == 103320
     assert graph.degree == 6
     assert np.all(np.bincount(graph.arcs[:, 0], minlength=graph.n_vertices) == 6)
 
@@ -345,3 +375,42 @@ def test_is_connected_matches_reference():
     assert expected[:10] == [True, True, True, False, True, False, True, False,
                              True, False]
     assert 20 < sum(expected) < 190            # random cases hit both answers
+
+
+def _random_circulant(rng, n):
+    """A simple regular graph: Cay(Z_n, S) for a random inverse-closed S
+    without 0, its vertices relabelled by a random permutation."""
+    half = rng.permutation(np.arange(1, n // 2 + 1))[: int(rng.integers(1, n // 2 + 1))]
+    gens = np.unique(np.concatenate([half, -half]) % n)
+    x = np.arange(n)[:, None]
+    pairs = np.stack(np.broadcast_arrays(x, (x + gens) % n), axis=-1).reshape(-1, 2)
+    return Graph(n, rng.permutation(n)[pairs])
+
+
+def test_graph_edge_labelling_matches_the_reference():
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] \
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    cases = [_undirected(10, petersen),
+             _undirected(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+             _undirected(3, [(0, 1), (1, 2), (0, 2)]),
+             _undirected(0, [])]
+    rng = np.random.default_rng(5)
+    cases += [_random_circulant(rng, int(rng.integers(3, 40))) for _ in range(60)]
+    for graph in cases:
+        edges, labelling = codes.graph_edge_labelling(graph)
+        pairs, ref = reference_edge_labelling(graph)
+        assert [tuple(e) for e in edges.tolist()] == pairs
+        assert labelling.dtype == np.int64 and np.array_equal(labelling, ref)
+
+
+@pytest.mark.parametrize("pairs, n, error", [
+    ([(0, 1), (0, 2), (0, 3), (1, 2)], 4, "graph is not regular"),   # mean degree 2
+    ([(0, 1), (1, 2)], 3, "graph is not regular"),
+    ([(0, 1), (0, 1)], 2, "Tanner codes need a simple graph"),
+    ([(0, 0), (1, 1)], 2, "Tanner codes need a simple graph"),
+])
+def test_graph_edge_labelling_refuses_by_reason(pairs, n, error):
+    graph = _undirected(n, pairs)
+    for labelling in (codes.graph_edge_labelling, reference_edge_labelling):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            labelling(graph)

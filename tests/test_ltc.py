@@ -10,6 +10,7 @@ from cayleyltc import f2core
 from cayleyltc.codes import (
     LinearCode,
     bch_code,
+    check_square_distance_bound,
     full_code,
     parity_code,
     repetition_code,
@@ -430,6 +431,19 @@ def test_kappa_experiment_bound_relative_radius(p13_instance):
     # delta1 = 0.5 < lambda makes the bound radius 0: trials uncertified
     assert report["n_certified"] == 0
     assert report["kappa_hat"] is None
+
+
+def test_kappa_experiment_bound_radius_clamps_a_negative_lambda(p13_instance):
+    # the radius is check_square_distance_bound's, with lambda < 0 clamped
+    # to 0: (1/4) (1/2)^2 (1/2) 4368 = 136.5, not 163.8 at lambda = -0.1
+    X, C1, code, tester, _ = p13_instance
+    params = TesterParams(r=4, delta1=0.5, sigma1=0.5, lam=-0.1)
+    report = kappa_experiment(tester, code, params, trials=4, weights=(1, 2),
+                              seed=14)
+    assert report["radius_kind"] == "bound-relative"
+    assert report["radius"] == check_square_distance_bound(
+        code, 0.5, -0.1)["bound"] == 136.5
+    assert report["n_certified"] == 4
 
 
 def test_kappa_experiment_runs_no_syndrome_or_elimination(monkeypatch, p13_instance):

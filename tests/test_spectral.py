@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -229,12 +230,19 @@ def test_lanczos_buffer_matches_list_basis(instances, p13_instance, lps41,
 
 
 def test_spectral_report_json():
-    rep = second_eigenvalue(complete_graph(4), method="dense")
-    import json
-
-    d = json.loads(rep.to_json())
-    assert set(d) == {"lambda", "method", "residual", "iterations", "degree",
-                      "nvertices", "lambda_min"}
+    # each side's record holds its SpectralReport's fields as plain JSON
+    # values, lam and n_vertices named lambda and nvertices
+    x = toy(12, (1, 11), (5, 7))
+    for method in ("dense", "iterative"):
+        rec = spectral.complex_spectrum(x, method=method)
+        assert json.loads(json.dumps(rec)) == rec
+        for side, S in (("left", x.A), ("right", x.B)):
+            rep = second_eigenvalue(cayley_graph(x.group, S, side), method=method)
+            assert rec["cayley"][side] == {
+                "lambda": rep.lam, "method": rep.method, "residual": rep.residual,
+                "iterations": rep.iterations, "degree": rep.degree,
+                "nvertices": rep.n_vertices, "lambda_min": rep.lambda_min}
+            assert {type(v) for v in rec["cayley"][side].values()} <= {int, float, str}
 
 
 def test_operator_markov_and_symmetric(z5, z6):
