@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -208,11 +209,21 @@ class Graph:
     ``arcs`` holds one directed arc per (vertex, generator) application, so
     parallel edges and fixed-point loops keep explicit multiplicity and the
     normalized adjacency operator is exactly (1/degree) * arc-count matrix.
+    The arcs are sorted by source once, on first use, and cached; the arcs
+    must not change after that.
     """
 
     n_vertices: int
     arcs: np.ndarray                       # (m, 2) int64, closed under reversal
     name: str = ""
+
+    @staticmethod
+    def from_permutations(perms: np.ndarray, name: str = "") -> Graph:
+        """Arcs v -> perms[k, v] for every row k, row by row: row k of the
+        neighbour table is perms[k]."""
+        d, n = perms.shape
+        verts = np.tile(np.arange(n, dtype=np.int64), d)
+        return Graph(n, np.stack([verts, perms.ravel()], axis=1), name)
 
     @property
     def degree(self) -> int:
@@ -223,6 +234,25 @@ class Graph:
             raise ValueError("graph is not regular")
         return int(d)
 
+    @cached_property
+    def _by_source(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dst, starts): the arcs leaving v end at dst[starts[v]:starts[v + 1]],
+        in arc order."""
+        src = self.arcs[:, 0]
+        dst = self.arcs[np.argsort(src, kind="stable"), 1]
+        starts = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=self.n_vertices))])
+        return dst, starts
+
+    @cached_property
+    def _neighbour_table(self) -> np.ndarray:
+        """(degree, n): row k holds every vertex's k-th arc destination, in
+        arc order; raises unless every vertex has degree arcs."""
+        d = self.degree
+        dst, starts = self._by_source
+        if (np.diff(starts) != d).any():
+            raise ValueError("graph is not regular")
+        return np.ascontiguousarray(dst.reshape(self.n_vertices, d).T)
+
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n_vertices, self.n_vertices))
         np.add.at(A, (self.arcs[:, 0], self.arcs[:, 1]), 1.0)
@@ -232,9 +262,15 @@ class Graph:
         return self.adjacency() / self.degree
 
     def matvec(self, f: np.ndarray) -> np.ndarray:
-        """Apply the normalized adjacency operator without materializing it."""
-        out = np.bincount(self.arcs[:, 0], weights=f[self.arcs[:, 1]],
-                          minlength=self.n_vertices)
+        """Apply the normalized adjacency operator without materializing it.
+
+        Each vertex sums its neighbours' values from 0.0 in arc order, one
+        table row at a time, so the result is bit for bit that of
+        np.bincount over the arcs.
+        """
+        out = np.zeros(self.n_vertices)
+        for row in self._neighbour_table:
+            out += f[row]
         return out / self.degree
 
     def is_connected(self) -> bool:
@@ -242,8 +278,7 @@ class Graph:
         n = self.n_vertices
         if n == 0:
             return True
-        dst_sorted = self.arcs[np.argsort(self.arcs[:, 0], kind="stable"), 1]
-        starts = np.concatenate([[0], np.cumsum(np.bincount(self.arcs[:, 0], minlength=n))])
+        dst, starts = self._by_source
         seen = np.zeros(n, dtype=bool)
         seen[0] = True
         frontier = np.array([0])
@@ -252,7 +287,7 @@ class Graph:
             # positions lo[v] .. lo[v] + count[v] - 1 of every frontier vertex v
             pos = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
             reached = np.zeros(n, dtype=bool)
-            reached[dst_sorted[pos]] = True
+            reached[dst[pos]] = True
             frontier = np.flatnonzero(reached & ~seen)
             seen[frontier] = True
         return bool(seen.all())
@@ -358,12 +393,7 @@ def cayley_graph(G: FiniteGroup, S: GeneratorSet, side: str = "left") -> Graph:
         raise ValueError("generator set belongs to a different group")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    n = G.order
-    verts = np.arange(n, dtype=np.int64)
-    blocks = []
-    for s in S.indices:
-        perm = G.left_perm(s) if side == "left" else G.right_perm(s)
-        blocks.append(np.stack([verts, perm], axis=1))
-    arcs = np.concatenate(blocks)
-    return Graph(n, arcs, name=f"cayley-{side}-{G.kind}{G.parameters()}")
+    perm = G.left_perm if side == "left" else G.right_perm
+    return Graph.from_permutations(np.stack([perm(s) for s in S.indices]),
+                                   name=f"cayley-{side}-{G.kind}{G.parameters()}")
 

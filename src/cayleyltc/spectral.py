@@ -9,8 +9,12 @@ tables, so its symmetry and Markov checks are exact, with no tolerance and
 no sampling.  The dense matrix is built on demand up to DENSE_MAX_DIM rows.
 
 Second eigenvalues of Cayley graphs come from a dense eigensolver up to
-DENSE_MAX_DIM vertices and from Lanczos above it; the expansion-implication
-checker records what the expansion of an operator implies for a set.
+DENSE_MAX_DIM vertices and from Lanczos above it.  `complex_spectrum` builds
+each side's graph from the complex's own permutations (`left_perms`,
+`right_perms`), and each Lanczos step walks the graph's cached neighbour
+table, one row of every vertex's k-th neighbours at a time.  The
+expansion-implication checker decides, in exact arithmetic, what the
+expansion of an operator implies for a set.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import LEFT, CayleyComplex
-from .groups import Graph, cayley_graph
+from .groups import Graph
 
 DENSE_MAX_DIM = 4000        # largest dense matrix or dense eigensolve, in rows
 LANCZOS_FIRST_ROWS = 64     # Krylov rows allocated before the first doubling
@@ -291,8 +295,8 @@ def complex_spectrum(X: CayleyComplex, method: str = "auto") -> dict:
     ..., "right": ...}}, each side's SpectralReport as a dict of its fields,
     lam and n_vertices renamed lambda and nvertices."""
     reports = {}
-    for side, S in (("left", X.A), ("right", X.B)):
-        rep = asdict(second_eigenvalue(cayley_graph(X.group, S, side), method=method))
+    for side, perms in (("left", X.left_perms), ("right", X.right_perms)):
+        rep = asdict(second_eigenvalue(Graph.from_permutations(perms), method=method))
         rep["lambda"], rep["nvertices"] = rep.pop("lam"), rep.pop("n_vertices")
         reports[side] = rep
     lam = max(reports["left"]["lambda"], reports["right"]["lambda"])
@@ -316,7 +320,10 @@ def verify_expansion_implication(op, R, delta: float, lam: float,
 
     With conclusion_scale = 1 the bound is (delta - lam) * dim (the
     symmetric-Markov-expanding implication); with conclusion_scale = 2r it is the
-    edge-operator form (delta - lam)/(2r) * |E|.
+    edge-operator form (delta - lam)/(2r) * |E|.  Both sides are decided
+    exactly: <op 1_R, 1_R> = sum_t w_t * #{(i, k) : i, table_t[i, k] in R} / d_t
+    is counted in integers, and delta, lam and the scale are taken as the
+    exact values of their floats.  The float fields are reported as before.
     """
     R = np.asarray(R)
     if R.dtype == bool:
@@ -328,19 +335,21 @@ def verify_expansion_implication(op, R, delta: float, lam: float,
     ind = np.zeros(op.dim)
     ind[R] = 1.0
     quad = float(ind @ op.matvec(ind))
-    delta_R = quad / R.size
-    bound = (delta - lam) * op.dim / conclusion_scale
-    hypothesis = quad >= delta * R.size - 1e-12
-    conclusion = R.size >= bound - 1e-12
+    inside = ind.astype(bool)
+    exact_quad = sum(w * Fraction(int(inside[table[inside]].sum()), table.shape[1])
+                     for w, table in op.terms)
+    hypothesis = exact_quad >= Fraction(delta) * R.size
+    conclusion = (R.size >= (Fraction(delta) - Fraction(lam)) * op.dim
+                  / Fraction(conclusion_scale))
     return {
         "size_R": int(R.size),
         "dim": op.dim,
         "delta": delta,
         "lambda": lam,
-        "delta_R": delta_R,
+        "delta_R": quad / R.size,
         "quad_form": quad,
-        "conclusion_bound": bound,
-        "hypothesis_holds": bool(hypothesis),
-        "conclusion_holds": bool(conclusion),
-        "implication_holds": bool((not hypothesis) or conclusion),
+        "conclusion_bound": (delta - lam) * op.dim / conclusion_scale,
+        "hypothesis_holds": hypothesis,
+        "conclusion_holds": conclusion,
+        "implication_holds": (not hypothesis) or conclusion,
     }

@@ -33,6 +33,19 @@ def test_build_rejects_length_mismatch(tmp_path, capsys):
     assert "base length 7" in err
 
 
+def test_build_refuses_a_disconnected_cayley_graph(tmp_path, capsys):
+    # <3, 9> has index 3 in Z_12: refused before any artifact is written
+    out = tmp_path / "x"
+    rc = main(["build", "--group", "cyclic:12", "--gens", "3,9",
+               "--base", "rep:2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == json.dumps(
+        {"error": "graph is disconnected: second eigenvalue is trivially 1"}) + "\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_build_rejects_bad_group(tmp_path):
     assert main(["build", "--group", "dihedral:5", "--gens", "1",
                  "--base", "rep:2", "--out", str(tmp_path / "x")]) == 2

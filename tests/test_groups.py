@@ -346,9 +346,56 @@ def reference_is_connected(graph):
     return bool(seen.all())
 
 
+def argsort_is_connected(graph):
+    """Reference: the whole-array breadth-first search that sorts the arcs
+    by source on every call."""
+    n = graph.n_vertices
+    if n == 0:
+        return True
+    dst_sorted = graph.arcs[np.argsort(graph.arcs[:, 0], kind="stable"), 1]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(graph.arcs[:, 0], minlength=n))])
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        lo, count = starts[frontier], starts[frontier + 1] - starts[frontier]
+        pos = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        reached = np.zeros(n, dtype=bool)
+        reached[dst_sorted[pos]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen[frontier] = True
+    return bool(seen.all())
+
+
+def bincount_matvec(graph, f):
+    """Reference: the normalized adjacency operator as one weighted
+    bincount over the arcs."""
+    out = np.bincount(graph.arcs[:, 0], weights=f[graph.arcs[:, 1]],
+                      minlength=graph.n_vertices)
+    return out / graph.degree
+
+
 def _undirected(n, pairs):
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return Graph(n, np.concatenate([pairs, pairs[:, ::-1]]))
+
+
+def _interleaved(n, pairs):
+    """Each edge's two arcs side by side, as the acceptance suite builds
+    its graphs."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return Graph(n, np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2))
+
+
+def _signed_inputs(rng, n):
+    """Random vectors with +0.0 and -0.0 entries, and the all -0.0 vector."""
+    out = [np.full(n, -0.0)]
+    for _ in range(6):
+        f = rng.standard_normal(n)
+        f[rng.random(n) < 0.2] = 0.0
+        f[rng.random(n) < 0.2] = -0.0
+        out.append(f)
+    return out
 
 
 def test_is_connected_matches_reference():
@@ -372,9 +419,67 @@ def test_is_connected_matches_reference():
         cases.append(_undirected(n, pairs))
     expected = [reference_is_connected(g) for g in cases]
     assert [g.is_connected() for g in cases] == expected
+    assert [argsort_is_connected(g) for g in cases] == expected
+    assert [g.is_connected() for g in cases] == expected     # from the cached order
     assert expected[:10] == [True, True, True, False, True, False, True, False,
                              True, False]
     assert 20 < sum(expected) < 190            # random cases hit both answers
+
+
+def _matvec_cases():
+    """Regular graphs: Cayley graphs on both sides at degree 2, 4, 6 and 14,
+    interleaved arcs, and multigraphs with parallel arcs and loops."""
+    z12, p13, p29 = cyclic_group(12), psl2(13), psl2(29)
+    t, u = p13.index_of([1, 1, 0, 1]), p13.index_of([1, 0, 1, 1])
+    gen_sets = [GeneratorSet(z12, (1, 11)),
+                GeneratorSet(p13, tuple(sorted({t, p13.inv(t), u, p13.inv(u)}))),
+                lps_generators(p29, 5), lps_generators(p29, 13)]
+    cases = [cayley_graph(S.group, S, side) for S in gen_sets for side in ("left", "right")]
+    cycle = [(i, (i + 1) % 7) for i in range(7)]
+    cases += [
+        _interleaved(7, cycle),                                  # degree 2
+        _interleaved(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+        _interleaved(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)]),  # parallel
+        _undirected(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)]),  # loops
+        _undirected(2, [(0, 0), (0, 1), (0, 1), (1, 1)]),        # both at once
+    ]
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 5)))]
+        # a permutation and its inverse give a symmetric multigraph with loops
+        arcs = [np.stack([np.arange(n), p], axis=1) for p in perms]
+        arcs += [np.stack([p, np.arange(n)], axis=1) for p in perms]
+        cases.append(Graph(n, rng.permutation(np.concatenate(arcs))))
+    return cases
+
+
+def test_matvec_is_bit_identical_to_the_bincount_walk():
+    rng = np.random.default_rng(7)
+    for graph in _matvec_cases():
+        for f in _signed_inputs(rng, graph.n_vertices):
+            assert graph.matvec(f).tobytes() == bincount_matvec(graph, f).tobytes()
+        assert graph.is_connected() == argsort_is_connected(graph)
+
+
+def test_neighbour_table_rows_are_each_vertexs_arcs_in_order():
+    z12 = cyclic_group(12)
+    graph = cayley_graph(z12, GeneratorSet(z12, (1, 5, 7, 11)))
+    graph.matvec(np.zeros(12))
+    assert np.array_equal(graph._neighbour_table,
+                          [(np.arange(12) + s) % 12 for s in (1, 5, 7, 11)])
+    graph = _interleaved(3, [(0, 1), (1, 2), (2, 0)])
+    graph.matvec(np.zeros(3))
+    assert np.array_equal(graph._neighbour_table, [[1, 0, 1], [2, 2, 0]])
+
+
+@pytest.mark.parametrize("graph", [
+    _undirected(3, [(0, 1), (1, 2)]),                  # 4 arcs on 3 vertices
+    _undirected(4, [(0, 1), (0, 2), (0, 3), (1, 2)]),  # 8 arcs, degrees 3, 2, 2, 1
+], ids=["fractional-mean", "integer-mean"])
+def test_matvec_refuses_an_irregular_graph(graph):
+    with pytest.raises(ValueError, match="^graph is not regular$"):
+        graph.matvec(np.ones(graph.n_vertices))
 
 
 def _random_circulant(rng, n):

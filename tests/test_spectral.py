@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,13 @@ import pytest
 from cayleyltc import spectral
 from cayleyltc.complexes import build_complex
 from cayleyltc.groups import (
+    PSL2,
     GeneratorSet,
     Graph,
     cayley_graph,
     cyclic_group,
+    lps_generators,
+    psl2,
 )
 from cayleyltc.spectral import (
     DENSE_MAX_DIM,
@@ -498,6 +502,113 @@ def test_complex_spectrum_reports_both_sides():
         assert sides[side]["method"] == "dense"
     assert rec["lambda"] == max(sides["left"]["lambda"], sides["right"]["lambda"])
     assert spectral.complex_lambda(x, method="dense") == rec["lambda"]
+
+
+def cayley_graph_spectrum(X):
+    """Reference: complex_spectrum with each side's graph recomputed from
+    the group by cayley_graph."""
+    reports = {}
+    for side, S in (("left", X.A), ("right", X.B)):
+        rep = asdict(second_eigenvalue(cayley_graph(X.group, S, side)))
+        rep["lambda"], rep["nvertices"] = rep.pop("lam"), rep.pop("n_vertices")
+        reports[side] = rep
+    return {"lambda": max(reports["left"]["lambda"], reports["right"]["lambda"]),
+            "cayley": reports}
+
+
+def test_complex_spectrum_equals_the_cayley_graph_path(z5, p13_instance):
+    p29 = psl2(29)
+    S = lps_generators(p29, 5)
+    cases = [z5, toy(12, (1, 11), (5, 7)), p13_instance[0], build_complex(p29, S, S)]
+    for X in cases:
+        rec = spectral.complex_spectrum(X)
+        assert json.dumps(rec, sort_keys=True) == json.dumps(cayley_graph_spectrum(X),
+                                                             sort_keys=True)
+    assert rec["cayley"]["left"]["method"] == "iterative"     # p29 runs Lanczos
+
+
+def test_complex_spectrum_recomputes_no_permutation(p13_instance, monkeypatch):
+    X = p13_instance[0]
+    expected = cayley_graph_spectrum(X)
+
+    def refuse(self, s):
+        raise AssertionError("the complex already holds this permutation")
+
+    monkeypatch.setattr(PSL2, "left_perm", refuse)
+    monkeypatch.setattr(PSL2, "right_perm", refuse)
+    assert spectral.complex_spectrum(X) == expected
+
+
+def old_expansion_decisions(op, R, delta, lam, conclusion_scale):
+    """Reference: the float decisions with a 1e-12 slack."""
+    ind = np.zeros(op.dim)
+    ind[R] = 1.0
+    quad = float(ind @ op.matvec(ind))
+    hypothesis = quad >= delta * len(R) - 1e-12
+    conclusion = len(R) >= (delta - lam) * op.dim / conclusion_scale - 1e-12
+    return hypothesis, conclusion
+
+
+def test_expansion_implication_decisions_equal_the_float_decisions():
+    # the subsets and deltas of acceptance criterion 10
+    fixtures = [toy(5, (1, 4)), toy(6, (1, 3, 5)), toy(12, (1, 11), (5, 7)),
+                toy(10, (1, 3, 5, 7, 9))]
+    seen = set()
+    for X in fixtures:
+        r = X.nA
+        op = build_Mgamma(X, 0.375)
+        lam = spectral.complex_lambda(X, method="dense")
+        rng = np.random.default_rng(1000 + X.n_vertices)
+        for _ in range(100):
+            size = int(rng.integers(1, X.n_edges + 1))
+            R = rng.choice(X.n_edges, size=size, replace=False)
+            delta = float(rng.uniform(0, 1))
+            rec = verify_expansion_implication(op, R, delta=delta, lam=lam,
+                                               conclusion_scale=2 * r, check_op=False)
+            decisions = (rec["hypothesis_holds"], rec["conclusion_holds"])
+            assert decisions == old_expansion_decisions(op, R, delta, lam, 2 * r)
+            assert rec["implication_holds"]
+            seen.add(decisions)
+    assert {(True, True), (False, True)} <= seen
+
+
+def test_expansion_implication_holds_with_equality():
+    # every vertex of Z_8: <T 1_V, 1_V> = 8 = 1 * |V|, and with lam = 0 the
+    # bound (1 - 0) * 8 is |V| itself
+    X = toy(8, (1, 7), (3, 5))
+    op = build_T(X)
+    rec = verify_expansion_implication(op, np.arange(8), delta=1.0, lam=0.0)
+    assert rec["quad_form"] == 8.0 and rec["conclusion_bound"] == 8.0
+    assert rec["hypothesis_holds"] and rec["conclusion_holds"]
+    # just past equality in both inequalities; the old 1e-12 slack accepted both
+    above = 1.0 + 2.0 ** -44
+    rec = verify_expansion_implication(op, np.arange(8), delta=above, lam=0.0)
+    assert not rec["hypothesis_holds"] and not rec["conclusion_holds"]
+    assert rec["implication_holds"]
+    assert old_expansion_decisions(op, np.arange(8), above, 0.0, 1) == (True, True)
+    # half the vertices of Z_8 at lam = 1/2: the bound (1 - 1/2) * 8 is 4
+    rec = verify_expansion_implication(op, np.arange(4), delta=1.0, lam=0.5)
+    assert rec["conclusion_bound"] == 4.0 and rec["conclusion_holds"]
+
+
+def test_expansion_implication_counts_the_quadratic_form_exactly():
+    # with a weight of 1/3, delta_R = <op 1_R, 1_R> / |R| is no float; the
+    # floats just below and just above it decide the hypothesis each way,
+    # where the old 1e-12 slack accepted both
+    X = toy(5, (1, 4))
+    table = build_T(X).terms[0][1]
+    third = Fraction(1, 3)
+    op = WalkOperator([(third, table), (1 - third, np.arange(5)[:, None])])
+    R = np.array([0, 1])
+    quad = third * Fraction(int(np.isin(table[R], R).sum()), 4) + (1 - third) * len(R)
+    delta_R = quad / len(R)
+    nearest = float(delta_R)
+    below = nearest if Fraction(nearest) < delta_R else float(np.nextafter(nearest, 0.0))
+    above = float(np.nextafter(below, 2.0))
+    assert Fraction(below) < delta_R < Fraction(above)
+    assert verify_expansion_implication(op, R, delta=below, lam=0.0)["hypothesis_holds"]
+    assert not verify_expansion_implication(op, R, delta=above, lam=0.0)["hypothesis_holds"]
+    assert old_expansion_decisions(op, R, above, 0.0, 1)[0]
 
 
 def test_expansion_implication_random_subsets(z5):
