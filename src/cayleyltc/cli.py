@@ -6,10 +6,10 @@ analyze (measured value vs. proved bound, verdict pass/fail/na), experiment
 JSON manifest, an f2mat matrix or a cay2 complex, the files build writes).
 build measures the spectrum once (dense eigvalsh up to DENSE_MAX_DIM vertices,
 Lanczos at tol 1e-10 above) and analyze --which spectral judges its record.
-analyze --which rate|distance judge the square code build recorded (n and k,
-cross-checked against the sha256 and header of code.f2mat); only distance
-rebuilds the code, and only when its exact distance decides the verdict.
-experiment always rebuilds it, since its trials need the generator.
+Only build constructs the square code.  analyze --which rate|distance and
+experiment read code.f2mat, checked against its sha256 and the recorded n and
+k; rate reads only its header, and distance loads the code only when its
+exact distance decides the verdict.
 Exit codes: 0 = pass, 1 = bound violation, 2 = precondition or budget
 refusal, 3 = internal error (any other exception, reported as
 {"error", "type"} JSON on stderr).
@@ -200,25 +200,11 @@ def _load_instance(manifest_path: str):
     return manifest, blob, _parse_base(_field(manifest, "base_spec"))
 
 
-def _check_square_code_budget(blob: bytes) -> None:
-    """Refuse the square code by the coordinate budget on the complex
-    file's square count, before anything is rebuilt or read."""
+def _recorded_square_code(manifest: dict, manifest_path: str, blob: bytes):
+    """n, k and a loader of the square code build recorded, refused by the
+    budget first and then, with the field named, unless the code file has
+    its recorded sha256, n columns and n - k rows, and loads at dimension k."""
     codes.check_square_code_budget(complexes.complex_manifest(blob)["counts"]["squares"])
-
-
-def _square_code(blob: bytes, C1: codes.LinearCode):
-    """The complex and its square code, rebuilt within the budget only."""
-    _check_square_code_budget(blob)
-    X = deserialize_complex(blob)
-    return X, codes.square_code(X, C1)
-
-
-def _recorded_square_code(manifest: dict, manifest_path: str,
-                          blob: bytes) -> tuple[int, int]:
-    """n and k of the square code build recorded, refused by the budget
-    first and then, with the field named, unless the code file has its
-    recorded sha256 and its f2mat header gives n columns and n - k rows."""
-    _check_square_code_budget(blob)
     n, k = (_field(manifest, f"square_code.{key}") for key in ("n", "k"))
     data = (Path(manifest_path).parent / _field(manifest, "files.code.path")).read_bytes()
     if _sha256(data) != _field(manifest, "files.code.sha256"):
@@ -236,7 +222,14 @@ def _recorded_square_code(manifest: dict, manifest_path: str,
         raise PreconditionError(
             f"manifest field 'square_code.k' differs from n - rows = {n - rows} "
             "of the code file")
-    return n, k
+    def load() -> codes.LinearCode:
+        code = codes.LinearCode.from_parity_checks(f2core.load_matrix(data),
+                                                   provenance="square")
+        if code.k != k:
+            raise PreconditionError(
+                f"manifest field 'square_code.k' differs from the code's dimension {code.k}")
+        return code
+    return n, k, load
 
 
 def _emit_report(report: dict, out: str | None) -> None:
@@ -295,7 +288,7 @@ def cmd_analyze(args) -> int:
                 report["verdict"] = "na"
                 report["reason"] = "Ramanujan bound applies to full LPS generator sets"
         elif which == "rate":
-            n, k = _recorded_square_code(manifest, args.manifest, blob)
+            n, k, _ = _recorded_square_code(manifest, args.manifest, blob)
             report.update(codes.check_rate_bound(k, n, C1.n, C1.k))
         elif which == "distance":
             lam = _field(manifest, "derived.lambda")
@@ -303,10 +296,10 @@ def cmd_analyze(args) -> int:
             if d1 is None:
                 report.update(verdict="na", reason="base code has no distance")
             else:
-                n, k = _recorded_square_code(manifest, args.manifest, blob)
-                # the code is rebuilt only if its distance decides the verdict
-                recorded = SimpleNamespace(n=n, k=k, distance_exact=lambda: (
-                    _square_code(blob, C1)[1].distance_exact()))
+                n, k, load = _recorded_square_code(manifest, args.manifest, blob)
+                # the code is loaded only if its distance decides the verdict
+                recorded = SimpleNamespace(
+                    n=n, k=k, distance_exact=lambda: load().distance_exact())
                 report.update(codes.check_square_distance_bound(
                     recorded, delta1=Fraction(*d1), lam=Fraction(lam)))
         elif which == "sigma":
@@ -352,7 +345,17 @@ def _write_rows(path: Path, fields: list[str], rows: list[dict]) -> bytes:
     return data
 
 
+def _parse_weights(spec: str) -> tuple[int, int]:
+    """--weights w or lo,hi as (lo, hi); w stands for w,w."""
+    try:
+        lo, hi = (int(x) for x in (spec if "," in spec else f"{spec},{spec}").split(","))
+    except ValueError:
+        raise PreconditionError(f"--weights {spec!r} is not w or lo,hi") from None
+    return lo, hi
+
+
 def cmd_experiment(args) -> int:
+    weights = _parse_weights(args.weights)
     manifest, blob, C1 = _load_instance(args.manifest)
     if args.kind == "kappa":        # every field is read before anything is built
         d1, s1 = (_field(manifest, f"derived.{key}") for key in ("delta1", "sigma1"))
@@ -361,16 +364,12 @@ def cmd_experiment(args) -> int:
             sigma1=(s1[0] / s1[1]) if s1 else 0.0,
             lam=_field(manifest, "derived.lambda"))
     try:
-        X, code = _square_code(blob, C1)
+        load = _recorded_square_code(manifest, args.manifest, blob)[2]
     except DimensionBudgetError as exc:
         print(json.dumps({"verdict": "na", "reason": str(exc)}))
         return EXIT_PRECONDITION
-    tester = ltc.SquareCodeTester(X, C1, code)
-    weights = tuple(int(x) for x in args.weights.split(","))
-    if len(weights) == 1:
-        weights = (weights[0], weights[0])
-    out_prefix = Path(args.out)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
+    code = load()
+    tester = ltc.SquareCodeTester(deserialize_complex(blob), C1, code)
 
     if args.kind == "kappa":
         report = ltc.kappa_experiment(tester, code, params, trials=args.trials,
@@ -384,6 +383,8 @@ def cmd_experiment(args) -> int:
         fields = _DECODE_FIELDS
     rows = report.pop("rows")
 
+    out_prefix = Path(args.out)
+    out_prefix.parent.mkdir(parents=True, exist_ok=True)
     report["manifest_sha256"] = _sha256(Path(args.manifest).read_bytes())
     report["tool_version"] = __version__
     csv_bytes = _write_rows(Path(str(out_prefix) + ".csv"), fields, rows)

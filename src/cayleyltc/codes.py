@@ -482,8 +482,8 @@ def check_square_distance_bound(code, delta1, lam) -> dict:
     """delta(C) >= (1/4) delta1^2 (delta1 - lambda) when delta1 > lambda.
 
     `analyze --which distance` passes the n and k that build recorded, with
-    a distance_exact() that rebuilds the code, so the code is built only
-    when its distance decides the verdict.
+    a distance_exact() that loads the recorded code, so the code is read
+    only when its distance decides the verdict.
     """
     return _distance_bound_record(code, delta1, lam,
                                   lambda d, l: d * d * (d - l) / 4)

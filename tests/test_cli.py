@@ -195,13 +195,26 @@ def test_experiment_weight_range_is_checked_for_both_kinds(z5_dir, tmp_path, cap
     for kind in ("kappa", "decode"):
         rc = main(["experiment", str(z5_dir / "manifest.json"), "--kind", kind,
                    "--trials", "3", "--seed", "1", "--weights", weights,
-                   "--out", str(tmp_path / kind)])
+                   "--out", str(tmp_path / "runs" / kind)])
         assert rc == 2
-        assert not (tmp_path / f"{kind}.csv").exists()
+        assert not (tmp_path / "runs").exists()
         errors.append(capsys.readouterr().err)
     lo, hi = weights.split(",")
     assert errors == [json.dumps({"error": f"weight range ({lo}, {hi}) invalid "
                                            "for length 5"}) + "\n"] * 2
+
+
+@pytest.mark.parametrize("weights", ["1,2,3", "1,x", ""])
+def test_experiment_weights_are_parsed_before_any_artifact_is_read(tmp_path, capsys,
+                                                                   weights):
+    # the manifest does not exist: --weights is refused before it is opened
+    rc = main(["experiment", str(tmp_path / "missing.json"), "--kind", "kappa",
+               "--trials", "1", "--weights", weights, "--out", str(tmp_path / "runs" / "e")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": f"--weights {weights!r} is not w or lo,hi"}
+    assert not (tmp_path / "runs").exists()
 
 
 # sha256 of code.f2mat and code.json: a change to the square code's G, H
@@ -482,13 +495,14 @@ X41_REFUSAL = "square code on 309960 coordinates exceeds budget 20000"
 
 
 def _forbid_rebuild(monkeypatch):
-    from cayleyltc import complexes
+    from cayleyltc import codes, complexes
 
     def rebuilt(*args, **kwargs):
-        raise AssertionError("the complex was rebuilt")
+        raise AssertionError("the complex or the square code was rebuilt")
 
     monkeypatch.setattr(cli, "deserialize_complex", rebuilt)
     monkeypatch.setattr(complexes, "build_complex", rebuilt)
+    monkeypatch.setattr(codes, "square_code", rebuilt)
 
 
 @pytest.mark.parametrize("which", ["rate", "distance"])
@@ -645,19 +659,53 @@ def test_rate_and_a_vacuous_distance_rebuild_nothing(z5_dir, p13_dir, capsys,
         assert json.loads(capsys.readouterr().out)["verdict"] == verdict
 
 
-def test_a_distance_that_decides_the_verdict_rebuilds_the_code(z5_dir, capsys,
-                                                               monkeypatch):
-    loads = []
-
-    def counted(blob):
-        loads.append(len(blob))
-        return deserialize(blob)
-
-    deserialize = cli.deserialize_complex
-    monkeypatch.setattr(cli, "deserialize_complex", counted)
+def test_a_distance_that_decides_the_verdict_reads_the_recorded_code(z5_dir, capsys,
+                                                                    monkeypatch):
+    _forbid_rebuild(monkeypatch)
     assert main(["analyze", str(z5_dir / "manifest.json"), "--which", "distance"]) == 0
     assert json.loads(capsys.readouterr().out)["distance"] == 5
-    assert len(loads) == 1
+
+
+def _rebuilt_code_route(monkeypatch):
+    """Send every command that reads the recorded square code through the
+    reference route instead: the code rebuilt from the complex file."""
+    from cayleyltc import codes
+
+    recorded = cli._recorded_square_code
+
+    def rebuilt(manifest, manifest_path, blob):
+        n, k, _ = recorded(manifest, manifest_path, blob)
+        C1 = cli._parse_base(manifest["base_spec"])
+        return n, k, lambda: codes.square_code(cli.deserialize_complex(blob), C1)
+
+    monkeypatch.setattr(cli, "_recorded_square_code", rebuilt)
+
+
+@pytest.mark.parametrize("name", ["z5", "z12", "p13"])
+@pytest.mark.parametrize("kind", ["kappa", "decode"])
+def test_experiment_on_the_recorded_code_equals_the_rebuilt_code(request, tmp_path,
+                                                                 monkeypatch, kind, name):
+    from cayleyltc import codes
+
+    instance_dir = request.getfixturevalue(f"{name}_dir")
+    argv = ["experiment", str(instance_dir / "manifest.json"), "--kind", kind,
+            "--trials", "24", "--seed", "7", "--weights", "1,4"]
+
+    def outputs(route, workers):
+        prefix = tmp_path / f"{route}{workers}"
+        rc = main([*argv, "--workers", str(workers), "--out", str(prefix)])
+        return rc, [Path(f"{prefix}.{ext}").read_bytes() for ext in ("csv", "jsonl", "json")]
+
+    def no_square_code(*args, **kwargs):
+        raise AssertionError("experiment rebuilt the square code")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(codes, "square_code", no_square_code)
+        recorded = {workers: outputs("recorded", workers) for workers in (1, 4)}
+    _rebuilt_code_route(monkeypatch)
+    for workers in (1, 4):
+        assert outputs("rebuilt", workers) == recorded[workers] == recorded[1]
+    assert recorded[1][0] == 0
 
 
 def _code_file(text):
@@ -670,7 +718,17 @@ def _code_file(text):
     return alter
 
 
-@pytest.mark.parametrize("which", ["rate", "distance"])
+def _code_reader(which, path, tmp_path):
+    """argv of analyze --which rate|distance or of experiment --kind
+    kappa|decode on the manifest at path, experiment writing under
+    tmp_path / "runs"."""
+    if which in ("rate", "distance"):
+        return ["analyze", str(path), "--which", which]
+    return ["experiment", str(path), "--kind", which, "--trials", "1",
+            "--out", str(tmp_path / "runs" / "e")]
+
+
+@pytest.mark.parametrize("which", ["rate", "distance", "kappa", "decode"])
 @pytest.mark.parametrize("alter, error", [
     (lambda m, _: m["files"].pop("code"), "manifest field 'files.code' is missing"),
     (lambda m, _: m["square_code"].pop("k"), "manifest field 'square_code.k' is missing"),
@@ -688,10 +746,27 @@ def test_an_inconsistent_code_record_is_refused_by_name(z5_dir, tmp_path, capsys
                                                         error):
     _forbid_rebuild(monkeypatch)
     path = manifest_copy(z5_dir, tmp_path, lambda m: alter(m, tmp_path))
-    assert main(["analyze", str(path), "--which", which]) == 2
+    assert main(_code_reader(which, path, tmp_path)) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": error}
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("which", ["distance", "kappa", "decode"])
+def test_a_rank_deficient_code_file_is_refused_by_name(z5_dir, tmp_path, capsys,
+                                                       monkeypatch, which):
+    # the recorded shape, 4 rows of 5 columns, with a repeated row: rank 3, so
+    # the file's code has dimension 2, not the recorded k = 1
+    _forbid_rebuild(monkeypatch)
+    path = manifest_copy(z5_dir, tmp_path, lambda m: _code_file(
+        "f2mat v1 4 5\n88\n48\n28\n28\n")(m, tmp_path))
+    assert main(_code_reader(which, path, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "manifest field 'square_code.k' differs from the code's dimension 2"}
+    assert not (tmp_path / "runs").exists()
 
 
 def test_a_code_header_is_the_line_build_writes(z5_dir, tmp_path, capsys, monkeypatch):
