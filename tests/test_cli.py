@@ -229,6 +229,16 @@ GOLDEN_CODES = {
     "z12": (["cyclic:12", "--gens", "1,11", "--gens-b", "5,7", "--base", "rep:2"],
             "3b330ad38bcb3d1eb6b08befbd6c4e99d9555b0dc714c9e9d1ea4aa9b6fe7572",
             "5ad943a4b92dbd4232c06a39c5eaf7cc21ea1f1a8fca9535dc5808fe487d3684"),
+    "z13": (["cyclic:13", "--gens", "1,12,5,8", "--base", "rep:4"],
+            "3578fdf48a42e1b00d6e82799807f01323947fc950561517f5f121e088469d4a",
+            "c6f195074ca72112a030d57d9e7448e6aa6d291c7b279a88e5310d79f8d21e2c"),
+    "z16": (["cyclic:16", "--gens", "1,15,2,14,3,13,8", "--base", "bch:3,3"],
+            "f6c89c3843d200954509012c5f53d0e63a4235b58ebf4e765b2790b07f7f9d17",
+            "a453e1db1350f9d8bd880ce5308af3da9b961144972ae6f766847f3ef2ac59a8"),
+    "z32": (["cyclic:32", "--gens", "1,31,2,30,3,29,4,28,5,27,6,26,7,25,16",
+             "--base", "bch:4,3"],
+            "7bc0b585ccb258cf3a1b1024d4c42ef42ab42611beb33103032d7e286aeff10f",
+            "aacb64c4087f0e55d941a06761d92159755dec96700165e50b6041d161d8dc93"),
 }
 
 
