@@ -82,13 +82,6 @@ class LinearCode:
         return np.bitwise_xor.reduce(self.generator.words[coeffs], axis=0)
 
     @classmethod
-    def from_generators(cls, rows: BitMatrix, provenance: str = "explicit",
-                        params: dict | None = None) -> "LinearCode":
-        G = f2core.row_basis(rows)
-        H = f2core.reduced_kernel_basis(G)
-        return cls(G.cols, G, H, provenance, params)
-
-    @classmethod
     def from_parity_checks(cls, rows: BitMatrix, provenance: str = "explicit",
                            params: dict | None = None) -> "LinearCode":
         H = f2core.row_basis(rows)
@@ -143,8 +136,10 @@ class LinearCode:
 
 
 def repetition_code(n: int) -> LinearCode:
-    return LinearCode.from_generators(BitMatrix(np.ones((1, n))), provenance="explicit",
-                                      params={"family": "repetition", "n": n})
+    """The code of the adjacent-pair checks x_i + x_(i+1)."""
+    eye = np.eye(n, dtype=np.uint8)
+    return LinearCode.from_parity_checks(BitMatrix(eye[1:] ^ eye[:-1]), provenance="explicit",
+                                         params={"family": "repetition", "n": n})
 
 
 def parity_code(n: int) -> LinearCode:
@@ -170,83 +165,35 @@ PRIMITIVE_POLY = {
 }
 
 
-class _GF2m:
-    """GF(2^m) arithmetic through log/antilog tables."""
-
-    def __init__(self, m: int):
-        if m not in PRIMITIVE_POLY:
-            raise ValueError(f"no primitive polynomial tabulated for m={m}")
-        self.m = m
-        self.size = 1 << m
-        poly = PRIMITIVE_POLY[m]
-        self.exp = np.zeros(2 * self.size, dtype=np.int64)
-        self.log = np.zeros(self.size, dtype=np.int64)
-        x = 1
-        for i in range(self.size - 1):
-            self.exp[i] = x
-            self.log[x] = i
-            x <<= 1
-            if x & self.size:
-                x ^= poly
-        self.exp[self.size - 1: 2 * self.size - 2] = self.exp[: self.size - 1]
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[self.log[a] + self.log[b]])
-
-    def pow_alpha(self, e: int) -> int:
-        return int(self.exp[e % (self.size - 1)])
-
-
-def _poly_mul_gf(field: _GF2m, p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] ^= field.mul(a, b)
-    return out
-
-
 def bch_code(m: int, b: int) -> LinearCode:
     """Primitive narrow-sense binary BCH code of length 2^m - 1.
 
-    The generator polynomial is the least common multiple of the minimal
-    polynomials of alpha^1 .. alpha^(b-1); the BCH bound gives distance >= b.
+    The words c with c(alpha^j) = 0 for j = 1 .. b-1 (MacWilliams & Sloane
+    1977, ch. 7), alpha a root of PRIMITIVE_POLY[m]: each odd j gives the m
+    bit-rows of alpha^(i j), i < n, as checks.  Even j add none, since
+    c(alpha^2j) = c(alpha^j)^2 for binary c.  The BCH bound gives distance
+    >= b.
     """
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     n = (1 << m) - 1
     if not 2 <= b <= n:
         raise ValueError(f"designed distance must lie in [2, {n}], got {b}")
-    field = _GF2m(m)
-    covered: set[int] = set()
-    g = [1]
-    for i in range(1, b):
-        if i in covered:
-            continue
-        coset = []
-        s = i
-        while s not in coset:
-            coset.append(s)
-            s = (2 * s) % n
-        covered.update(coset)
-        minpoly = [1]
-        for s in coset:
-            minpoly = _poly_mul_gf(field, minpoly, [field.pow_alpha(s), 1])
-        assert all(c in (0, 1) for c in minpoly), "minimal polynomial not binary"
-        g = _poly_mul_gf(field, g, minpoly)
-    deg = len(g) - 1
-    k = n - deg
-    if k <= 0:
+    if m not in PRIMITIVE_POLY:
+        raise ValueError(f"no primitive polynomial tabulated for m={m}")
+    powers = np.zeros(n, dtype=np.int64)          # powers[e] = alpha^e, shift and reduce
+    x = 1
+    for e in range(n):
+        powers[e] = x
+        x <<= 1
+        if x >> m:
+            x ^= PRIMITIVE_POLY[m]
+    zeros = powers[np.arange(1, b, 2)[:, None] * np.arange(n) % n]
+    bits = zeros[:, None, :] >> np.arange(m)[None, :, None] & 1
+    code = LinearCode.from_parity_checks(BitMatrix(bits.reshape(-1, n)), provenance="bch",
+                                         params={"m": m, "b": b})
+    if code.k <= 0:
         raise ValueError(f"designed distance {b} leaves no information bits")
-    rows = np.zeros((k, n), dtype=np.uint8)
-    for i in range(k):
-        rows[i, i: i + deg + 1] = g
-    code = LinearCode.from_generators(BitMatrix(rows), provenance="bch",
-                                      params={"m": m, "b": b})
-    assert code.k == k
     if code.k <= f2core.MAX_ENUM_DIMENSION:
         assert code.distance_exact() >= b, "BCH bound violated"
     return code

@@ -12,9 +12,9 @@ Albrecht, Bard & Hart, ACM TOMS 2010).  Columns are taken a byte (8
 columns) at a time: the block's pivots are found from the distinct bytes of
 the rows below, and every row whose byte there is nonzero is cleared with
 one lookup in a table of the 2^k XOR combinations of the block's k pivot
-rows; rows with a zero byte are skipped.  rank runs this forward pass only;
-rref, row_basis and kernel_basis add a back pass, last block first, that
-clears the rows above each block's pivots the same way.
+rows; rows with a zero byte are skipped.  rank runs this forward pass, and
+row_basis and kernel_basis add the back pass, last block first, that clears
+the rows above each block's pivots the same way.
 
 No matrix is unpacked whole on the way from checks to a kernel basis and
 its duality product: dense temporaries are slabs of at most PACK_BLOCK
@@ -277,9 +277,8 @@ def _echelon_words(words: np.ndarray, cols: int):
     return R, pivots, blocks
 
 
-def _rref_words(words: np.ndarray, cols: int):
-    """Reduced row echelon form of packed rows: (reduced words, pivot
-    column list).
+def row_basis(M: BitMatrix) -> BitMatrix:
+    """The reduced row echelon form of M without its zero rows.
 
     The forward pass (_echelon_words) is followed by a back pass clearing
     each block's pivot columns from the rows above it, one table lookup per
@@ -288,7 +287,7 @@ def _rref_words(words: np.ndarray, cols: int):
     forward pass left when its turn comes, and it touches only the rows that
     had a pivot bit there.
     """
-    R, pivots, blocks = _echelon_words(words, cols)
+    R, pivots, blocks = _echelon_words(M.words, M.cols)
     Rb = R.view(np.uint8)
     for j, prow, bits in reversed(blocks):
         above = np.flatnonzero(Rb[:prow, j] & sum(1 << t for t in bits))
@@ -297,7 +296,8 @@ def _rref_words(words: np.ndarray, cols: int):
             table = _xor_table(R[prow: prow + len(bits), w0:])
             lut = _byte_lut({t: 1 << i for i, t in enumerate(bits)})
             R[above, w0:] ^= table[lut[Rb[above, j]]]
-    return R, pivots
+    r = len(pivots)
+    return BitMatrix._from_words(R[:r].copy(), r, M.cols)
 
 
 def rank(M: BitMatrix) -> int:
@@ -306,21 +306,6 @@ def rank(M: BitMatrix) -> int:
         return 0
     _, pivots, _ = _echelon_words(M.words, M.cols)
     return len(pivots)
-
-
-def rref(M: BitMatrix):
-    """Reduced row echelon form; returns (BitMatrix, pivot column list)."""
-    if M.rows == 0:
-        return M, []
-    R, pivots = _rref_words(M.words, M.cols)
-    return BitMatrix._from_words(R, M.rows, M.cols), pivots
-
-
-def row_basis(M: BitMatrix) -> BitMatrix:
-    """Independent rows spanning the row space of M (echelon order)."""
-    R, pivots = rref(M)
-    r = len(pivots)
-    return BitMatrix._from_words(R.words[:r].copy(), r, M.cols)
 
 
 def _leading_bits(words: np.ndarray) -> np.ndarray:
@@ -368,11 +353,7 @@ def _kernel_words(R: np.ndarray, n: int) -> np.ndarray:
 
 def kernel_basis(M: BitMatrix) -> list[BitVector]:
     """A basis of {v : M v = 0}; size = cols - rank(M)."""
-    n = M.cols
-    if n == 0:
-        return []
-    R, pivots = _rref_words(M.words, n)
-    return [BitVector._from_words(w, n) for w in _kernel_words(R[: len(pivots)], n)]
+    return [BitVector._from_words(w, M.cols) for w in reduced_kernel_basis(row_basis(M)).words]
 
 
 def reduced_kernel_basis(R: BitMatrix) -> BitMatrix:

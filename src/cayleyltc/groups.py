@@ -180,6 +180,9 @@ class GeneratorSet:
 
     def __post_init__(self):
         idx = self.indices
+        for i in idx:
+            if not 0 <= i < self.group.order:
+                raise ValueError(f"generator index {i} lies outside [0, {self.group.order})")
         if len(set(idx)) != len(idx):
             raise ValueError("generator set contains duplicates")
         if 0 in idx:

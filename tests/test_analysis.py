@@ -24,6 +24,7 @@ from cayleyltc.codes import (
 )
 from cayleyltc.f2core import BitMatrix, BitVector, DimensionBudgetError, rank
 from cayleyltc.groups import Graph
+from test_codes import from_generators
 
 
 def graph_from_pairs(n, pairs):
@@ -254,7 +255,7 @@ def test_sigma_matches_full_enumeration(kind, r):
 def test_sigma_matches_full_enumeration_random_codes(r, seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 9 // r + 1))
-    c = LinearCode.from_generators(
+    c = from_generators(
         BitMatrix(rng.integers(0, 2, size=(k, r), dtype=np.uint8)))
     assume(c.k > 0)
     _assert_sigma_matches_oracle(c)
@@ -266,7 +267,7 @@ def test_sigma_matches_full_enumeration_random_codes(r, seed):
 def test_rc_distance_invariant_under_tensor_shift(name, seed):
     rng = np.random.default_rng(seed)
     if name == "random":
-        c = LinearCode.from_generators(
+        c = from_generators(
             BitMatrix(rng.integers(0, 2, size=(2, 4), dtype=np.uint8)))
         assume(c.k > 0)
     else:
@@ -362,7 +363,7 @@ def punctured_code(C: LinearCode, I, J, d: int) -> LinearCode:
     if len(keep_coords) == 0:
         return LinearCode(0, BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0),
                           provenance="punctured", params={"I": sorted(I), "J": sorted(J)})
-    return LinearCode.from_generators(
+    return from_generators(
         BitMatrix(bigger.generator.to_array()[:, keep_coords]),
         provenance="punctured", params={"I": sorted(I), "J": sorted(J), "d": d})
 
@@ -471,7 +472,7 @@ def test_punctured_hamming_example():
 def test_punctured_zero_and_full_relaxations():
     # the zero code of length 3 has the unit duals: punctured at 0 with I
     # empty its relaxation keeps them all, so C(I,J) = {0} of length 2
-    zero = LinearCode.from_generators(BitMatrix.zeros(0, 3))
+    zero = from_generators(BitMatrix.zeros(0, 3))
     p = punctured_code(zero, [], [0], 1)
     assert (p.n, p.k, p.provenance) == (2, 0, "punctured")
     assert p.params == {"I": [], "J": [0], "d": 1}
@@ -553,9 +554,9 @@ _US_CODES = {
     "bch:4,3": lambda: bch_code(4, 3),
     "full:6": lambda: full_code(6),
     "simplex:3": _simplex_code,         # 3-LDPC: the Hamming words of weight 3
-    "pairs:6": lambda: LinearCode.from_generators(BitMatrix(np.kron(
+    "pairs:6": lambda: from_generators(BitMatrix(np.kron(
         np.eye(3, dtype=np.uint8), np.ones((1, 2), dtype=np.uint8)))),
-    "zero:3": lambda: LinearCode.from_generators(BitMatrix.zeros(0, 3)),
+    "zero:3": lambda: from_generators(BitMatrix.zeros(0, 3)),
     # two weight-3 checks meeting at 0: at d = 3, C_{0} is all of F_2^5, so
     # C({0}, J) is wider than C punctured at J
     "star:5": lambda: LinearCode.from_parity_checks(
@@ -578,7 +579,7 @@ def test_verify_us_equals_the_punctured_code_reference(name):
 
 def test_verify_us_vacuous_punctures_have_no_delta():
     # every C(I, J) of the zero code is {0}: each I is its own witness
-    zero = LinearCode.from_generators(BitMatrix.zeros(0, 3))
+    zero = from_generators(BitMatrix.zeros(0, 3))
     rec = verify_us(zero, Fraction(1, 3), Fraction(1, 2), Fraction(1), 1)
     assert rec["witnesses"] == [{"I": I, "J": I, "delta": None}
                                 for I in ([], [0], [1], [2])]

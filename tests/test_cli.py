@@ -46,6 +46,20 @@ def test_build_refuses_a_disconnected_cayley_graph(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("group, gens, error", [
+    ("psl2:13", "5000,5001", "generator index 5000 lies outside [0, 1092)"),
+    ("cyclic:5", "1,4,5", "generator index 5 lies outside [0, 5)")])
+def test_build_refuses_a_generator_index_outside_the_group(tmp_path, capsys,
+                                                           group, gens, error):
+    out = tmp_path / "x"
+    rc = main(["build", "--group", group, "--gens", gens, "--base", "rep:2",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == json.dumps({"error": error}) + "\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_build_rejects_bad_group(tmp_path):
     assert main(["build", "--group", "dihedral:5", "--gens", "1",
                  "--base", "rep:2", "--out", str(tmp_path / "x")]) == 2

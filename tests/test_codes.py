@@ -56,6 +56,13 @@ def toy_complex(n, a_gens, b_gens=None):
     return build_complex(g, A, B)
 
 
+def from_generators(rows, provenance="explicit", params=None):
+    """Reference: the code that the rows of the BitMatrix rows span, with a
+    reduced generator and its kernel as the checks."""
+    G = f2core.row_basis(rows)
+    return LinearCode(G.cols, G, f2core.reduced_kernel_basis(G), provenance, params)
+
+
 def dual(code):
     """Reference: the dual code, its generator and parity bases swapped."""
     return LinearCode(code.n, code.parity, code.generator, "dual", None)
@@ -188,22 +195,22 @@ def test_distance_exact_matches_the_row_combinations():
     assert repetition_code(3).distance_exact() == 3
     hamming = [[1, 1, 1, 0, 0, 0, 0], [1, 0, 0, 1, 1, 0, 0],
                [0, 1, 0, 1, 0, 1, 0], [1, 1, 0, 1, 0, 0, 1]]
-    assert LinearCode.from_generators(BitMatrix(hamming)).distance_exact() == 3
+    assert from_generators(BitMatrix(hamming)).distance_exact() == 3
     rng = np.random.default_rng(7)
     for m, n in [(6, 20), (8, 6), (5, 70), (3, 3)]:
         for _ in range(5):
             rows = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
             ref = _min_weight_by_row_combinations(rows)
             if ref is not None:
-                assert LinearCode.from_generators(BitMatrix(rows)).distance_exact() == ref
+                assert from_generators(BitMatrix(rows)).distance_exact() == ref
 
 
 def test_distance_exact_refuses_the_zero_code_and_the_budget():
-    for zero in (LinearCode.from_generators(BitMatrix.zeros(0, 3)),
-                 LinearCode.from_generators(BitMatrix([[0, 0, 0]]))):
+    for zero in (from_generators(BitMatrix.zeros(0, 3)),
+                 from_generators(BitMatrix([[0, 0, 0]]))):
         with pytest.raises(ValueError, match="^zero code has no distance$"):
             zero.distance_exact()
-    big = LinearCode.from_generators(BitMatrix(np.eye(30, dtype=np.uint8)))
+    big = from_generators(BitMatrix(np.eye(30, dtype=np.uint8)))
     for oracle in (big.distance_exact, big.codewords):
         with pytest.raises(DimensionBudgetError) as info:
             oracle()
@@ -212,7 +219,7 @@ def test_distance_exact_refuses_the_zero_code_and_the_budget():
 
 def test_codeword_x_is_the_sum_of_the_generator_rows_at_the_bits_of_x():
     for code in (repetition_code(3), parity_code(4), bch_code(4, 5), repetition_code(70),
-                 tensor_code(parity_code(3)), LinearCode.from_generators(BitMatrix.zeros(0, 5))):
+                 tensor_code(parity_code(3)), from_generators(BitMatrix.zeros(0, 5))):
         G = code.generator.to_array()
         words = code.codewords()
         assert words.shape == (1 << code.k, code.n) and words.dtype == np.uint8
@@ -233,7 +240,7 @@ def _random_codeword_loop(code, rng):
 
 def test_random_codeword_matches_row_loop():
     for code in (bch_code(6, 9), parity_code(70), repetition_code(3),
-                 LinearCode.from_generators(BitMatrix.zeros(0, 5))):
+                 from_generators(BitMatrix.zeros(0, 5))):
         for seed in range(10):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             assert code.random_codeword(rng) == _random_codeword_loop(code, ref_rng)
@@ -241,7 +248,7 @@ def test_random_codeword_matches_row_loop():
 
 
 def test_empty_inputs_give_the_zero_and_the_full_code():
-    zero = LinearCode.from_generators(BitMatrix.zeros(0, 6))
+    zero = from_generators(BitMatrix.zeros(0, 6))
     assert (zero.n, zero.k, zero.parity) == (6, 0, BitMatrix(np.eye(6)))
     full = LinearCode.from_parity_checks(BitMatrix.zeros(0, 6))
     assert (full.n, full.k, full.generator) == (6, 6, BitMatrix(np.eye(6)))
@@ -278,6 +285,111 @@ def test_bch_dimension_bound():
         n = (1 << m) - 1
         assert c.k >= n - m * ((b - 1 + 1) // 2)
         assert c.rate >= 1 - m * b / n
+
+
+class GF2m:
+    """Reference: GF(2^m) arithmetic through log/antilog tables."""
+
+    def __init__(self, m):
+        if m not in codes.PRIMITIVE_POLY:
+            raise ValueError(f"no primitive polynomial tabulated for m={m}")
+        self.size = 1 << m
+        self.exp = np.zeros(2 * self.size, dtype=np.int64)
+        self.log = np.zeros(self.size, dtype=np.int64)
+        x = 1
+        for i in range(self.size - 1):
+            self.exp[i] = x
+            self.log[x] = i
+            x <<= 1
+            if x & self.size:
+                x ^= codes.PRIMITIVE_POLY[m]
+        self.exp[self.size - 1: 2 * self.size - 2] = self.exp[: self.size - 1]
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return int(self.exp[self.log[a] + self.log[b]])
+
+    def pow_alpha(self, e):
+        return int(self.exp[e % (self.size - 1)])
+
+
+def poly_mul_gf(field, p, q):
+    """Reference: the product of two polynomials over GF(2^m), lowest
+    coefficient first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] ^= field.mul(a, b)
+    return out
+
+
+def bch_generator_rows(m, b):
+    """Reference: the shifts x^i g(x), i < k, of the BCH generator
+    polynomial g, the least common multiple of the minimal polynomials of
+    alpha^1 .. alpha^(b-1), with the refusals of bch_code."""
+    if m < 3:
+        raise ValueError(f"need m >= 3, got {m}")
+    n = (1 << m) - 1
+    if not 2 <= b <= n:
+        raise ValueError(f"designed distance must lie in [2, {n}], got {b}")
+    field = GF2m(m)
+    covered, g = set(), [1]
+    for i in range(1, b):
+        if i in covered:
+            continue
+        coset, s = [], i
+        while s not in coset:
+            coset.append(s)
+            s = 2 * s % n
+        covered.update(coset)
+        minpoly = [1]
+        for s in coset:
+            minpoly = poly_mul_gf(field, minpoly, [field.pow_alpha(s), 1])
+        assert all(c in (0, 1) for c in minpoly), "minimal polynomial not binary"
+        g = poly_mul_gf(field, g, minpoly)
+    k = n - (len(g) - 1)
+    if k <= 0:
+        raise ValueError(f"designed distance {b} leaves no information bits")
+    rows = np.zeros((k, n), dtype=np.uint8)
+    for i in range(k):
+        rows[i, i: i + len(g)] = g
+    return BitMatrix(rows)
+
+
+def _outcome(build, *args):
+    """The code build(*args) returns, or the message of its ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_bch_matches_generator_polynomial(m, b):
+    code, rows = _outcome(bch_code, m, b), _outcome(bch_generator_rows, m, b)
+    if isinstance(rows, str):
+        assert code == rows, (m, b)
+        return
+    ref = from_generators(rows)
+    assert f2core.row_basis(code.generator) == f2core.row_basis(ref.generator), (m, b)
+    assert code.parity == f2core.row_basis(ref.parity), (m, b)
+
+
+def test_bch_checks_match_the_generator_polynomial():
+    for m in range(3, 8):
+        for b in range(0, (1 << m) + 2):
+            _assert_bch_matches_generator_polynomial(m, b)
+    for m, b in [(1, 3), (2, 3), (8, 3), (8, 17), (8, 255), (9, 5), (10, 3),
+                 (10, 1024), (17, 3), (17, 1)]:
+        _assert_bch_matches_generator_polynomial(m, b)
+
+
+def test_repetition_checks_match_the_all_ones_generator():
+    for n in range(71):
+        code, ref = repetition_code(n), from_generators(BitMatrix(np.ones((1, n))))
+        assert (code.n, code.k) == (n, min(n, 1))
+        assert code.generator == ref.generator, n
+        assert code.parity == f2core.row_basis(ref.parity), n
 
 
 def test_bch_rejects_bad_parameters():
@@ -558,7 +670,7 @@ def test_square_code_catches_a_broken_local_fact(monkeypatch, name, wrong):
                     if not real.contains(BitVector(e)))
     else:
         G = G[1:]
-    bad = LinearCode.from_generators(BitMatrix(G))
+    bad = from_generators(BitMatrix(G))
     assert bad.k == real.k - (wrong == "dimension")
     monkeypatch.setattr(codes, "tensor_code", lambda C1: bad)
     with pytest.raises(AssertionError, match="row-and-column code"):

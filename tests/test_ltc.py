@@ -159,11 +159,11 @@ def test_packed_syndromes_span_words_past_64_checks():
     rng = np.random.default_rng(62)
     for f in words_for_tester(tester, None, rng):
         assert np.array_equal(tester.reject_vector(f), tensordot_rejects(tester, f))
-    # one flip at slot (65, 65) of vertex 0 fails only check 64 there: the
-    # checks are x_0 + x_(j+1), so only the second word sees it
-    assert tester.C1.parity.to_array()[64].nonzero()[0].tolist() == [0, 65]
+    # one flip at slot (64, 64) of vertex 0 fails only check 64 there: the
+    # checks are x_j + x_65, so only the second word sees it
+    assert tester.C1.parity.to_array()[64].nonzero()[0].tolist() == [64, 65]
     f = np.ones(X.n_squares, dtype=np.uint8)
-    f[X.square_id[65, 0, 65]] = 0
+    f[X.square_id[64, 0, 64]] = 0
     got = tester.reject_vector(f)
     assert got[0] and np.array_equal(got, tensordot_rejects(tester, f))
 
@@ -455,7 +455,7 @@ def test_kappa_experiment_runs_no_syndrome_or_elimination(monkeypatch, p13_insta
     X, C1, code, tester, lam = p13_instance
     params = TesterParams(r=4, delta1=0.5, sigma1=0.5, lam=lam)
     rows = [kappa_trial(tester, code, 15, i, 1 + i % 3, 0.0) for i in range(8)]
-    for name in ("row_basis", "rref", "_rref_words", "_echelon_words"):
+    for name in ("row_basis", "_echelon_words"):
         monkeypatch.setattr(f2core, name, called)
     monkeypatch.setattr(f2core.BitMatrix, "matvec", called)
     report = kappa_experiment(tester, code, params, trials=8, weights=(1, 3), seed=15)
