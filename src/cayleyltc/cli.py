@@ -8,8 +8,9 @@ build measures the spectrum once (dense eigvalsh up to DENSE_MAX_DIM vertices,
 Lanczos at tol 1e-10 above) and analyze --which spectral judges its record.
 Only build constructs the square code.  analyze --which rate|distance and
 experiment read code.f2mat, checked against its sha256 and the recorded n and
-k; rate reads only its header, and distance loads the code only when its
-exact distance decides the verdict.
+k; rate reads its header and each row's leading digit, an echelon rank
+certificate, and distance loads the code only when its exact distance
+decides the verdict.
 Exit codes: 0 = pass, 1 = bound violation, 2 = precondition or budget
 refusal, 3 = internal error (any other exception, reported as
 {"error", "type"} JSON on stderr).
@@ -202,8 +203,8 @@ def _load_instance(manifest_path: str):
 
 def _recorded_square_code(manifest: dict, manifest_path: str, blob: bytes):
     """n, k and a loader of the square code build recorded, refused by the
-    budget first and then, with the field named, unless the code file has
-    its recorded sha256, n columns and n - k rows, and loads at dimension k."""
+    budget first, then with the field named unless the code file has its
+    sha256, n columns, n - k rows and rank n - k (in echelon form or loaded)."""
     codes.check_square_code_budget(complexes.complex_manifest(blob)["counts"]["squares"])
     n, k = (_field(manifest, f"square_code.{key}") for key in ("n", "k"))
     data = (Path(manifest_path).parent / _field(manifest, "files.code.path")).read_bytes()
@@ -229,6 +230,8 @@ def _recorded_square_code(manifest: dict, manifest_path: str, blob: bytes):
             raise PreconditionError(
                 f"manifest field 'square_code.k' differs from the code's dimension {code.k}")
         return code
+    if not f2core.f2mat_echelon(data):
+        load()                        # no rank certificate: eliminate, refuse or pass
     return n, k, load
 
 

@@ -192,8 +192,6 @@ def bch_code(m: int, b: int) -> LinearCode:
     bits = zeros[:, None, :] >> np.arange(m)[None, :, None] & 1
     code = LinearCode.from_parity_checks(BitMatrix(bits.reshape(-1, n)), provenance="bch",
                                          params={"m": m, "b": b})
-    if code.k <= 0:
-        raise ValueError(f"designed distance {b} leaves no information bits")
     if code.k <= f2core.MAX_ENUM_DIMENSION:
         assert code.distance_exact() >= b, "BCH bound violated"
     return code

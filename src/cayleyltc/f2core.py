@@ -472,18 +472,12 @@ def dump_matrix(M: BitMatrix) -> bytes:
     return buf.tobytes()
 
 
-def load_matrix(data: bytes) -> BitMatrix:
-    """The BitMatrix of f2mat bytes, the exact inverse of dump_matrix.
-
-    The body must be rows lines of ceil(cols/4) lowercase hex digits and a
-    newline, with nothing after the last; anything else is refused with
-    its reason.  Digits map through _NIBBLES and pairs of them are ORed into
-    the packed bytes a block of rows at a time; bits past cols in the last
-    digit are dropped.
-    """
+def _f2mat_digits(data: bytes) -> tuple[np.ndarray, int]:
+    """The (rows, ceil(cols/4)) digits of the f2mat bytes data and cols, refused
+    with its reason unless each row is its digits and a newline, and no more."""
     rows, cols = f2mat_shape(data)
     start = data.index(b"\n") + 1
-    ndigits, nbytes = -(-cols // 4), -(-cols // 8)
+    ndigits = -(-cols // 4)
     body, need = len(data) - start, rows * (ndigits + 1)
     if body < need:
         raise ValueError(f"truncated f2mat body: {body} of {need} bytes")
@@ -493,12 +487,37 @@ def load_matrix(data: bytes) -> BitMatrix:
     short = np.flatnonzero(lines[:, ndigits] != ord("\n"))
     if short.size:
         raise ValueError(f"f2mat row {short[0]} is not {ndigits} digits and a newline")
+    return lines[:, :ndigits], cols
+
+
+def f2mat_echelon(data: bytes) -> bool:
+    """Whether each row of the f2mat bytes data leads with a bit strictly right
+    of the previous row's lead, a rank certificate read without elimination."""
+    digits = _f2mat_digits(data)[0]
+    if not digits.shape[1]:
+        return not len(digits)                  # rows of no columns are zero
+    first = np.empty(len(digits), dtype=np.intp)
+    step = max(1, PACK_BLOCK // digits.shape[1])   # a block of rows at a time
+    for lo in range(0, len(digits), step):
+        first[lo:lo + step] = (digits[lo:lo + step] != ord("0")).argmax(axis=1)
+    lead = _NIBBLES[digits[np.arange(len(digits)), first]]
+    bit = np.unpackbits(lead[:, None], axis=1, bitorder="little").argmax(axis=1)
+    return bool(((lead > 0) & (lead < 16)).all() and (np.diff(4 * first + bit) > 0).all())
+
+
+def load_matrix(data: bytes) -> BitMatrix:
+    """The BitMatrix of f2mat bytes, the exact inverse of dump_matrix; a body
+    of anything but lowercase hex digits is refused with its reason.  Digits
+    map through _NIBBLES and pairs of them are ORed into the packed bytes a
+    block of rows at a time; bits past cols in the last digit are dropped."""
+    lines, cols = _f2mat_digits(data)
+    (rows, ndigits), nbytes = lines.shape, -(-cols // 8)
     words = np.zeros((rows, max(1, -(-cols // 64))), dtype=np.uint64)
     Wb = words.view(np.uint8)
     step = max(1, PACK_BLOCK // max(1, ndigits))
     for lo in range(0, rows, step):
         hi = min(rows, lo + step)
-        nib = _NIBBLES[lines[lo:hi, :ndigits]]
+        nib = _NIBBLES[lines[lo:hi]]
         if nib.max(initial=0) > 15:
             r, c = np.argwhere(nib > 15)[0]
             raise ValueError(f"f2mat row {lo + r} has the non-hex digit "

@@ -3,10 +3,11 @@
 The tester picks a uniform random vertex g and accepts a word f on the
 squares iff the local view f|_{S(g)}, pulled back through the labelling
 map, lies in the tensor square of the base code, i.e. iff every row and
-column of the view lies in C1.  A line's syndrome is the XOR of C1's check
-columns, each packed into words, at the line's set bits, so the tester
-works in exact GF(2) on packed words.  reject_probability computes the
-exact rejection probability D(f) by a full vertex scan.
+column of the view lies in C1.  Each row and column is packed into a line
+code, 8 coordinates a byte, whose syndrome is the XOR of one lookup per byte
+in 256-entry tables of C1's syndromes built once per tester.
+reject_probability computes the exact rejection probability D(f) by a full
+vertex scan.
 
 The decoder keeps one local codeword W_g per vertex (fiber-constant on the
 labelling map, so degenerate vertices where TNC fails are handled), counts
@@ -14,13 +15,12 @@ disagreeing edges Delta(W), and greedily replaces single-vertex views while
 any replacement strictly reduces Delta.  Termination with Delta = 0 yields
 a codeword; otherwise the word is declared far and the final dispute set
 supports the counting diagnostics n1, n_par, n2, n2'.  The state is one
-candidate id per vertex: a candidate's rows and columns carry line ids, so
-an edge is disputed iff its two lines have different ids, and the greedy
-steps evaluate sets of vertices in whole-array gathers.  Vertices are
-grouped by fiber pattern (which slots of the view share a square).  The
-start state, every vertex's nearest local codeword, is a lookup of each
-view's bits on an information set of the local code; only views that are
-no local codeword get a distance scan, one array pass per pattern.
+candidate id per vertex, whose rows and columns carry line ids; each edge's
+two line slots are computed once per tester, so Delta is two gathers and a
+compare.  The start state is every vertex's nearest local codeword: a lookup
+of its view on an information set of the local code, else a distance scan,
+one array pass per fiber pattern.  Its first evaluation covers only the
+endpoints of its disputed edges; every other vertex has nothing to gain.
 
 kappa_experiment and decode_experiment run seeded trials, one RNG stream
 per (seed, trial index), so their rows do not depend on the worker count.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .codes import LinearCode, check_square_distance_bound, tensor_code
 from .complexes import CayleyComplex
-from .f2core import BitVector, DimensionBudgetError, _pack_bits
+from .f2core import BitVector, DimensionBudgetError, _pack_bits, _xor_table
 from .spectral import parallel_neighbor_table
 
 NEAREST_SEARCH_MAX_DIM = 20
@@ -116,8 +116,13 @@ class SquareCodeTester:
         self.r = X.nA
         self.n_squares = X.n_squares
         self._hcols = _pack_bits(C1.parity.to_array().T)   # (r, words): bit j = check j
+        self._syn_tables = _xor_table(np.pad(     # (byte, its 256 values, words)
+            self._hcols, ((0, -self.r % 8), (0, 0))).reshape(-1, 8, self._hcols.shape[1]))
         self._grid = X.square_id                     # (r, n, r)
-        self._cand_flat = None
+        lbl, g = X.edge_rep_slots()     # each edge's line slots l*n + g, l^-1*n + g^l
+        self._edge_slots = np.stack([lbl * X.n_vertices + g,
+                                     X.label_inv[lbl] * X.n_vertices + X.vert_image[lbl, g]])
+        self._edge_slots.flags.writeable = False     # shared by threads
         self._pattern_of = None      # set last by _ensure_tables, with _pattern_*
         self._table_lock = threading.Lock()   # decode trials may share a tester
 
@@ -130,17 +135,25 @@ class SquareCodeTester:
             raise ValueError(f"word length {f_bits.shape[0]} != |S| = {self.n_squares}")
         return self._rejects(f_bits[self._grid])
 
+    def _line_codes(self, grid: np.ndarray) -> np.ndarray:
+        """(byte, line, vertex) codes of the (a, vertex, b) grid read mod 2:
+        rows, then columns; coordinate i is bit i % 8 of byte i // 8."""
+        coords = np.concatenate([grid.transpose(2, 0, 1), grid.transpose(0, 2, 1)],
+                                axis=1, dtype=np.uint8, casting="unsafe") & 1
+        codes = np.zeros((len(self._syn_tables),) + coords.shape[1:], dtype=np.uint8)
+        for i, bits in enumerate(coords):
+            codes[i // 8] |= bits << i % 8
+        return codes
+
     def _rejects(self, views: np.ndarray) -> np.ndarray:
-        """Boolean per vertex: some row or column of its view in the
-        (a, vertex, b) grid views, read mod 2, fails a check of C1: its
-        syndrome, the XOR of the packed check columns at its bits, is not 0."""
-        if not self._hcols.any():
-            return np.zeros(views.shape[1], dtype=bool)
-        row_syn = col_syn = 0      # uint64 bits, as int64 x uint64 is float64
-        for i, h in enumerate(self._hcols):
-            row_syn = row_syn ^ (views[:, :, i, None] & 1).astype(np.uint64) * h
-            col_syn = col_syn ^ (views[i, :, :, None] & 1).astype(np.uint64) * h
-        return row_syn.any(axis=(0, 2)) | col_syn.any(axis=(1, 2))
+        """Boolean per vertex: some row or column of its view in the (a, vertex,
+        b) grid views, read mod 2, fails a check of C1: its syndrome, the XOR
+        of one table lookup per byte of its line code, is not 0."""
+        codes = self._line_codes(views)
+        syn = self._syn_tables[0].take(codes[0], axis=0)
+        for table, byte in zip(self._syn_tables[1:], codes[1:]):
+            syn ^= table.take(byte, axis=0)
+        return syn.any(axis=(0, 2))
 
     def reject_probability(self, f) -> float:
         """Exact D(f) by full vertex scan."""
@@ -293,22 +306,15 @@ class SquareCodeTester:
 
     def _edge_disagreements(self, wgrid: np.ndarray) -> np.ndarray:
         """Boolean per edge: the two endpoint views differ on the edge."""
-        return self._line_disagreements(
-            np.concatenate([wgrid, wgrid.transpose(2, 1, 0)]))
+        return self._line_disagreements(self._line_codes(wgrid))
 
     def _line_disagreements(self, lines: np.ndarray) -> np.ndarray:
-        """Boolean per edge: its line at one endpoint differs from its line
-        at the other.  lines[l, g] (any trailing shape) is vertex g's line
-        of label l: row l of its view for l < r, column l - r after."""
-        X = self.X
-        lbl, g = X.edge_rep_slots()
-        mine = lines[lbl, g]
-        other = lines[X.label_inv[lbl], X.vert_image[lbl, g]]
-        return (mine != other).reshape(len(lbl), -1).any(axis=1)
-
-    def _id_delta(self, ci: np.ndarray) -> int:
-        """Delta of the state ci, counted over the edges."""
-        return int(self._line_disagreements(self._cand_lines[ci].T).sum())
+        """Boolean per edge: its line at one endpoint differs from its line at
+        the other.  lines[..., l, g] is vertex g's line of label l (row l of
+        its view, column l - r for l >= r): an id, or a line code's bytes."""
+        flat = lines.reshape(-1, 2 * self.r * self.X.n_vertices)
+        mine, other = self._edge_slots
+        return (flat[:, mine] != flat[:, other]).any(axis=0)
 
     def _evaluate(self, ci: np.ndarray, verts: np.ndarray,
                   gain: np.ndarray, best: np.ndarray) -> None:
@@ -343,13 +349,14 @@ class SquareCodeTester:
         """
         X = self.X
         ci = self.nearest_local_codewords(_as_bits(f))
-        delta = self._id_delta(ci)
-        delta0 = delta
+        disputed = self._line_disagreements(self._cand_lines[ci].T)
+        delta = delta0 = int(disputed.sum())
         trace = [delta]
         iterations = 0
         gain = np.zeros(X.n_vertices, dtype=np.int64)
         best = np.zeros(X.n_vertices, dtype=np.int64)
-        self._evaluate(ci, np.arange(X.n_vertices), gain, best)
+        # a vertex with no disputed edge keeps gain 0, as _evaluate would set
+        self._evaluate(ci, np.unique(self._edge_slots[:, disputed] % X.n_vertices), gain, best)
         while delta > 0:
             negative = np.flatnonzero(gain < 0)
             if not negative.size:
@@ -363,7 +370,8 @@ class SquareCodeTester:
                 raise AssertionError(
                     f"greedy loop exceeded its certified budget {delta0}")
             if iterations % 64 == 0:
-                assert self._id_delta(ci) == delta, "incremental Delta drifted"
+                assert self._line_disagreements(self._cand_lines[ci].T).sum() == delta, (
+                    "incremental Delta drifted")
             self._evaluate(ci, np.append(X.vert_image[:, g], g), gain, best)
 
         wgrid = self._grid_of(ci)

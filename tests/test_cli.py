@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cayleyltc import cli
+from cayleyltc import cli, f2core
 from cayleyltc.cli import main
 
 
@@ -777,7 +777,7 @@ def test_an_inconsistent_code_record_is_refused_by_name(z5_dir, tmp_path, capsys
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("which", ["distance", "kappa", "decode"])
+@pytest.mark.parametrize("which", ["rate", "distance", "kappa", "decode"])
 def test_a_rank_deficient_code_file_is_refused_by_name(z5_dir, tmp_path, capsys,
                                                        monkeypatch, which):
     # the recorded shape, 4 rows of 5 columns, with a repeated row: rank 3, so
@@ -791,6 +791,34 @@ def test_a_rank_deficient_code_file_is_refused_by_name(z5_dir, tmp_path, capsys,
     assert json.loads(err) == {
         "error": "manifest field 'square_code.k' differs from the code's dimension 2"}
     assert not (tmp_path / "runs").exists()
+
+
+def test_rate_certifies_the_rank_by_the_leading_digits(z5_dir, tmp_path, capsys,
+                                                       monkeypatch):
+    # build writes code.f2mat in echelon form, so rate reads each row's
+    # leading digit and never loads the matrix
+    _forbid_rebuild(monkeypatch)
+    data = (z5_dir / "code.f2mat").read_bytes()
+    assert f2core.f2mat_echelon(data)
+
+    def loaded(*args):
+        raise AssertionError("the code file was loaded")
+
+    monkeypatch.setattr(f2core, "load_matrix", loaded)
+    path = manifest_copy(z5_dir, tmp_path, lambda m: None)
+    assert main(["analyze", str(path), "--which", "rate"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+def test_rate_loads_a_full_rank_file_out_of_echelon_form(z5_dir, tmp_path, capsys,
+                                                         monkeypatch):
+    # the rows of the z5 code file in reverse order: no echelon certificate,
+    # but rank 4, so the loaded code has the recorded k = 1
+    _forbid_rebuild(monkeypatch)
+    path = manifest_copy(z5_dir, tmp_path, lambda m: _code_file(
+        "f2mat v1 4 5\n18\n28\n48\n88\n")(m, tmp_path))
+    assert main(["analyze", str(path), "--which", "rate"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
 def test_a_code_header_is_the_line_build_writes(z5_dir, tmp_path, capsys, monkeypatch):

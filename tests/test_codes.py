@@ -349,8 +349,6 @@ def bch_generator_rows(m, b):
         assert all(c in (0, 1) for c in minpoly), "minimal polynomial not binary"
         g = poly_mul_gf(field, g, minpoly)
     k = n - (len(g) - 1)
-    if k <= 0:
-        raise ValueError(f"designed distance {b} leaves no information bits")
     rows = np.zeros((k, n), dtype=np.uint8)
     for i in range(k):
         rows[i, i: i + len(g)] = g
@@ -373,6 +371,9 @@ def _assert_bch_matches_generator_polynomial(m, b):
     ref = from_generators(rows)
     assert f2core.row_basis(code.generator) == f2core.row_basis(ref.generator), (m, b)
     assert code.parity == f2core.row_basis(ref.parity), (m, b)
+    # every defining zero alpha^j, 0 < j < n, has sum_i alpha^(ij) = 0, so
+    # the all-ones word is a codeword and k >= 1 for every b
+    assert code.contains(BitVector(np.ones(code.n, dtype=np.uint8))), (m, b)
 
 
 def test_bch_checks_match_the_generator_polynomial():

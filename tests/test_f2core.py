@@ -413,6 +413,34 @@ def test_dump_formats_match_row_formula(monkeypatch, block):
             assert f2core.load_matrix(data) == M
 
 
+@pytest.mark.parametrize("block", [1, f2core.PACK_BLOCK])
+def test_echelon_certificate_reads_the_leading_digits(monkeypatch, block):
+    # every RREF dump is certified; a swapped, repeated or zero row is not.
+    # Block 1 scans each row's digits as a block of its own
+    monkeypatch.setattr(f2core, "PACK_BLOCK", block)
+    rng = np.random.default_rng(14)
+    for cols in (1, 3, 4, 5, 9, 64, 130):
+        for rows in (1, 2, 5, 12):
+            R = f2core.row_basis(BitMatrix(rng.integers(0, 2, (rows, cols), dtype=np.uint8)))
+            rank, arr = R.rows, R.to_array()
+            assert f2core.f2mat_echelon(f2core.dump_matrix(R)), (rows, cols)
+            if rank < 2:
+                continue
+            for bad in (arr[[1, 0, *range(2, rank)]], arr[[0, 0, *range(2, rank)]],
+                        np.vstack([arr, np.zeros((1, cols), dtype=np.uint8)])):
+                assert not f2core.f2mat_echelon(f2core.dump_matrix(BitMatrix(bad)))
+    # leads in one digit, column 0 as the digit's high bit: 8 = column 0, 1 = 3
+    assert f2core.f2mat_echelon(b"f2mat v1 4 5\n88\n48\n28\n18\n")
+    assert not f2core.f2mat_echelon(b"f2mat v1 4 5\n88\n48\n28\n28\n")
+    assert not f2core.f2mat_echelon(b"f2mat v1 2 5\n18\n88\n")
+    assert not f2core.f2mat_echelon(b"f2mat v1 2 5\n88\ng8\n")   # not a digit
+    assert f2core.f2mat_echelon(b"f2mat v1 0 5\n")
+    assert f2core.f2mat_echelon(b"f2mat v1 0 0\n")
+    assert not f2core.f2mat_echelon(b"f2mat v1 2 0\n\n\n")
+    with pytest.raises(ValueError, match="truncated"):
+        f2core.f2mat_echelon(b"f2mat v1 2 5\n88\n")
+
+
 def test_format_hex_convention():
     # column 0 is the most significant digit's high bit
     m = BitMatrix([[1, 0, 0, 0, 1]])

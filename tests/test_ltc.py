@@ -18,7 +18,7 @@ from cayleyltc.codes import (
 )
 from cayleyltc.complexes import build_complex
 from cayleyltc.f2core import DimensionBudgetError
-from cayleyltc.groups import GeneratorSet, cyclic_group
+from cayleyltc.groups import GeneratorSet, cyclic_group, lps_generators, psl2
 from cayleyltc.ltc import (
     SquareCodeTester,
     TesterParams,
@@ -166,6 +166,78 @@ def test_packed_syndromes_span_words_past_64_checks():
     f[X.square_id[64, 0, 64]] = 0
     got = tester.reject_vector(f)
     assert got[0] and np.array_equal(got, tensordot_rejects(tester, f))
+
+
+@pytest.fixture(scope="module")
+def lps29():
+    """PSL2(F_29) with the LPS(5, 29) generators: r = 6, 12,180 vertices,
+    and TNC fails, so some views repeat a square."""
+    g = psl2(29)
+    S = lps_generators(g, 5)
+    return build_complex(g, GeneratorSet(g, S.indices, side="left"),
+                         GeneratorSet(g, S.indices, side="right"))
+
+
+@pytest.fixture(scope="module")
+def z32_r15():
+    """Z_32 with the 15 generators +-1..+-7 and 16: lines of 15 coordinates,
+    so each line code spans two bytes."""
+    return toy(32, (1, 31, 2, 30, 3, 29, 4, 28, 5, 27, 6, 26, 7, 25, 16))
+
+
+def test_line_codes_match_the_tensordot_reference_at_r6(lps29):
+    assert not lps29.check_conditions().tnc
+    rng = np.random.default_rng(63)
+    for C1 in _bases(6):
+        tester = SquareCodeTester(lps29, C1)
+        for f in words_for_tester(tester, None, rng):
+            assert np.array_equal(tester.reject_vector(f), tensordot_rejects(tester, f))
+
+
+def test_line_codes_span_two_bytes_at_r15(z32_r15):
+    rng = np.random.default_rng(64)
+    for C1 in _bases(15) + [bch_code(4, 3)]:
+        tester = SquareCodeTester(z32_r15, C1)
+        assert tester._syn_tables.shape[:2] == (2, 256)
+        code = square_code(z32_r15, C1)
+        for f in words_for_tester(tester, code, rng):
+            assert np.array_equal(tester.reject_vector(f), tensordot_rejects(tester, f))
+    # one flip in the second byte of a line: coordinate 8 of vertex 0's row 0
+    tester = SquareCodeTester(z32_r15, bch_code(4, 3))
+    f = np.zeros(z32_r15.n_squares, dtype=np.uint8)
+    f[z32_r15.square_id[0, 0, 8]] = 1
+    got = tester.reject_vector(f)
+    assert got[0] and np.array_equal(got, tensordot_rejects(tester, f))
+
+
+def edge_ids_differ(X, lines, e):
+    """Reference: edge e's two endpoints carry different ids on it, lines[l, g]
+    the id of vertex g's row l (l < r) or column l - r."""
+    t, pos, g = (int(x) for x in X.edge_rep[e])
+    if t == 0:
+        return lines[pos, g] != lines[int(X.a_inv_pos[pos]), int(X.left_perms[pos, g])]
+    r = X.nA
+    return lines[r + pos, g] != lines[r + int(X.b_inv_pos[pos]), int(X.right_perms[pos, g])]
+
+
+@pytest.mark.parametrize("name", ["z5", "z10", "z12", "p13", "lps29", "z32_r15"])
+def test_line_disagreements_match_the_per_edge_references(request, name):
+    # z5 and z10 fail TNC; lps29 has r = 6 and z32_r15 two-byte line codes
+    if name in ("lps29", "z32_r15"):
+        X = request.getfixturevalue(name)
+    else:
+        X = request.getfixturevalue("start_instances")[name].X
+    tester = SquareCodeTester(X, repetition_code(X.nA))
+    assert not tester._edge_slots.flags.writeable
+    rng = np.random.default_rng(65)
+    for density in (0.02, 0.5, 0.98):
+        wgrid = (rng.random((X.nA, X.n_vertices, X.nA)) < density).astype(np.uint8)
+        ref = [edge_view_differs(X, wgrid, e) for e in range(X.n_edges)]
+        assert tester._edge_disagreements(wgrid).tolist() == ref
+    for dtype, hi in ((np.int8, 3), (np.int16, 1000), (np.int64, 2)):
+        lines = rng.integers(-1, hi, (2 * X.nA, X.n_vertices)).astype(dtype)
+        ref = [edge_ids_differ(X, lines, e) for e in range(X.n_edges)]
+        assert tester._line_disagreements(lines).tolist() == ref
 
 
 # -- decoder ------------------------------------------------------------------
@@ -767,3 +839,23 @@ def test_decode_matches_reference_at_a_padded_pattern(start_instances):
         f = tester.code.random_codeword(rng).to_bits()
         f[np.unique(tester.X.squares_of_vertex(g))[:3]] ^= 1
         assert_decodes_like_reference(tester, f)
+
+
+def test_decode_matches_reference_on_sparse_lps29_words(lps29):
+    # rep:6 at r = 6 with TNC failing.  Flipped views (all or 20 of their
+    # squares) make the start state dispute edges; the decoder evaluates it
+    # only at their endpoints, the reference at every vertex
+    X = lps29
+    tester = SquareCodeTester(X, repetition_code(6))
+    rng = np.random.default_rng(66)
+    kinds = set()
+    for n_views, part, weight in ((1, 36, 0), (2, 36, 5), (1, 20, 1), (3, 24, 30)):
+        f = np.zeros(X.n_squares, dtype=np.uint8)
+        for g in rng.choice(X.n_vertices, size=n_views, replace=False):
+            squares = np.unique(X.squares_of_vertex(int(g)))
+            f[rng.permutation(squares)[:part * len(squares) // 36]] = 1
+        f[rng.choice(X.n_squares, size=weight, replace=False)] ^= 1
+        out = assert_decodes_like_reference(tester, f)
+        assert out.delta_initial > 0
+        kinds.add(out.kind)
+    assert "codeword" in kinds
