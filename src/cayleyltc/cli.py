@@ -78,6 +78,8 @@ def _parse_base(spec: str) -> codes.LinearCode:
 
 def _generators(group, args) -> tuple[GeneratorSet, GeneratorSet, dict]:
     if args.lps is not None:
+        if args.gens is not None or args.gens_b is not None:
+            raise PreconditionError("--gens and --gens-b cannot be given with --lps")
         if group.kind != "psl2":
             raise PreconditionError("--lps requires a psl2 group")
         S = lps_generators(group, args.lps)
@@ -87,6 +89,8 @@ def _generators(group, args) -> tuple[GeneratorSet, GeneratorSet, dict]:
         A = GeneratorSet(group, S.indices, side="left")
         B = GeneratorSet(group, S.indices, side="right")
         return A, B, gen_spec
+    if args.subset is not None:
+        raise PreconditionError("--subset needs --lps")
     if args.gens is None:
         raise PreconditionError("need --gens or --lps")
     a_idx = tuple(int(x) for x in args.gens.split(","))
@@ -359,6 +363,10 @@ def _parse_weights(spec: str) -> tuple[int, int]:
 
 def cmd_experiment(args) -> int:
     weights = _parse_weights(args.weights)
+    if args.trials < 0:
+        raise PreconditionError(f"--trials {args.trials} is negative")
+    if args.workers < 1:
+        raise PreconditionError(f"--workers {args.workers} is less than 1")
     manifest, blob, C1 = _load_instance(args.manifest)
     if args.kind == "kappa":        # every field is read before anything is built
         d1, s1 = (_field(manifest, f"derived.{key}") for key in ("delta1", "sigma1"))

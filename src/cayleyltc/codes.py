@@ -114,7 +114,7 @@ class LinearCode:
         if self._distance is None:
             _check_distance_budget(self.k)
             table = f2core._xor_table(self.generator.words)
-            self._distance = int(f2core._popcount(table[1:]).sum(axis=1).min())
+            self._distance = int(np.bitwise_count(table[1:]).sum(axis=1).min())
         return self._distance
 
     def normalized_distance(self) -> float:

@@ -65,10 +65,6 @@ def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return bits[..., :n]
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words)
-
-
 class BitVector:
     """A word in GF(2)^n, bit-packed."""
 
@@ -98,7 +94,7 @@ class BitVector:
         return _unpack_bits(self.words, self.n)
 
     def weight(self) -> int:
-        return int(_popcount(self.words).sum())
+        return int(np.bitwise_count(self.words).sum())
 
     def __len__(self) -> int:
         return self.n
@@ -163,7 +159,7 @@ class BitMatrix:
             return BitVector.zeros(0)
         # the parity of a row's popcounts is the parity of their XOR's popcount
         folded = np.bitwise_xor.reduce(self.words & v.words[None, :], axis=1)
-        out = (_popcount(folded) & 1).astype(np.uint8)
+        out = (np.bitwise_count(folded) & 1).astype(np.uint8)
         return BitVector(out)
 
     def stack(self, other: "BitMatrix") -> "BitMatrix":
@@ -314,7 +310,7 @@ def _leading_bits(words: np.ndarray) -> np.ndarray:
     w = (words != 0).argmax(axis=1)
     low = words[np.arange(len(words)), w]
     low &= ~low + np.uint64(1)
-    return 64 * w + _popcount(low - np.uint64(1)).astype(np.intp)
+    return 64 * w + np.bitwise_count(low - np.uint64(1)).astype(np.intp)
 
 
 def _kernel_words(R: np.ndarray, n: int) -> np.ndarray:

@@ -17,9 +17,11 @@ a codeword; otherwise the word is declared far and the final dispute set
 supports the counting diagnostics n1, n_par, n2, n2'.  The state is one
 candidate id per vertex, whose rows and columns carry line ids; each edge's
 two line slots are computed once per tester, so Delta is two gathers and a
-compare.  The start state is every vertex's nearest local codeword: a lookup
-of its view on an information set of the local code, else a distance scan,
-one array pass per fiber pattern.  Its first evaluation covers only the
+compare.  All vertices share one candidate table, and a per-pattern penalty
+bars the candidates that are not fiber-constant at a vertex.  The start
+state is every vertex's nearest local codeword: a lookup of its view on an
+information set of the local code, else a distance scan, one blocked array
+pass over all the other vertices.  Its first evaluation covers only the
 endpoints of its disputed edges; every other vertex has nothing to gain.
 
 kappa_experiment and decode_experiment run seeded trials, one RNG stream
@@ -123,7 +125,7 @@ class SquareCodeTester:
         self._edge_slots = np.stack([lbl * X.n_vertices + g,
                                      X.label_inv[lbl] * X.n_vertices + X.vert_image[lbl, g]])
         self._edge_slots.flags.writeable = False     # shared by threads
-        self._pattern_of = None      # set last by _ensure_tables, with _pattern_*
+        self._pattern_of = None      # set last by _ensure_tables
         self._table_lock = threading.Lock()   # decode trials may share a tester
 
     # -- tester ------------------------------------------------------------
@@ -165,15 +167,20 @@ class SquareCodeTester:
     # -- decoder tables -----------------------------------------------------
 
     def _ensure_tables(self):
-        """Candidate table, line ids, per-pattern decoder tables and the
-        information-set key.
+        """Candidate table, line table, per-pattern masks and penalties, and
+        the information-set key.
 
         A vertex's fiber pattern is key[j] = the first slot i of its r x r
         view that carries the same square as slot j.  Vertices with equal
-        keys share their distinct-square positions (first slots) and their
-        fiber-constant candidates.  A candidate's lines are its r rows and
-        r columns; a line id names a distinct bit line, so two views agree
-        on an edge iff the edge's two lines have equal ids.
+        keys share their distinct-square positions (first slots, _first) and
+        their fiber-constant codewords.  The candidates are the codewords
+        fiber-constant for some pattern, in lexicographic order; _outside[p]
+        is 0 on pattern p's and r^2 + 2r + 1 on the others, so a barred one,
+        scoring at least -r^2, always loses to the zero word, which every
+        pattern holds (score 0 in the distance pass, at most 2r in Delta's).
+        A candidate's lines are its r rows and r columns; a line id names a
+        distinct bit line, so two views agree on an edge iff the edge's two
+        lines have equal ids.
         """
         if self._pattern_of is not None:
             return
@@ -186,9 +193,8 @@ class SquareCodeTester:
                     f"local code dimension k1^2 = {k0} exceeds the nearest-codeword "
                     f"search budget {NEAREST_SEARCH_MAX_DIM}; the greedy loop needs "
                     f"an enumerable local code")
-            cand = self.C0.codewords()                        # (n_cand, r^2)
-            order = np.lexsort(cand.T[::-1])                  # lexicographic
-            cand = np.ascontiguousarray(cand[order])
+            words = self.C0.codewords()                       # (2^k0, r^2)
+            words = words[np.lexsort(words.T[::-1])]          # lexicographic
             n, r, r2 = self.X.n_vertices, self.r, self.r * self.r
             keys = np.empty((n, r2), dtype=np.min_scalar_type(r2 - 1))
             step = max(1, DECODE_BLOCK // (r2 * r2))
@@ -199,65 +205,56 @@ class SquareCodeTester:
             key_rows = keys.view(np.dtype((np.void, keys.itemsize * r2))).ravel()
             _, first_vertex, pattern_of = np.unique(
                 key_rows, return_index=True, return_inverse=True)
+            keys = keys[first_vertex].astype(np.intp)         # (pattern, r^2)
+            member = np.stack([(words[:, key] == words).all(axis=1) for key in keys])
+            kept = member.any(axis=0)
+            cand = words[kept]
+            # int16 holds r^2 + 4r + 1 up to r = 179, past which one key block is > 1 GB
+            outside = np.where(member[:, kept], 0, r2 + 2 * r + 1).astype(np.int16)
 
             # lines 0..r-1 are the rows, r..2r-1 the columns, as the labels
             grids = cand.reshape(-1, r, r)
-            lines = np.ascontiguousarray(
-                np.concatenate([grids, grids.transpose(0, 2, 1)], axis=1))
+            lines = np.concatenate([grids, grids.transpose(0, 2, 1)], axis=1)
             distinct, line_ids = np.unique(
                 lines.reshape(-1, r).view(np.dtype((np.void, r))), return_inverse=True)
-            id_type = np.min_scalar_type(-len(distinct))    # signed: -1 pads
-            cand_lines = line_ids.reshape(len(cand), 2 * r).astype(id_type)
+            line_table = line_ids.reshape(len(cand), 2 * r).T.astype(
+                np.min_scalar_type(len(distinct) - 1), order="C")
 
-            scans, members = [], []    # per pattern: slots a, b, projection, weights
-            for key in keys[first_vertex].astype(np.intp):
-                first = np.flatnonzero(key == np.arange(r2))
-                ids = np.flatnonzero((cand[:, key] == cand).all(axis=1))
-                proj = cand[ids][:, first]
-                scans.append((*np.divmod(first, r), proj.T.astype(np.float64),
-                              proj.sum(axis=1, dtype=np.float64)))
-                members.append(ids)
-            # padded per-pattern tables: a -1 line mismatches every edge, and
-            # real candidates come first, so padding never wins an argmin
-            c_max = max(len(ids) for ids in members)
-            pattern_ids = np.full((len(scans), c_max), -1, dtype=np.int64)
-            pattern_lines = np.full((len(scans), 2 * r, c_max), -1, dtype=id_type)
-            for p, ids in enumerate(members):
-                pattern_ids[p, :len(ids)] = ids
-                pattern_lines[p, :, :len(ids)] = cand_lines[ids].T
-
-            # an information set of C0: its codewords differ on these slots
+            # an information set of C0: its codewords differ on these slots;
+            # keys of the codewords no vertex holds name the zero word, which
+            # their views never equal
             key_slots = self.C0.information_set
             key_weights = np.left_shift(1, np.arange(k0, dtype=np.int64))
-            key_table = np.empty(1 << k0, dtype=np.int32)
+            key_table = np.zeros(1 << k0, dtype=np.int32)
             key_table[cand[:, key_slots] @ key_weights] = np.arange(len(cand))
 
             self._cand_flat = cand
-            self._cand_lines = cand_lines
-            self._pattern_scans = scans
-            self._pattern_ids = pattern_ids
-            self._pattern_lines = pattern_lines
+            self._cand_t = cand.T.astype(np.float64)
+            self._lines = line_table                  # (2r, candidate)
+            self._first = (keys == np.arange(r2)).astype(np.float64)
+            self._outside = outside
             self._key = (key_slots, key_weights, key_table)
             self._pattern_of = pattern_of.reshape(-1)   # last: tables built
 
-    def _nearest_in_pattern(self, f_bits: np.ndarray, p: int,
-                            verts: np.ndarray) -> np.ndarray:
-        """Candidate ids of the nearest local codewords at verts, all of
-        fiber pattern p.
+    def _nearest(self, f_bits: np.ndarray, verts: np.ndarray) -> np.ndarray:
+        """Candidate ids of the nearest local codewords at verts.
 
         The distance of a 0/1 view v to a candidate c on the distinct
-        squares is wt(v) + wt(c) - 2<v, c>, exact in float64 at these
-        sizes; argmin keeps the first (lexicographically least) minimum.
+        squares (first slots) is wt(v) + wt(c) - 2<v, c> there; dropping
+        wt(v), it is (first - 2 first v) . c, exact in float64 at these
+        sizes, plus the pattern's penalty off its own candidates.  argmin
+        keeps the first (lexicographically least) minimum.
         """
-        a, b, proj_t, cand_wt = self._pattern_scans[p]
+        r2 = self.r * self.r
         out = np.empty(len(verts), dtype=np.int64)
-        step = max(1, DECODE_BLOCK // max(len(cand_wt), len(a)))
+        step = max(1, DECODE_BLOCK // max(len(self._cand_flat), r2))
         for lo in range(0, len(verts), step):
             v = verts[lo:lo + step]
-            views = f_bits[self._grid[a[None, :], v[:, None], b[None, :]]]
-            dists = (views.sum(axis=1, dtype=np.float64)[:, None] + cand_wt
-                     - 2 * (views @ proj_t))
-            out[lo:lo + step] = self._pattern_ids[p, dists.argmin(axis=1)]
+            p = self._pattern_of[v]
+            views = f_bits[self._grid[:, v, :]].transpose(1, 0, 2).reshape(-1, r2)
+            first = self._first[p]
+            dists = (first - 2 * first * views) @ self._cand_t + self._outside[p]
+            out[lo:lo + step] = dists.argmin(axis=1)
         return out
 
     def _lookup(self, f_bits: np.ndarray) -> np.ndarray:
@@ -282,19 +279,15 @@ class SquareCodeTester:
         tensor codeword to f's view at g, distance on distinct squares,
         ties to the lexicographically least grid."""
         self._ensure_tables()
-        p = int(self._pattern_of[g])
-        return int(self._nearest_in_pattern(f_bits, p, np.array([g]))[0])
+        return int(self._nearest(f_bits, np.array([g]))[0])
 
     def nearest_local_codewords(self, f_bits: np.ndarray) -> np.ndarray:
         """nearest_local_codeword at every vertex: a key lookup, then one
-        array pass per pattern over the vertices whose view is no codeword."""
+        blocked pass over the vertices whose view is no codeword."""
         self._ensure_tables()
         out = self._lookup(f_bits)
         miss = np.flatnonzero(out < 0)
-        patterns = self._pattern_of[miss]
-        for p in np.unique(patterns):
-            verts = miss[patterns == p]
-            out[verts] = self._nearest_in_pattern(f_bits, p, verts)
+        out[miss] = self._nearest(f_bits, miss)
         return out
 
     def _grid_of(self, ci: np.ndarray) -> np.ndarray:
@@ -321,22 +314,22 @@ class SquareCodeTester:
         """Set gain[v] and best[v] at verts from the state ci: the least
         change of Delta over v's candidates and the first candidate that
         reaches it, or gain 0 where no edge at v is disputed."""
-        lines, pattern_lines = self._cand_lines, self._pattern_lines
-        nbr = lines[ci[self.X.vert_image[:, verts].T], self.X.label_inv]   # (m, 2r)
-        current = (lines[ci[verts]] != nbr).sum(axis=1)
+        lines = self._lines
+        nbr = lines[self.X.label_inv, ci[self.X.vert_image[:, verts].T]]   # (m, 2r)
+        current = (lines[:, ci[verts]].T != nbr).sum(axis=1)
         gain[verts] = 0
         hot = np.flatnonzero(current)
-        step = max(1, DECODE_BLOCK // pattern_lines[0].size)
+        step = max(1, DECODE_BLOCK // lines.size)
         for lo in range(0, len(hot), step):
             h = hot[lo:lo + step]
             v = verts[h]
-            p = self._pattern_of[v]
             # lines lead the candidates: summing over a short leading axis
             # is a few vector adds, not one tiny reduction per candidate
-            mismatch = (pattern_lines[p] != nbr[h, :, None]).sum(axis=1, dtype=np.int16)
+            mismatch = ((lines != nbr[h, :, None]).sum(axis=1, dtype=np.int16)
+                        + self._outside[self._pattern_of[v]])
             k = mismatch.argmin(axis=1)
             gain[v] = mismatch[np.arange(len(h)), k] - current[h]
-            best[v] = self._pattern_ids[p, k]
+            best[v] = k
 
     def decode(self, f) -> DecodeOutcome:
         """Greedy local-view correction.
@@ -349,7 +342,7 @@ class SquareCodeTester:
         """
         X = self.X
         ci = self.nearest_local_codewords(_as_bits(f))
-        disputed = self._line_disagreements(self._cand_lines[ci].T)
+        disputed = self._line_disagreements(self._lines[:, ci])
         delta = delta0 = int(disputed.sum())
         trace = [delta]
         iterations = 0
@@ -370,7 +363,7 @@ class SquareCodeTester:
                 raise AssertionError(
                     f"greedy loop exceeded its certified budget {delta0}")
             if iterations % 64 == 0:
-                assert self._line_disagreements(self._cand_lines[ci].T).sum() == delta, (
+                assert self._line_disagreements(self._lines[:, ci]).sum() == delta, (
                     "incremental Delta drifted")
             self._evaluate(ci, np.append(X.vert_image[:, g], g), gain, best)
 

@@ -60,6 +60,23 @@ def test_build_refuses_a_generator_index_outside_the_group(tmp_path, capsys,
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("group, flags, error", [
+    ("cyclic:5", ["--gens", "1,4", "--subset", "1"], "--subset needs --lps"),
+    ("psl2:29", ["--lps", "5", "--gens", "1,2"],
+     "--gens and --gens-b cannot be given with --lps"),
+    ("psl2:29", ["--lps", "5", "--gens-b", "1,2"],
+     "--gens and --gens-b cannot be given with --lps")])
+def test_build_refuses_generator_flags_it_would_ignore(tmp_path, capsys, group,
+                                                       flags, error):
+    out = tmp_path / "x"
+    rc = main(["build", "--group", group, *flags, "--base", "rep:2",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == json.dumps({"error": error}) + "\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_build_rejects_bad_group(tmp_path):
     assert main(["build", "--group", "dihedral:5", "--gens", "1",
                  "--base", "rep:2", "--out", str(tmp_path / "x")]) == 2
@@ -228,6 +245,24 @@ def test_experiment_weights_are_parsed_before_any_artifact_is_read(tmp_path, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": f"--weights {weights!r} is not w or lo,hi"}
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--trials", "-3", "--trials -3 is negative"),
+    ("--workers", "0", "--workers 0 is less than 1"),
+    ("--workers", "-2", "--workers -2 is less than 1")])
+def test_experiment_trials_and_workers_are_checked_before_any_artifact_is_read(
+        tmp_path, capsys, flag, value, error):
+    # the manifest does not exist: the count is refused before it is opened
+    counts = {"--trials": "1", "--workers": "1", flag: value}
+    rc = main(["experiment", str(tmp_path / "missing.json"), "--kind", "decode",
+               "--trials", counts["--trials"], "--workers", counts["--workers"],
+               "--out", str(tmp_path / "runs" / "e")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": error}
     assert not (tmp_path / "runs").exists()
 
 

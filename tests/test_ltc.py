@@ -541,19 +541,24 @@ def test_kappa_experiment_runs_no_syndrome_or_elimination(monkeypatch, p13_insta
 @functools.cache
 def vertex_candidates(tester):
     """Reference: per vertex, its distinct squares, their first slots in
-    its view, and the ids of the tensor codewords, in lexicographic order,
-    that are constant on each fiber (slots carrying one square)."""
-    cand = tester.C0.codewords()
-    cand = cand[np.lexsort(cand.T[::-1])]
-    tester._ensure_tables()
-    assert np.array_equal(cand, tester._cand_flat)
-    out = []
+    its view, and the ids of the tensor codewords that are constant on each
+    fiber (slots carrying one square).  The ids index the codewords that
+    are fiber-constant at some vertex, in lexicographic order: the tester's
+    candidates, on which its pattern penalty is 0 exactly at the vertex's."""
+    words = tester.C0.codewords()
+    words = words[np.lexsort(words.T[::-1])]
+    views = []
     for g in range(tester.X.n_vertices):
         flat = tester.X.squares_of_vertex(g).ravel()
         _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-        ok = np.nonzero((cand == cand[:, first][:, inverse]).all(axis=1))[0]
-        out.append((flat[first], first, ok))
-    return out
+        views.append((flat[first], first, (words == words[:, first][:, inverse]).all(axis=1)))
+    kept = np.any([ok for *_, ok in views], axis=0)
+    tester._ensure_tables()
+    assert np.array_equal(words[kept], tester._cand_flat)
+    for g, (*_, ok) in enumerate(views):
+        assert np.array_equal(tester._outside[tester._pattern_of[g]] == 0, ok[kept])
+    ids = np.cumsum(kept) - 1
+    return [(squares, first, ids[ok]) for squares, first, ok in views]
 
 
 def per_vertex_nearest(tester, f_bits):
@@ -598,17 +603,61 @@ def test_repeated_squares_restrict_the_candidates(start_instances):
     for name, n_cand in (("z5", 2), ("z10", 2**14)):
         tester = start_instances[name]
         tester._ensure_tables()
-        assert tester._pattern_ids.shape == (1, n_cand)
-        slots_a, *_ = tester._pattern_scans[0]
-        assert len(slots_a) < tester.r ** 2
+        assert tester._outside.shape == (1, n_cand) and not tester._outside.any()
+        assert tester._first.shape == (1, tester.r ** 2)
+        assert tester._first.sum() < tester.r ** 2
 
 
 def test_p13_has_13_fiber_patterns(p13_instance):
     tester = p13_instance[3]
     tester._ensure_tables()
-    assert len(tester._pattern_scans) == len(tester._pattern_ids) == 13
+    assert tester._first.shape == (13, 16) and tester._outside.shape == (13, 512)
     assert tester._pattern_of.shape == (p13_instance[0].n_vertices,)
     assert np.bincount(tester._pattern_of).min() > 0
+
+
+def test_candidates_are_the_codewords_fiber_constant_somewhere(start_instances, lps29):
+    # vertex_candidates asserts the candidate table and each pattern's
+    # penalty against its own per-vertex fiber-constant sets
+    rep6 = SquareCodeTester(lps29, repetition_code(6))
+    for tester, n_cand in ((start_instances["p13"], 512), (start_instances["z10"], 2**14),
+                           (rep6, 2)):
+        assert len(vertex_candidates(tester)) == tester.X.n_vertices
+        assert len(tester._cand_flat) == n_cand
+    assert len(start_instances["p13"]._outside) == 13
+    assert (start_instances["p13"]._outside > 0).any()
+
+
+def test_nearest_at_one_vertex_of_every_p13_pattern(start_instances):
+    tester = start_instances["p13"]
+    rng = np.random.default_rng(26)
+    for density in (0.05, 0.3, 0.6):
+        f = (rng.random(tester.n_squares) < density).astype(np.uint8)
+        ref = per_vertex_nearest(tester, f)
+        for p in range(len(tester._outside)):
+            g = int(np.flatnonzero(tester._pattern_of == p)[0])
+            assert tester.nearest_local_codeword(f, g) == ref[g]
+
+
+def test_blocks_that_split_and_mix_patterns_match_the_references(start_instances,
+                                                                  monkeypatch):
+    # 24 vertices a nearest-codeword block and 3 hot vertices an evaluation
+    # block, so both passes split and some blocks mix fiber patterns
+    from cayleyltc import ltc
+
+    tester = start_instances["p13"]
+    tester._ensure_tables()
+    monkeypatch.setattr(ltc, "DECODE_BLOCK", 24 * 512)
+    n = tester.X.n_vertices
+    assert sum(len(np.unique(tester._pattern_of[lo:lo + 24])) > 1
+               for lo in range(0, n, 24)) > 1
+    rng = np.random.default_rng(27)
+    for density in (0.02, 0.4):
+        f = (rng.random(tester.n_squares) < density).astype(np.uint8)
+        assert np.array_equal(tester._nearest(f, np.arange(n)), per_vertex_nearest(tester, f))
+    f = tester.code.random_codeword(rng).to_bits()
+    f[rng.choice(tester.n_squares, size=40, replace=False)] ^= 1
+    assert_decodes_like_reference(tester, f)
 
 
 def test_from_nearest_is_the_decoder_start_state(start_instances):
@@ -826,15 +875,16 @@ def test_decode_matches_reference_on_the_engineered_far_word(start_instances):
     assert out.kind == "far" and out.delta_final == 4
 
 
-def test_decode_matches_reference_at_a_padded_pattern(start_instances):
-    # p13's patterns have different candidate counts, so the short ones are
-    # padded; corrupt the view of a vertex whose pattern is padded
+def test_decode_matches_reference_at_a_penalised_pattern(start_instances):
+    # p13's patterns hold different candidate sets, and each pattern's
+    # penalty bars the others'; corrupt the view of a vertex whose pattern
+    # excludes some candidates
     tester = start_instances["p13"]
     tester._ensure_tables()
-    padded = np.flatnonzero((tester._pattern_ids < 0).any(axis=1))
-    assert padded.size
+    penalised = np.flatnonzero((tester._outside > 0).any(axis=1))
+    assert penalised.size
     rng = np.random.default_rng(25)
-    for p in padded[:3]:
+    for p in penalised[:3]:
         g = int(np.flatnonzero(tester._pattern_of == p)[0])
         f = tester.code.random_codeword(rng).to_bits()
         f[np.unique(tester.X.squares_of_vertex(g))[:3]] ^= 1
