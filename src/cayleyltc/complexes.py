@@ -152,12 +152,12 @@ class CayleyComplex:
             raise AssertionError("edge count violates |G|(|A|+|B|)/2")
         if self.n_left_edges * nB + self.n_right_edges * nA != nG * nA * nB:
             raise AssertionError("square-slot total violates |G||A||B|")
-        sizes = np.unique(self.square_class_size)
-        if not np.all(np.isin(sizes, [2, 4])):
+        sizes = self.square_class_size
+        if not ((sizes == 2) | (sizes == 4)).all():
             raise AssertionError("square class sizes must be 2 or 4")
-        if int(self.square_class_size.sum()) != nG * nA * nB:
+        if int(sizes.sum()) != nG * nA * nB:
             raise AssertionError("square classes do not partition the slot triples")
-        if bool((self.square_class_size == 4).all()):
+        if bool((sizes == 4).all()):
             if self.n_squares != nG * nA * nB // 4:
                 raise AssertionError("square count violates |G||A||B|/4 under N2C")
 
@@ -199,6 +199,14 @@ class CayleyComplex:
     def squares_of_vertex(self, g: int) -> np.ndarray:
         """The labelling map iota_g as an (|A|, |B|) grid of square ids."""
         return self.square_id[:, g, :]
+
+    def vertices_of_squares(self, s: np.ndarray) -> np.ndarray:
+        """The sorted distinct vertices whose views hold the squares s: the
+        corners g, ag, gb and agb of each [a,g,b]."""
+        a, g, b = self.square_rep[s].T
+        ag = self.left_perms[a, g]
+        return np.unique(np.concatenate([g, ag, self.right_perms[b, g],
+                                         self.right_perms[b, ag]]))
 
     def edge_slot_table(self) -> np.ndarray:
         """(n_edges, r) square ids when |A| = |B| = r: row e is iota_e, the

@@ -6,8 +6,7 @@ map, lies in the tensor square of the base code, i.e. iff every row and
 column of the view lies in C1.  Each row and column is packed into a line
 code, 8 coordinates a byte, whose syndrome is the XOR of one lookup per byte
 in 256-entry tables of C1's syndromes built once per tester.
-reject_probability computes the exact rejection probability D(f) by a full
-vertex scan.
+reject_probability computes the exact rejection probability D(f).
 
 The decoder keeps one local codeword W_g per vertex (fiber-constant on the
 labelling map, so degenerate vertices where TNC fails are handled), counts
@@ -21,8 +20,14 @@ compare.  All vertices share one candidate table, and a per-pattern penalty
 bars the candidates that are not fiber-constant at a vertex.  The start
 state is every vertex's nearest local codeword: a lookup of its view on an
 information set of the local code, else a distance scan, one blocked array
-pass over all the other vertices.  Its first evaluation covers only the
+pass over the other vertices.  Its first evaluation covers only the
 endpoints of its disputed edges; every other vertex has nothing to gain.
+
+Both read a word f mod 2, and only where its support reaches: a vertex
+whose view misses supp f accepts and keeps candidate 0, the zero word.  So
+the tester and the start state run at the corners of the set squares, and
+Delta and the final checks at the vertices off candidate 0 and their edges;
+a set that reaches a quarter of the vertices is read as whole arrays.
 
 kappa_experiment and decode_experiment run seeded trials, one RNG stream
 per (seed, trial index), so their rows do not depend on the worker count.
@@ -44,11 +49,6 @@ NEAREST_SEARCH_MAX_DIM = 20
 # entries in one temporary of the decoder tables and the nearest-codeword
 # pass (8 MB of float64), so that large instances add no peak memory
 DECODE_BLOCK = 1 << 20
-
-
-def _as_bits(f) -> np.ndarray:
-    """The 0/1 bits of a word given as a BitVector or an array."""
-    return f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)
 
 
 @dataclass
@@ -130,12 +130,33 @@ class SquareCodeTester:
 
     # -- tester ------------------------------------------------------------
 
+    def _word_bits(self, f) -> np.ndarray:
+        """The low bits of a word of |S| entries given as a BitVector or an
+        array; a ValueError on any other length."""
+        bits = (f.to_bits() if isinstance(f, BitVector) else np.asarray(f, np.uint8)) & 1
+        if bits.shape[0] != self.n_squares:
+            raise ValueError(f"word length {bits.shape[0]} != |S| = {self.n_squares}")
+        return bits
+
+    def _reached(self, bits: np.ndarray) -> np.ndarray | None:
+        """The sorted vertices whose views meet the support of the 0/1 word
+        bits, or None, read as every vertex, once 4 |supp| >= |V|: a square
+        lies in the views of at most 4 vertices."""
+        if 4 * np.count_nonzero(bits) >= self.X.n_vertices:
+            return None
+        # nonzero on a bool view is 10x faster than on uint8
+        return self.X.vertices_of_squares(np.flatnonzero(bits.view(bool)))
+
     def reject_vector(self, f) -> np.ndarray:
-        """Boolean per-vertex rejection, all vertices at once."""
-        f_bits = _as_bits(f)
-        if f_bits.shape[0] != self.n_squares:
-            raise ValueError(f"word length {f_bits.shape[0]} != |S| = {self.n_squares}")
-        return self._rejects(f_bits[self._grid])
+        """Boolean per-vertex rejection of f read mod 2.  Only the vertices
+        whose views meet supp f are tested; a zero view accepts."""
+        f_bits = self._word_bits(f)
+        verts = self._reached(f_bits)
+        if verts is None:
+            return self._rejects(f_bits[self._grid])
+        out = np.zeros(self.X.n_vertices, dtype=bool)
+        out[verts] = self._rejects(f_bits[self._grid.take(verts, axis=1)])
+        return out
 
     def _line_codes(self, grid: np.ndarray) -> np.ndarray:
         """(byte, line, vertex) codes of the (a, vertex, b) grid read mod 2:
@@ -158,7 +179,8 @@ class SquareCodeTester:
         return syn.any(axis=(0, 2))
 
     def reject_probability(self, f) -> float:
-        """Exact D(f) by full vertex scan."""
+        """Exact D(f): the rejecting share of all vertices, tested where
+        supp f reaches."""
         return float(self.reject_vector(f).sum()) / self.X.n_vertices
 
     def accepts_everywhere(self, f) -> bool:
@@ -211,6 +233,9 @@ class SquareCodeTester:
             cand = words[kept]
             # int16 holds r^2 + 4r + 1 up to r = 179, past which one key block is > 1 GB
             outside = np.where(member[:, kept], 0, r2 + 2 * r + 1).astype(np.int16)
+            # candidate 0 is the zero word, held at every pattern: a vertex
+            # whose view misses supp f keeps it, and a zero view accepts
+            assert not cand[0].any() and not outside[:, 0].any()
 
             # lines 0..r-1 are the rows, r..2r-1 the columns, as the labels
             grids = cand.reshape(-1, r, r)
@@ -251,42 +276,51 @@ class SquareCodeTester:
         for lo in range(0, len(verts), step):
             v = verts[lo:lo + step]
             p = self._pattern_of[v]
-            views = f_bits[self._grid[:, v, :]].transpose(1, 0, 2).reshape(-1, r2)
+            views = f_bits[self._grid.take(v, axis=1)].transpose(1, 0, 2).reshape(-1, r2)
             first = self._first[p]
             dists = (first - 2 * first * views) @ self._cand_t + self._outside[p]
             out[lo:lo + step] = dists.argmin(axis=1)
         return out
 
-    def _lookup(self, f_bits: np.ndarray) -> np.ndarray:
-        """Per vertex, the candidate its view equals, else -1.
+    def _lookup(self, f_bits: np.ndarray, verts: np.ndarray) -> np.ndarray:
+        """Per vertex of verts, the candidate its view equals, else -1.
 
         The view's bits on the information set name one codeword of C0; a
         view equal to it is a fiber-constant candidate at distance 0, and
         no other candidate is, so it is the vertex's nearest one.
         """
         slots, weights, table = self._key
-        n, r2 = self.X.n_vertices, self.r * self.r
-        out = np.empty(n, dtype=np.int64)
+        r2 = self.r * self.r
+        out = np.empty(len(verts), dtype=np.int64)
         step = max(1, DECODE_BLOCK // r2)
-        for lo in range(0, n, step):
-            views = f_bits[self._grid[:, lo:lo + step, :]].transpose(1, 0, 2).reshape(-1, r2)
+        for lo in range(0, len(verts), step):
+            v = verts[lo:lo + step]
+            views = f_bits[self._grid.take(v, axis=1)].transpose(1, 0, 2).reshape(-1, r2)
             ci = table[views[:, slots] @ weights]
             out[lo:lo + step] = np.where((self._cand_flat[ci] == views).all(axis=1), ci, -1)
         return out
 
-    def nearest_local_codeword(self, f_bits: np.ndarray, g: int) -> int:
+    def nearest_local_codeword(self, f, g: int) -> int:
         """Index into the candidate table of the closest fiber-constant
-        tensor codeword to f's view at g, distance on distinct squares,
-        ties to the lexicographically least grid."""
+        tensor codeword to f's view at g, f read mod 2, distance on distinct
+        squares, ties to the lexicographically least grid."""
         self._ensure_tables()
-        return int(self._nearest(f_bits, np.array([g]))[0])
+        return int(self._nearest(self._word_bits(f), np.array([g]))[0])
 
-    def nearest_local_codewords(self, f_bits: np.ndarray) -> np.ndarray:
-        """nearest_local_codeword at every vertex: a key lookup, then one
-        blocked pass over the vertices whose view is no codeword."""
+    def nearest_local_codewords(self, f) -> np.ndarray:
+        """nearest_local_codeword at every vertex: candidate 0, the zero
+        word, where f's view is zero; at the vertices that supp f reaches a
+        key lookup, then one blocked pass over those whose view is no
+        codeword."""
         self._ensure_tables()
-        out = self._lookup(f_bits)
-        miss = np.flatnonzero(out < 0)
+        f_bits = self._word_bits(f)
+        verts = self._reached(f_bits)
+        if verts is None:
+            verts = np.arange(self.X.n_vertices)
+        found = self._lookup(f_bits, verts)
+        out = np.zeros(self.X.n_vertices, dtype=np.int64)
+        out[verts] = found
+        miss = verts[found < 0]
         out[miss] = self._nearest(f_bits, miss)
         return out
 
@@ -297,17 +331,24 @@ class SquareCodeTester:
 
     # -- decoder ------------------------------------------------------------
 
-    def _edge_disagreements(self, wgrid: np.ndarray) -> np.ndarray:
-        """Boolean per edge: the two endpoint views differ on the edge."""
-        return self._line_disagreements(self._line_codes(wgrid))
+    def _off_zero(self, ci: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """V1, the sorted vertices whose candidate is not 0, the zero word,
+        and the sorted edges at them, where two views can differ; (None,
+        None), read as every vertex and edge, once 4 |V1| >= |V|."""
+        v1 = np.flatnonzero(ci)
+        if 4 * len(v1) >= self.X.n_vertices:
+            return None, None
+        return v1, np.unique(self.X.edge_at[:, v1])
 
-    def _line_disagreements(self, lines: np.ndarray) -> np.ndarray:
-        """Boolean per edge: its line at one endpoint differs from its line at
-        the other.  lines[..., l, g] is vertex g's line of label l (row l of
-        its view, column l - r for l >= r): an id, or a line code's bytes."""
+    def _disputed(self, lines: np.ndarray, edges: np.ndarray | None) -> np.ndarray:
+        """The sorted ids of the edges, among `edges` or all if None, whose
+        line at one endpoint differs from their line at the other.
+        lines[..., l, g] is vertex g's line of label l (row l of its view,
+        column l - r for l >= r): an id, or a line code's bytes."""
         flat = lines.reshape(-1, 2 * self.r * self.X.n_vertices)
-        mine, other = self._edge_slots
-        return (flat[:, mine] != flat[:, other]).any(axis=0)
+        slots = self._edge_slots if edges is None else self._edge_slots.take(edges, axis=1)
+        differ = (flat[:, slots[0]] != flat[:, slots[1]]).any(axis=0)
+        return np.flatnonzero(differ) if edges is None else edges[differ]
 
     def _evaluate(self, ci: np.ndarray, verts: np.ndarray,
                   gain: np.ndarray, best: np.ndarray) -> None:
@@ -339,17 +380,20 @@ class SquareCodeTester:
         whose best replacement strictly reduces Delta.  A step at g changes
         only the evaluations at g and its neighbours, so only those are
         recomputed; this is the ascending scan restarted after each change.
+
+        Two zero words agree on their edge, so Delta and the final checks
+        read only the edges and squares at the vertices off candidate 0.
         """
-        X = self.X
-        ci = self.nearest_local_codewords(_as_bits(f))
-        disputed = self._line_disagreements(self._lines[:, ci])
-        delta = delta0 = int(disputed.sum())
+        X, n = self.X, self.X.n_vertices
+        ci = self.nearest_local_codewords(f)
+        disputed = self._disputed(self._lines[:, ci], self._off_zero(ci)[1])
+        delta = delta0 = len(disputed)
         trace = [delta]
         iterations = 0
         gain = np.zeros(X.n_vertices, dtype=np.int64)
         best = np.zeros(X.n_vertices, dtype=np.int64)
         # a vertex with no disputed edge keeps gain 0, as _evaluate would set
-        self._evaluate(ci, np.unique(self._edge_slots[:, disputed] % X.n_vertices), gain, best)
+        self._evaluate(ci, np.unique(self._edge_slots[:, disputed] % n), gain, best)
         while delta > 0:
             negative = np.flatnonzero(gain < 0)
             if not negative.size:
@@ -363,22 +407,34 @@ class SquareCodeTester:
                 raise AssertionError(
                     f"greedy loop exceeded its certified budget {delta0}")
             if iterations % 64 == 0:
-                assert self._line_disagreements(self._lines[:, ci]).sum() == delta, (
+                assert len(self._disputed(self._lines[:, ci], None)) == delta, (
                     "incremental Delta drifted")
             self._evaluate(ci, np.append(X.vert_image[:, g], g), gain, best)
 
-        wgrid = self._grid_of(ci)
-        fresh = self._edge_disagreements(wgrid)
-        assert int(fresh.sum()) == delta, "incremental Delta drifted"
+        # the fresh count on the line codes of the views; the zero word's are 0
+        v1, edges = self._off_zero(ci)
+        at = slice(None) if v1 is None else v1
+        wgrid = self._grid_of(ci[at])
+        codes = np.zeros((len(self._syn_tables), 2 * self.r, n), dtype=np.uint8)
+        codes[:, :, at] = self._line_codes(wgrid)
+        fresh = self._disputed(codes, edges)
+        assert len(fresh) == delta, "incremental Delta drifted"
 
         if delta > 0:
             return DecodeOutcome(
                 kind="far", word=None, iterations=iterations,
                 delta_initial=delta0, delta_final=delta, delta_trace=trace,
-                disputed_edges=np.nonzero(fresh)[0])
-        rep = X.square_rep
-        F = wgrid[rep[:, 0], rep[:, 1], rep[:, 2]]
-        if not (F[self._grid] == wgrid).all():
+                disputed_edges=fresh)
+        # F from the views at V1, every other view being the zero word; the
+        # views are consistent iff F's view is the candidate at V1 and zero
+        # at the other vertices that supp F reaches
+        squares = self._grid[:, at, :]
+        F = np.zeros(self.n_squares, dtype=np.uint8)
+        F[squares] = wgrid
+        reached = self._reached(F)
+        zero = np.flatnonzero(ci == 0) if reached is None else reached[ci[reached] == 0]
+        if not ((F[squares] == wgrid).all()
+                and not F[self._grid.take(zero, axis=1)].any()):
             raise AssertionError("zero-Delta views are not globally consistent")
         word = BitVector(F)
         if self.code is not None and not self.code.contains(word):

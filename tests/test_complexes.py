@@ -398,3 +398,31 @@ def test_build_peak_memory_is_bounded_by_its_tables():
     finally:
         tracemalloc.stop()
     assert peak < 2 * sum(getattr(x, name).nbytes for name in TABLES)
+
+
+@pytest.mark.parametrize("name", ["z3", "z4", "z5", "z12", "p13", "z64"])
+def test_vertices_of_squares_are_the_views_that_hold_them(request, name):
+    # z3 repeats squares in a view, z4 and z64 (generator 32) fail N2C
+    X = {"z4": lambda: toy(4, (2,)), "z64": lambda: toy(64, (1, 63, 32))}.get(
+        name, lambda: request.getfixturevalue(name))()
+    holds = [set(np.nonzero((X.square_id == s).any(axis=(0, 2)))[0].tolist())
+             for s in range(X.n_squares)]
+    for s in range(X.n_squares):
+        assert X.vertices_of_squares(np.array([s])).tolist() == sorted(holds[s])
+    rng = np.random.default_rng(3)
+    for size in (0, 2, 7):
+        squares = rng.choice(X.n_squares, size=min(size, X.n_squares), replace=False)
+        got = X.vertices_of_squares(squares)
+        assert got.tolist() == sorted(set().union(*(holds[s] for s in squares)))
+
+
+@pytest.mark.parametrize("size, holds", [(3, False), (1, False), (0, False), (4, True)])
+def test_verify_counts_refuses_a_class_size_other_than_2_or_4(size, holds):
+    X = toy(5, (1, 4))
+    X.square_class_size = X.square_class_size.copy()
+    X.square_class_size[0] = size
+    if holds:
+        X.verify_counts()
+    else:
+        with pytest.raises(AssertionError, match="2 or 4"):
+            X.verify_counts()

@@ -210,6 +210,14 @@ def test_line_codes_span_two_bytes_at_r15(z32_r15):
     assert got[0] and np.array_equal(got, tensordot_rejects(tester, f))
 
 
+def edge_disagreements(tester, wgrid):
+    """Boolean per edge: the two endpoint views in the (a, g, b) grid wgrid
+    differ on the edge, compared through their line codes."""
+    out = np.zeros(tester.X.n_edges, dtype=bool)
+    out[tester._disputed(tester._line_codes(wgrid), None)] = True
+    return out
+
+
 def edge_ids_differ(X, lines, e):
     """Reference: edge e's two endpoints carry different ids on it, lines[l, g]
     the id of vertex g's row l (l < r) or column l - r."""
@@ -233,11 +241,13 @@ def test_line_disagreements_match_the_per_edge_references(request, name):
     for density in (0.02, 0.5, 0.98):
         wgrid = (rng.random((X.nA, X.n_vertices, X.nA)) < density).astype(np.uint8)
         ref = [edge_view_differs(X, wgrid, e) for e in range(X.n_edges)]
-        assert tester._edge_disagreements(wgrid).tolist() == ref
+        assert edge_disagreements(tester, wgrid).tolist() == ref
     for dtype, hi in ((np.int8, 3), (np.int16, 1000), (np.int64, 2)):
         lines = rng.integers(-1, hi, (2 * X.nA, X.n_vertices)).astype(dtype)
         ref = [edge_ids_differ(X, lines, e) for e in range(X.n_edges)]
-        assert tester._line_disagreements(lines).tolist() == ref
+        assert tester._disputed(lines, None).tolist() == np.flatnonzero(ref).tolist()
+        edges = np.flatnonzero(rng.random(X.n_edges) < 0.5)
+        assert tester._disputed(lines, edges).tolist() == [e for e in edges if ref[e]]
 
 
 # -- decoder ------------------------------------------------------------------
@@ -410,7 +420,7 @@ def test_local_assignment_glued_codewords():
     tester = SquareCodeTester(X, C1, code)
     phase = np.array([1 <= g <= 10 for g in range(20)], dtype=np.uint8)
     wgrid = np.broadcast_to(phase[None, :, None], (2, 20, 2)).copy()
-    assert int(tester._edge_disagreements(wgrid).sum()) == 4
+    assert int(edge_disagreements(tester, wgrid).sum()) == 4
     assert all(local_view_valid(tester, wgrid, g) for g in range(20))
 
 
@@ -423,7 +433,7 @@ def test_local_assignment_from_nearest_matches_decoder_start(z12_instance):
     f = c ^ e
     wgrid = tester._grid_of(tester.nearest_local_codewords(f))
     out = tester.decode(f)
-    assert out.delta_initial == int(tester._edge_disagreements(wgrid).sum())
+    assert out.delta_initial == int(edge_disagreements(tester, wgrid).sum())
 
 
 # -- tester params and kappa experiments -------------------------------------
@@ -590,7 +600,7 @@ def test_nearest_local_codewords_match_per_vertex(start_instances, name,
         f = tester.code.random_codeword(rng).to_bits()
         f[rng.integers(tester.n_squares)] ^= 1
         tester._ensure_tables()
-        assert (tester._lookup(f) >= 0).any()
+        assert (tester._lookup(f, np.arange(tester.X.n_vertices)) >= 0).any()
     ci = tester.nearest_local_codewords(f)
     assert np.array_equal(ci, per_vertex_nearest(tester, f))
     for g in rng.choice(tester.X.n_vertices, size=3):
@@ -673,7 +683,7 @@ def test_from_nearest_is_the_decoder_start_state(start_instances):
             for g in range(tester.X.n_vertices):
                 assert np.array_equal(wgrid[:, g, :].ravel(), ref[g])
             assert (tester.decode(f).delta_initial
-                    == int(tester._edge_disagreements(wgrid).sum()))
+                    == int(edge_disagreements(tester, wgrid).sum()))
 
 
 def test_decode_experiment_summarises_its_trials(z12_instance):
@@ -826,7 +836,7 @@ def reference_decode(tester, f_bits):
             break
         if not improved:
             break
-    assert delta == int(tester._edge_disagreements(wgrid).sum())
+    assert delta == int(edge_disagreements(tester, wgrid).sum())
     if delta > 0:
         return "far", iterations, delta0, trace, None, np.nonzero(disagree)[0]
     rep = X.square_rep
@@ -834,8 +844,10 @@ def reference_decode(tester, f_bits):
 
 
 def assert_decodes_like_reference(tester, f):
+    """decode(f) against reference_decode on f's low bits."""
     out = tester.decode(f)
-    kind, iterations, delta0, trace, word, disputed = reference_decode(tester, f)
+    kind, iterations, delta0, trace, word, disputed = reference_decode(
+        tester, np.asarray(f, dtype=np.uint8) & 1)
     assert (out.kind, out.iterations, out.delta_initial, out.delta_trace) == (
         kind, iterations, delta0, trace)
     assert out.delta_final == trace[-1]
@@ -909,3 +921,202 @@ def test_decode_matches_reference_on_sparse_lps29_words(lps29):
         assert out.delta_initial > 0
         kinds.add(out.kind)
     assert "codeword" in kinds
+
+
+# -- the tester and decoder only where a word's support reaches ----------------
+
+
+@pytest.fixture(scope="module")
+def z200():
+    """The 200-cycle with rep:2: an arc of a few squares is a sparse far word."""
+    X = toy(200, (1, 199))
+    return SquareCodeTester(X, repetition_code(2), square_code(X, repetition_code(2)))
+
+
+@pytest.fixture(scope="module")
+def z64_n2c():
+    """Z_64 with generators +-1 and 32: 32 is an involution in B, so N2C fails
+    and some squares have class size 2."""
+    X = toy(64, (1, 63, 32))
+    assert not X.check_conditions().n2c and (X.square_class_size == 2).any()
+    return SquareCodeTester(X, repetition_code(3), square_code(X, repetition_code(3)))
+
+
+def count_local_passes(monkeypatch, tester):
+    """A list that gains one entry per support-limited pass of the tester."""
+    calls = []
+    real = tester.X.vertices_of_squares
+    monkeypatch.setattr(tester.X, "vertices_of_squares",
+                        lambda s: calls.append(len(s)) or real(s))
+    return calls
+
+
+def assert_like_references(tester, f):
+    """reject_vector, nearest_local_codewords and decode of f against the
+    tensordot, per-vertex and greedy references, on f's low bits."""
+    bits = np.asarray(f, dtype=np.uint8) & 1
+    assert np.array_equal(tester.reject_vector(f), tensordot_rejects(tester, bits))
+    assert np.array_equal(tester.nearest_local_codewords(f), per_vertex_nearest(tester, bits))
+    return assert_decodes_like_reference(tester, f)
+
+
+def sparse_word(tester, rng, n_squares, n_views=0):
+    """Zero outside n_squares random squares and n_views flipped views."""
+    X = tester.X
+    f = np.zeros(X.n_squares, dtype=np.uint8)
+    for g in rng.choice(X.n_vertices, size=n_views, replace=False):
+        f[np.unique(X.squares_of_vertex(int(g)))] = 1
+    f[rng.choice(X.n_squares, size=n_squares, replace=False)] ^= 1
+    return f
+
+
+@pytest.mark.parametrize("name", ["z12", "p13"])
+def test_the_zero_word_and_a_word_of_twos_are_the_zero_word(start_instances, name,
+                                                             monkeypatch):
+    tester = start_instances[name]
+    calls = count_local_passes(monkeypatch, tester)
+    for f in (np.zeros(tester.n_squares, dtype=np.uint8),
+              np.full(tester.n_squares, 2, dtype=np.uint8)):
+        out = assert_like_references(tester, f)
+        assert not tester.reject_vector(f).any()
+        assert not tester.nearest_local_codewords(f).any()
+        assert (out.kind, out.iterations, out.delta_initial) == ("codeword", 0, 0)
+        assert out.word.weight() == 0
+    assert calls and set(calls) == {0}
+
+
+def test_the_passes_switch_to_whole_arrays_at_a_quarter_of_the_vertices(
+        start_instances, monkeypatch):
+    # p13 has 1,092 vertices: 272 set squares take the support-limited
+    # passes, 273 the whole arrays, and both give the references' answers
+    tester = start_instances["p13"]
+    n = tester.X.n_vertices
+    rng = np.random.default_rng(71)
+    for size, local in ((n // 4 - 1, True), (n // 4, False)):
+        calls = count_local_passes(monkeypatch, tester)
+        f = sparse_word(tester, rng, size)
+        assert_like_references(tester, f)
+        assert (size in calls) == local
+    # the decoder's edge and vertex sets switch on the vertices off candidate 0
+    tester._ensure_tables()
+    for size, local in ((n // 4 - 1, True), (n // 4, False)):
+        ci = np.zeros(n, dtype=np.int64)
+        ci[rng.choice(n, size=size, replace=False)] = 1
+        v1, edges = tester._off_zero(ci)
+        if local:
+            assert np.array_equal(v1, np.flatnonzero(ci))
+            assert np.array_equal(edges, np.unique(tester.X.edge_at[:, v1]))
+        else:
+            assert v1 is None and edges is None
+
+
+def test_sparse_far_words_match_the_reference(z200, monkeypatch):
+    # arcs of squares on the 200-cycle: two phases, so the word is far, and
+    # the disputed edges at the arc ends are the reference's
+    X = z200.X
+    calls = count_local_passes(monkeypatch, z200)
+    rng = np.random.default_rng(72)
+    kinds = []
+    for length in (10, 17, 30):
+        f = np.zeros(X.n_squares, dtype=np.uint8)
+        start = int(rng.integers(X.n_vertices))
+        for g in range(start, start + length):
+            f[X.canonical_square(0, g % X.n_vertices, 0)] = 1
+        f[rng.choice(X.n_squares, size=2, replace=False)] ^= 1
+        out = assert_like_references(z200, f)
+        kinds.append(out.kind)
+        if out.kind == "far":
+            assert 0 < len(out.disputed_edges) < 20
+    assert "far" in kinds and calls
+
+
+def test_sparse_words_match_the_references_where_n2c_fails(z64_n2c, monkeypatch):
+    calls = count_local_passes(monkeypatch, z64_n2c)
+    rng = np.random.default_rng(73)
+    for n_squares, n_views in ((1, 0), (3, 0), (0, 1), (2, 1), (15, 0)):
+        assert_like_references(z64_n2c, sparse_word(z64_n2c, rng, n_squares, n_views))
+    assert calls
+
+
+def test_sparse_lps29_words_match_the_references(lps29, monkeypatch):
+    # rep:6 at r = 6, TNC failing: views repeat squares
+    tester = SquareCodeTester(lps29, repetition_code(6))
+    calls = count_local_passes(monkeypatch, tester)
+    rng = np.random.default_rng(74)
+    for n_squares, n_views in ((1, 0), (40, 0), (0, 1), (7, 2)):
+        assert_like_references(tester, sparse_word(tester, rng, n_squares, n_views))
+    assert calls
+
+
+@pytest.mark.parametrize("name", ["p13", "lps29"])
+def test_decode_reads_the_low_bit_of_each_square(start_instances, lps29, name):
+    # entries 2 and 3 read as 0 and 1, as in the tester
+    tester = (start_instances["p13"] if name == "p13"
+              else SquareCodeTester(lps29, repetition_code(6)))
+    rng = np.random.default_rng(75)
+    f = np.zeros(tester.n_squares, dtype=np.uint8)
+    f[int(rng.integers(tester.n_squares))] = 3
+    out = tester.decode(f)
+    assert (out.kind, out.delta_initial) == ("codeword", 0)
+    assert out.word == tester.decode(f & 1).word
+    words = [sparse_word(tester, rng, 6, 1)]
+    if name == "p13":      # a dense word; lps29's reference decode is slow
+        words.append(rng.integers(0, 2, tester.n_squares))
+    for f in words:
+        f = (f + 2 * rng.integers(0, 2, tester.n_squares)).astype(np.uint8)
+        low = assert_like_references(tester, f)
+        bits = tester.decode(f & 1)
+        assert (low.kind, low.iterations, low.delta_trace) == (
+            bits.kind, bits.iterations, bits.delta_trace)
+
+
+def test_words_of_another_length_are_refused(z12_instance):
+    X, _, _, tester = z12_instance
+    for length in (X.n_squares + 5, X.n_squares - 1):
+        f = np.zeros(length, dtype=np.uint8)
+        for call in (tester.decode, tester.nearest_local_codewords,
+                     lambda f: tester.nearest_local_codeword(f, 0)):
+            with pytest.raises(ValueError, match=rf"word length {length} != \|S\| = 12"):
+                call(f)
+
+
+def test_two_threads_decode_sparse_words_on_one_tester(lps29):
+    from concurrent.futures import ThreadPoolExecutor
+
+    tester = SquareCodeTester(lps29, repetition_code(6))
+    rng = np.random.default_rng(76)
+    words = [sparse_word(tester, rng, int(rng.integers(1, 30)), i % 2) for i in range(8)]
+
+    def outcome(f):
+        out = tester.decode(f)
+        return (out.kind, out.iterations, out.delta_trace,
+                None if out.word is None else out.word.to_bits().tobytes(),
+                None if out.disputed_edges is None else out.disputed_edges.tolist(),
+                tester.reject_vector(f).tobytes())
+
+    ref = [outcome(f) for f in words]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(outcome, words))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == ref
+
+
+@pytest.mark.parametrize("name", ["z20", "z200"])
+def test_zero_delta_views_that_disagree_are_refused(start_instances, z200, name,
+                                                    monkeypatch):
+    # with every edge reported agreed, the all-ones views inside an arc and
+    # the zero views around it pass the Delta counts; the final check, over
+    # every vertex on z20 and where supp F reaches on z200, must refuse them
+    tester = z200 if name == "z200" else start_instances[name]
+    X = tester.X
+    f = np.zeros(X.n_squares, dtype=np.uint8)
+    for g in range(10):
+        f[X.canonical_square(0, g, 0)] = 1
+    monkeypatch.setattr(tester, "_disputed",
+                        lambda lines, edges: np.zeros(0, dtype=np.int64))
+    with pytest.raises(AssertionError, match="globally consistent"):
+        tester.decode(f)
