@@ -58,7 +58,7 @@ class LinearCode:
     """
 
     def __init__(self, n: int, generator: BitMatrix, parity: BitMatrix,
-                 provenance: str, params: dict | None):
+                 provenance: str, params: dict | None, dual: bool = False):
         if generator.cols != n or parity.cols != n:
             raise ValueError("generator/parity width must equal the code length")
         self.n = n
@@ -71,7 +71,8 @@ class LinearCode:
         if self.k + parity.rows != n:
             raise ValueError("k + rank(H) != n")
         self.information_set = _information_set(generator)
-        self._check_duality()
+        if not dual:                # else G H^T = 0 is known by construction
+            self._check_duality()
 
     def _check_duality(self):
         if not f2core.rows_orthogonal(self.generator, self.parity):

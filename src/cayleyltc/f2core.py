@@ -313,6 +313,23 @@ def _leading_bits(words: np.ndarray) -> np.ndarray:
     return 64 * w + np.bitwise_count(low - np.uint64(1)).astype(np.intp)
 
 
+def reduced_echelon(M: BitMatrix) -> bool:
+    """Whether M is in reduced row echelon form without zero rows, as row_basis
+    returns it, without elimination: the leading bits strictly increase, and
+    each row meets the pivot columns (the leading bits) in its own only."""
+    W = M.words
+    if not (M.rows and W.any(axis=1).all()):
+        return not M.rows
+    pivots = _leading_bits(W)
+    if not (np.diff(pivots) > 0).all():
+        return False
+    mask = np.zeros(W.shape[1], dtype=np.uint64)
+    np.bitwise_or.at(mask, pivots >> 6, np.uint64(1) << (pivots & 63).astype(np.uint64))
+    step = max(1, PACK_BLOCK // W.shape[1])      # a block of rows at a time
+    return all((np.bitwise_count(W[lo:lo + step] & mask).sum(axis=1) == 1).all()
+               for lo in range(0, len(W), step))
+
+
 def _kernel_words(R: np.ndarray, n: int) -> np.ndarray:
     """Packed kernel basis of the packed rows R of a reduced row echelon
     form with no zero rows; shape (n - len(R), nwords).

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -218,11 +219,17 @@ class SquareCodeTester:
             words = self.C0.codewords()                       # (2^k0, r^2)
             words = words[np.lexsort(words.T[::-1])]          # lexicographic
             n, r, r2 = self.X.n_vertices, self.r, self.r * self.r
+            # a stable sort of each view's square ids puts equal ones in runs,
+            # each led by its first slot; every slot takes its run's leader
             keys = np.empty((n, r2), dtype=np.min_scalar_type(r2 - 1))
             step = max(1, DECODE_BLOCK // (r2 * r2))
             for lo in range(0, n, step):
                 flat = self._grid[:, lo:lo + step, :].transpose(1, 0, 2).reshape(-1, r2)
-                keys[lo:lo + step] = (flat[:, :, None] == flat[:, None, :]).argmax(axis=1)
+                order = flat.argsort(axis=1, kind="stable")
+                ids = np.take_along_axis(flat, order, axis=1)
+                lead = np.arange(r2) * np.insert(ids[:, 1:] != ids[:, :-1], 0, True, axis=1)
+                np.put_along_axis(keys[lo:lo + step], order, np.take_along_axis(
+                    order, np.maximum.accumulate(lead, axis=1), axis=1), axis=1)
             # one bytes object per key row: np.unique(axis=0) sorts ~100x slower
             key_rows = keys.view(np.dtype((np.void, keys.itemsize * r2))).ravel()
             _, first_vertex, pattern_of = np.unique(
@@ -557,13 +564,18 @@ def kappa_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
                 trial_index: int, weight: int, certified_radius: float) -> dict:
     """One corruption trial: f = c + e with wt(e) = weight.
 
-    The trial is certified when weight < certified_radius / 2, in which
-    case dist(f, C) = weight / |S| exactly and the trial contributes to the
-    empirical kappa.
+    The tester is linear and accepts c, so f and e are rejected at the same
+    vertices, and f is a codeword iff e is: e alone is tested, and re-encoded
+    for membership.  The trial is certified when weight < certified_radius / 2,
+    in which case dist(f, C) = weight / |S| exactly and the trial contributes
+    to the empirical kappa.
     """
-    f_bits, rejects = _trial_word(tester, code, seed, trial_index, weight)
+    rng = np.random.default_rng([seed, trial_index])
+    rng.integers(0, 2, size=code.k)                  # c's coefficients
+    e = random_error(rng, code.n, weight)
+    rejects = int(tester.reject_vector(e).sum())
     D = rejects / tester.X.n_vertices
-    in_code = code.contains(BitVector(f_bits))
+    in_code = code.contains(BitVector(e))
     if not in_code:
         assert rejects > 0, "D(f) = 0 must certify membership"
     certified = weight > 0 and weight < certified_radius / 2
@@ -616,7 +628,13 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
         "rows": rows,
     }
     if params.hypotheses_hold and kappa_hat is not None:
-        assert kappa_hat >= params.kappa_proof - 1e-12, (
+        # exact: kappa_hat = rej |S| / (|V| wt), rej = D |V| rounded, against
+        # the bound at the exact values of params' floats
+        n = tester.X.n_vertices
+        exact = min(Fraction(round(row["D"] * n) * code.n, n * row["weight"])
+                    for row in rows if row["certified"])
+        d1, s1, lam = (Fraction(x) for x in (params.delta1, params.sigma1, params.lam))
+        assert exact >= (s1 * d1 / (16 + s1) - lam) / (4 * params.r), (
             f"empirical kappa {kappa_hat} below the proof bound {params.kappa_proof}")
     return report
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cayleyltc import cli, f2core
@@ -854,6 +855,48 @@ def test_rate_loads_a_full_rank_file_out_of_echelon_form(z5_dir, tmp_path, capsy
         "f2mat v1 4 5\n18\n28\n48\n88\n")(m, tmp_path))
     assert main(["analyze", str(path), "--which", "rate"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("which", ["distance", "kappa", "decode"])
+def test_an_echelon_code_file_that_is_not_reduced_is_refused_by_name(
+        z5_dir, tmp_path, capsys, monkeypatch, which):
+    # row 0 of the z5 code file plus row 1: the leads still increase and the
+    # rank is 4, but row 0 meets pivot column 1, so its kernel is not read off
+    _forbid_rebuild(monkeypatch)
+    path = manifest_copy(z5_dir, tmp_path, lambda m: _code_file(
+        "f2mat v1 4 5\nc0\n48\n28\n18\n")(m, tmp_path))
+    assert main(_code_reader(which, path, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "manifest field 'files.code.path' names a code file in echelon "
+                 "form that is not reduced"}
+    assert not (tmp_path / "runs").exists()
+    assert main(["analyze", str(path), "--which", "rate"]) == 0
+
+
+@pytest.mark.parametrize("name", ["z5", "z12", "p13"])
+def test_the_recorded_code_is_read_off_its_reduced_rows(request, monkeypatch, name):
+    # the reference eliminates the file's rows again; the load reads its
+    # kernel off them, with neither an elimination nor the duality product
+    from cayleyltc import codes
+
+    instance_dir = request.getfixturevalue(f"{name}_dir")
+    manifest = json.loads((instance_dir / "manifest.json").read_text())
+    blob = (instance_dir / "complex.cay2.npz").read_bytes()
+    H = f2core.load_matrix((instance_dir / "code.f2mat").read_bytes())
+    ref = codes.LinearCode.from_parity_checks(H, provenance="square")
+    load = cli._recorded_square_code(manifest, str(instance_dir / "manifest.json"), blob)[2]
+
+    def called(*args):
+        raise AssertionError("the recorded code was eliminated or multiplied")
+
+    for fn in ("row_basis", "_echelon_words", "rows_orthogonal", "mul_transpose"):
+        monkeypatch.setattr(f2core, fn, called)
+    code = load()
+    assert np.array_equal(code.generator.words, ref.generator.words)
+    assert code.parity == ref.parity == H and code.k == ref.k == manifest["square_code"]["k"]
+    assert np.array_equal(code.information_set, ref.information_set)
 
 
 def test_a_code_header_is_the_line_build_writes(z5_dir, tmp_path, capsys, monkeypatch):

@@ -170,6 +170,30 @@ def test_row_basis_matches_loop_on_square_checks(toy_instances, name):
         BitMatrix(codes._vertex_wise_checks(X, codes.tensor_code(base))))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 90), st.sampled_from([0, 1, 5, 8, 9, 63, 64, 65, 100, 130, 200]),
+       st.sampled_from(["random", "sparse", "zero_cols", "dup_rows", "low_rank"]),
+       st.integers(0, 2**32 - 1))
+def test_reduced_echelon_holds_exactly_where_row_basis_returns_its_input(m, n, shape, seed):
+    # the input, its reduced echelon form, and that form with a later row
+    # added to an earlier one (unreduced), two rows swapped (leads out of
+    # order) or a zero row appended
+    rng = np.random.default_rng(seed)
+    M = BitMatrix(_random_matrix(rng, m, n, shape))
+    R = f2core.row_basis(M).to_array()
+    cases = [M, BitMatrix(R) if len(R) else BitMatrix.zeros(0, n),
+             BitMatrix(np.vstack([R, np.zeros((1, n), dtype=np.uint8)]))]
+    if len(R) >= 2:
+        i, j = sorted(rng.choice(len(R), size=2, replace=False))
+        added, swapped = R.copy(), R.copy()
+        added[i] ^= R[j]
+        swapped[[i, j]] = R[[j, i]]
+        cases += [BitMatrix(added), BitMatrix(swapped)]
+    for case in cases:
+        assert f2core.reduced_echelon(case) == (f2core.row_basis(case) == case)
+    assert f2core.reduced_echelon(cases[1])
+
+
 def _kernel_basis_loop(M):
     """Reference: one kernel vector per free column, built bit by bit."""
     n = M.cols

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleyltc import f2core
+from cayleyltc import f2core, ltc
 from cayleyltc.codes import (
     LinearCode,
     bch_code,
@@ -545,6 +545,103 @@ def test_kappa_experiment_runs_no_syndrome_or_elimination(monkeypatch, p13_insta
     assert report["rows"] == rows
 
 
+def reference_kappa_trial(tester, code, seed, index, weight):
+    """Reference: trial index's rejects and membership of the word c + e
+    itself, c the codeword its stream draws, tested at every vertex."""
+    rng = np.random.default_rng([seed, index])
+    f = code.random_codeword(rng).to_bits() ^ ltc.random_error(rng, code.n, weight)
+    return int(tester._rejects(f[tester._grid]).sum()), code.contains(f2core.BitVector(f))
+
+
+def kappa_trial_pair(tester, code, seed, index, weight):
+    """(rejects, in_code) of kappa_trial's row."""
+    row = kappa_trial(tester, code, seed, index, weight, 0.0)
+    return round(row["D"] * tester.X.n_vertices), row["in_code"]
+
+
+@pytest.mark.parametrize("name", ["z5", "z12", "p13"])
+def test_error_only_kappa_trials_match_the_codeword_plus_error_trials(
+        toy_instances, p13_instance, name):
+    # p13's weights past |V| / 4 = 273 take the whole-array tester path
+    X, _, code, tester = (p13_instance[:4] if name == "p13" else toy_instances[name])
+    weights = [*range(1, 65), 300, 2000] if name == "p13" else range(1, code.n + 1)
+    for index, w in enumerate(weights):
+        assert (kappa_trial_pair(tester, code, 21, index, w)
+                == reference_kappa_trial(tester, code, 21, index, w))
+
+
+@pytest.mark.parametrize("name", ["z5", "z12", "p13"])
+def test_a_codeword_error_is_in_the_code_and_accepted(toy_instances, p13_instance,
+                                                     monkeypatch, name):
+    # each error a nonzero generator row: f = c + e is a codeword, so the
+    # independent membership check must say so, with D = 0
+    X, _, code, tester = (p13_instance[:4] if name == "p13" else toy_instances[name])
+    rows = code.generator.to_array()
+    monkeypatch.setattr(ltc, "random_error", lambda rng, n, w: rows[w % len(rows)])
+    for index in range(2 * len(rows[:8])):
+        pair = kappa_trial_pair(tester, code, 22, index, index)
+        assert pair == (0, True) == reference_kappa_trial(tester, code, 22, index, index)
+
+
+def test_a_kappa_trial_encodes_no_codeword(z12_instance, monkeypatch):
+    X, C1, code, tester = z12_instance
+    expected = kappa_experiment(tester, code, TesterParams(2, 1.0, 1.0, 0.9),
+                                trials=12, weights=(1, 4), seed=23)
+
+    def encoded(*args):
+        raise AssertionError("a kappa trial encoded a codeword")
+
+    monkeypatch.setattr(LinearCode, "random_codeword", encoded)
+    assert kappa_experiment(tester, code, TesterParams(2, 1.0, 1.0, 0.9),
+                            trials=12, weights=(1, 4), seed=23) == expected
+
+
+@pytest.mark.parametrize("ulps, holds", [(0, True), (1, False)])
+def test_the_kappa_assertion_is_exact_at_equality(z5_instance, ulps, holds):
+    # every weight-1 trial on z5 gives kappa_hat = 3 * 5 / (5 * 1) = 3, and
+    # sigma1 = 16, delta1 = 1 give kappa_proof = (1/2 - lambda) / 8, which is 3
+    # exactly at lambda = -23.5; one float below, kappa_proof exceeds 3 by
+    # less than the 1e-12 the float comparison forgave, and is refused
+    X, C1, code, tester = z5_instance
+    lam = -23.5
+    for _ in range(ulps):
+        lam = float(np.nextafter(lam, -np.inf))
+    params = TesterParams(r=2, delta1=1.0, sigma1=16.0, lam=lam)
+    assert params.hypotheses_hold and 0 <= params.kappa_proof - 3.0 < 1e-12
+
+    def run():
+        return kappa_experiment(tester, code, params, trials=10, weights=(1, 1), seed=12)
+
+    if holds:
+        assert run()["kappa_hat"] == params.kappa_proof == 3.0
+    else:
+        with pytest.raises(AssertionError, match="below the proof bound"):
+            run()
+
+
+@pytest.mark.parametrize("name", ["z5", "z12", "p13"])
+def test_the_exact_kappa_decision_agrees_with_the_float_one(toy_instances, p13_instance,
+                                                           name):
+    # lambda sweeps kappa_proof across the trials' kappa_hat; the hypotheses
+    # hold throughout, and the float comparison with its 1e-12 slack is the
+    # reference away from equality
+    X, _, code, tester = (p13_instance[:4] if name == "p13" else toy_instances[name])
+    trials = 16 if name == "p13" else 8
+    base = kappa_experiment(tester, code, TesterParams(X.nA, 1.0, 16.0, -0.5),
+                            trials=trials, weights=(1, 2), seed=25)
+    assert base["n_certified"] == trials
+    for lam in np.linspace(-8 * X.nA * base["kappa_hat"], 0.4, 9)[1:]:
+        params = TesterParams(X.nA, 1.0, 16.0, float(lam))
+        passes = base["kappa_hat"] >= params.kappa_proof - 1e-12
+        assert params.hypotheses_hold and abs(base["kappa_hat"] - params.kappa_proof) > 1e-9
+        try:
+            kappa_experiment(tester, code, params, trials=trials, weights=(1, 2), seed=25)
+        except AssertionError:
+            assert not passes
+        else:
+            assert passes
+
+
 # -- whole-array start state against the per-vertex reference -----------------
 
 
@@ -624,6 +721,36 @@ def test_p13_has_13_fiber_patterns(p13_instance):
     assert tester._first.shape == (13, 16) and tester._outside.shape == (13, 512)
     assert tester._pattern_of.shape == (p13_instance[0].n_vertices,)
     assert np.bincount(tester._pattern_of).min() > 0
+
+
+def slot_pair_keys(X):
+    """Reference: per vertex, each slot's first slot that carries the same
+    square, from all r^4 slot pairs of its view."""
+    flat = X.square_id.transpose(1, 0, 2).reshape(X.n_vertices, -1)
+    keys = np.empty(flat.shape, dtype=np.intp)
+    for lo in range(0, len(flat), 1024):
+        block = flat[lo:lo + 1024]
+        keys[lo:lo + 1024] = (block[:, :, None] == block[:, None, :]).argmax(axis=1)
+    return keys
+
+
+@pytest.mark.parametrize("name", ["z5", "p13", "x41"])
+def test_sorted_keys_equal_the_slot_pair_keys(start_instances, lps41, name):
+    # the keys fix the patterns, their first slots and their candidates
+    tester = (SquareCodeTester(build_complex(lps41.group, GeneratorSet(
+        lps41.group, lps41.indices, side="left"), GeneratorSet(
+        lps41.group, lps41.indices, side="right")), repetition_code(6))
+        if name == "x41" else start_instances[name])
+    keys = slot_pair_keys(tester.X)
+    patterns, first_vertex, pattern_of = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True)
+    tester._ensure_tables()
+    assert np.array_equal(tester._pattern_of, pattern_of.ravel())
+    assert np.array_equal(tester._first, (patterns == np.arange(tester.r ** 2)).astype(float))
+    words = tester._cand_flat
+    assert np.array_equal(tester._outside == 0, np.stack(
+        [(words[:, key] == words).all(axis=1) for key in patterns]))
+    assert len(patterns) == {"z5": 1, "p13": 13, "x41": 43}[name]
 
 
 def test_candidates_are_the_codewords_fiber_constant_somewhere(start_instances, lps29):
