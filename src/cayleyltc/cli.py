@@ -230,14 +230,10 @@ def _recorded_square_code(manifest: dict, manifest_path: str, blob: bytes):
     echelon = f2core.f2mat_echelon(data)
     def load() -> codes.LinearCode:
         H = f2core.load_matrix(data)
-        if not echelon:
-            code = codes.LinearCode.from_parity_checks(H, provenance="square")
-        elif f2core.reduced_echelon(H):     # as build writes it: G, read off H, is dual to it
-            code = codes.LinearCode(n, f2core.reduced_kernel_basis(H), H, "square", None,
-                                    dual=True)
-        else:
+        if echelon and not f2core.reduced_echelon(H):
             raise PreconditionError("manifest field 'files.code.path' names a code "
                                     "file in echelon form that is not reduced")
+        code = codes.LinearCode.from_parity_checks(H, provenance="square")
         if code.k != k:
             raise PreconditionError(
                 f"manifest field 'square_code.k' differs from the code's dimension {code.k}")

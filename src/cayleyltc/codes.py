@@ -58,7 +58,7 @@ class LinearCode:
     """
 
     def __init__(self, n: int, generator: BitMatrix, parity: BitMatrix,
-                 provenance: str, params: dict | None, dual: bool = False):
+                 provenance: str, params: dict | None):
         if generator.cols != n or parity.cols != n:
             raise ValueError("generator/parity width must equal the code length")
         self.n = n
@@ -71,8 +71,7 @@ class LinearCode:
         if self.k + parity.rows != n:
             raise ValueError("k + rank(H) != n")
         self.information_set = _information_set(generator)
-        if not dual:                # else G H^T = 0 is known by construction
-            self._check_duality()
+        self._check_duality()
 
     def _check_duality(self):
         if not f2core.rows_orthogonal(self.generator, self.parity):
@@ -85,7 +84,7 @@ class LinearCode:
     @classmethod
     def from_parity_checks(cls, rows: BitMatrix, provenance: str = "explicit",
                            params: dict | None = None) -> "LinearCode":
-        H = f2core.row_basis(rows)
+        H = rows if f2core.reduced_echelon(rows) else f2core.row_basis(rows)
         G = f2core.reduced_kernel_basis(H)
         return cls(G.cols, G, H, provenance, params)
 

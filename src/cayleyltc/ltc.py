@@ -225,7 +225,7 @@ class SquareCodeTester:
             step = max(1, DECODE_BLOCK // (r2 * r2))
             for lo in range(0, n, step):
                 flat = self._grid[:, lo:lo + step, :].transpose(1, 0, 2).reshape(-1, r2)
-                order = flat.argsort(axis=1, kind="stable")
+                order = flat.argsort(axis=1, kind="stable").astype(keys.dtype)
                 ids = np.take_along_axis(flat, order, axis=1)
                 lead = np.arange(r2) * np.insert(ids[:, 1:] != ids[:, :-1], 0, True, axis=1)
                 np.put_along_axis(keys[lo:lo + step], order, np.take_along_axis(
@@ -533,13 +533,20 @@ def random_error(rng: np.random.Generator, n: int, w: int) -> np.ndarray:
     return e
 
 
+def _trial_draw(code: LinearCode, seed: int, index: int,
+                weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trial `index`'s draws from its own RNG stream (seed, index): the
+    coefficients of its codeword c, then its error word e, wt(e) = weight."""
+    rng = np.random.default_rng([seed, index])
+    coeffs = rng.integers(0, 2, size=code.k)
+    return coeffs, random_error(rng, code.n, weight)
+
+
 def _trial_word(tester: SquareCodeTester, code: LinearCode, seed: int,
                 index: int, weight: int) -> tuple[np.ndarray, int]:
-    """Trial `index`'s word c + e, wt(e) = weight, from its own RNG stream
-    (seed, index), and the number of vertices that reject it."""
-    rng = np.random.default_rng([seed, index])
-    c = code.random_codeword(rng)
-    f_bits = c.to_bits() ^ random_error(rng, code.n, weight)
+    """Trial `index`'s word c + e and the number of vertices that reject it."""
+    coeffs, e = _trial_draw(code, seed, index, weight)
+    f_bits = BitVector._from_words(code._encode(coeffs == 1), code.n).to_bits() ^ e
     return f_bits, int(tester.reject_vector(f_bits).sum())
 
 
@@ -570,9 +577,7 @@ def kappa_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
     in which case dist(f, C) = weight / |S| exactly and the trial contributes
     to the empirical kappa.
     """
-    rng = np.random.default_rng([seed, trial_index])
-    rng.integers(0, 2, size=code.k)                  # c's coefficients
-    e = random_error(rng, code.n, weight)
+    e = _trial_draw(code, seed, trial_index, weight)[1]
     rejects = int(tester.reject_vector(e).sum())
     D = rejects / tester.X.n_vertices
     in_code = code.contains(BitVector(e))
@@ -633,8 +638,9 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
         n = tester.X.n_vertices
         exact = min(Fraction(round(row["D"] * n) * code.n, n * row["weight"])
                     for row in rows if row["certified"])
-        d1, s1, lam = (Fraction(x) for x in (params.delta1, params.sigma1, params.lam))
-        assert exact >= (s1 * d1 / (16 + s1) - lam) / (4 * params.r), (
+        bound = TesterParams(params.r, *map(Fraction, (
+            params.delta1, params.sigma1, params.lam))).kappa_proof
+        assert exact >= bound, (
             f"empirical kappa {kappa_hat} below the proof bound {params.kappa_proof}")
     return report
 

@@ -247,6 +247,19 @@ def test_random_codeword_matches_row_loop():
             assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
+def test_reduced_parity_checks_are_taken_without_elimination(monkeypatch):
+    # a code's own parity rows are its reduced echelon form: read the
+    # kernel off them directly, to the same generator; other rows eliminate
+    cases = [parity_code(70), repetition_code(3), repetition_code(70), bch_code(6, 9)]
+    monkeypatch.setattr(f2core, "row_basis", lambda rows: pytest.fail("eliminated"))
+    for code in cases:
+        again = LinearCode.from_parity_checks(code.parity)
+        assert again.parity is code.parity and again.generator == code.generator
+    swapped = BitMatrix(cases[3].parity.to_array()[::-1])
+    with pytest.raises(pytest.fail.Exception, match="eliminated"):
+        LinearCode.from_parity_checks(swapped)
+
+
 def test_empty_inputs_give_the_zero_and_the_full_code():
     zero = from_generators(BitMatrix.zeros(0, 6))
     assert (zero.n, zero.k, zero.parity) == (6, 0, BitMatrix(np.eye(6)))

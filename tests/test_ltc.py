@@ -591,9 +591,14 @@ def test_a_kappa_trial_encodes_no_codeword(z12_instance, monkeypatch):
     def encoded(*args):
         raise AssertionError("a kappa trial encoded a codeword")
 
+    # the only encoding left is the membership check's, one per trial
+    calls = []
+    encode = LinearCode._encode
     monkeypatch.setattr(LinearCode, "random_codeword", encoded)
+    monkeypatch.setattr(LinearCode, "_encode", lambda self, c: calls.append(c) or encode(self, c))
     assert kappa_experiment(tester, code, TesterParams(2, 1.0, 1.0, 0.9),
                             trials=12, weights=(1, 4), seed=23) == expected
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("ulps, holds", [(0, True), (1, False)])
