@@ -50,6 +50,24 @@ def _row_valid_matrices(C1: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     return mats, row_codes
 
 
+def _column_distances(C1: LinearCode, W: np.ndarray) -> np.ndarray:
+    """(|W|, |G|) uint8 counts of the columns where each matrix of W (columns
+    in C1) and each column-valid g differ: the nonzero k1-bit digits of the
+    XOR of their names, a column's digit its bits on C1.information_set (its
+    row in C1.codewords()), column 0 highest, so g's name is its index."""
+    r, k1 = C1.n, C1.k
+    shifts = np.arange(k1) + k1 * np.arange(r - 1, -1, -1)[:, None]   # (column, bit)
+    W_id = np.swapaxes(W, 1, 2)[:, :, C1.information_set].reshape(len(W), -1) @ (
+        1 << shifts.ravel())
+    nonzero = (np.indices((1 << k1,) * r) != 0).sum(axis=0, dtype=np.uint8).ravel()
+    ids = np.arange(len(nonzero))
+    D_col = np.empty((len(W), len(ids)), dtype=np.uint8)
+    step = max(1, (1 << 16) // len(ids))             # 512 KB of XORed names a block
+    for lo in range(0, len(W), step):
+        D_col[lo:lo + step] = nonzero[W_id[lo:lo + step, None] ^ ids]
+    return D_col
+
+
 def sigma_exact(C1: LinearCode) -> SigmaResult:
     """sigma(C1), exactly, scanning one row-valid f per coset of C1 (x) C1.
 
@@ -63,7 +81,7 @@ def sigma_exact(C1: LinearCode) -> SigmaResult:
 
     Budget: r * k1 <= 12 (the two spaces have 2^(r k1) elements each).  The
     row and column mismatch counts, at most r, and their sums, at most 2r,
-    are held in uint8, and d_col is summed one column at a time.  Pairs
+    are held in uint8, and d_col is read off _column_distances.  Pairs
     with f = g are excluded; d_rc = 0 for f != g is impossible and treated
     as an error.
     """
@@ -79,8 +97,6 @@ def sigma_exact(C1: LinearCode) -> SigmaResult:
     W = C0.codewords().reshape(-1, r, r)
     pows = (1 << np.arange(r)).astype(np.int64)
     W_rows = W.reshape(-1, r, r) @ pows                          # (|W|, r)
-    W_cols = np.swapaxes(W, 1, 2) @ pows
-    G_cols = np.swapaxes(G, 1, 2) @ pows                         # (|G|, r)
     F_flat = F.reshape(len(F), -1).astype(np.float64)
     G_flat = G.reshape(len(G), -1).astype(np.float64)
     F_wt, G_wt = F_flat.sum(axis=1), G_flat.sum(axis=1)
@@ -94,9 +110,7 @@ def sigma_exact(C1: LinearCode) -> SigmaResult:
 
     # d_row(f,w) and d_col(g,w) as integer row/column mismatch counts
     D_row = (F_rows[reps][:, :, None] != W_rows.T[None]).sum(axis=1, dtype=np.uint8)
-    D_col = np.zeros((len(W), len(G)), dtype=np.uint8)              # (|W|, |G|)
-    for b in range(r):
-        D_col += W_cols[:, b, None] != G_cols[:, b]
+    D_col = _column_distances(C1, W)                                 # (|W|, |G|)
 
     # scan the representatives in order, a block of them at a time; the
     # block keeps the (rep, w, g) temporary under SIGMA_BLOCK entries

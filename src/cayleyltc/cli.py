@@ -125,8 +125,7 @@ def _derived_parameters(X, C1, lam: float, cay2: dict) -> dict:
     derived["n2c"] = cay2["n2c"]
     params = None
     if delta1 is not None and sigma1 is not None:
-        params = ltc.TesterParams(r=X.nA, delta1=float(delta1),
-                                  sigma1=float(sigma1), lam=lam)
+        params = ltc.TesterParams(r=X.nA, delta1=delta1, sigma1=sigma1, lam=lam)
     for key in ("kappa_proof", "kappa_statement", "hypotheses_hold"):
         derived[key] = None if params is None else getattr(params, key)
     return derived
@@ -375,8 +374,8 @@ def cmd_experiment(args) -> int:
     if args.kind == "kappa":        # every field is read before anything is built
         d1, s1 = (_field(manifest, f"derived.{key}") for key in ("delta1", "sigma1"))
         params = ltc.TesterParams(
-            r=C1.n, delta1=(d1[0] / d1[1]) if d1 else 0.0,
-            sigma1=(s1[0] / s1[1]) if s1 else 0.0,
+            r=C1.n, delta1=Fraction(*d1) if d1 else Fraction(0),
+            sigma1=Fraction(*s1) if s1 else Fraction(0),
             lam=_field(manifest, "derived.lambda"))
     try:
         load = _recorded_square_code(manifest, args.manifest, blob)[2]

@@ -2,11 +2,13 @@
 
 Base codes (repetition, parity, BCH), tensor squares, Sipser-Spielman
 Tanner codes on labelled regular graphs, and the square-complex codes whose
-bits live on the squares of a left/right Cayley complex.  The square code
-is eliminated from its edge-wise checks (the length-r base code on every
-edge) alone; that its kernel is the vertex-wise code (the tensor square on
-every vertex) follows from two exact facts checked at construction, one on
-the complex's slot tables and one on the r x r grid.
+bits live on the squares of a left/right Cayley complex.  Every code is its
+parity checks in reduced row echelon form; its generator is read off them
+when first used.  The square code is eliminated from its edge-wise checks
+(the length-r base code on every edge) alone; that its kernel is the
+vertex-wise code (the tensor square on every vertex) follows from two exact
+facts checked at construction, one on the complex's slot tables and one on
+the r x r grid.
 
 Coordinate conventions, used everywhere: tensor coordinates (a, b) are
 serialized row-major with rows indexed by A; "F_2^r (x) C" means every row
@@ -16,6 +18,7 @@ lies in C and "C (x) F_2^r" means every column lies in C.
 from __future__ import annotations
 
 import json
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -28,54 +31,34 @@ from .groups import FiniteGroup, GeneratorSet, Graph
 SQUARE_CODE_COORD_BUDGET = 20000
 
 
-def _information_set(G: BitMatrix) -> np.ndarray:
-    """Columns I with G[:, I] = I_k, I[i] being the first column of weight
-    one whose one lies in row i.
-
-    A column is the unit vector e_i exactly when it has weight one with its
-    one in row i, so such an I exists iff every row has such a column;
-    otherwise this raises ValueError.  Finding one also proves that G has
-    full rank k.
-    """
-    words = G.words
-    if G.rows == 0:
-        return np.zeros(0, dtype=np.intp)
-    # a column has weight >= 2 iff some row meets a column an earlier row set
-    seen = np.bitwise_or.accumulate(words, axis=0)
-    single = seen[-1] & ~np.bitwise_or.reduce(words[1:] & seen[:-1], axis=0)
-    hits = words & single
-    if not hits.any(axis=1).all():
-        raise ValueError("generator is not the identity on any k columns")
-    return f2core._leading_bits(hits)
-
-
 class LinearCode:
-    """A binary linear code with generator and parity-check bases.
+    """A binary linear code, held as its parity checks H in reduced row
+    echelon form without zero rows (k = n - rows), which the constructor
+    certifies; from_parity_checks reduces other checks first.  The
+    generator, read off H on first use, is I_k on H's non-pivot columns,
+    the `information_set`, and H^T on its pivots, so G H^T = 0."""
 
-    The generator is systematic: it is the identity I_k on the columns
-    `information_set`, so a codeword is the sum of the generator rows that
-    its bits there select.
-    """
-
-    def __init__(self, n: int, generator: BitMatrix, parity: BitMatrix,
-                 provenance: str, params: dict | None):
-        if generator.cols != n or parity.cols != n:
-            raise ValueError("generator/parity width must equal the code length")
-        self.n = n
-        self.generator = generator
+    def __init__(self, parity: BitMatrix, provenance: str, params: dict | None):
+        if not f2core.reduced_echelon(parity):
+            raise ValueError("parity checks are not in reduced row echelon form")
+        self.n = parity.cols
         self.parity = parity
-        self.k = generator.rows
+        self.k = parity.cols - parity.rows
         self.provenance = provenance
         self.params = dict(params or {})
+        self.information_set = np.setdiff1d(
+            np.arange(self.n), f2core._leading_bits(parity.words))
         self._distance: int | None = None
-        if self.k + parity.rows != n:
-            raise ValueError("k + rank(H) != n")
-        self.information_set = _information_set(generator)
-        self._check_duality()
+        self._generator: BitMatrix | None = None
+        self._lock = threading.Lock()
 
-    def _check_duality(self):
-        if not f2core.rows_orthogonal(self.generator, self.parity):
-            raise AssertionError("generator/parity duality violated")
+    @property
+    def generator(self) -> BitMatrix:
+        """G, read off H once, under the lock, by the first caller."""
+        with self._lock:
+            if self._generator is None:
+                self._generator = f2core.reduced_kernel_basis(self.parity)
+        return self._generator
 
     def _encode(self, coeffs: np.ndarray) -> np.ndarray:
         """The packed sum of the generator rows selected by the boolean coeffs."""
@@ -85,8 +68,7 @@ class LinearCode:
     def from_parity_checks(cls, rows: BitMatrix, provenance: str = "explicit",
                            params: dict | None = None) -> "LinearCode":
         H = rows if f2core.reduced_echelon(rows) else f2core.row_basis(rows)
-        G = f2core.reduced_kernel_basis(H)
-        return cls(G.cols, G, H, provenance, params)
+        return cls(H, provenance, params)
 
     @property
     def rate(self) -> float:
@@ -333,7 +315,7 @@ def square_code(X: CayleyComplex, C1: LinearCode) -> LinearCode:
     """The code on F_2^S whose view along every edge lies in C1.
 
     Eliminates the edge-wise checks He (C1's checks on the squares est[e]
-    along each edge e) once, for H, G and, through LinearCode, G H^T = 0.
+    along each edge e) once, for H; no generator is derived here.
     Two exact facts, each with its own AssertionError, prove that ker He is
     the kernel of the vertex-wise checks Hv (C0 = tensor_code(C1) on each
     vertex's r x r grid of squares):

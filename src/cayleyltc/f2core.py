@@ -16,10 +16,10 @@ rows; rows with a zero byte are skipped.  rank runs this forward pass, and
 row_basis and kernel_basis add the back pass, last block first, that clears
 the rows above each block's pivots the same way.
 
-No matrix is unpacked whole on the way from checks to a kernel basis and
-its duality product: dense temporaries are slabs of at most PACK_BLOCK
-bytes (1 MB), and the product's tables hold at most PRODUCT_BLOCK words
-(2 MB) at a time.
+No matrix is unpacked whole on the way from checks to a kernel basis: dense
+temporaries are slabs of at most PACK_BLOCK bytes (1 MB), and a product's
+tables hold at most PRODUCT_BLOCK words (2 MB) at a time.  reduced_echelon
+certifies a reduced row echelon form without elimination.
 
 All values are immutable after construction from the caller's perspective;
 the operations below are pure functions.

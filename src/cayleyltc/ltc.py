@@ -54,14 +54,19 @@ DECODE_BLOCK = 1 << 20
 
 @dataclass
 class TesterParams:
-    """Derived tester constants for one instance."""
+    """Derived tester constants for one instance: the bounds are floats,
+    the hypotheses are decided on the exact values of the three numbers."""
 
     __test__ = False        # not a pytest class despite the name
 
     r: int
-    delta1: float
-    sigma1: float
+    delta1: Fraction | float
+    sigma1: Fraction | float
     lam: float
+
+    def _kappa(self, c: int, number=float):
+        s, d, lam = map(number, (self.sigma1, self.delta1, self.lam))
+        return (s * d / (c + s) - lam) / (4 * self.r)
 
     @property
     def query_count(self) -> int:
@@ -71,21 +76,22 @@ class TesterParams:
     @property
     def kappa_proof(self) -> float:
         """(1/4r)(sigma1*delta1/(16+sigma1) - lambda), the proof-consistent bound."""
-        return (self.sigma1 * self.delta1 / (16 + self.sigma1) - self.lam) / (4 * self.r)
+        return self._kappa(16)
 
     @property
     def kappa_statement(self) -> float:
         """Laxer variant with 8+sigma1 in the denominator; reported alongside
         kappa_proof for comparison but never asserted."""
-        return (self.sigma1 * self.delta1 / (8 + self.sigma1) - self.lam) / (4 * self.r)
+        return self._kappa(8)
 
     @property
     def hypotheses_hold(self) -> bool:
-        return self.lam < self.sigma1 * self.delta1 / (16 + self.sigma1)
+        """lambda < sigma1*delta1/(16+sigma1), exactly: kappa_proof > 0."""
+        return self._kappa(16, Fraction) > 0
 
     def to_dict(self) -> dict:
         return {
-            "r": self.r, "delta1": self.delta1, "sigma1": self.sigma1,
+            "r": self.r, "delta1": float(self.delta1), "sigma1": float(self.sigma1),
             "lambda": self.lam, "query_count": self.query_count,
             "kappa_proof": self.kappa_proof, "kappa_statement": self.kappa_statement,
             "hypotheses_hold": self.hypotheses_hold,
@@ -634,12 +640,11 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
     }
     if params.hypotheses_hold and kappa_hat is not None:
         # exact: kappa_hat = rej |S| / (|V| wt), rej = D |V| rounded, against
-        # the bound at the exact values of params' floats
+        # the bound at the exact values of params
         n = tester.X.n_vertices
         exact = min(Fraction(round(row["D"] * n) * code.n, n * row["weight"])
                     for row in rows if row["certified"])
-        bound = TesterParams(params.r, *map(Fraction, (
-            params.delta1, params.sigma1, params.lam))).kappa_proof
+        bound = params._kappa(16, Fraction)
         assert exact >= bound, (
             f"empirical kappa {kappa_hat} below the proof bound {params.kappa_proof}")
     return report

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cayleyltc import f2core
 from cayleyltc.analysis import (
+    _column_distances,
     _row_valid_matrices,
     low_weight_dual_words,
     sigma_exact,
@@ -320,14 +321,58 @@ def _sigma_int64_scan(C1):
     return best, best_pair[0], best_pair[1], pairs
 
 
-@pytest.mark.parametrize("spec", [
-    *(f"rep:{r}" for r in range(2, 13)), "parity:2", "parity:3", "parity:4",
-    "full:2", "full:3", "bch:3,7",
-])
+def _column_distances_loop(C1, W):
+    """Reference: the column mismatch counts of W against the column-valid
+    matrices, one column b at a time over r passes."""
+    r = C1.n
+    G = np.swapaxes(_row_valid_matrices(C1)[0], 1, 2)
+    pows = (1 << np.arange(r)).astype(np.int64)
+    W_cols = np.swapaxes(W, 1, 2) @ pows
+    G_cols = np.swapaxes(G, 1, 2) @ pows
+    D_col = np.zeros((len(W), len(G)), dtype=np.uint8)
+    for b in range(r):
+        D_col += W_cols[:, b, None] != G_cols[:, b]
+    return D_col
+
+
+_SIGMA_SPECS = [*(f"rep:{r}" for r in range(2, 13)), "parity:2", "parity:3", "parity:4",
+                "full:2", "full:3", "bch:3,7"]
+
+
+def _sigma_base(spec):
+    kind, _, arg = spec.partition(":")
+    return bch_code(3, 7) if kind == "bch" else _SIGMA_CODES[kind](int(arg))
+
+
+@pytest.mark.parametrize("spec", _SIGMA_SPECS)
+def test_column_distances_match_the_r_pass_loop(spec):
+    # on the tensor code's words, as sigma_exact reads them, and on random
+    # matrices whose columns lie in C1
+    c = _sigma_base(spec)
+    r = c.n
+    W = tensor_code(c).codewords().reshape(-1, r, r)
+    words = c.codewords()
+    picks = np.random.default_rng(r).integers(len(words), size=(40, r))
+    for M in (W, np.swapaxes(words[picks], 1, 2)):
+        D_col = _column_distances(c, M)
+        assert D_col.dtype == np.uint8
+        assert np.array_equal(D_col, _column_distances_loop(c, M)), spec
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_column_distances_match_the_r_pass_loop_on_random_codes(r, seed):
+    rng = np.random.default_rng(seed)
+    c = from_generators(BitMatrix(rng.integers(0, 2, size=(12 // r, r), dtype=np.uint8)))
+    assume(c.k > 0)
+    W = tensor_code(c).codewords().reshape(-1, r, r)
+    assert np.array_equal(_column_distances(c, W), _column_distances_loop(c, W))
+
+
+@pytest.mark.parametrize("spec", _SIGMA_SPECS)
 def test_sigma_uint8_counts_match_the_int64_scan(spec):
     # every base code with r * k1 <= 12; bch:3,7 is the [7, 1] BCH code
-    kind, _, arg = spec.partition(":")
-    c = bch_code(3, 7) if kind == "bch" else _SIGMA_CODES[kind](int(arg))
+    c = _sigma_base(spec)
     assert c.n * c.k <= 12
     res = sigma_exact(c)
     value, f, g, pairs = _sigma_int64_scan(c)
@@ -361,8 +406,8 @@ def punctured_code(C: LinearCode, I, J, d: int) -> LinearCode:
     bigger = LinearCode.from_parity_checks(BitMatrix(short[~short[:, sorted(I)].any(axis=1)]))
     keep_coords = sorted(set(range(C.n)) - J)
     if len(keep_coords) == 0:
-        return LinearCode(0, BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0),
-                          provenance="punctured", params={"I": sorted(I), "J": sorted(J)})
+        return LinearCode(BitMatrix.zeros(0, 0), provenance="punctured",
+                          params={"I": sorted(I), "J": sorted(J)})
     return from_generators(
         BitMatrix(bigger.generator.to_array()[:, keep_coords]),
         provenance="punctured", params={"I": sorted(I), "J": sorted(J), "d": d})
@@ -543,7 +588,7 @@ def test_verify_us_smooth_implies_agreement_crosscheck():
 
 def _simplex_code():
     hamming = bch_code(3, 3)
-    return LinearCode(7, hamming.parity, hamming.generator, "dual", None)
+    return LinearCode.from_parity_checks(hamming.generator, "dual")
 
 
 _US_CODES = {

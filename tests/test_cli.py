@@ -899,6 +899,74 @@ def test_the_recorded_code_is_read_off_its_reduced_rows(request, monkeypatch, na
     assert np.array_equal(code.information_set, ref.information_set)
 
 
+#: sha256 of the packed uint64 words of p13's square-code generator, as
+#: f2core.reduced_kernel_basis reads it off the recorded RREF
+P13_GENERATOR_SHA256 = "f9c27a5cc9fa4369d8ca774e99f632315b6d70d19ece67271104ff06c2c88d38"
+
+
+@pytest.mark.parametrize("name", ["z5", "z12", "p13"])
+def test_the_recorded_generator_is_the_square_code_generator(request, name):
+    # experiment rows cannot tell one generator basis from another, so the
+    # basis the load derives is pinned here: equal to the rebuilt code's,
+    # orthogonal to the recorded checks, and on p13 equal to a golden hash
+    from cayleyltc import codes
+
+    instance_dir = request.getfixturevalue(f"{name}_dir")
+    manifest = json.loads((instance_dir / "manifest.json").read_text())
+    blob = (instance_dir / "complex.cay2.npz").read_bytes()
+    code = cli._recorded_square_code(manifest, str(instance_dir / "manifest.json"), blob)[2]()
+    ref = codes.square_code(cli.deserialize_complex(blob), cli._parse_base(manifest["base_spec"]))
+    assert code.generator == ref.generator and code.parity == ref.parity
+    assert f2core.rows_orthogonal(code.generator, code.parity)
+    if name == "p13":
+        digest = hashlib.sha256(code.generator.words.tobytes()).hexdigest()
+        assert digest == P13_GENERATOR_SHA256
+
+
+def test_build_derives_no_square_code_generator(p13_dir, tmp_path, monkeypatch):
+    # build writes H and reads k off it: the kernel is never read off the
+    # square code's 4,368 columns, and the artifacts keep their bytes
+    derive = f2core.reduced_kernel_basis
+
+    def guarded(R):
+        if R.cols == 4368:
+            raise AssertionError("build derived the square code's generator")
+        return derive(R)
+
+    monkeypatch.setattr(f2core, "reduced_kernel_basis", guarded)
+    assert main(["build", "--group", "psl2:13", "--gens", "79,90,91,234",
+                 "--base", "parity:4", "--out", str(tmp_path)]) == 0
+    for name in ("manifest.json", "code.f2mat", "code.json", "complex.cay2.npz"):
+        assert (tmp_path / name).read_bytes() == (p13_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("kind", ["kappa", "decode"])
+def test_concurrent_trials_derive_the_generator_once(p13_dir, tmp_path, monkeypatch, kind):
+    # the first trials of --workers 2 reach the generator together; the
+    # code derives it once, under its lock, and the rows equal --workers 1's
+    import time
+
+    derive, calls = f2core.reduced_kernel_basis, []
+
+    def slow(R):
+        if R.cols == 4368:
+            calls.append(R.rows)
+            time.sleep(0.05)           # a window for the second trial to enter
+        return derive(R)
+
+    monkeypatch.setattr(f2core, "reduced_kernel_basis", slow)
+    outputs = {}
+    for workers in (1, 2):
+        prefix = tmp_path / f"w{workers}"
+        assert main(["experiment", str(p13_dir / "manifest.json"), "--kind", kind,
+                     "--trials", "8", "--seed", "4", "--weights", "1,4",
+                     "--workers", str(workers), "--out", str(prefix)]) == 0
+        outputs[workers] = [Path(f"{prefix}.{ext}").read_bytes()
+                            for ext in ("csv", "jsonl", "json")]
+    assert outputs[2] == outputs[1]
+    assert calls == [3272, 3272]
+
+
 def test_a_code_header_is_the_line_build_writes(z5_dir, tmp_path, capsys, monkeypatch):
     # n = 5 written as 05 would give the recorded shape, but build never
     # writes it

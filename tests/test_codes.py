@@ -57,15 +57,15 @@ def toy_complex(n, a_gens, b_gens=None):
 
 
 def from_generators(rows, provenance="explicit", params=None):
-    """Reference: the code that the rows of the BitMatrix rows span, with a
-    reduced generator and its kernel as the checks."""
-    G = f2core.row_basis(rows)
-    return LinearCode(G.cols, G, f2core.reduced_kernel_basis(G), provenance, params)
+    """Reference: the code that the rows of the BitMatrix rows span, built
+    from the kernel of their reduced basis as its checks."""
+    checks = f2core.reduced_kernel_basis(f2core.row_basis(rows))
+    return LinearCode.from_parity_checks(checks, provenance, params)
 
 
 def dual(code):
-    """Reference: the dual code, its generator and parity bases swapped."""
-    return LinearCode(code.n, code.parity, code.generator, "dual", None)
+    """Reference: the dual code, the generator taken as its checks."""
+    return LinearCode.from_parity_checks(code.generator, "dual")
 
 
 def weight_distribution(code):
@@ -93,37 +93,37 @@ def test_code_duality_and_rate():
     assert c.rate == pytest.approx(4 / 7)
 
 
-def test_check_duality_catches_a_corrupted_parity_row():
+def test_constructor_refuses_corrupted_unreduced_checks():
+    # h + e_j on row 3 meets another row's pivot or moves row 3's leading
+    # bit out of order: no generator could be read off such rows
     c = bch_code(4, 5)
     H = c.parity.to_array()
     G = c.generator.to_array()
     for j in np.flatnonzero(G.any(axis=0))[:5]:
         bad = H.copy()
         bad[3, j] ^= 1                     # h + e_j meets a generator at j
-        with pytest.raises(AssertionError, match="duality"):
-            LinearCode(c.n, c.generator, BitMatrix(bad), "explicit", None)
-    LinearCode(c.n, c.generator, c.parity, "explicit", None)
+        assert not f2core.reduced_echelon(BitMatrix(bad))
+        with pytest.raises(ValueError, match="not in reduced row echelon form"):
+            LinearCode(BitMatrix(bad), "explicit", None)
+        code = LinearCode.from_parity_checks(BitMatrix(bad))
+        assert code.parity == f2core.row_basis(BitMatrix(bad))
+        assert f2core.rows_orthogonal(code.generator, BitMatrix(bad))
+    for dependent in ([[1, 1, 0, 0], [1, 1, 0, 0]], [[1, 0, 1, 0], [0, 0, 0, 0]]):
+        with pytest.raises(ValueError, match="not in reduced row echelon form"):
+            LinearCode(BitMatrix(dependent), "explicit", None)
+    assert LinearCode(c.parity, "explicit", None).k == c.k
 
 
 def test_information_set_is_the_identity_on_the_generator():
+    # G is I_k on H's non-pivot columns and H^T on its pivot columns
     for c in (repetition_code(3), parity_code(4), full_code(3), bch_code(4, 5)):
         for code in (c, dual(c), tensor_code(c)):
-            G = code.generator.to_array()
-            assert np.array_equal(G[:, code.information_set],
-                                  np.eye(code.k, dtype=np.uint8))
-
-
-def test_generator_without_identity_columns_is_rejected():
-    # rows 1100 and 1111 span a code with checks 1100 and 0011, but no
-    # column of G is the unit vector of its first row
-    G = BitMatrix([[1, 1, 0, 0], [1, 1, 1, 1]])
-    H = BitMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])
-    with pytest.raises(ValueError, match="not the identity on any k columns"):
-        LinearCode(4, G, H, "explicit", None)
-    for dependent in ([[1, 1, 0, 0], [1, 1, 0, 0]], [[1, 0, 1, 0], [0, 0, 0, 0]]):
-        with pytest.raises(ValueError, match="not the identity"):
-            LinearCode(4, BitMatrix(dependent), H, "explicit", None)
-    assert LinearCode(4, H, H, "explicit", None).information_set.tolist() == [0, 2]
+            G, H = code.generator.to_array(), code.parity.to_array()
+            info = code.information_set
+            pivots = np.setdiff1d(np.arange(code.n), info)
+            assert np.array_equal(pivots, [np.flatnonzero(h)[0] for h in H])
+            assert np.array_equal(G[:, info], np.eye(code.k, dtype=np.uint8))
+            assert np.array_equal(G[:, pivots], H[:, info].T)
 
 
 def _membership_words(code, rng):
@@ -157,7 +157,7 @@ def test_contains_matches_the_syndrome_on_base_codes():
         tensors = (tensor_code(c), dual(tensor_code(c))) if c.n <= 15 else ()
         for code in (c, dual(c), *tensors):
             _assert_contains_matches_syndrome(code, rng)
-    empty = LinearCode(0, BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0), "punctured", None)
+    empty = LinearCode(BitMatrix.zeros(0, 0), "punctured", None)
     assert empty.n == 0 and empty.contains(BitVector([]))
     _assert_contains_matches_syndrome(empty, rng)
 
@@ -642,6 +642,43 @@ def test_square_code_is_the_edge_wise_elimination(name):
     assert (code.generator, code.parity) == (ref.generator, ref.parity)
 
 
+GOLDEN_SQUARE_CASES = {"rep:4": ((13, (1, 12, 5, 8)), repetition_code(4)),
+                       "bch:3,3": ((16, (1, 15, 2, 14, 3, 13, 8)), bch_code(3, 3)),
+                       "bch:4,3": ((32, (1, 31, 2, 30, 3, 29, 4, 28, 5, 27, 6, 26,
+                                         7, 25, 16)), bch_code(4, 3))}
+
+
+def _every_constructor():
+    """(name, code) for codes from every constructor."""
+    for n in (1, 2, 3, 7, 64, 65, 70):
+        for base in (repetition_code, parity_code, full_code):
+            yield f"{base.__name__}({n})", base(n)
+    for m, b in ((3, 3), (4, 3), (4, 5), (6, 9), (7, 5)):
+        yield f"bch({m},{b})", bch_code(m, b)
+    for base in (repetition_code(3), parity_code(4), full_code(3), bch_code(3, 3)):
+        yield f"tensor({base})", tensor_code(base)
+    yield "tanner petersen", tanner_code_on_graph(petersen(), parity_code(3))
+    yield "tanner k4", tanner_code_on_graph(k4(), parity_code(3))
+    g = cyclic_group(7)
+    yield "tanner cayley", tanner_code_on_cayley(g, GeneratorSet(g, (1, 6)), repetition_code(2))
+    for name, (args, C1) in {**SQUARE_CASES, **GOLDEN_SQUARE_CASES}.items():
+        yield f"square {name}", square_code(toy_complex(*args), C1)
+    rng = np.random.default_rng(31)
+    for m, n in [(0, 5), (3, 3), (5, 20), (20, 5), (40, 130), (64, 64), (10, 200)]:
+        yield f"random {m}x{n}", LinearCode.from_parity_checks(
+            BitMatrix(rng.integers(0, 2, size=(m, n), dtype=np.uint8)))
+
+
+def test_every_constructor_gives_a_generator_orthogonal_to_its_checks():
+    # G H^T = 0 by the product, as the reference for the generator that
+    # every constructor reads off its reduced checks; G has full rank k
+    for name, code in _every_constructor():
+        G = code.generator
+        assert (G.rows, G.cols, code.parity.cols) == (code.k, code.n, code.n), name
+        assert f2core.rows_orthogonal(G, code.parity), name
+        assert f2core.rank(G) == code.k, name
+
+
 def _swap_two_distinct(row):
     j = np.flatnonzero(row != row[0])[0]
     row[[0, j]] = row[[j, 0]]
@@ -706,8 +743,8 @@ def test_square_code_peak_memory_is_bounded_by_the_edge_checks(p13_instance):
 
 
 def test_square_code_peak_memory_is_a_few_packed_edge_checks(p13_instance):
-    # He placed packed, the kernel and the duality product built a block at
-    # a time: a dense He (19 MB on p13) or any dense temporary of its size
+    # He placed packed and eliminated a block at a time, with no generator
+    # derived: a dense He (19 MB on p13) or any dense temporary of its size
     # would exceed this (2.3 MiB packed, 13.8 MiB bound)
     X, C1 = p13_instance[:2]
     packed = X.n_edges * C1.parity.rows * (-(-X.n_squares // 64)) * 8

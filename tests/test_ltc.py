@@ -1,5 +1,7 @@
 import functools
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,7 +137,7 @@ def _bases(r):
     bases = [repetition_code(r), parity_code(r), full_code(r)]
     if r == 7:
         bases.append(bch_code(3, 3))
-    return bases + [LinearCode(c.n, c.parity, c.generator, "dual", None) for c in bases]
+    return bases + [LinearCode.from_parity_checks(c.generator, "dual") for c in bases]
 
 
 @pytest.mark.parametrize("name", ["z5", "z12", "z7reg", "p13"])
@@ -446,6 +448,28 @@ def test_tester_params_bounds():
     assert p.kappa_proof == pytest.approx(expected)
     assert p.kappa_statement > p.kappa_proof
     assert p.hypotheses_hold
+
+
+@pytest.mark.parametrize("delta1, sigma1", [(Fraction(1, 3), Fraction(2, 3)),
+                                             (Fraction(1, 2), Fraction(1, 2))])
+def test_tester_hypotheses_are_exact_one_ulp_from_the_threshold(delta1, sigma1):
+    # lambda < sigma1 delta1 / (16 + sigma1) decided in Fractions: the float
+    # just below the threshold passes and the float just above fails, and
+    # the reported fields are float evaluations
+    t = sigma1 * delta1 / (16 + sigma1)
+    below = float(t) if Fraction(float(t)) < t else math.nextafter(float(t), -math.inf)
+    above = math.nextafter(below, math.inf)
+    assert Fraction(below) < t < Fraction(above)
+    floats = float(sigma1) * float(delta1) / (16 + float(sigma1))
+    for lam, holds in ((below, True), (above, False)):
+        params = TesterParams(r=4, delta1=delta1, sigma1=sigma1, lam=lam)
+        assert params.hypotheses_hold is holds
+        assert params.to_dict() == TesterParams(
+            4, float(delta1), float(sigma1), lam).to_dict() | {"hypotheses_hold": holds}
+        assert params.kappa_proof == (floats - lam) / 16
+    # at 1/3 and 2/3 the float formula rounds to the float below the
+    # threshold, so a float comparison would refuse it
+    assert (below < floats) is (delta1 == Fraction(1, 2))
 
 
 def test_kappa_trial_membership_check(z5_instance):
