@@ -229,10 +229,14 @@ def _recorded_square_code(manifest: dict, manifest_path: str, blob: bytes):
     echelon = f2core.f2mat_echelon(data)
     def load() -> codes.LinearCode:
         H = f2core.load_matrix(data)
-        if echelon and not f2core.reduced_echelon(H):
-            raise PreconditionError("manifest field 'files.code.path' names a code "
-                                    "file in echelon form that is not reduced")
-        code = codes.LinearCode.from_parity_checks(H, provenance="square")
+        if echelon:
+            try:                      # the constructor certifies H reduced
+                code = codes.LinearCode(H, "square", None)
+            except ValueError:
+                raise PreconditionError("manifest field 'files.code.path' names a code file "
+                                        "in echelon form that is not reduced") from None
+        else:
+            code = codes.LinearCode.from_parity_checks(H, provenance="square")
         if code.k != k:
             raise PreconditionError(
                 f"manifest field 'square_code.k' differs from the code's dimension {code.k}")

@@ -15,19 +15,21 @@ any replacement strictly reduces Delta.  Termination with Delta = 0 yields
 a codeword; otherwise the word is declared far and the final dispute set
 supports the counting diagnostics n1, n_par, n2, n2'.  The state is one
 candidate id per vertex, whose rows and columns carry line ids; each edge's
-two line slots are computed once per tester, so Delta is two gathers and a
-compare.  All vertices share one candidate table, and a per-pattern penalty
-bars the candidates that are not fiber-constant at a vertex.  The start
-state is every vertex's nearest local codeword: a lookup of its view on an
-information set of the local code, else a distance scan, one blocked array
-pass over the other vertices.  Its first evaluation covers only the
-endpoints of its disputed edges; every other vertex has nothing to gain.
+two line slots are computed once per tester, so Delta is one gather of both
+ends and a compare.  All vertices share one candidate table, and a
+per-pattern penalty bars the candidates that are not fiber-constant at a
+vertex.  The start state is every vertex's nearest local codeword, one
+blocked array pass: a lookup of each view on an information set of the
+local code, and a distance scan over the views that missed.  Its first
+evaluation covers only the endpoints of its disputed edges; every other
+vertex has nothing to gain.
 
 Both read a word f mod 2, and only where its support reaches: a vertex
 whose view misses supp f accepts and keeps candidate 0, the zero word.  So
 the tester and the start state run at the corners of the set squares, and
-Delta and the final checks at the vertices off candidate 0 and their edges;
-a set that reaches a quarter of the vertices is read as whole arrays.
+Delta and the final checks at the vertices off candidate 0 and their edges.
+A set that reaches a quarter of the vertices is every vertex, or every
+edge, which is cheaper than finding it; the passes are the same.
 
 kappa_experiment and decode_experiment run seeded trials, one RNG stream
 per (seed, trial index), so their rows do not depend on the worker count.
@@ -127,6 +129,9 @@ class SquareCodeTester:
         self._hcols = _pack_bits(C1.parity.to_array().T)   # (r, words): bit j = check j
         self._syn_tables = _xor_table(np.pad(     # (byte, its 256 values, words)
             self._hcols, ((0, -self.r % 8), (0, 0))).reshape(-1, 8, self._hcols.shape[1]))
+        i = np.arange(self.r)        # coordinate i is bit i % 8 of byte i // 8
+        self._byte_bits = ((i // 8 == np.arange(len(self._syn_tables))[:, None])
+                           << i % 8).astype(np.uint8)
         self._grid = X.square_id                     # (r, n, r)
         lbl, g = X.edge_rep_slots()     # each edge's line slots l*n + g, l^-1*n + g^l
         self._edge_slots = np.stack([lbl * X.n_vertices + g,
@@ -145,39 +150,35 @@ class SquareCodeTester:
             raise ValueError(f"word length {bits.shape[0]} != |S| = {self.n_squares}")
         return bits
 
-    def _reached(self, bits: np.ndarray) -> np.ndarray | None:
+    def _reached(self, bits: np.ndarray) -> np.ndarray:
         """The sorted vertices whose views meet the support of the 0/1 word
-        bits, or None, read as every vertex, once 4 |supp| >= |V|: a square
-        lies in the views of at most 4 vertices."""
+        bits, or every vertex once 4 |supp| >= |V|: a square lies in the
+        views of at most 4 vertices, and the search would cost more than the
+        vertices it leaves out."""
         if 4 * np.count_nonzero(bits) >= self.X.n_vertices:
-            return None
+            return np.arange(self.X.n_vertices)
         # nonzero on a bool view is 10x faster than on uint8
         return self.X.vertices_of_squares(np.flatnonzero(bits.view(bool)))
 
     def reject_vector(self, f) -> np.ndarray:
-        """Boolean per-vertex rejection of f read mod 2.  Only the vertices
-        whose views meet supp f are tested; a zero view accepts."""
+        """Boolean per-vertex rejection of f read mod 2, tested at the
+        vertices _reached gives; a zero view accepts."""
         f_bits = self._word_bits(f)
         verts = self._reached(f_bits)
-        if verts is None:
-            return self._rejects(f_bits[self._grid])
         out = np.zeros(self.X.n_vertices, dtype=bool)
         out[verts] = self._rejects(f_bits[self._grid.take(verts, axis=1)])
         return out
 
     def _line_codes(self, grid: np.ndarray) -> np.ndarray:
-        """(byte, line, vertex) codes of the (a, vertex, b) grid read mod 2:
-        rows, then columns; coordinate i is bit i % 8 of byte i // 8."""
-        coords = np.concatenate([grid.transpose(2, 0, 1), grid.transpose(0, 2, 1)],
-                                axis=1, dtype=np.uint8, casting="unsafe") & 1
-        codes = np.zeros((len(self._syn_tables),) + coords.shape[1:], dtype=np.uint8)
-        for i, bits in enumerate(coords):
-            codes[i // 8] |= bits << i % 8
-        return codes
+        """(byte, line, vertex) codes of the 0/1 (a, vertex, b) grid: rows,
+        then columns; coordinate i is bit i % 8 of byte i // 8."""
+        w = self._byte_bits
+        return np.concatenate([np.einsum("avb,jb->jav", grid, w),
+                               np.einsum("avb,ja->jbv", grid, w)], axis=1)
 
     def _rejects(self, views: np.ndarray) -> np.ndarray:
-        """Boolean per vertex: some row or column of its view in the (a, vertex,
-        b) grid views, read mod 2, fails a check of C1: its syndrome, the XOR
+        """Boolean per vertex: some row or column of its view in the 0/1
+        (a, vertex, b) grid views fails a check of C1: its syndrome, the XOR
         of one table lookup per byte of its line code, is not 0."""
         codes = self._line_codes(views)
         syn = self._syn_tables[0].take(codes[0], axis=0)
@@ -277,40 +278,29 @@ class SquareCodeTester:
     def _nearest(self, f_bits: np.ndarray, verts: np.ndarray) -> np.ndarray:
         """Candidate ids of the nearest local codewords at verts.
 
-        The distance of a 0/1 view v to a candidate c on the distinct
-        squares (first slots) is wt(v) + wt(c) - 2<v, c> there; dropping
-        wt(v), it is (first - 2 first v) . c, exact in float64 at these
-        sizes, plus the pattern's penalty off its own candidates.  argmin
-        keeps the first (lexicographically least) minimum.
+        A view's bits on an information set of C0 name one codeword; a view
+        equal to it is a fiber-constant candidate at distance 0, and no
+        other candidate is.  The other views are scanned: the distance of a
+        0/1 view v to a candidate c on the distinct squares (first slots) is
+        wt(v) + wt(c) - 2<v, c> there; dropping wt(v), it is
+        (first - 2 first v) . c, exact in float64 at these sizes, plus the
+        pattern's penalty off its own candidates.  argmin keeps the first
+        (lexicographically least) minimum.
         """
+        slots, weights, table = self._key
         r2 = self.r * self.r
         out = np.empty(len(verts), dtype=np.int64)
         step = max(1, DECODE_BLOCK // max(len(self._cand_flat), r2))
         for lo in range(0, len(verts), step):
             v = verts[lo:lo + step]
-            p = self._pattern_of[v]
-            views = f_bits[self._grid.take(v, axis=1)].transpose(1, 0, 2).reshape(-1, r2)
-            first = self._first[p]
-            dists = (first - 2 * first * views) @ self._cand_t + self._outside[p]
-            out[lo:lo + step] = dists.argmin(axis=1)
-        return out
-
-    def _lookup(self, f_bits: np.ndarray, verts: np.ndarray) -> np.ndarray:
-        """Per vertex of verts, the candidate its view equals, else -1.
-
-        The view's bits on the information set name one codeword of C0; a
-        view equal to it is a fiber-constant candidate at distance 0, and
-        no other candidate is, so it is the vertex's nearest one.
-        """
-        slots, weights, table = self._key
-        r2 = self.r * self.r
-        out = np.empty(len(verts), dtype=np.int64)
-        step = max(1, DECODE_BLOCK // r2)
-        for lo in range(0, len(verts), step):
-            v = verts[lo:lo + step]
             views = f_bits[self._grid.take(v, axis=1)].transpose(1, 0, 2).reshape(-1, r2)
             ci = table[views[:, slots] @ weights]
-            out[lo:lo + step] = np.where((self._cand_flat[ci] == views).all(axis=1), ci, -1)
+            miss = np.flatnonzero((self._cand_flat[ci] != views).any(axis=1))
+            p = self._pattern_of[v[miss]]
+            first = self._first[p]
+            dists = (first - 2 * first * views[miss]) @ self._cand_t + self._outside[p]
+            ci[miss] = dists.argmin(axis=1)
+            out[lo:lo + step] = ci
         return out
 
     def nearest_local_codeword(self, f, g: int) -> int:
@@ -322,46 +312,38 @@ class SquareCodeTester:
 
     def nearest_local_codewords(self, f) -> np.ndarray:
         """nearest_local_codeword at every vertex: candidate 0, the zero
-        word, where f's view is zero; at the vertices that supp f reaches a
-        key lookup, then one blocked pass over those whose view is no
-        codeword."""
+        word, where f's view is zero, and one blocked pass over the vertices
+        that supp f reaches."""
         self._ensure_tables()
         f_bits = self._word_bits(f)
         verts = self._reached(f_bits)
-        if verts is None:
-            verts = np.arange(self.X.n_vertices)
-        found = self._lookup(f_bits, verts)
         out = np.zeros(self.X.n_vertices, dtype=np.int64)
-        out[verts] = found
-        miss = verts[found < 0]
-        out[miss] = self._nearest(f_bits, miss)
+        out[verts] = self._nearest(f_bits, verts)
         return out
 
     def _grid_of(self, ci: np.ndarray) -> np.ndarray:
         """The (a, g, b) grid of the candidates ci, one per vertex."""
-        views = self._cand_flat[ci].reshape(-1, self.r, self.r)
-        return np.ascontiguousarray(views.transpose(1, 0, 2))
+        return self._cand_flat.reshape(-1, self.r, self.r).transpose(1, 0, 2).take(ci, axis=1)
 
     # -- decoder ------------------------------------------------------------
 
-    def _off_zero(self, ci: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    def _off_zero(self, ci: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """V1, the sorted vertices whose candidate is not 0, the zero word,
-        and the sorted edges at them, where two views can differ; (None,
-        None), read as every vertex and edge, once 4 |V1| >= |V|."""
+        and the sorted edges at them, where two views can differ; every
+        vertex and edge once 4 |V1| >= |V|."""
         v1 = np.flatnonzero(ci)
         if 4 * len(v1) >= self.X.n_vertices:
-            return None, None
+            return np.arange(self.X.n_vertices), np.arange(self.X.n_edges)
         return v1, np.unique(self.X.edge_at[:, v1])
 
-    def _disputed(self, lines: np.ndarray, edges: np.ndarray | None) -> np.ndarray:
-        """The sorted ids of the edges, among `edges` or all if None, whose
-        line at one endpoint differs from their line at the other.
-        lines[..., l, g] is vertex g's line of label l (row l of its view,
-        column l - r for l >= r): an id, or a line code's bytes."""
-        flat = lines.reshape(-1, 2 * self.r * self.X.n_vertices)
-        slots = self._edge_slots if edges is None else self._edge_slots.take(edges, axis=1)
-        differ = (flat[:, slots[0]] != flat[:, slots[1]]).any(axis=0)
-        return np.flatnonzero(differ) if edges is None else edges[differ]
+    def _disputed(self, lines: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """The edges, of the sorted ids `edges`, whose line at one endpoint
+        differs from their line at the other.  lines[..., l, g] is vertex
+        g's line of label l (row l of its view, column l - r for l >= r): an
+        id, or a line code's bytes."""
+        ends = lines.reshape(-1, 2 * self.r * self.X.n_vertices).take(
+            self._edge_slots.take(edges, axis=1), axis=1)         # (..., 2, edge)
+        return edges[(ends[:, 0] != ends[:, 1]).any(axis=0)]
 
     def _evaluate(self, ci: np.ndarray, verts: np.ndarray,
                   gain: np.ndarray, best: np.ndarray) -> None:
@@ -420,16 +402,15 @@ class SquareCodeTester:
                 raise AssertionError(
                     f"greedy loop exceeded its certified budget {delta0}")
             if iterations % 64 == 0:
-                assert len(self._disputed(self._lines[:, ci], None)) == delta, (
-                    "incremental Delta drifted")
+                recount = self._disputed(self._lines[:, ci], self._off_zero(ci)[1])
+                assert len(recount) == delta, "incremental Delta drifted"
             self._evaluate(ci, np.append(X.vert_image[:, g], g), gain, best)
 
         # the fresh count on the line codes of the views; the zero word's are 0
         v1, edges = self._off_zero(ci)
-        at = slice(None) if v1 is None else v1
-        wgrid = self._grid_of(ci[at])
+        wgrid = self._grid_of(ci[v1])
         codes = np.zeros((len(self._syn_tables), 2 * self.r, n), dtype=np.uint8)
-        codes[:, :, at] = self._line_codes(wgrid)
+        codes[:, :, v1] = self._line_codes(wgrid)
         fresh = self._disputed(codes, edges)
         assert len(fresh) == delta, "incremental Delta drifted"
 
@@ -441,11 +422,11 @@ class SquareCodeTester:
         # F from the views at V1, every other view being the zero word; the
         # views are consistent iff F's view is the candidate at V1 and zero
         # at the other vertices that supp F reaches
-        squares = self._grid[:, at, :]
+        squares = self._grid.take(v1, axis=1)
         F = np.zeros(self.n_squares, dtype=np.uint8)
         F[squares] = wgrid
         reached = self._reached(F)
-        zero = np.flatnonzero(ci == 0) if reached is None else reached[ci[reached] == 0]
+        zero = reached[ci[reached] == 0]
         if not ((F[squares] == wgrid).all()
                 and not F[self._grid.take(zero, axis=1)].any()):
             raise AssertionError("zero-Delta views are not globally consistent")
@@ -556,21 +537,25 @@ def _trial_word(tester: SquareCodeTester, code: LinearCode, seed: int,
     return f_bits, int(tester.reject_vector(f_bits).sum())
 
 
-def _check_weights(weights: tuple[int, int], n: int):
-    """A ValueError unless weights = (lo, hi) with 1 <= lo <= hi <= n."""
-    if not 1 <= weights[0] <= weights[1] <= n:
+def _run_trials(trial, trials: int, weights: tuple[int, int], n: int,
+                workers: int) -> list[dict]:
+    """[trial(i, w) for i in range(trials)], w cycling through the weight
+    range (lo, hi), a ValueError unless 1 <= lo <= hi <= n; on `workers`
+    threads when > 1, and each trial seeds its own RNG, so the rows never
+    depend on `workers`."""
+    lo, hi = weights
+    if not 1 <= lo <= hi <= n:
         raise ValueError(f"weight range {weights} invalid for length {n}")
 
+    def one(i: int) -> dict:
+        return trial(i, lo + i % (hi - lo + 1))
 
-def _run_trials(trial, trials: int, workers: int) -> list[dict]:
-    """[trial(i) for i in range(trials)], on `workers` threads when > 1;
-    each trial seeds its own RNG, so the rows never depend on `workers`."""
     if workers > 1 and trials:
         from concurrent.futures import ThreadPoolExecutor   # not at start-up
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(trial, range(trials)))
-    return [trial(i) for i in range(trials)]
+            return list(pool.map(one, range(trials)))
+    return [one(i) for i in range(trials)]
 
 
 def kappa_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
@@ -611,8 +596,6 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
     proposition bound of check_square_distance_bound, at least 0 (report
     marked bound-relative).
     """
-    _check_weights(weights, code.n)
-    lo, hi = weights
     try:
         radius = float(code.distance_exact())
         radius_kind = "exact"
@@ -620,16 +603,14 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
         bound = check_square_distance_bound(code, params.delta1, params.lam)["bound"]
         radius = max(bound, 0.0)
         radius_kind = "bound-relative"
-    wlist = [lo + (i % (hi - lo + 1)) for i in range(trials)]
-    rows = _run_trials(
-        lambda i: kappa_trial(tester, code, seed, i, wlist[i], radius),
-        trials, workers)
+    rows = _run_trials(lambda i, w: kappa_trial(tester, code, seed, i, w, radius),
+                       trials, weights, code.n, workers)
 
     certified = [row["kappa_hat"] for row in rows if row["certified"]]
     kappa_hat = min(certified) if certified else None
     report = {
         "trials": trials,
-        "weights": [lo, hi],
+        "weights": list(weights),
         "seed": seed,
         "radius": radius,
         "radius_kind": radius_kind,
@@ -651,17 +632,15 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
 
 
 def decode_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
-                 index: int, weights: tuple[int, int]) -> dict:
-    """One decode trial on f = c + e, wt(e) cycling through the weight
-    range, and whether the outcome meets the decoder contract.
+                 index: int, weight: int) -> dict:
+    """One decode trial on f = c + e with wt(e) = weight, and whether the
+    outcome meets the decoder contract.
 
     With rej the number of rejecting vertices, so D = rej / |V|, the
     contract is decided in integers: Delta_0 |V| <= 2 rej |E| and, for a
     codeword output w, wt(f - w) |V| <= (4 + 8r) rej |S|.
     """
-    lo, hi = weights
-    w = int(lo + (index % (hi - lo + 1)))
-    f_bits, rejects = _trial_word(tester, code, seed, index, w)
+    f_bits, rejects = _trial_word(tester, code, seed, index, weight)
     X = tester.X
     D = rejects / X.n_vertices
     out = tester.decode(f_bits)
@@ -677,7 +656,7 @@ def decode_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
             X, out, tester.C1.distance_exact(), tester.C1.n)
         ok &= diag["dispute_edge_bound_holds"]
     return {
-        "trial": index, "weight": w, "D": D, "outcome": out.kind,
+        "trial": index, "weight": weight, "D": D, "outcome": out.kind,
         "iterations": out.iterations, "delta_initial": out.delta_initial,
         "dist_to_output": dist, "dist_bound": (4 + 8 * tester.r) * D,
         "contract_ok": bool(ok),
@@ -689,9 +668,8 @@ def decode_experiment(tester: SquareCodeTester, code: LinearCode, trials: int,
                       workers: int = 1) -> dict:
     """Seeded decode trials and their summary: far outcomes and whether
     every trial met the decoder contract."""
-    _check_weights(weights, code.n)
-    rows = _run_trials(lambda i: decode_trial(tester, code, seed, i, weights),
-                       trials, workers)
+    rows = _run_trials(lambda i, w: decode_trial(tester, code, seed, i, w),
+                       trials, weights, code.n, workers)
     return {
         "trials": trials, "weights": list(weights), "seed": seed,
         "n_far": sum(row["outcome"] == "far" for row in rows),

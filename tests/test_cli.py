@@ -875,6 +875,20 @@ def test_an_echelon_code_file_that_is_not_reduced_is_refused_by_name(
     assert main(["analyze", str(path), "--which", "rate"]) == 0
 
 
+@pytest.mark.parametrize("name", ["z5", "p13"])
+def test_the_recorded_code_load_certifies_its_rows_reduced_once(request, monkeypatch, name):
+    # the leading digits certify the rank; the constructor alone certifies
+    # the rows reduced, and nothing checks them again
+    instance_dir = request.getfixturevalue(f"{name}_dir")
+    manifest = json.loads((instance_dir / "manifest.json").read_text())
+    blob = (instance_dir / "complex.cay2.npz").read_bytes()
+    load = cli._recorded_square_code(manifest, str(instance_dir / "manifest.json"), blob)[2]
+    real, calls = f2core.reduced_echelon, []
+    monkeypatch.setattr(f2core, "reduced_echelon", lambda M: calls.append(M.rows) or real(M))
+    code = load()
+    assert calls == [code.n - code.k]
+
+
 @pytest.mark.parametrize("name", ["z5", "z12", "p13"])
 def test_the_recorded_code_is_read_off_its_reduced_rows(request, monkeypatch, name):
     # the reference eliminates the file's rows again; the load certifies

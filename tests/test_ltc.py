@@ -216,7 +216,7 @@ def edge_disagreements(tester, wgrid):
     """Boolean per edge: the two endpoint views in the (a, g, b) grid wgrid
     differ on the edge, compared through their line codes."""
     out = np.zeros(tester.X.n_edges, dtype=bool)
-    out[tester._disputed(tester._line_codes(wgrid), None)] = True
+    out[tester._disputed(tester._line_codes(wgrid), np.arange(tester.X.n_edges))] = True
     return out
 
 
@@ -247,7 +247,8 @@ def test_line_disagreements_match_the_per_edge_references(request, name):
     for dtype, hi in ((np.int8, 3), (np.int16, 1000), (np.int64, 2)):
         lines = rng.integers(-1, hi, (2 * X.nA, X.n_vertices)).astype(dtype)
         ref = [edge_ids_differ(X, lines, e) for e in range(X.n_edges)]
-        assert tester._disputed(lines, None).tolist() == np.flatnonzero(ref).tolist()
+        assert (tester._disputed(lines, np.arange(X.n_edges)).tolist()
+                == np.flatnonzero(ref).tolist())
         edges = np.flatnonzero(rng.random(X.n_edges) < 0.5)
         assert tester._disputed(lines, edges).tolist() == [e for e in edges if ref[e]]
 
@@ -725,8 +726,7 @@ def test_nearest_local_codewords_match_per_vertex(start_instances, name,
     if near_code:
         f = tester.code.random_codeword(rng).to_bits()
         f[rng.integers(tester.n_squares)] ^= 1
-        tester._ensure_tables()
-        assert (tester._lookup(f, np.arange(tester.X.n_vertices)) >= 0).any()
+        assert not tester.reject_vector(f).all()
     ci = tester.nearest_local_codewords(f)
     assert np.array_equal(ci, per_vertex_nearest(tester, f))
     for g in rng.choice(tester.X.n_vertices, size=3):
@@ -850,7 +850,7 @@ def test_decode_experiment_summarises_its_trials(z12_instance):
     assert str(one) == str(eight)      # by text: far rows carry a nan distance
     rows = one["rows"]
     assert [r["weight"] for r in rows] == [1 + i % 3 for i in range(12)]
-    assert str(rows[5]) == str(decode_trial(tester, code, 23, 5, (1, 3)))
+    assert str(rows[5]) == str(decode_trial(tester, code, 23, 5, 3))
     assert one["n_far"] == sum(r["outcome"] == "far" for r in rows)
     assert one["all_contracts_ok"] == all(r["contract_ok"] for r in rows)
 
@@ -875,7 +875,7 @@ def test_decode_contract_holds_with_equality(monkeypatch, delta0, wrong, ok):
     tester = SimpleNamespace(X=SimpleNamespace(n_vertices=24, n_edges=36), r=1,
                              decode=lambda bits: out)
     monkeypatch.setattr(ltc, "_trial_word", lambda *args: (f, 1))
-    row = decode_trial(tester, SimpleNamespace(n=10), 0, 0, (1, 1))
+    row = decode_trial(tester, SimpleNamespace(n=10), 0, 0, 1)
     assert row["contract_ok"] is ok
     assert (row["D"], row["dist_to_output"], row["dist_bound"]) == (1 / 24, wrong / 10,
                                                                     12 / 24)
@@ -1163,7 +1163,43 @@ def test_the_passes_switch_to_whole_arrays_at_a_quarter_of_the_vertices(
             assert np.array_equal(v1, np.flatnonzero(ci))
             assert np.array_equal(edges, np.unique(tester.X.edge_at[:, v1]))
         else:
-            assert v1 is None and edges is None
+            assert np.array_equal(v1, np.arange(n))
+            assert np.array_equal(edges, np.arange(tester.X.n_edges))
+
+
+def decode_record(tester, f):
+    """reject_vector, nearest_local_codewords and decode of f, as lists."""
+    out = tester.decode(f)
+    return (tester.reject_vector(f).tolist(), tester.nearest_local_codewords(f).tolist(),
+            out.kind, out.delta_trace,
+            None if out.word is None else out.word.to_bits().tolist(),
+            None if out.disputed_edges is None else out.disputed_edges.tolist())
+
+
+def test_the_switch_to_whole_arrays_changes_only_the_cost(start_instances, monkeypatch):
+    # past the switch the passes read every vertex and edge; forced onto the
+    # vertices supp f reaches and V1's edges, they give the same answers
+    tester = start_instances["p13"]
+    X, n = tester.X, tester.X.n_vertices
+    rng = np.random.default_rng(77)
+    near = tester.code.random_codeword(rng).to_bits()
+    near[rng.choice(tester.n_squares, size=40, replace=False)] ^= 1
+    words = [sparse_word(tester, rng, n // 4 - 1), sparse_word(tester, rng, n // 4),
+             near, rng.integers(0, 2, tester.n_squares, dtype=np.uint8)]
+    assert [4 * int(f.sum()) >= n for f in words] == [False, True, True, True]
+    unforced = [decode_record(tester, f) for f in words]
+
+    def off_zero(ci):
+        v1 = np.flatnonzero(ci)
+        return v1, np.unique(X.edge_at[:, v1])
+
+    monkeypatch.setattr(tester, "_reached",
+                        lambda bits: X.vertices_of_squares(np.flatnonzero(bits)))
+    monkeypatch.setattr(tester, "_off_zero", off_zero)
+    for f, record in zip(words, unforced):
+        assert_like_references(tester, f)
+        assert decode_record(tester, f) == record
+    assert {record[2] for record in unforced} == {"codeword", "far"}
 
 
 def test_sparse_far_words_match_the_reference(z200, monkeypatch):
@@ -1276,3 +1312,51 @@ def test_zero_delta_views_that_disagree_are_refused(start_instances, z200, name,
                         lambda lines, edges: np.zeros(0, dtype=np.int64))
     with pytest.raises(AssertionError, match="globally consistent"):
         tester.decode(f)
+
+
+def test_a_drifting_gain_is_caught_by_the_periodic_recount(start_instances, monkeypatch):
+    # every negative gain one too low: the steps are the same, but Delta
+    # loses one a step, and the recount at step 64 sees it before the
+    # 65th evaluation
+    tester = start_instances["p13"]
+    rng = np.random.default_rng(0)
+    f = tester.code.random_codeword(rng).to_bits() ^ ltc.random_error(rng, tester.n_squares, 268)
+    out = tester.decode(f)
+    assert out.iterations > 64 and out.delta_trace[64] > 64
+    real, calls = tester._evaluate, []
+
+    def drifting(ci, verts, gain, best):
+        calls.append(len(verts))
+        real(ci, verts, gain, best)
+        gain[verts] -= gain[verts] < 0
+
+    monkeypatch.setattr(tester, "_evaluate", drifting)
+    with pytest.raises(AssertionError, match="incremental Delta drifted"):
+        tester.decode(f)
+    assert len(calls) == 64
+
+
+def test_a_corrupted_last_step_is_caught_by_the_final_recount(start_instances,
+                                                              monkeypatch):
+    # a flipped view decodes in a few steps; after the last one its vertex
+    # takes another candidate, which differs from its neighbours on a line
+    tester = start_instances["p13"]
+    X = tester.X
+    rng = np.random.default_rng(3)
+    f = tester.code.random_codeword(rng).to_bits()
+    f[np.unique(X.squares_of_vertex(int(rng.integers(X.n_vertices))))] ^= 1
+    out = tester.decode(f)
+    steps = out.iterations
+    assert out.kind == "codeword" and 0 < steps < 64
+    real, calls = tester._evaluate, []
+
+    def corrupting(ci, verts, gain, best):
+        calls.append(len(verts))
+        if len(calls) == steps + 1:       # after the last step, at its vertex
+            ci[verts[-1]] ^= 1
+        real(ci, verts, gain, best)
+
+    monkeypatch.setattr(tester, "_evaluate", corrupting)
+    with pytest.raises(AssertionError, match="incremental Delta drifted"):
+        tester.decode(f)
+    assert len(calls) == steps + 1
