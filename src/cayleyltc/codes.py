@@ -34,7 +34,7 @@ SQUARE_CODE_COORD_BUDGET = 20000
 class LinearCode:
     """A binary linear code, held as its parity checks H in reduced row
     echelon form without zero rows (k = n - rows), which the constructor
-    certifies; from_parity_checks reduces other checks first.  The
+    certifies; from_parity_checks reduces any checks to it first.  The
     generator, read off H on first use, is I_k on H's non-pivot columns,
     the `information_set`, and H^T on its pivots, so G H^T = 0."""
 
@@ -67,8 +67,7 @@ class LinearCode:
     @classmethod
     def from_parity_checks(cls, rows: BitMatrix, provenance: str = "explicit",
                            params: dict | None = None) -> "LinearCode":
-        H = rows if f2core.reduced_echelon(rows) else f2core.row_basis(rows)
-        return cls(H, provenance, params)
+        return cls(f2core.row_basis(rows), provenance, params)
 
     @property
     def rate(self) -> float:
@@ -322,8 +321,8 @@ def square_code(X: CayleyComplex, C1: LinearCode) -> LinearCode:
 
     - global: grid row a at vertex g is est[edge_at[a, g]], column b is
       est[edge_at[nA + b, g]], and some slot names every edge;
-    - local: C1's row and column checks on the grid are orthogonal to C0's
-      generator and have rank r^2 - k(C0), so they span C0's checks.
+    - local: C1's row and column checks on the grid, C0's checks and the
+      two stacked have one rank, so the checks span one row space.
 
     Placing checks on a view is linear (repeated squares fold mod 2), so
     each row of Hv is a sum of placed row and column checks, which are rows
@@ -341,10 +340,8 @@ def square_code(X: CayleyComplex, C1: LinearCode) -> LinearCode:
             and np.array_equal(X.square_id, est[X.edge_at[:r]])
             and np.array_equal(X.square_id.transpose(2, 1, 0), est[X.edge_at[r:]])):
         raise AssertionError("vertex views are not the views along their edges")
-    C0 = tensor_code(C1)
-    checks = _row_column_checks(C1)
-    if not (f2core.rows_orthogonal(checks, C0.generator)
-            and f2core.rank(checks) == r * r - C0.k):
+    C0, checks = tensor_code(C1), _row_column_checks(C1)
+    if not f2core.rank(checks) == f2core.rank(checks.stack(C0.parity)) == C0.parity.rows:
         raise AssertionError("tensor code is not the row-and-column code of C1")
     code = LinearCode.from_parity_checks(
         _local_checks(est, C1.parity.to_array(), X.n_squares), provenance="square",

@@ -164,25 +164,16 @@ class CayleyComplex:
     # -- conditions ---------------------------------------------------------
 
     def check_conditions(self) -> ConditionReport:
-        n = self.n_vertices
-        g = np.arange(n, dtype=np.int64)
-        ag = self.left_perms[:, :, None]                          # (nA, n, 1)
-        gb = self.right_perms.T[None, :, :]                       # (1, n, nB)
-        agb = self.right_perms[:, self.left_perms].transpose(1, 2, 0)
-        # vertex collisions ag=gb or g=agb happen iff some A element is
-        # conjugate into B, i.e. iff TNC fails
-        viol = (ag == gb) | (g[None, :, None] == agb)
+        # TNC fails iff some A element is conjugate into B, i.e. iff ag = gb
+        # for some a, g, b; the other collision g = agb is a^-1 g = gb, and
+        # a^-1 is in A, which is symmetric
+        viol = self.left_perms[:, :, None] == self.right_perms.T[None, :, :]
         tnc = not bool(viol.any())
         tnc_witness = None
         if not tnc:
             ii, gg, jj = (int(x[0]) for x in np.nonzero(viol))
-            a_el, b_el = self.A.indices[ii], self.B.indices[jj]
-            if int(ag[ii, gg, 0]) == int(gb[0, gg, jj]):
-                # ag = gb, i.e. b = g^-1 a g, so (g^-1) a = b (g^-1)
-                tnc_witness = (self.group.inv(gg), a_el, b_el)
-            else:
-                # g = agb, i.e. b = g^-1 a^-1 g
-                tnc_witness = (self.group.inv(gg), self.group.inv(a_el), b_el)
+            # b = g^-1 a g, so (g^-1) a = b (g^-1)
+            tnc_witness = (self.group.inv(gg), self.A.indices[ii], self.B.indices[jj])
             gw, aw, bw = tnc_witness
             assert self.group.mul(gw, aw) == self.group.mul(bw, gw)
         # a square class of size 2 is exactly an N2C violation

@@ -3,9 +3,8 @@
 Words and matrices are stored bit-packed into uint64 numpy arrays (LSB of
 word 0 = coordinate 0), so row operations run word-parallel.  Everything a
 code computation needs lives here: rank, reduced row echelon form, kernel
-bases, the product A B^T (Four-Russians tables), the table of all XOR
-combinations of some rows (the codewords a generator spans) and the f2mat
-format, written and read as bytes.
+bases, the table of all XOR combinations of some rows (the codewords a
+generator spans) and the f2mat format, written and read as bytes.
 
 Elimination is blocked Four-Russians (Arlazarov et al. 1970; M4RI in
 Albrecht, Bard & Hart, ACM TOMS 2010).  Columns are taken a byte (8
@@ -17,8 +16,7 @@ row_basis and kernel_basis add the back pass, last block first, that clears
 the rows above each block's pivots the same way.
 
 No matrix is unpacked whole on the way from checks to a kernel basis: dense
-temporaries are slabs of at most PACK_BLOCK bytes (1 MB), and a product's
-tables hold at most PRODUCT_BLOCK words (2 MB) at a time.  reduced_echelon
+temporaries are slabs of at most PACK_BLOCK bytes (1 MB).  reduced_echelon
 certifies a reduced row echelon form without elimination.
 
 All values are immutable after construction from the caller's perspective;
@@ -298,8 +296,6 @@ def row_basis(M: BitMatrix) -> BitMatrix:
 
 def rank(M: BitMatrix) -> int:
     """GF(2) row rank of M."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
     _, pivots, _ = _echelon_words(M.words, M.cols)
     return len(pivots)
 
@@ -374,56 +370,6 @@ def reduced_kernel_basis(R: BitMatrix) -> BitMatrix:
     form without zero rows (as row_basis returns it); no elimination."""
     K = _kernel_words(R.words, R.cols)
     return BitMatrix._from_words(K, K.shape[0], R.cols)
-
-
-#: uint64 words in one block of Four-Russians product tables (2 MB)
-PRODUCT_BLOCK = 1 << 18
-
-
-def mul_transpose(A: BitMatrix, B: BitMatrix) -> BitMatrix:
-    """A B^T over GF(2): entry (i, j) is the inner product of row i of A
-    with row j of B.
-
-    Four-Russians (Arlazarov et al. 1970; M4RM in Albrecht, Bard & Hart,
-    ACM TOMS 2010): the columns of B are packed as rows of B^T and taken
-    eight at a time; a table of all 256 XOR combinations of each group is
-    indexed by the matching byte of every packed row of A whose byte is not
-    zero, so sparse check matrices cost in proportion to their nonzero
-    bytes.  Groups go a block at a time, the block's tables filling at most
-    PRODUCT_BLOCK words: its columns of B are transposed from B's bytes and
-    its bytes of A read column-wise for that block only, and the tables are
-    freed before the next block's are built.  Only B is transposed, so B
-    should be the operand with fewer rows.
-    """
-    if A.cols != B.cols:
-        raise ValueError(f"column count mismatch: {A.cols} != {B.cols}")
-    m, n = A.rows, A.cols
-    pw = max(1, -(-B.rows // 64))
-    C = np.zeros((m, pw), dtype=np.uint64)
-    groups = -(-n // 8)
-    if m and B.rows and n:
-        Ab = np.ascontiguousarray(A.words).view(np.uint8)
-        Bb = np.ascontiguousarray(B.words).view(np.uint8)
-        step = max(1, PRODUCT_BLOCK // (256 * pw))
-        for lo in range(0, groups, step):
-            hi = min(groups, lo + step)
-            # rows 8 lo .. 8 hi of B^T, bit j of row c = entry (j, c) of B
-            Bt = _pack_bits(np.unpackbits(Bb[:, lo:hi], axis=1, bitorder="little").T)
-            # table[g, x] = XOR of the rows 8(lo+g)+t of B^T with bit t of x set
-            table = _xor_table(Bt.reshape(hi - lo, 8, pw))
-            Abytes = np.ascontiguousarray(Ab[:, lo:hi].T)
-            for g in range(hi - lo):
-                hit = np.flatnonzero(Abytes[g])
-                C[hit] ^= table[g][Abytes[g, hit]]
-            del Bt, table, Abytes
-    return BitMatrix._from_words(C, m, B.rows)
-
-
-def rows_orthogonal(A: BitMatrix, B: BitMatrix) -> bool:
-    """Whether A B^T = 0, with the operand of fewer rows transposed."""
-    if B.rows > A.rows:
-        A, B = B, A
-    return not mul_transpose(A, B).words.any()
 
 
 # ---------------------------------------------------------------------------

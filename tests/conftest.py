@@ -4,7 +4,13 @@ import pytest
 
 from cayleyltc import analysis, codes, ltc, spectral
 from cayleyltc.complexes import build_complex
+from cayleyltc.f2core import BitVector
 from cayleyltc.groups import GeneratorSet, cayley_graph, cyclic_group, lps_generators, psl2
+
+
+def rows_orthogonal(A, B):
+    """Reference for A B^T = 0 over GF(2): A times each row of B is zero."""
+    return not any(A.matvec(BitVector(b)).words.any() for b in B.to_array())
 
 
 def build_toy(n, a_gens, b_gens=None):

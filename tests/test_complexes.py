@@ -121,6 +121,38 @@ def test_psl2_13_tnc_fails_n2c_holds(p13):
     assert grp.mul(g, a) == grp.mul(b, g)
 
 
+def two_collision_tnc(X):
+    """Reference: TNC fails iff ag = gb or g = agb for some a, g, b."""
+    g = np.arange(X.n_vertices)
+    ag = X.left_perms[:, :, None]
+    gb = X.right_perms.T[None, :, :]
+    agb = X.right_perms[:, X.left_perms].transpose(1, 2, 0)
+    return not ((ag == gb) | (g[None, :, None] == agb)).any()
+
+
+def random_symmetric_set(grp, rng, side):
+    """The inverse closure of two or three random non-identity elements."""
+    xs = rng.integers(1, grp.order, size=int(rng.integers(2, 4))).tolist()
+    return GeneratorSet(grp, tuple(sorted({y for x in xs for y in (x, grp.inv(x))})), side)
+
+
+def test_tnc_one_comparison_matches_the_two_collision_reference():
+    # ag = gb alone decides TNC on symmetric A: g = agb is a^-1 g = gb
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for grp in (cyclic_group(12), cyclic_group(20), cyclic_group(30),
+                psl2(7), psl2(11), psl2(13)):
+        for _ in range(6):
+            A = random_symmetric_set(grp, rng, "left")
+            B = random_symmetric_set(grp, rng, "right")
+            X = build_complex(grp, A, B)
+            cond = X.check_conditions()
+            assert cond.tnc == two_collision_tnc(X), (grp.manifest(), A.indices, B.indices)
+            assert (cond.tnc_witness is None) == cond.tnc
+            verdicts.append(cond.tnc)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_edge_identity_both_representatives(z5, p13):
     for x in (z5, p13):
         for i in range(x.nA):

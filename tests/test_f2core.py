@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import rows_orthogonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +48,8 @@ def brute_force_rank(arr):
 
 def test_rank_identity_and_zero():
     assert rank(BitMatrix(np.eye(3, dtype=np.uint8))) == 3
-    assert rank(BitMatrix.zeros(2, 5)) == 0
+    for shape in [(2, 5), (0, 5), (3, 0), (0, 0)]:
+        assert rank(BitMatrix.zeros(*shape)) == 0
 
 
 def test_rank_hamming_parity_check():
@@ -298,53 +300,10 @@ def test_reduced_kernel_basis_peak_memory_is_one_block_over_its_operands(p13_ins
     assert peak < R.words.nbytes + K.words.nbytes + f2core.PACK_BLOCK
 
 
-def _mul_transpose_by_matvec(A, B):
-    """Reference: column j of A B^T is A times row j of B."""
-    cols = [A.matvec(BitVector(b)).to_bits() for b in B.to_array()]
-    return np.array(cols, dtype=np.uint8).T.reshape(A.rows, B.rows)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([0, 1, 2, 7, 9, 64, 65, 130]), st.integers(0, 140),
-       st.sampled_from([0, 1, 5, 8, 13, 63, 64, 65, 127, 200]),
-       st.sampled_from([1, 768, f2core.PRODUCT_BLOCK]), st.floats(0, 1),
-       st.integers(0, 2**32 - 1))
-def test_mul_transpose_matches_matvec(m, p, n, block, density, seed):
-    rng = np.random.default_rng(seed)
-    A = BitMatrix(rng.random((m, n)) < density)
-    B = BitMatrix(rng.random((p, n)) < density)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(f2core, "PRODUCT_BLOCK", block)   # one or few tables a block
-        C = f2core.mul_transpose(A, B)
-    assert (C.rows, C.cols) == (m, p)
-    assert np.array_equal(C.to_array(), _mul_transpose_by_matvec(A, B))
-    assert f2core.rows_orthogonal(A, B) == f2core.rows_orthogonal(B, A) \
-        == (not C.to_array().any())
-
-
-@pytest.mark.parametrize("groups_per_block", [1, 2, 7])
-def test_mul_transpose_packs_bt_a_column_block_at_a_time(monkeypatch, groups_per_block):
-    # n = 203 is 26 byte groups, so B^T is packed in several column blocks,
-    # the last one partial
-    rng = np.random.default_rng(groups_per_block)
-    for p in (1, 64, 65, 130):
-        pw = -(-p // 64)
-        monkeypatch.setattr(f2core, "PRODUCT_BLOCK", 256 * pw * groups_per_block)
-        A = BitMatrix(rng.random((70, 203)) < 0.3)
-        B = BitMatrix(rng.random((p, 203)) < 0.3)
-        assert np.array_equal(f2core.mul_transpose(A, B).to_array(),
-                              _mul_transpose_by_matvec(A, B))
-
-
-def test_mul_transpose_rejects_width_mismatch():
-    with pytest.raises(ValueError, match="column count"):
-        f2core.mul_transpose(BitMatrix.zeros(2, 5), BitMatrix.zeros(2, 6))
-
-
 def test_rows_orthogonal_on_hamming():
     G, H = BitMatrix(HAMMING_G), BitMatrix(HAMMING_H)
-    assert f2core.rows_orthogonal(G, H) and f2core.rows_orthogonal(H, G)
-    assert not f2core.rows_orthogonal(G, G)
+    assert rows_orthogonal(G, H) and rows_orthogonal(H, G)
+    assert not rows_orthogonal(G, G)
 
 
 @settings(max_examples=40, deadline=None)
