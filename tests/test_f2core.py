@@ -48,8 +48,20 @@ def brute_force_rank(arr):
 
 def test_rank_identity_and_zero():
     assert rank(BitMatrix(np.eye(3, dtype=np.uint8))) == 3
-    for shape in [(2, 5), (0, 5), (3, 0), (0, 0)]:
-        assert rank(BitMatrix.zeros(*shape)) == 0
+    assert rank(BitMatrix.zeros(2, 5)) == 0
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (0, 5), (3, 0), (0, 0)], ids="{0[0]}x{0[1]}".format)
+def test_zero_matrix_has_rank_zero_and_a_full_kernel(shape):
+    # empty shapes take the same elimination path as any other zero matrix
+    rows, cols = shape
+    M = BitMatrix.zeros(rows, cols)
+    assert rank(M) == 0
+    R = f2core.row_basis(M)
+    assert (R.rows, R.cols) == (0, cols) and f2core.reduced_echelon(R)
+    K = f2core.reduced_kernel_basis(R)
+    assert np.array_equal(K.to_array(), np.eye(cols, dtype=np.uint8))
+    assert len(kernel_basis(M)) == cols
 
 
 def test_rank_hamming_parity_check():
@@ -298,6 +310,19 @@ def test_reduced_kernel_basis_peak_memory_is_one_block_over_its_operands(p13_ins
         tracemalloc.stop()
     assert K.rows == R.cols - R.rows
     assert peak < R.words.nbytes + K.words.nbytes + f2core.PACK_BLOCK
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9), st.sampled_from([0, 1, 7, 64, 65, 130]),
+       st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_rows_orthogonal_matches_the_integer_product(m, p, n, density, seed):
+    # the matvec reference agrees with A B^T computed over the integers mod 2
+    rng = np.random.default_rng(seed)
+    a = (rng.random((m, n)) < density).astype(np.int64)
+    b = (rng.random((p, n)) < density).astype(np.int64)
+    expected = not ((a @ b.T) % 2).any()
+    assert rows_orthogonal(BitMatrix(a), BitMatrix(b)) == expected
+    assert rows_orthogonal(BitMatrix(b), BitMatrix(a)) == expected
 
 
 def test_rows_orthogonal_on_hamming():
