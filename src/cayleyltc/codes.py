@@ -17,8 +17,8 @@ lies in C and "C (x) F_2^r" means every column lies in C.
 
 from __future__ import annotations
 
+import functools
 import json
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -49,16 +49,11 @@ class LinearCode:
         self.information_set = np.setdiff1d(
             np.arange(self.n), f2core._leading_bits(parity.words))
         self._distance: int | None = None
-        self._generator: BitMatrix | None = None
-        self._lock = threading.Lock()
 
-    @property
+    @functools.cached_property
     def generator(self) -> BitMatrix:
-        """G, read off H once, under the lock, by the first caller."""
-        with self._lock:
-            if self._generator is None:
-                self._generator = f2core.reduced_kernel_basis(self.parity)
-        return self._generator
+        """G, read off H by the first caller and kept."""
+        return f2core.reduced_kernel_basis(self.parity)
 
     def _encode(self, coeffs: np.ndarray) -> np.ndarray:
         """The packed sum of the generator rows selected by the boolean coeffs."""

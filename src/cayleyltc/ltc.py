@@ -31,13 +31,12 @@ Delta and the final checks at the vertices off candidate 0 and their edges.
 A set that reaches a quarter of the vertices is every vertex, or every
 edge, which is cheaper than finding it; the passes are the same.
 
-kappa_experiment and decode_experiment run seeded trials, one RNG stream
-per (seed, trial index), so their rows do not depend on the worker count.
+kappa_experiment and decode_experiment run seeded trials serially, one
+RNG stream per (seed, trial index), so each row is its trial run alone.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,9 +135,8 @@ class SquareCodeTester:
         lbl, g = X.edge_rep_slots()     # each edge's line slots l*n + g, l^-1*n + g^l
         self._edge_slots = np.stack([lbl * X.n_vertices + g,
                                      X.label_inv[lbl] * X.n_vertices + X.vert_image[lbl, g]])
-        self._edge_slots.flags.writeable = False     # shared by threads
+        self._edge_slots.flags.writeable = False
         self._pattern_of = None      # set last by _ensure_tables
-        self._table_lock = threading.Lock()   # decode trials may share a tester
 
     # -- tester ------------------------------------------------------------
 
@@ -214,66 +212,63 @@ class SquareCodeTester:
         """
         if self._pattern_of is not None:
             return
-        with self._table_lock:
-            if self._pattern_of is not None:
-                return
-            k0 = self.C0.k
-            if k0 > NEAREST_SEARCH_MAX_DIM:
-                raise DimensionBudgetError(
-                    f"local code dimension k1^2 = {k0} exceeds the nearest-codeword "
-                    f"search budget {NEAREST_SEARCH_MAX_DIM}; the greedy loop needs "
-                    f"an enumerable local code")
-            words = self.C0.codewords()                       # (2^k0, r^2)
-            words = words[np.lexsort(words.T[::-1])]          # lexicographic
-            n, r, r2 = self.X.n_vertices, self.r, self.r * self.r
-            # a stable sort of each view's square ids puts equal ones in runs,
-            # each led by its first slot; every slot takes its run's leader
-            keys = np.empty((n, r2), dtype=np.min_scalar_type(r2 - 1))
-            step = max(1, DECODE_BLOCK // (r2 * r2))
-            for lo in range(0, n, step):
-                flat = self._grid[:, lo:lo + step, :].transpose(1, 0, 2).reshape(-1, r2)
-                order = flat.argsort(axis=1, kind="stable").astype(keys.dtype)
-                ids = np.take_along_axis(flat, order, axis=1)
-                lead = np.arange(r2) * np.insert(ids[:, 1:] != ids[:, :-1], 0, True, axis=1)
-                np.put_along_axis(keys[lo:lo + step], order, np.take_along_axis(
-                    order, np.maximum.accumulate(lead, axis=1), axis=1), axis=1)
-            # one bytes object per key row: np.unique(axis=0) sorts ~100x slower
-            key_rows = keys.view(np.dtype((np.void, keys.itemsize * r2))).ravel()
-            _, first_vertex, pattern_of = np.unique(
-                key_rows, return_index=True, return_inverse=True)
-            keys = keys[first_vertex].astype(np.intp)         # (pattern, r^2)
-            member = np.stack([(words[:, key] == words).all(axis=1) for key in keys])
-            kept = member.any(axis=0)
-            cand = words[kept]
-            # int16 holds r^2 + 4r + 1 up to r = 179, past which one key block is > 1 GB
-            outside = np.where(member[:, kept], 0, r2 + 2 * r + 1).astype(np.int16)
-            # candidate 0 is the zero word, held at every pattern: a vertex
-            # whose view misses supp f keeps it, and a zero view accepts
-            assert not cand[0].any() and not outside[:, 0].any()
+        k0 = self.C0.k
+        if k0 > NEAREST_SEARCH_MAX_DIM:
+            raise DimensionBudgetError(
+                f"local code dimension k1^2 = {k0} exceeds the nearest-codeword "
+                f"search budget {NEAREST_SEARCH_MAX_DIM}; the greedy loop needs "
+                f"an enumerable local code")
+        words = self.C0.codewords()                       # (2^k0, r^2)
+        words = words[np.lexsort(words.T[::-1])]          # lexicographic
+        n, r, r2 = self.X.n_vertices, self.r, self.r * self.r
+        # a stable sort of each view's square ids puts equal ones in runs,
+        # each led by its first slot; every slot takes its run's leader
+        keys = np.empty((n, r2), dtype=np.min_scalar_type(r2 - 1))
+        step = max(1, DECODE_BLOCK // (r2 * r2))
+        for lo in range(0, n, step):
+            flat = self._grid[:, lo:lo + step, :].transpose(1, 0, 2).reshape(-1, r2)
+            order = flat.argsort(axis=1, kind="stable").astype(keys.dtype)
+            ids = np.take_along_axis(flat, order, axis=1)
+            lead = np.arange(r2) * np.insert(ids[:, 1:] != ids[:, :-1], 0, True, axis=1)
+            np.put_along_axis(keys[lo:lo + step], order, np.take_along_axis(
+                order, np.maximum.accumulate(lead, axis=1), axis=1), axis=1)
+        # one bytes object per key row: np.unique(axis=0) sorts ~100x slower
+        key_rows = keys.view(np.dtype((np.void, keys.itemsize * r2))).ravel()
+        _, first_vertex, pattern_of = np.unique(
+            key_rows, return_index=True, return_inverse=True)
+        keys = keys[first_vertex].astype(np.intp)         # (pattern, r^2)
+        member = np.stack([(words[:, key] == words).all(axis=1) for key in keys])
+        kept = member.any(axis=0)
+        cand = words[kept]
+        # int16 holds r^2 + 4r + 1 up to r = 179, past which one key block is > 1 GB
+        outside = np.where(member[:, kept], 0, r2 + 2 * r + 1).astype(np.int16)
+        # candidate 0 is the zero word, held at every pattern: a vertex
+        # whose view misses supp f keeps it, and a zero view accepts
+        assert not cand[0].any() and not outside[:, 0].any()
 
-            # lines 0..r-1 are the rows, r..2r-1 the columns, as the labels
-            grids = cand.reshape(-1, r, r)
-            lines = np.concatenate([grids, grids.transpose(0, 2, 1)], axis=1)
-            distinct, line_ids = np.unique(
-                lines.reshape(-1, r).view(np.dtype((np.void, r))), return_inverse=True)
-            line_table = line_ids.reshape(len(cand), 2 * r).T.astype(
-                np.min_scalar_type(len(distinct) - 1), order="C")
+        # lines 0..r-1 are the rows, r..2r-1 the columns, as the labels
+        grids = cand.reshape(-1, r, r)
+        lines = np.concatenate([grids, grids.transpose(0, 2, 1)], axis=1)
+        distinct, line_ids = np.unique(
+            lines.reshape(-1, r).view(np.dtype((np.void, r))), return_inverse=True)
+        line_table = line_ids.reshape(len(cand), 2 * r).T.astype(
+            np.min_scalar_type(len(distinct) - 1), order="C")
 
-            # an information set of C0: its codewords differ on these slots;
-            # keys of the codewords no vertex holds name the zero word, which
-            # their views never equal
-            key_slots = self.C0.information_set
-            key_weights = np.left_shift(1, np.arange(k0, dtype=np.int64))
-            key_table = np.zeros(1 << k0, dtype=np.int32)
-            key_table[cand[:, key_slots] @ key_weights] = np.arange(len(cand))
+        # an information set of C0: its codewords differ on these slots;
+        # keys of the codewords no vertex holds name the zero word, which
+        # their views never equal
+        key_slots = self.C0.information_set
+        key_weights = np.left_shift(1, np.arange(k0, dtype=np.int64))
+        key_table = np.zeros(1 << k0, dtype=np.int32)
+        key_table[cand[:, key_slots] @ key_weights] = np.arange(len(cand))
 
-            self._cand_flat = cand
-            self._cand_t = cand.T.astype(np.float64)
-            self._lines = line_table                  # (2r, candidate)
-            self._first = (keys == np.arange(r2)).astype(np.float64)
-            self._outside = outside
-            self._key = (key_slots, key_weights, key_table)
-            self._pattern_of = pattern_of.reshape(-1)   # last: tables built
+        self._cand_flat = cand
+        self._cand_t = cand.T.astype(np.float64)
+        self._lines = line_table                  # (2r, candidate)
+        self._first = (keys == np.arange(r2)).astype(np.float64)
+        self._outside = outside
+        self._key = (key_slots, key_weights, key_table)
+        self._pattern_of = pattern_of.reshape(-1)   # last: tables built
 
     def _nearest(self, f_bits: np.ndarray, verts: np.ndarray) -> np.ndarray:
         """Candidate ids of the nearest local codewords at verts.
@@ -537,25 +532,13 @@ def _trial_word(tester: SquareCodeTester, code: LinearCode, seed: int,
     return f_bits, int(tester.reject_vector(f_bits).sum())
 
 
-def _run_trials(trial, trials: int, weights: tuple[int, int], n: int,
-                workers: int) -> list[dict]:
+def _run_trials(trial, trials: int, weights: tuple[int, int], n: int) -> list[dict]:
     """[trial(i, w) for i in range(trials)], w cycling through the weight
-    range (lo, hi), a ValueError unless 1 <= lo <= hi <= n; on `workers`
-    threads when > 1, and each trial seeds its own RNG, so the rows never
-    depend on `workers`."""
+    range (lo, hi), a ValueError unless 1 <= lo <= hi <= n."""
     lo, hi = weights
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"weight range {weights} invalid for length {n}")
-
-    def one(i: int) -> dict:
-        return trial(i, lo + i % (hi - lo + 1))
-
-    if workers > 1 and trials:
-        from concurrent.futures import ThreadPoolExecutor   # not at start-up
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(trials)))
-    return [one(i) for i in range(trials)]
+    return [trial(i, lo + i % (hi - lo + 1)) for i in range(trials)]
 
 
 def kappa_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
@@ -587,8 +570,7 @@ def kappa_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
 
 def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
                      params: TesterParams, trials: int,
-                     weights: tuple[int, int], seed: int,
-                     workers: int = 1) -> dict:
+                     weights: tuple[int, int], seed: int) -> dict:
     """Empirical testability: min over certified trials of D(f)|S|/wt(e).
 
     Uses the exact code distance for the certification radius when the
@@ -604,7 +586,7 @@ def kappa_experiment(tester: SquareCodeTester, code: LinearCode,
         radius = max(bound, 0.0)
         radius_kind = "bound-relative"
     rows = _run_trials(lambda i, w: kappa_trial(tester, code, seed, i, w, radius),
-                       trials, weights, code.n, workers)
+                       trials, weights, code.n)
 
     certified = [row["kappa_hat"] for row in rows if row["certified"]]
     kappa_hat = min(certified) if certified else None
@@ -664,12 +646,11 @@ def decode_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
 
 
 def decode_experiment(tester: SquareCodeTester, code: LinearCode, trials: int,
-                      weights: tuple[int, int], seed: int,
-                      workers: int = 1) -> dict:
+                      weights: tuple[int, int], seed: int) -> dict:
     """Seeded decode trials and their summary: far outcomes and whether
     every trial met the decoder contract."""
     rows = _run_trials(lambda i, w: decode_trial(tester, code, seed, i, w),
-                       trials, weights, code.n, workers)
+                       trials, weights, code.n)
     return {
         "trials": trials, "weights": list(weights), "seed": seed,
         "n_far": sum(row["outcome"] == "far" for row in rows),

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -422,19 +424,25 @@ def manifest_copy(instance_dir, tmp_path, alter):
 
 def test_ramanujan_verdict_counts_the_residual(z5_dir, tmp_path, capsys):
     # an LPS(5, q) manifest over the z5 artifacts, its recorded spectrum faked
-    # so that lambda alone passes 2*sqrt(5)/6 = 0.7454 but lambda + residual fails
-    for residual, verdict, rc in ((0.0, "pass", 0), (0.01, "fail", 1)):
-        side = {"lambda": 0.74, "residual": residual, "method": "iterative"}
+    # so that lambda alone passes 2*sqrt(5)/6 = 0.7454 but lambda + residual
+    # fails; then the largest double within the bound, 6 lambda <= 2 sqrt(5)
+    # exactly, and the next double up
+    top, over = 0.7453559924999299, 0.74535599249993
+    assert math.nextafter(top, 1) == over
+    assert (6 * Fraction(top)) ** 2 <= 20 < (6 * Fraction(over)) ** 2
+    for lam, residual, verdict, rc in ((0.74, 0.0, "pass", 0), (0.74, 0.01, "fail", 1),
+                                       (top, 0.0, "pass", 0), (over, 0.0, "fail", 1)):
+        side = {"lambda": lam, "residual": residual, "method": "iterative"}
 
         def fake(m):
             m["generators"]["lps"] = 5
-            m["spectral"] = {"lambda": 0.74, "cayley": {"left": side, "right": side}}
-            m["derived"]["lambda"] = 0.74
+            m["spectral"] = {"lambda": lam, "cayley": {"left": side, "right": side}}
+            m["derived"]["lambda"] = lam
 
         path = manifest_copy(z5_dir, tmp_path, fake)
         assert main(["analyze", str(path), "--which", "spectral"]) == rc
         rep = json.loads(capsys.readouterr().out)
-        assert rep["lambda"] <= rep["ramanujan_bound"]
+        assert rep["ramanujan_bound"] == 2 * math.sqrt(5) / 6
         assert rep["verdict"] == verdict
 
 
@@ -661,6 +669,61 @@ def p13_dir(tmp_path_factory):
     return out
 
 
+def test_experiment_starts_no_thread(z12_dir, tmp_path, monkeypatch):
+    import threading
+
+    def refused(self):
+        raise AssertionError("experiment started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    rows = {}
+    for workers in (1, 8):
+        prefix = tmp_path / f"w{workers}"
+        assert main(["experiment", str(z12_dir / "manifest.json"), "--kind", "decode",
+                     "--trials", "12", "--seed", "6", "--weights", "1,3",
+                     "--workers", str(workers), "--out", str(prefix)]) == 0
+        rows[workers] = [Path(f"{prefix}.{ext}").read_bytes() for ext in ("csv", "jsonl")]
+    assert rows[8] == rows[1]
+
+
+#: sha256 of code.f2mat and manifest.json of the TNC-true PSL2(F_13) build
+#: below, as build wrote them with BLAS on one thread when they were pinned
+P13_TNC_SHA256 = {
+    "code.f2mat": "664d9695e1e81e18d078b9ae3d4c8ba2a54cff7acb99fdd310d9027574fc4cb9",
+    "manifest.json": "cbcfc36e23f4c3dcc14ea964408c6f7ce14e70c303c2536531fabe42d85e9509"}
+
+
+def test_a_tnc_true_psl2_instance_builds_and_decodes(tmp_path, capsys):
+    # B differs from A: an A = B build fails TNC at g = e, this one has it.
+    # The dense eigvalsh's last bits follow the BLAS thread count, and the
+    # manifest records them, so the build runs on one BLAS thread
+    import os
+    import subprocess
+    import sys
+
+    out = tmp_path / "p13t"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "cayleyltc.cli", "build", "--group", "psl2:13",
+                    "--gens", "79,90,91,234", "--gens-b", "517,328,559,728",
+                    "--base", "parity:4", "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["derived"]["tnc"] is True and manifest["derived"]["n2c"] is True
+    assert manifest["derived"]["n_squares"] == 1092 * 4 * 4 // 4 == 4368
+    assert manifest["square_code"] == {"n": 4368, "k": 1096}
+    for name, digest in P13_TNC_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    capsys.readouterr()
+    assert main(["analyze", str(out / "manifest.json"), "--which", "rate"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert main(["experiment", str(out / "manifest.json"), "--kind", "decode",
+                 "--trials", "50", "--seed", "1", "--weights", "1,20",
+                 "--out", str(tmp_path / "runs" / "d")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_contracts_ok"] is True and report["n_far"] == 0
+
+
 def _rebuilt_code_report(instance_dir, which):
     """The exit code and report of analyze --which rate|distance by the
     reference route: the square code rebuilt from the complex file, the rate
@@ -859,6 +922,18 @@ def test_rate_loads_a_full_rank_file_out_of_echelon_form(z5_dir, tmp_path, capsy
 
 
 @pytest.mark.parametrize("which", ["distance", "kappa", "decode"])
+def test_a_code_file_out_of_echelon_form_is_eliminated_once(z5_dir, tmp_path,
+                                                             monkeypatch, which):
+    # the load that certifies the rank is the code the command then uses
+    path = manifest_copy(z5_dir, tmp_path, lambda m: _code_file(
+        "f2mat v1 4 5\n18\n28\n48\n88\n")(m, tmp_path))
+    real, calls = f2core.row_basis, []
+    monkeypatch.setattr(f2core, "row_basis", lambda M: calls.append(M.cols) or real(M))
+    assert main(_code_reader(which, path, tmp_path)) == 0
+    assert calls.count(5) == 1
+
+
+@pytest.mark.parametrize("which", ["distance", "kappa", "decode"])
 def test_an_echelon_code_file_that_is_not_reduced_is_refused_by_name(
         z5_dir, tmp_path, capsys, monkeypatch, which):
     # row 0 of the z5 code file plus row 1: the leads still increase and the
@@ -956,20 +1031,15 @@ def test_build_derives_no_square_code_generator(p13_dir, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["kappa", "decode"])
-def test_concurrent_trials_derive_the_generator_once(p13_dir, tmp_path, monkeypatch, kind):
-    # the first trials of --workers 2 reach the generator together; the
-    # code derives it once, under its lock, and the rows equal --workers 1's
-    import time
-
+def test_each_experiment_derives_the_generator_once(p13_dir, tmp_path, monkeypatch, kind):
     derive, calls = f2core.reduced_kernel_basis, []
 
-    def slow(R):
+    def counted(R):
         if R.cols == 4368:
             calls.append(R.rows)
-            time.sleep(0.05)           # a window for the second trial to enter
         return derive(R)
 
-    monkeypatch.setattr(f2core, "reduced_kernel_basis", slow)
+    monkeypatch.setattr(f2core, "reduced_kernel_basis", counted)
     outputs = {}
     for workers in (1, 2):
         prefix = tmp_path / f"w{workers}"
