@@ -7,10 +7,10 @@ JSON manifest, an f2mat matrix or a cay2 complex, the files build writes).
 build measures the spectrum once (dense eigvalsh up to DENSE_MAX_DIM vertices,
 Lanczos at tol 1e-10 above) and analyze --which spectral judges its record.
 Only build constructs the square code.  analyze --which rate|distance and
-experiment read code.f2mat, checked against its sha256 and the recorded n and
-k; rate reads its header and each row's leading digit, an echelon rank
-certificate, and distance loads the code only when its exact distance
-decides the verdict.
+experiment read code.f2mat, checked against its sha256, the recorded n and k
+and each row's leading digit, an echelon rank certificate: a file out of
+echelon form is refused.  rate loads nothing more, and distance loads the
+code only when its exact distance decides the verdict.
 Exit codes: 0 = pass, 1 = bound violation, 2 = precondition or budget
 refusal, 3 = internal error (any other exception, reported as
 {"error", "type"} JSON on stderr).
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -193,26 +192,35 @@ def _field(manifest: dict, field: str):
     return node
 
 
+def _read(path: Path) -> bytes:
+    """The bytes of the file at path, refused with the path named if there is none."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise PreconditionError(f"no such file: {path}") from None
+
+
 def _load_instance(manifest_path: str):
-    """The manifest, the complex file's checked bytes and the base code."""
+    """The manifest, its sha256, the complex file's checked bytes, the base code."""
     mpath = Path(manifest_path)
-    manifest = json.loads(mpath.read_text())
+    data = _read(mpath)
+    manifest = json.loads(data)
     if manifest.get("format") != "instance v1":
         raise PreconditionError(f"{manifest_path} is not an instance manifest")
-    blob = (mpath.parent / _field(manifest, "files.complex.path")).read_bytes()
+    blob = _read(mpath.parent / _field(manifest, "files.complex.path"))
     if _sha256(blob) != _field(manifest, "files.complex.sha256"):
         raise PreconditionError("complex file hash mismatch: artifacts corrupted")
-    return manifest, blob, _parse_base(_field(manifest, "base_spec"))
+    return manifest, _sha256(data), blob, _parse_base(_field(manifest, "base_spec"))
 
 
 def _recorded_square_code(manifest: dict, manifest_path: str, blob: bytes):
     """n, k and a loader of the square code build recorded, refused by the
     budget first, then with the field named unless the code file has its
-    sha256, n columns, n - k rows and rank n - k (in echelon form or loaded);
-    the loader loads the code once."""
+    sha256, n columns and n - k rows in echelon form, a rank certificate;
+    the loader refuses rows that are not reduced."""
     codes.check_square_code_budget(complexes.complex_manifest(blob)["counts"]["squares"])
     n, k = (_field(manifest, f"square_code.{key}") for key in ("n", "k"))
-    data = (Path(manifest_path).parent / _field(manifest, "files.code.path")).read_bytes()
+    data = _read(Path(manifest_path).parent / _field(manifest, "files.code.path"))
     if _sha256(data) != _field(manifest, "files.code.sha256"):
         raise PreconditionError(
             "manifest field 'files.code.sha256' differs from the code file's sha256")
@@ -228,24 +236,16 @@ def _recorded_square_code(manifest: dict, manifest_path: str, blob: bytes):
         raise PreconditionError(
             f"manifest field 'square_code.k' differs from n - rows = {n - rows} "
             "of the code file")
-    echelon = f2core.f2mat_echelon(data)
-    @functools.cache
+    if not f2core.f2mat_echelon(data):
+        raise PreconditionError(
+            "manifest field 'files.code.path' names a code file out of echelon form")
     def load() -> codes.LinearCode:
         H = f2core.load_matrix(data)
-        if echelon:
-            try:                      # the constructor certifies H reduced
-                code = codes.LinearCode(H, "square", None)
-            except ValueError:
-                raise PreconditionError("manifest field 'files.code.path' names a code file "
-                                        "in echelon form that is not reduced") from None
-        else:
-            code = codes.LinearCode.from_parity_checks(H, provenance="square")
-        if code.k != k:
-            raise PreconditionError(
-                f"manifest field 'square_code.k' differs from the code's dimension {code.k}")
-        return code
-    if not echelon:
-        load()                        # no rank certificate: eliminate, refuse or pass
+        try:                          # the constructor certifies H reduced
+            return codes.LinearCode(H, "square", None)
+        except ValueError:
+            raise PreconditionError("manifest field 'files.code.path' names a code file "
+                                    "in echelon form that is not reduced") from None
     return n, k, load
 
 
@@ -279,13 +279,11 @@ def _recorded_spectrum(manifest: dict) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    manifest, blob, C1 = _load_instance(args.manifest)
+    manifest, digest, blob, C1 = _load_instance(args.manifest)
     which = args.which
     report = {"instance": _field(manifest, "group_spec"),
-              "base": _field(manifest, "base_spec"),
-              "which": which, "manifest_sha256":
-              _sha256(Path(args.manifest).read_bytes()),
-              "tool_version": __version__}
+              "base": _field(manifest, "base_spec"), "which": which,
+              "manifest_sha256": digest, "tool_version": __version__}
 
     # a budget refusal of any analysis is an na report, exit 2
     try:
@@ -379,7 +377,7 @@ def cmd_experiment(args) -> int:
         raise PreconditionError(f"--trials {args.trials} is negative")
     if args.workers < 1:
         raise PreconditionError(f"--workers {args.workers} is less than 1")
-    manifest, blob, C1 = _load_instance(args.manifest)
+    manifest, digest, blob, C1 = _load_instance(args.manifest)
     if args.kind == "kappa":        # every field is read before anything is built
         d1, s1 = (_field(manifest, f"derived.{key}") for key in ("delta1", "sigma1"))
         params = ltc.TesterParams(
@@ -406,7 +404,7 @@ def cmd_experiment(args) -> int:
 
     out_prefix = Path(args.out)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    report["manifest_sha256"] = _sha256(Path(args.manifest).read_bytes())
+    report["manifest_sha256"] = digest
     report["tool_version"] = __version__
     csv_bytes = _write_rows(Path(str(out_prefix) + ".csv"), fields, rows)
     with open(str(out_prefix) + ".jsonl", "w") as fh:
@@ -424,7 +422,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_inspect(args) -> int:
     path = Path(args.path)
-    data = path.read_bytes()
+    data = _read(path)
     if path.suffix == ".json" or path.name == "manifest.json":
         doc = json.loads(data.decode())
         print(json.dumps(doc, indent=2, sort_keys=True))

@@ -40,8 +40,6 @@ class ConditionReport:
 
     tnc: bool
     n2c: bool
-    tnc_witness: tuple[int, int, int] | None = None   # (g, a, b) element indices
-    n2c_witness: tuple[int, int, int] | None = None
 
 
 def _class_ids(canon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,23 +165,10 @@ class CayleyComplex:
         # TNC fails iff some A element is conjugate into B, i.e. iff ag = gb
         # for some a, g, b; the other collision g = agb is a^-1 g = gb, and
         # a^-1 is in A, which is symmetric
-        viol = self.left_perms[:, :, None] == self.right_perms.T[None, :, :]
-        tnc = not bool(viol.any())
-        tnc_witness = None
-        if not tnc:
-            ii, gg, jj = (int(x[0]) for x in np.nonzero(viol))
-            # b = g^-1 a g, so (g^-1) a = b (g^-1)
-            tnc_witness = (self.group.inv(gg), self.A.indices[ii], self.B.indices[jj])
-            gw, aw, bw = tnc_witness
-            assert self.group.mul(gw, aw) == self.group.mul(bw, gw)
+        tnc = not (self.left_perms[:, :, None] == self.right_perms.T[None, :, :]).any()
         # a square class of size 2 is exactly an N2C violation
         n2c = bool((self.square_class_size == 4).all())
-        n2c_witness = None
-        if not n2c:
-            s = int(np.nonzero(self.square_class_size == 2)[0][0])
-            i, gg, j = (int(x) for x in self.square_rep[s])
-            n2c_witness = (gg, self.A.indices[i], self.B.indices[j])
-        return ConditionReport(tnc, n2c, tnc_witness, n2c_witness)
+        return ConditionReport(tnc, n2c)
 
     # -- incidence and labelling --------------------------------------------
 

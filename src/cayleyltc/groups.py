@@ -48,9 +48,6 @@ class FiniteGroup:
     order: int
     kind: str
 
-    def mul(self, i: int, j: int) -> int:
-        raise NotImplementedError
-
     def inv(self, i: int) -> int:
         raise NotImplementedError
 
@@ -61,9 +58,6 @@ class FiniteGroup:
     def right_perm(self, s: int) -> np.ndarray:
         """Permutation g -> g*s over all element indices."""
         raise NotImplementedError
-
-    def parameters(self) -> dict:
-        return {}
 
     def manifest(self) -> dict:
         return {"kind": self.kind, "parameters": self.parameters(), "order": self.order}
@@ -78,9 +72,6 @@ class CyclicGroup(FiniteGroup):
         if n < 2:
             raise ValueError(f"cyclic group needs n >= 2, got {n}")
         self.order = n
-
-    def mul(self, i: int, j: int) -> int:
-        return (i + j) % self.order
 
     def inv(self, i: int) -> int:
         return (-i) % self.order
@@ -151,9 +142,6 @@ class PSL2(FiniteGroup):
         if (a * d - b * c) % self.q != 1:
             raise ValueError(f"matrix {list(mat)} is not in PSL2({self.q})")
         return int(self._table[self._slot(a, b, c, d)])
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self._product(self.mats[i], self.mats[j]))
 
     def inv(self, i: int) -> int:
         a, b, c, d = self.mats[i]

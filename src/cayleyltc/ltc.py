@@ -105,7 +105,6 @@ class DecodeOutcome:
     word: BitVector | None
     iterations: int
     delta_initial: int
-    delta_final: int
     delta_trace: list[int]
     disputed_edges: np.ndarray | None = None
 
@@ -412,7 +411,7 @@ class SquareCodeTester:
         if delta > 0:
             return DecodeOutcome(
                 kind="far", word=None, iterations=iterations,
-                delta_initial=delta0, delta_final=delta, delta_trace=trace,
+                delta_initial=delta0, delta_trace=trace,
                 disputed_edges=fresh)
         # F from the views at V1, every other view being the zero word; the
         # views are consistent iff F's view is the candidate at V1 and zero
@@ -432,7 +431,7 @@ class SquareCodeTester:
             raise AssertionError("decoder output rejected by the tester")
         return DecodeOutcome(
             kind="codeword", word=word, iterations=iterations,
-            delta_initial=delta0, delta_final=0, delta_trace=trace)
+            delta_initial=delta0, delta_trace=trace)
 
 
 # ---------------------------------------------------------------------------

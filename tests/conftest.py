@@ -13,6 +13,17 @@ def rows_orthogonal(A, B):
     return not any(A.matvec(BitVector(b)).words.any() for b in B.to_array())
 
 
+def group_mul(grp, i, j):
+    """Reference product of the elements i and j of a cyclic or PSL2 group:
+    residues added mod n, or the 2x2 matrices grp.mats multiplied mod q and
+    the product looked up by index_of."""
+    if grp.kind == "cyclic":
+        return (i + j) % grp.order
+    a, b, c, d = (int(x) for x in grp.mats[i])
+    e, f, g, h = (int(x) for x in grp.mats[j])
+    return grp.index_of([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+
+
 def build_toy(n, a_gens, b_gens=None):
     g = cyclic_group(n)
     A = GeneratorSet(g, a_gens, side="left")

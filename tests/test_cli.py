@@ -686,34 +686,55 @@ def test_experiment_starts_no_thread(z12_dir, tmp_path, monkeypatch):
     assert rows[8] == rows[1]
 
 
-#: sha256 of code.f2mat and manifest.json of the TNC-true PSL2(F_13) build
+#: sha256 of code.f2mat and manifest.json of the TNC-true PSL2(F_13) builds
 #: below, as build wrote them with BLAS on one thread when they were pinned
 P13_TNC_SHA256 = {
     "code.f2mat": "664d9695e1e81e18d078b9ae3d4c8ba2a54cff7acb99fdd310d9027574fc4cb9",
     "manifest.json": "cbcfc36e23f4c3dcc14ea964408c6f7ce14e70c303c2536531fabe42d85e9509"}
+P13_TNC_PARITY6_SHA256 = {
+    "code.f2mat": "7409ea72f848dfd7d2e9fc724dafe087552c66a9889d1a036caa45a9ba307d5d",
+    "manifest.json": "2e5172cd72ef4058287d98437acc275516417a399fbdc2d6113afd139b604ba4"}
 
 
-def test_a_tnc_true_psl2_instance_builds_and_decodes(tmp_path, capsys):
-    # B differs from A: an A = B build fails TNC at g = e, this one has it.
-    # The dense eigvalsh's last bits follow the BLAS thread count, and the
-    # manifest records them, so the build runs on one BLAS thread
+def _build_on_one_blas_thread(out, gens, gens_b, base, golden):
+    """The manifest of a PSL2(F_13) build in a subprocess, its files checked
+    against their golden sha256.  The dense eigvalsh's last bits follow the
+    BLAS thread count, and the manifest records them, so the build runs on
+    one BLAS thread."""
     import os
     import subprocess
     import sys
 
-    out = tmp_path / "p13t"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, "-m", "cayleyltc.cli", "build", "--group", "psl2:13",
-                    "--gens", "79,90,91,234", "--gens-b", "517,328,559,728",
-                    "--base", "parity:4", "--out", str(out)],
+                    "--gens", gens, "--gens-b", gens_b, "--base", base, "--out", str(out)],
                    env=env, check=True, capture_output=True, timeout=120)
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["derived"]["tnc"] is True and manifest["derived"]["n2c"] is True
-    assert manifest["derived"]["n_squares"] == 1092 * 4 * 4 // 4 == 4368
-    assert manifest["square_code"] == {"n": 4368, "k": 1096}
-    for name, digest in P13_TNC_SHA256.items():
+    for name, digest in golden.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    return json.loads((out / "manifest.json").read_text())
+
+
+def _assert_the_tnc_facts(out, manifest, r):
+    """The facts the acceptance suite and the paper state under TNC, on the
+    PSL2(F_13) build in out with |A| = |B| = r: TNC and N2C hold, |E| =
+    |G| r and |S| = |G| r^2 / 4, and every view iota_g is injective."""
+    derived = manifest["derived"]
+    assert derived["tnc"] is True and derived["n2c"] is True
+    assert derived["n_edges"] == 1092 * r
+    assert derived["n_squares"] == 1092 * r * r // 4
+    X = cli.deserialize_complex((out / "complex.cay2.npz").read_bytes())
+    views = np.sort(X.square_id.transpose(1, 0, 2).reshape(X.n_vertices, -1), axis=1)
+    assert (np.diff(views, axis=1) > 0).all()
+
+
+def test_a_tnc_true_psl2_instance_builds_and_decodes(tmp_path, capsys):
+    # B differs from A: an A = B build fails TNC at g = e, this one has it
+    out = tmp_path / "p13t"
+    manifest = _build_on_one_blas_thread(out, "79,90,91,234", "517,328,559,728",
+                                         "parity:4", P13_TNC_SHA256)
+    _assert_the_tnc_facts(out, manifest, 4)
+    assert manifest["square_code"] == {"n": 4368, "k": 1096}
     capsys.readouterr()
     assert main(["analyze", str(out / "manifest.json"), "--which", "rate"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
@@ -722,6 +743,30 @@ def test_a_tnc_true_psl2_instance_builds_and_decodes(tmp_path, capsys):
                  "--out", str(tmp_path / "runs" / "d")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["all_contracts_ok"] is True and report["n_far"] == 0
+
+
+def test_a_tnc_true_psl2_instance_passes_a_non_vacuous_rate_bound(tmp_path, capsys):
+    # parity:6 on random symmetric 6-sets with TNC: k = 4,374 against the
+    # bound (4 k1 / r - 3) n = 3,276, inside the paper's hypotheses
+    out = tmp_path / "p13t6"
+    manifest = _build_on_one_blas_thread(
+        out, "562,1069,1059,890,509,843", "883,131,1001,325,899,284", "parity:6",
+        P13_TNC_PARITY6_SHA256)
+    _assert_the_tnc_facts(out, manifest, 6)
+    assert manifest["square_code"] == {"n": 9828, "k": 4374}
+    capsys.readouterr()
+    assert main(["analyze", str(out / "manifest.json"), "--which", "rate"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["k"], report["verdict"]) == (4374, "pass")
+    assert report["bound"] == pytest.approx(3276)
+    assert main(["experiment", str(out / "manifest.json"), "--kind", "kappa",
+                 "--trials", "30", "--seed", "1", "--weights", "1,20",
+                 "--out", str(tmp_path / "runs" / "k")]) == 0
+    capsys.readouterr()
+    # the decoder's local search is refused: k1^2 = 25 exceeds its budget 20
+    assert main(["experiment", str(out / "manifest.json"), "--kind", "decode",
+                 "--trials", "1", "--out", str(tmp_path / "runs" / "d")]) == 2
+    assert "k1^2 = 25" in json.loads(capsys.readouterr().err)["error"]
 
 
 def _rebuilt_code_report(instance_dir, which):
@@ -877,19 +922,41 @@ def test_an_inconsistent_code_record_is_refused_by_name(z5_dir, tmp_path, capsys
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("which", ["rate", "decode"])
+@pytest.mark.parametrize("missing", ["manifest", "complex", "code"])
+def test_a_missing_input_file_is_refused_by_path(z5_dir, tmp_path, capsys, which,
+                                                 missing):
+    gone = str(tmp_path / "gone")
+    path = gone if missing == "manifest" else manifest_copy(
+        z5_dir, tmp_path, lambda m: m["files"][missing].update(path=gone))
+    assert main(_code_reader(which, path, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": f"no such file: {gone}"}
+    assert not (tmp_path / "runs").exists()
+
+
+def test_inspect_refuses_a_missing_file_by_path(tmp_path, capsys):
+    gone = str(tmp_path / "gone.f2mat")
+    assert main(["inspect", gone]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": f"no such file: {gone}"}
+
+
+OUT_OF_ECHELON = "manifest field 'files.code.path' names a code file out of echelon form"
+
+
 @pytest.mark.parametrize("which", ["rate", "distance", "kappa", "decode"])
 def test_a_rank_deficient_code_file_is_refused_by_name(z5_dir, tmp_path, capsys,
                                                        monkeypatch, which):
     # the recorded shape, 4 rows of 5 columns, with a repeated row: rank 3, so
-    # the file's code has dimension 2, not the recorded k = 1
+    # no row can lead right of the row above it
     _forbid_rebuild(monkeypatch)
     path = manifest_copy(z5_dir, tmp_path, lambda m: _code_file(
         "f2mat v1 4 5\n88\n48\n28\n28\n")(m, tmp_path))
     assert main(_code_reader(which, path, tmp_path)) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert json.loads(err) == {
-        "error": "manifest field 'square_code.k' differs from the code's dimension 2"}
+    assert json.loads(err) == {"error": OUT_OF_ECHELON}
     assert not (tmp_path / "runs").exists()
 
 
@@ -910,27 +977,24 @@ def test_rate_certifies_the_rank_by_the_leading_digits(z5_dir, tmp_path, capsys,
     assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
-def test_rate_loads_a_full_rank_file_out_of_echelon_form(z5_dir, tmp_path, capsys,
-                                                         monkeypatch):
-    # the rows of the z5 code file in reverse order: no echelon certificate,
-    # but rank 4, so the loaded code has the recorded k = 1
+@pytest.mark.parametrize("which", ["rate", "distance", "kappa", "decode"])
+def test_a_full_rank_code_file_out_of_echelon_form_is_refused_by_name(
+        z5_dir, tmp_path, capsys, monkeypatch, which):
+    # the rows of the z5 code file in reverse order: rank 4, but build writes
+    # only reduced echelon rows, so the file is refused before it is loaded
     _forbid_rebuild(monkeypatch)
+
+    def loaded(*args):
+        raise AssertionError("the code file was loaded")
+
+    monkeypatch.setattr(f2core, "load_matrix", loaded)
     path = manifest_copy(z5_dir, tmp_path, lambda m: _code_file(
         "f2mat v1 4 5\n18\n28\n48\n88\n")(m, tmp_path))
-    assert main(["analyze", str(path), "--which", "rate"]) == 0
-    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
-
-
-@pytest.mark.parametrize("which", ["distance", "kappa", "decode"])
-def test_a_code_file_out_of_echelon_form_is_eliminated_once(z5_dir, tmp_path,
-                                                             monkeypatch, which):
-    # the load that certifies the rank is the code the command then uses
-    path = manifest_copy(z5_dir, tmp_path, lambda m: _code_file(
-        "f2mat v1 4 5\n18\n28\n48\n88\n")(m, tmp_path))
-    real, calls = f2core.row_basis, []
-    monkeypatch.setattr(f2core, "row_basis", lambda M: calls.append(M.cols) or real(M))
-    assert main(_code_reader(which, path, tmp_path)) == 0
-    assert calls.count(5) == 1
+    assert main(_code_reader(which, path, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": OUT_OF_ECHELON}
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("which", ["distance", "kappa", "decode"])

@@ -326,7 +326,7 @@ def test_decode_two_phase_cut_is_far():
         f[s] = 1
     out = tester.decode(f)
     assert out.kind == "far"
-    assert out.delta_final == 4
+    assert len(out.disputed_edges) == 4
     diag = check_far_diagnostics(X, out, 1, 1, 1, 1)
     assert diag["dispute_edge_bound_holds"]
     assert diag["link_bound_holds"]
@@ -988,13 +988,13 @@ def assert_decodes_like_reference(tester, f):
         tester, np.asarray(f, dtype=np.uint8) & 1)
     assert (out.kind, out.iterations, out.delta_initial, out.delta_trace) == (
         kind, iterations, delta0, trace)
-    assert out.delta_final == trace[-1]
     if kind == "codeword":
         assert np.array_equal(out.word.to_bits(), word)
-        assert out.disputed_edges is None
+        assert out.disputed_edges is None and trace[-1] == 0
     else:
         assert out.word is None
         assert np.array_equal(out.disputed_edges, disputed)
+        assert len(out.disputed_edges) == trace[-1]
     return out
 
 
@@ -1022,7 +1022,7 @@ def test_decode_matches_reference_on_the_engineered_far_word(start_instances):
     for g in range(10):
         f[X.canonical_square(0, g, 0)] = 1
     out = assert_decodes_like_reference(tester, f)
-    assert out.kind == "far" and out.delta_final == 4
+    assert out.kind == "far" and len(out.disputed_edges) == 4
 
 
 def test_decode_matches_reference_at_a_penalised_pattern(start_instances):
