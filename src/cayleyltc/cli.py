@@ -193,11 +193,11 @@ def _field(manifest: dict, field: str):
 
 
 def _read(path: Path) -> bytes:
-    """The bytes of the file at path, refused with the path named if there is none."""
-    try:
-        return path.read_bytes()
-    except FileNotFoundError:
-        raise PreconditionError(f"no such file: {path}") from None
+    """The bytes of the regular file at path; anything else is refused by path."""
+    if not path.is_file():
+        raise PreconditionError(
+            f"{'not a regular file' if path.exists() else 'no such file'}: {path}")
+    return path.read_bytes()
 
 
 def _load_instance(manifest_path: str):
@@ -252,6 +252,7 @@ def _recorded_square_code(manifest: dict, manifest_path: str, blob: bytes):
 def _emit_report(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(text + "\n")
     print(text)
 

@@ -47,9 +47,7 @@ class FiniteGroup:
 
     order: int
     kind: str
-
-    def inv(self, i: int) -> int:
-        raise NotImplementedError
+    inverse: np.ndarray         # (order,) int64: inverse[g] is the index of g^-1
 
     def left_perm(self, s: int) -> np.ndarray:
         """Permutation g -> s*g over all element indices."""
@@ -72,9 +70,7 @@ class CyclicGroup(FiniteGroup):
         if n < 2:
             raise ValueError(f"cyclic group needs n >= 2, got {n}")
         self.order = n
-
-    def inv(self, i: int) -> int:
-        return (-i) % self.order
+        self.inverse = -np.arange(n, dtype=np.int64) % n
 
     def left_perm(self, s: int) -> np.ndarray:
         return (np.arange(self.order, dtype=np.int64) + s) % self.order
@@ -108,6 +104,8 @@ class PSL2(FiniteGroup):
         self._table = np.full(q ** 3, -1, dtype=np.int32)   # a = b = 0 slots stay -1
         for sign in (1, -1):
             self._table[self._slot(*(sign * self.mats.T))] = np.arange(self.order)
+        a, b, c, d = self.mats.T                # [[a, b], [c, d]]^-1 = [[d, -b], [-c, a]]
+        self.inverse = self._table[self._slot(d, -b, -c, a)].astype(np.int64)
 
     @staticmethod
     def _enumerate(q: int) -> np.ndarray:
@@ -143,10 +141,6 @@ class PSL2(FiniteGroup):
             raise ValueError(f"matrix {list(mat)} is not in PSL2({self.q})")
         return int(self._table[self._slot(a, b, c, d)])
 
-    def inv(self, i: int) -> int:
-        a, b, c, d = self.mats[i]
-        return int(self._table[self._slot(d, -b, -c, a)])
-
     # permutations stay int64: complexes multiplies them into slot keys
     def left_perm(self, s: int) -> np.ndarray:
         return self._product(self.mats[s], self.mats.T).astype(np.int64)
@@ -175,18 +169,19 @@ class GeneratorSet:
             raise ValueError("generator set contains duplicates")
         if 0 in idx:
             raise ValueError("generator set must not contain the identity")
-        inv = {self.group.inv(i) for i in idx}
-        if inv != set(idx):
+        if (self.inverse_positions < 0).any():
             raise ValueError("generator set is not symmetric (closed under inversion)")
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    @property
+    @cached_property
     def inverse_positions(self) -> np.ndarray:
-        """inverse_positions[k] = position within the set of indices[k]^-1."""
-        lookup = {g: p for p, g in enumerate(self.indices)}
-        return np.array([lookup[self.group.inv(g)] for g in self.indices], dtype=np.int64)
+        """inverse_positions[k] = position within the set of indices[k]^-1,
+        or -1 if the set does not hold it."""
+        position = np.full(self.group.order, -1, dtype=np.int64)
+        position[list(self.indices)] = np.arange(len(self))
+        return position[self.group.inverse[list(self.indices)]]
 
 
 @dataclass
@@ -354,21 +349,11 @@ def symmetric_subset(S: GeneratorSet, r: int) -> GeneratorSet:
     """
     if not 0 < r <= len(S):
         raise ValueError(f"subset size {r} out of range 1..{len(S)}")
-    chosen: list[int] = []
-    taken = set()
+    chosen: set[int] = set()
     for g in sorted(S.indices):
-        if g in taken:
-            continue
-        ginv = S.group.inv(g)
-        cost = 1 if ginv == g else 2
-        if len(chosen) + cost <= r:
-            taken.add(g)
-            chosen.append(g)
-            if ginv != g:
-                taken.add(ginv)
-                chosen.append(ginv)
-        if len(chosen) == r:
-            break
+        pair = {g, int(S.group.inverse[g])}        # {g} when g is self-inverse
+        if not pair & chosen and len(chosen) + len(pair) <= r:
+            chosen |= pair
     if len(chosen) != r:
         raise ValueError(f"no inverse-closed subset of size {r} exists in {S.indices}")
     return GeneratorSet(S.group, tuple(sorted(chosen)), side=S.side)

@@ -11,9 +11,10 @@ no sampling.  The dense matrix is built on demand up to DENSE_MAX_DIM rows.
 Second eigenvalues of Cayley graphs come from a dense eigensolver up to
 DENSE_MAX_DIM vertices and from Lanczos above it.  `complex_spectrum` builds
 each side's graph from the complex's own permutations (`left_perms`,
-`right_perms`), and each Lanczos step walks the graph's cached neighbour
-table, one row of every vertex's k-th neighbours at a time.  The
-expansion-implication checker decides, in exact arithmetic, what the
+`right_perms`) and solves only the left one when an exact check shows that
+g -> g^-1 maps it onto the right one.  Each Lanczos step walks the graph's
+cached neighbour table, one row of every vertex's k-th neighbours at a time.
+The expansion-implication checker decides, in exact arithmetic, what the
 expansion of an operator implies for a set.
 """
 
@@ -293,9 +294,19 @@ def second_eigenvalue(graph: Graph, method: str = "auto",
 def complex_spectrum(X: CayleyComplex, method: str = "auto") -> dict:
     """{"lambda": max of the two Cayley graph eigenvalues, "cayley": {"left":
     ..., "right": ...}}, each side's SpectralReport as a dict of its fields,
-    lam and n_vertices renamed lambda and nvertices."""
+    lam and n_vertices renamed lambda and nvertices.  If iota: g -> g^-1 is
+    a permutation with iota(a_k g) = iota(g) b_j, j = a_inv_pos[k], for every
+    k and g (as whenever B = A), checked exactly on the complex's tables,
+    then iota maps the left Cayley graph onto the right one; the two spectra
+    are equal, so only the left side is solved and the right record is its copy."""
+    iota = X.group.inverse
+    mirrored = (X.nA == X.nB and np.array_equal(np.sort(iota), np.arange(X.n_vertices))
+                and np.array_equal(iota[X.left_perms], X.right_perms[X.a_inv_pos][:, iota]))
     reports = {}
     for side, perms in (("left", X.left_perms), ("right", X.right_perms)):
+        if side == "right" and mirrored:
+            reports[side] = dict(reports["left"])
+            continue
         rep = asdict(second_eigenvalue(Graph.from_permutations(perms), method=method))
         rep["lambda"], rep["nvertices"] = rep.pop("lam"), rep.pop("n_vertices")
         reports[side] = rep

@@ -37,7 +37,7 @@ def p13_instance():
     g = psl2(13)
     t = g.index_of([1, 1, 0, 1])
     u = g.index_of([1, 0, 1, 1])
-    gens = tuple(sorted({t, g.inv(t), u, g.inv(u)}))
+    gens = tuple(sorted({t, int(g.inverse[t]), u, int(g.inverse[u])}))
     X = build_complex(g, GeneratorSet(g, gens, side="left"),
                       GeneratorSet(g, gens, side="right"))
     C1 = codes.parity_code(4)

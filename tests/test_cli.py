@@ -942,6 +942,39 @@ def test_inspect_refuses_a_missing_file_by_path(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err) == {"error": f"no such file: {gone}"}
 
 
+@pytest.mark.parametrize("which", ["rate", "decode"])
+@pytest.mark.parametrize("folder", ["manifest", "complex", "code"])
+def test_an_input_path_that_is_a_directory_is_refused_by_path(z5_dir, tmp_path, capsys,
+                                                              which, folder):
+    # a directory used to reach read_bytes and exit 3 with IsADirectoryError
+    where = tmp_path / "folder"
+    where.mkdir()
+    path = where if folder == "manifest" else manifest_copy(
+        z5_dir, tmp_path, lambda m: m["files"][folder].update(path=str(where)))
+    assert main(_code_reader(which, path, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": f"not a regular file: {where}"}
+    assert not (tmp_path / "runs").exists()
+
+
+def test_inspect_refuses_a_directory_by_path(z5_dir, capsys):
+    assert main(["inspect", str(z5_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": f"not a regular file: {z5_dir}"}
+
+
+def test_analyze_out_creates_its_directory(z5_dir, tmp_path, capsys):
+    # the report's parent directories are made, as experiment makes its --out's
+    report = tmp_path / "reports" / "rate" / "z5.json"
+    assert main(["analyze", str(z5_dir / "manifest.json"), "--which", "rate",
+                 "--out", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert report.read_text() == out
+    assert json.loads(out)["verdict"] == "pass"
+
+
 OUT_OF_ECHELON = "manifest field 'files.code.path' names a code file out of echelon form"
 
 

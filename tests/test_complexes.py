@@ -47,7 +47,7 @@ def p13():
     g = psl2(13)
     t = g.index_of([1, 1, 0, 1])
     u = g.index_of([1, 0, 1, 1])
-    gens = tuple(sorted({t, g.inv(t), u, g.inv(u)}))
+    gens = tuple(sorted({t, int(g.inverse[t]), u, int(g.inverse[u])}))
     A = GeneratorSet(g, gens, side="left")
     B = GeneratorSet(g, gens, side="right")
     return build_complex(g, A, B)
@@ -131,7 +131,8 @@ def brute_force_tnc(X):
 def random_symmetric_set(grp, rng, side):
     """The inverse closure of two or three random non-identity elements."""
     xs = rng.integers(1, grp.order, size=int(rng.integers(2, 4))).tolist()
-    return GeneratorSet(grp, tuple(sorted({y for x in xs for y in (x, grp.inv(x))})), side)
+    return GeneratorSet(grp, tuple(sorted({y for x in xs for y in (x, int(grp.inverse[x]))})),
+                        side)
 
 
 def test_tnc_one_comparison_matches_the_two_collision_reference():

@@ -55,7 +55,8 @@ def check_axioms(group, samples=64, seed=0):
     mul = partial(group_mul, group)
     for i in range(n):
         assert mul(0, i) == i and mul(i, 0) == i
-        assert mul(i, group.inv(i)) == 0 and mul(group.inv(i), i) == 0
+        j = int(group.inverse[i])
+        assert mul(i, j) == 0 and mul(j, i) == 0
     for _ in range(samples):
         a, b, c = (int(x) for x in rng.integers(0, n, size=3))
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
@@ -64,9 +65,9 @@ def check_axioms(group, samples=64, seed=0):
 def test_cyclic_basics():
     g = cyclic_group(5)
     assert g.order == 5
-    assert g.inv(2) == 3
+    assert g.inverse[2] == 3
     g2 = cyclic_group(2)
-    assert all(g2.inv(i) == i for i in range(2))
+    assert list(g2.inverse) == [0, 1]
     with pytest.raises(ValueError):
         cyclic_group(1)
 
@@ -97,7 +98,7 @@ def test_psl2_identity_and_inverse():
     assert np.array_equal(g.mats[0], [1, 0, 0, 1])
     check_axioms(g, samples=128)
     i = g.index_of([1, 2, 0, 1])
-    j = g.inv(i)
+    j = int(g.inverse[i])
     assert group_mul(g, i, j) == 0
 
 
@@ -205,7 +206,7 @@ def test_generator_set_validation():
 def test_lps_generators_5_41():
     s = lps_generators(psl2(41), 5)
     assert len(s) == 6
-    inv = {s.group.inv(i) for i in s.indices}
+    inv = {int(s.group.inverse[i]) for i in s.indices}
     assert inv == set(s.indices)
 
 
@@ -253,8 +254,9 @@ def test_generates_group_matches_the_orbit_loop(lps41):
     u = p13.index_of([1, 0, 1, 1])
     cases = [(GeneratorSet(z12, (3, 9)), False), (GeneratorSet(z12, (1, 11)), True),
              (GeneratorSet(z12, (2, 10, 3, 9)), True), (GeneratorSet(z12, (4, 8)), False),
-             (GeneratorSet(p13, tuple(sorted({t, p13.inv(t)}))), False),
-             (GeneratorSet(p13, tuple(sorted({t, p13.inv(t), u, p13.inv(u)}))), True),
+             (GeneratorSet(p13, tuple(sorted({t, int(p13.inverse[t])}))), False),
+             (GeneratorSet(p13, tuple(sorted({t, int(p13.inverse[t]), u,
+                                              int(p13.inverse[u])}))), True),
              (lps41, True)]
     for S, expected in cases:
         assert generates_group(S) is loop_generates_group(S) is expected
@@ -276,7 +278,7 @@ def test_lps_generators_13_17():
     # 17 != 1 mod 52, but 13 is a square mod 17: a full LPS set in PSL2(F_17)
     s = lps_generators(psl2(17), 13)
     assert len(s) == 14
-    assert {s.group.inv(i) for i in s.indices} == set(s.indices)
+    assert {int(s.group.inverse[i]) for i in s.indices} == set(s.indices)
     lam = second_eigenvalue(cayley_graph(s.group, s, "left"), method="dense").lam
     assert lam <= 2 * math.sqrt(13) / 14
 
@@ -287,7 +289,7 @@ def test_symmetric_subset():
     assert set(full.indices) == set(s.indices)
     sub = symmetric_subset(s, 4)
     assert len(sub) == 4
-    assert {sub.group.inv(i) for i in sub.indices} == set(sub.indices)
+    assert {int(sub.group.inverse[i]) for i in sub.indices} == set(sub.indices)
     # deterministic
     assert symmetric_subset(s, 4).indices == sub.indices
     # LPS sets have no self-inverse generators, so odd sizes are unreachable
@@ -295,12 +297,48 @@ def test_symmetric_subset():
         symmetric_subset(s, 3)
 
 
+def loop_symmetric_subset(S, r):
+    """Reference: the indices of symmetric_subset(S, r) by the scan that
+    records its cost, 1 or 2, and its taken set, or None where it raises."""
+    chosen, taken = [], set()
+    for g in sorted(S.indices):
+        if g in taken:
+            continue
+        ginv = int(S.group.inverse[g])
+        cost = 1 if ginv == g else 2
+        if len(chosen) + cost <= r:
+            taken |= {g, ginv}
+            chosen += [g] if ginv == g else [g, ginv]
+        if len(chosen) == r:
+            break
+    return tuple(sorted(chosen)) if len(chosen) == r else None
+
+
+def test_symmetric_subset_matches_the_cost_scan():
+    rng = np.random.default_rng(5)
+    sets = [lps_generators(psl2(29), 5), lps_generators(psl2(17), 13)]
+    for n in range(3, 30):
+        g = cyclic_group(n)
+        for _ in range(6):
+            xs = rng.integers(1, n, size=int(rng.integers(1, 6)))
+            sets.append(GeneratorSet(g, tuple(sorted({y for x in xs.tolist()
+                                                      for y in (x, -x % n)}))))
+    for S in sets:
+        for r in range(1, len(S) + 1):
+            want = loop_symmetric_subset(S, r)
+            if want is None:
+                with pytest.raises(ValueError, match="no inverse-closed subset"):
+                    symmetric_subset(S, r)
+            else:
+                assert symmetric_subset(S, r).indices == want
+
+
 def test_symmetric_subset_with_involution():
     g = cyclic_group(10)
     s = GeneratorSet(g, (1, 3, 5, 7, 9))
     sub = symmetric_subset(s, 3)
     assert len(sub) == 3
-    assert {g.inv(i) for i in sub.indices} == set(sub.indices)
+    assert {int(g.inverse[i]) for i in sub.indices} == set(sub.indices)
 
 
 def test_cayley_graph_cycle():
@@ -443,7 +481,8 @@ def _matvec_cases():
     z12, p13, p29 = cyclic_group(12), psl2(13), psl2(29)
     t, u = p13.index_of([1, 1, 0, 1]), p13.index_of([1, 0, 1, 1])
     gen_sets = [GeneratorSet(z12, (1, 11)),
-                GeneratorSet(p13, tuple(sorted({t, p13.inv(t), u, p13.inv(u)}))),
+                GeneratorSet(p13, tuple(sorted({t, int(p13.inverse[t]), u,
+                                                int(p13.inverse[u])}))),
                 lps_generators(p29, 5), lps_generators(p29, 13)]
     cases = [cayley_graph(S.group, S, side) for S in gen_sets for side in ("left", "right")]
     cycle = [(i, (i + 1) % 7) for i in range(7)]

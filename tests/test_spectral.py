@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import asdict
 from fractions import Fraction
@@ -516,27 +517,113 @@ def cayley_graph_spectrum(X):
             "cayley": reports}
 
 
-def test_complex_spectrum_equals_the_cayley_graph_path(z5, p13_instance):
-    p29 = psl2(29)
+@pytest.fixture(scope="module")
+def spectrum_cases(z5, p13_instance):
+    """name -> (complex, its cayley_graph_spectrum): two A != B complexes,
+    z12 and the TNC-true PSL2(F_13) instance, then three with B = A, solved
+    dense (z5, p13) and by Lanczos (LPS(5,29))."""
+    p13 = p13_instance[0]
+    g, p29 = p13.group, psl2(29)
     S = lps_generators(p29, 5)
-    cases = [z5, toy(12, (1, 11), (5, 7)), p13_instance[0], build_complex(p29, S, S)]
-    for X in cases:
+    cases = {"z12": toy(12, (1, 11), (5, 7)),
+             "p13_tnc": build_complex(g, GeneratorSet(g, (79, 90, 91, 234)),
+                                      GeneratorSet(g, (517, 328, 559, 728))),
+             "z5": z5, "p13": p13, "lps29": build_complex(p29, S, S)}
+    return {name: (X, cayley_graph_spectrum(X)) for name, X in cases.items()}
+
+
+def one_solve_reference(X, ref):
+    """What complex_spectrum records: the reference when A != B, and the
+    reference's left record on both sides when B = A."""
+    if X.A.indices != X.B.indices:
+        return ref
+    left = ref["cayley"]["left"]
+    return {"lambda": left["lambda"], "cayley": {"left": left, "right": dict(left)}}
+
+
+def count_solves(monkeypatch):
+    """A list that grows by one entry at each second_eigenvalue call."""
+    calls = []
+    solve = spectral.second_eigenvalue
+
+    def counted(graph, **kwargs):
+        calls.append(graph.n_vertices)
+        return solve(graph, **kwargs)
+
+    monkeypatch.setattr(spectral, "second_eigenvalue", counted)
+    return calls
+
+
+def test_complex_spectrum_equals_the_cayley_graph_path(spectrum_cases):
+    # A != B: both records byte-identical to the reference.  B = A: the left
+    # record byte-identical to the reference's left, the right a copy of it
+    for name, (X, ref) in spectrum_cases.items():
         rec = spectral.complex_spectrum(X)
-        assert json.dumps(rec, sort_keys=True) == json.dumps(cayley_graph_spectrum(X),
-                                                             sort_keys=True)
+        assert json.dumps(rec, sort_keys=True) == json.dumps(
+            one_solve_reference(X, ref), sort_keys=True), name
+        assert (rec["cayley"]["right"] == rec["cayley"]["left"]) is (name not in
+                                                                    ("z12", "p13_tnc"))
     assert rec["cayley"]["left"]["method"] == "iterative"     # p29 runs Lanczos
 
 
-def test_complex_spectrum_recomputes_no_permutation(p13_instance, monkeypatch):
-    X = p13_instance[0]
-    expected = cayley_graph_spectrum(X)
+def test_the_independent_right_solve_agrees_with_the_left(spectrum_cases):
+    # the copy stands for a solve whose lambda agrees within 1e-12 when dense,
+    # and within the two residuals when Lanczos
+    for name in ("z5", "p13", "lps29"):
+        left, right = spectrum_cases[name][1]["cayley"].values()
+        slack = 1e-12 if left["method"] == "dense" else left["residual"] + right["residual"]
+        assert abs(left["lambda"] - right["lambda"]) <= slack, name
+    assert spectrum_cases["lps29"][1]["cayley"]["left"]["method"] == "iterative"
 
+
+def test_b_equal_to_a_solves_one_side(spectrum_cases, monkeypatch):
+    calls = count_solves(monkeypatch)
+    for name, solves in (("p13", 1), ("lps29", 1), ("p13_tnc", 2), ("z12", 2)):
+        X = spectrum_cases[name][0]
+        del calls[:]
+        spectral.complex_spectrum(X)
+        assert len(calls) == solves, name
+
+
+def test_a_right_table_off_the_inverse_map_gets_two_solves(spectrum_cases, monkeypatch):
+    # two entries of one right_perms row swapped: still a permutation, but
+    # g -> g^-1 no longer maps the left graph onto the right one
+    X = copy.copy(spectrum_cases["p13"][0])
+    X.right_perms = X.right_perms.copy()
+    X.right_perms[1, [5, 9]] = X.right_perms[1, [9, 5]]
+    assert np.array_equal(np.sort(X.right_perms[1]), np.arange(X.n_vertices))
+    calls = count_solves(monkeypatch)
+    rec = spectral.complex_spectrum(X)
+    assert calls == [X.n_vertices, X.n_vertices]
+    right = second_eigenvalue(Graph.from_permutations(X.right_perms))
+    assert rec["cayley"]["right"]["lambda"] == right.lam
+    assert rec["cayley"]["left"] == spectrum_cases["p13"][1]["cayley"]["left"]
+
+
+def test_a_map_that_is_no_permutation_gets_two_solves(monkeypatch):
+    # on z12 with A = {1, 11} and B = {10, 2}, g -> 2g meets iota(a g) =
+    # iota(g) b for each paired a and b, but it is no permutation: the left
+    # graph is connected and the right one is not, so the right side is
+    # solved, and refused
+    X = toy(12, (1, 11), (10, 2))
+    doubling = 2 * np.arange(12) % 12
+    assert np.array_equal(doubling[X.left_perms], X.right_perms[X.a_inv_pos][:, doubling])
+    monkeypatch.setattr(X.group, "inverse", doubling)
+    calls = count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="disconnected"):
+        spectral.complex_spectrum(X)
+    assert len(calls) == 2
+
+
+def test_complex_spectrum_recomputes_no_permutation(spectrum_cases, monkeypatch):
     def refuse(self, s):
         raise AssertionError("the complex already holds this permutation")
 
     monkeypatch.setattr(PSL2, "left_perm", refuse)
     monkeypatch.setattr(PSL2, "right_perm", refuse)
-    assert spectral.complex_spectrum(X) == expected
+    for name in ("p13", "p13_tnc"):
+        X, ref = spectrum_cases[name]
+        assert spectral.complex_spectrum(X) == one_solve_reference(X, ref), name
 
 
 def old_expansion_decisions(op, R, delta, lam, conclusion_scale):
