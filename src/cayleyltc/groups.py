@@ -48,6 +48,7 @@ class FiniteGroup:
     order: int
     kind: str
     inverse: np.ndarray         # (order,) int64: inverse[g] is the index of g^-1
+    block_generator: int        # u: the dense solver splits spectra along <u>
 
     def left_perm(self, s: int) -> np.ndarray:
         """Permutation g -> s*g over all element indices."""
@@ -57,6 +58,10 @@ class FiniteGroup:
         """Permutation g -> g*s over all element indices."""
         raise NotImplementedError
 
+    def block_perm(self, side: str) -> np.ndarray:
+        """Translation by u on the other side: it commutes with a side Cayley graph."""
+        return (self.right_perm if side == "left" else self.left_perm)(self.block_generator)
+
     def manifest(self) -> dict:
         return {"kind": self.kind, "parameters": self.parameters(), "order": self.order}
 
@@ -65,6 +70,7 @@ class CyclicGroup(FiniteGroup):
     """Z_n with index i = residue i."""
 
     kind = "cyclic"
+    block_generator = 1
 
     def __init__(self, n: int):
         if n < 2:
@@ -106,6 +112,7 @@ class PSL2(FiniteGroup):
             self._table[self._slot(*(sign * self.mats.T))] = np.arange(self.order)
         a, b, c, d = self.mats.T                # [[a, b], [c, d]]^-1 = [[d, -b], [-c, a]]
         self.inverse = self._table[self._slot(d, -b, -c, a)].astype(np.int64)
+        self.block_generator = self.index_of([1, 1, 0, 1])     # of order q
 
     @staticmethod
     def _enumerate(q: int) -> np.ndarray:
@@ -198,14 +205,15 @@ class Graph:
     n_vertices: int
     arcs: np.ndarray                       # (m, 2) int64, closed under reversal
     name: str = ""
+    commuting: np.ndarray | None = None    # P, P[table] = table[:, P]; None: identity
 
     @staticmethod
-    def from_permutations(perms: np.ndarray, name: str = "") -> Graph:
+    def from_permutations(perms: np.ndarray, commuting: np.ndarray, name: str = "") -> Graph:
         """Arcs v -> perms[k, v] for every row k, row by row: row k of the
         neighbour table is perms[k]."""
         d, n = perms.shape
         verts = np.tile(np.arange(n, dtype=np.int64), d)
-        return Graph(n, np.stack([verts, perms.ravel()], axis=1), name)
+        return Graph(n, np.stack([verts, perms.ravel()], axis=1), name, commuting)
 
     @property
     def degree(self) -> int:
@@ -234,14 +242,6 @@ class Graph:
         if (np.diff(starts) != d).any():
             raise ValueError("graph is not regular")
         return np.ascontiguousarray(dst.reshape(self.n_vertices, d).T)
-
-    def adjacency(self) -> np.ndarray:
-        A = np.zeros((self.n_vertices, self.n_vertices))
-        np.add.at(A, (self.arcs[:, 0], self.arcs[:, 1]), 1.0)
-        return A
-
-    def normalized_adjacency(self) -> np.ndarray:
-        return self.adjacency() / self.degree
 
     def matvec(self, f: np.ndarray) -> np.ndarray:
         """Apply the normalized adjacency operator without materializing it.
@@ -366,6 +366,6 @@ def cayley_graph(G: FiniteGroup, S: GeneratorSet, side: str = "left") -> Graph:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     perm = G.left_perm if side == "left" else G.right_perm
-    return Graph.from_permutations(np.stack([perm(s) for s in S.indices]),
+    return Graph.from_permutations(np.stack([perm(s) for s in S.indices]), G.block_perm(side),
                                    name=f"cayley-{side}-{G.kind}{G.parameters()}")
 

@@ -9,11 +9,14 @@ tables, so its symmetry and Markov checks are exact, with no tolerance and
 no sampling.  The dense matrix is built on demand up to DENSE_MAX_DIM rows.
 
 Second eigenvalues of Cayley graphs come from a dense eigensolver up to
-DENSE_MAX_DIM vertices and from Lanczos above it.  `complex_spectrum` builds
-each side's graph from the complex's own permutations (`left_perms`,
-`right_perms`) and solves only the left one when an exact check shows that
-g -> g^-1 maps it onto the right one.  Each Lanczos step walks the graph's
-cached neighbour table, one row of every vertex's k-th neighbours at a time.
+DENSE_MAX_DIM vertices and from Lanczos above it.  The dense solve is one
+batched eigvalsh of `character_blocks`: translation by u = group.block_generator
+on the other side commutes with a Cayley graph, so its spectrum splits into one
+block of n/|<u>| rows per character of <u>.  `complex_spectrum` builds each
+side's graph from the complex's `left_perms` and `right_perms` and solves only
+the left one when an exact check shows that g -> g^-1 maps it onto the right
+one.  Each Lanczos step walks the graph's cached neighbour table, one row of
+every vertex's k-th neighbours at a time.
 The expansion-implication checker decides, in exact arithmetic, what the
 expansion of an operator implies for a set.
 """
@@ -143,16 +146,14 @@ def build_Mpar(X: CayleyComplex) -> WalkOperator:
 def edge_label_classes(X: CayleyComplex) -> list[dict]:
     """Partition of edges into E_l classes ({l, l^-1} label orbits).
 
-    Each entry carries the class labels, the edge ids, and for every edge a
-    canonical root so that <root; l> is the edge with l the first label.
+    Each entry carries the class labels, their type, whether the label is
+    self-inverse, and the edge ids.  A class is listed at its least label.
     """
     classes = []
-    seen = set()
     for lbl in range(X.n_labels):
         inv = int(X.label_inv[lbl])
-        if min(lbl, inv) in seen:
+        if inv < lbl:
             continue
-        seen.add(min(lbl, inv))
         ids = np.unique(X.edge_at[lbl])
         classes.append({
             "labels": (lbl, inv) if inv != lbl else (lbl,),
@@ -192,12 +193,39 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+def character_blocks(graph: Graph) -> np.ndarray:
+    """The normalized adjacency operator on the characters of <P>, P =
+    graph.commuting or the identity: the (c//2 + 1, m, m) complex stack of
+    M_j[i, k] = (1/d) sum of w^(j e), w = e^(2 pi i / c), over the rows s with
+    perms[s][x_i] = P^e(x_k), x_0 < ... < x_(m-1) least in P's m cycles of
+    length c.  M_(c-j) is M_j conjugated, so the spectrum is the stack's with
+    j = 0 and c/2 once, every other j twice.  AssertionError unless P
+    commutes with every row and m c = n."""
+    perms, n, ident = graph._neighbour_table, graph.n_vertices, np.arange(graph.n_vertices)
+    P = ident if graph.commuting is None else graph.commuting
+    lead, steps, walk, c = ident.copy(), np.zeros(n, dtype=np.int64), P, 1
+    while c <= n and not np.array_equal(walk, ident):      # lead[g] = P^steps[g](g)
+        lower = walk < lead
+        lead[lower], steps[lower] = walk[lower], c
+        walk, c = P[walk], c + 1
+    reps, coset = np.unique(lead, return_inverse=True)     # g = P^-steps[g](reps[coset[g]])
+    m = len(reps)
+    if m * c != n or not np.array_equal(perms[:, P], P[perms]):
+        raise AssertionError(f"no free commuting permutation: {m} cycles of length {c}")
+    h, j = perms[:, reps], np.arange(c // 2 + 1)[:, None]   # h[s, i] = perms[s][x_i]
+    # exponents in [-(c//2), c - c//2), so that w^-t is the exact conjugate of w^t
+    phase = np.exp(2j * np.pi / c * ((c // 2 - j * steps[h].ravel()) % c - c // 2))
+    slots = ((np.arange(m) * m + coset[h]).ravel() + j * m * m).ravel()
+    blocks = (np.bincount(slots, phase.real.ravel(), j.size * m * m)
+              + 1j * np.bincount(slots, phase.imag.ravel(), j.size * m * m))
+    return blocks.reshape(-1, m, m) / graph.degree
+
+
 def _dense_second(graph: Graph) -> SpectralReport:
-    vals = np.linalg.eigvalsh(graph.normalized_adjacency())
-    return SpectralReport(
-        lam=float(vals[-2]), method="dense", residual=0.0, iterations=0,
-        degree=graph.degree, n_vertices=graph.n_vertices,
-        lambda_min=float(vals[0]))
+    vals = np.sort(np.linalg.eigvalsh(character_blocks(graph)), axis=None)
+    return SpectralReport(lam=float(vals[-2]), method="dense", residual=0.0, iterations=0,
+                          degree=graph.degree, n_vertices=graph.n_vertices,
+                          lambda_min=float(vals[0]))
 
 
 def _lanczos_second(graph: Graph, tol: float) -> SpectralReport:
@@ -256,11 +284,7 @@ def _lanczos_second(graph: Graph, tol: float) -> SpectralReport:
         raise ConvergenceError(
             f"Lanczos did not converge within {max_steps} iterations (tol={tol:g})")
 
-    tri = np.diag(alphas)
-    if betas[: len(alphas) - 1]:
-        off = np.array(betas[: len(alphas) - 1])
-        tri += np.diag(off, 1) + np.diag(off, -1)
-    evals, evecs = np.linalg.eigh(tri)
+    evals, evecs = np.linalg.eigh(tri)         # tri is the last step's matrix
     theta = float(evals[-1])
     y = basis[: len(alphas)].T @ evecs[:, -1]
     y /= np.linalg.norm(y)
@@ -307,7 +331,8 @@ def complex_spectrum(X: CayleyComplex, method: str = "auto") -> dict:
         if side == "right" and mirrored:
             reports[side] = dict(reports["left"])
             continue
-        rep = asdict(second_eigenvalue(Graph.from_permutations(perms), method=method))
+        graph = Graph.from_permutations(perms, X.group.block_perm(side))
+        rep = asdict(second_eigenvalue(graph, method=method))
         rep["lambda"], rep["nvertices"] = rep.pop("lam"), rep.pop("n_vertices")
         reports[side] = rep
     lam = max(reports["left"]["lambda"], reports["right"]["lambda"])

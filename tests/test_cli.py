@@ -630,9 +630,9 @@ def test_z5_square_code_outputs_are_unchanged(z5_dir, tmp_path, capsys):
               "manifest_sha256": hashlib.sha256(manifest.read_bytes()).hexdigest()}
     expected = {
         "rate": {"which": "rate", "k": 1, "n": 5, "bound": -5.0, "verdict": "pass"},
-        "distance": {"which": "distance", "bound": 0.8637287570313152, "delta0": 1.0,
+        "distance": {"which": "distance", "bound": 0.8637287570313157, "delta0": 1.0,
                      "distance": 5, "hypothesis_holds": True,
-                     "lambda": 0.3090169943749478, "verdict": "pass"},
+                     "lambda": 0.30901699437494745, "verdict": "pass"},
     }
     for which, fields in expected.items():
         assert main(["analyze", str(manifest), "--which", which]) == 0
@@ -687,32 +687,50 @@ def test_experiment_starts_no_thread(z12_dir, tmp_path, monkeypatch):
 
 
 #: sha256 of code.f2mat and manifest.json of the TNC-true PSL2(F_13) builds
-#: below, as build wrote them with BLAS on one thread when they were pinned
+#: below.  The manifests were re-pinned when the dense solve moved onto
+#: character blocks, which moved lambda in its last bits
 P13_TNC_SHA256 = {
     "code.f2mat": "664d9695e1e81e18d078b9ae3d4c8ba2a54cff7acb99fdd310d9027574fc4cb9",
-    "manifest.json": "cbcfc36e23f4c3dcc14ea964408c6f7ce14e70c303c2536531fabe42d85e9509"}
+    "manifest.json": "164cb523f3ac06af438e5e1870cd4ab0c9de3ff26a5d0545b7e02035228e7f9e"}
 P13_TNC_PARITY6_SHA256 = {
     "code.f2mat": "7409ea72f848dfd7d2e9fc724dafe087552c66a9889d1a036caa45a9ba307d5d",
-    "manifest.json": "2e5172cd72ef4058287d98437acc275516417a399fbdc2d6113afd139b604ba4"}
+    "manifest.json": "c8c52e6d965902f9d20ddd4ac69de3b073be060b4d70bbe3cca805ffe5140ae8"}
+P13_TNC_PARITY6 = ["--gens", "562,1069,1059,890,509,843",
+                   "--gens-b", "883,131,1001,325,899,284", "--base", "parity:6"]
 
 
-def _build_on_one_blas_thread(out, gens, gens_b, base, golden):
-    """The manifest of a PSL2(F_13) build in a subprocess, its files checked
-    against their golden sha256.  The dense eigvalsh's last bits follow the
-    BLAS thread count, and the manifest records them, so the build runs on
-    one BLAS thread."""
+def _build_in_a_subprocess(out, argv, blas_threads="1"):
+    """The bytes of manifest.json of a PSL2(F_13) build run by a fresh
+    interpreter on blas_threads BLAS threads."""
     import os
     import subprocess
     import sys
 
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+               MKL_NUM_THREADS=blas_threads)
     subprocess.run([sys.executable, "-m", "cayleyltc.cli", "build", "--group", "psl2:13",
-                    "--gens", gens, "--gens-b", gens_b, "--base", base, "--out", str(out)],
+                    *argv, "--out", str(out)],
                    env=env, check=True, capture_output=True, timeout=120)
+    return (out / "manifest.json").read_bytes()
+
+
+def _build_golden(out, argv, golden):
+    """The manifest of a PSL2(F_13) build in a subprocess, its files checked
+    against their golden sha256."""
+    _build_in_a_subprocess(out, argv)
     for name, digest in golden.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
     return json.loads((out / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("argv", [["--gens", "79,90,91,234", "--base", "parity:4"],
+                                  P13_TNC_PARITY6], ids=["p13", "p13_tnc6"])
+def test_dense_builds_are_byte_identical_across_blas_threads(tmp_path, argv):
+    # each character block is assembled by bincount and solved alone, so
+    # lambda's bits do not follow the BLAS thread count
+    assert (_build_in_a_subprocess(tmp_path / "t1", argv, "1")
+            == _build_in_a_subprocess(tmp_path / "t2", argv, "2"))
 
 
 def _assert_the_tnc_facts(out, manifest, r):
@@ -731,8 +749,8 @@ def _assert_the_tnc_facts(out, manifest, r):
 def test_a_tnc_true_psl2_instance_builds_and_decodes(tmp_path, capsys):
     # B differs from A: an A = B build fails TNC at g = e, this one has it
     out = tmp_path / "p13t"
-    manifest = _build_on_one_blas_thread(out, "79,90,91,234", "517,328,559,728",
-                                         "parity:4", P13_TNC_SHA256)
+    manifest = _build_golden(out, ["--gens", "79,90,91,234", "--gens-b", "517,328,559,728",
+                                   "--base", "parity:4"], P13_TNC_SHA256)
     _assert_the_tnc_facts(out, manifest, 4)
     assert manifest["square_code"] == {"n": 4368, "k": 1096}
     capsys.readouterr()
@@ -749,9 +767,7 @@ def test_a_tnc_true_psl2_instance_passes_a_non_vacuous_rate_bound(tmp_path, caps
     # parity:6 on random symmetric 6-sets with TNC: k = 4,374 against the
     # bound (4 k1 / r - 3) n = 3,276, inside the paper's hypotheses
     out = tmp_path / "p13t6"
-    manifest = _build_on_one_blas_thread(
-        out, "562,1069,1059,890,509,843", "883,131,1001,325,899,284", "parity:6",
-        P13_TNC_PARITY6_SHA256)
+    manifest = _build_golden(out, P13_TNC_PARITY6, P13_TNC_PARITY6_SHA256)
     _assert_the_tnc_facts(out, manifest, 6)
     assert manifest["square_code"] == {"n": 9828, "k": 4374}
     capsys.readouterr()

@@ -133,6 +133,14 @@ def ref_Mpar_matvec(X, f):
     return out
 
 
+def normalized_adjacency(graph):
+    """Reference: the dense normalized adjacency matrix, one np.add.at over
+    the arcs divided by the degree."""
+    A = np.zeros((graph.n_vertices, graph.n_vertices))
+    np.add.at(A, (graph.arcs[:, 0], graph.arcs[:, 1]), 1.0)
+    return A / graph.degree
+
+
 def complete_graph(n):
     arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
     return Graph(n, np.array(arcs, dtype=np.int64))
@@ -165,6 +173,100 @@ def test_dense_vs_iterative_agree():
     assert abs(dense.lam - it.lam) < 1e-6
     assert it.residual < 1e-6
     assert it.iterations > 0
+
+
+def block_spectrum(blocks, c):
+    """The multiset that character blocks j = 0..c//2 stand for: M_0 and,
+    for even c, M_(c/2) once; every other M_j twice, the second time for
+    its conjugate M_(c-j)."""
+    vals = np.linalg.eigvalsh(blocks)
+    j = np.arange(len(vals))
+    return np.repeat(vals, np.where((j == 0) | (2 * j == c), 1, 2), axis=0).ravel()
+
+
+def same_multiset(a, b):
+    return len(a) == len(b) and np.abs(np.sort(a) - np.sort(b)).max() <= 1e-12
+
+
+def random_symmetric_set(group, seed):
+    """Three random elements and their inverses."""
+    picks = np.random.default_rng(seed).choice(np.arange(1, group.order), 3, replace=False)
+    return GeneratorSet(group, tuple(sorted({*picks.tolist(), *group.inverse[picks].tolist()})))
+
+
+BLOCK_CASES = ["z5", "z10", "z12", "p13", "p13_tnc", "p13_tnc6", "psl2_17", "psl2_19"]
+
+
+@pytest.fixture(scope="module")
+def block_complexes(instances):
+    """name -> complex, for the differential test of the character blocks."""
+    g = instances["p13"].group
+    out = {name: instances[name] for name in ("z5", "z10", "z12", "p13")}
+    out["p13_tnc"] = build_complex(g, GeneratorSet(g, (79, 90, 91, 234)),
+                                   GeneratorSet(g, (517, 328, 559, 728)))
+    out["p13_tnc6"] = build_complex(g, GeneratorSet(g, (562, 1069, 1059, 890, 509, 843)),
+                                    GeneratorSet(g, (883, 131, 1001, 325, 899, 284)))
+    for q in (17, 19):
+        G = psl2(q)
+        out[f"psl2_{q}"] = build_complex(G, random_symmetric_set(G, q),
+                                         random_symmetric_set(G, q + 100))
+    return out
+
+
+def build_graphs(X):
+    """Both Cayley graphs as complex_spectrum hands them to the dense solver."""
+    return [Graph.from_permutations(X.left_perms, X.group.block_perm("left")),
+            Graph.from_permutations(X.right_perms, X.group.block_perm("right"))]
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_character_blocks_hold_the_whole_dense_spectrum(block_complexes, name):
+    # |<u>| = q for PSL2(F_q) and n for Z_n; the blocks hold n / c rows each
+    X = block_complexes[name]
+    c = X.group.q if X.group.kind == "psl2" else X.n_vertices
+    for graph in build_graphs(X):
+        assert graph.is_connected()
+        blocks = spectral.character_blocks(graph)
+        assert blocks.shape == (c // 2 + 1, X.n_vertices // c, X.n_vertices // c)
+        dense = np.linalg.eigvalsh(normalized_adjacency(graph))
+        assert same_multiset(block_spectrum(blocks, c), dense)
+        rep = second_eigenvalue(graph, method="dense")
+        assert abs(rep.lam - dense[-2]) <= 1e-12 and abs(rep.lambda_min - dense[0]) <= 1e-12
+
+
+def test_a_dropped_block_fails_the_comparison(block_complexes):
+    # dropped outright, or overwritten by M_0 so that the count still fits.
+    # Any two blocks j and j t^2 have one spectrum, since conjugation by
+    # diag(t, 1/t) maps one character onto the other, so a block copied
+    # from another j can pass
+    graph = build_graphs(block_complexes["p13"])[0]
+    blocks = spectral.character_blocks(graph)
+    dense = np.linalg.eigvalsh(normalized_adjacency(graph))
+    assert same_multiset(block_spectrum(blocks, 13), dense)
+    for j in range(len(blocks)):
+        assert not same_multiset(block_spectrum(np.delete(blocks, j, axis=0), 13), dense), j
+        if j:
+            overwritten = blocks.copy()
+            overwritten[j] = blocks[0]
+            assert not same_multiset(block_spectrum(overwritten, 13), dense), j
+
+
+def test_a_plain_graph_is_one_block():
+    # no commuting permutation: the identity, m = n and one real block
+    graph = complete_graph(4)
+    blocks = spectral.character_blocks(graph)
+    assert blocks.shape == (1, 4, 4)
+    assert np.array_equal(blocks[0], normalized_adjacency(graph))
+
+
+def test_a_commuting_permutation_with_unequal_cycles_is_refused():
+    # a loop at each of 3 vertices commutes with every map; (0 1) has
+    # cycles of length 2 and 1, and a constant map is no permutation
+    loops = np.arange(3)[None, :]
+    for P in ([1, 0, 2], [0, 0, 0]):
+        graph = Graph.from_permutations(loops, np.array(P))
+        with pytest.raises(AssertionError, match="no free commuting permutation"):
+            spectral.character_blocks(graph)
 
 
 def list_lanczos(graph, tol, budget, seed=0xC0DE):
@@ -369,7 +471,7 @@ def test_mpar_block_is_cayley_graph(z5):
     Mp = build_Mpar(z5).matrix
     block = Mp[np.ix_(eids, eids)]
     right = cayley_graph(z5.group, z5.B, "right")
-    assert np.abs(block - right.normalized_adjacency()).max() < 1e-12
+    assert np.abs(block - normalized_adjacency(right)).max() < 1e-12
 
 
 def test_mpar_block_right_label_is_left_cayley(z5):
@@ -378,7 +480,7 @@ def test_mpar_block_right_label_is_left_cayley(z5):
     Mp = build_Mpar(z5).matrix
     block = Mp[np.ix_(eids, eids)]
     left = cayley_graph(z5.group, z5.A, "left")
-    assert np.abs(block - left.normalized_adjacency()).max() < 1e-12
+    assert np.abs(block - normalized_adjacency(left)).max() < 1e-12
 
 
 def schreier_graph(G, S, subgroup_generator, side="right"):
@@ -442,7 +544,7 @@ def test_mpar_block_self_inverse_is_schreier(z6):
     # are assigned in root order -- compare spectra and row sums instead of
     # chasing the bijection
     a = np.linalg.eigvalsh(block)
-    b = np.linalg.eigvalsh(sch.normalized_adjacency())
+    b = np.linalg.eigvalsh(normalized_adjacency(sch))
     assert np.abs(a - b).max() < 1e-12
     # and verify entrywise under the explicit map <g;l> <-> {g, g+3}
     coset_of = {}
@@ -473,7 +575,7 @@ def test_underlying_graph_regularity(z6):
     arcs = np.stack([np.repeat(np.arange(T.dim), table.shape[1]), table.ravel()], axis=1)
     g = Graph(T.dim, arcs)
     assert g.degree == z6.nA + z6.nB
-    assert np.abs(g.normalized_adjacency() - T.matrix).max() == 0.0
+    assert np.abs(normalized_adjacency(g) - T.matrix).max() == 0.0
     rep = second_eigenvalue(g, method="dense")
     assert rep.lam <= 1.0
 
@@ -561,8 +663,6 @@ def test_complex_spectrum_equals_the_cayley_graph_path(spectrum_cases):
         rec = spectral.complex_spectrum(X)
         assert json.dumps(rec, sort_keys=True) == json.dumps(
             one_solve_reference(X, ref), sort_keys=True), name
-        assert (rec["cayley"]["right"] == rec["cayley"]["left"]) is (name not in
-                                                                    ("z12", "p13_tnc"))
     assert rec["cayley"]["left"]["method"] == "iterative"     # p29 runs Lanczos
 
 
@@ -585,19 +685,40 @@ def test_b_equal_to_a_solves_one_side(spectrum_cases, monkeypatch):
         assert len(calls) == solves, name
 
 
-def test_a_right_table_off_the_inverse_map_gets_two_solves(spectrum_cases, monkeypatch):
-    # two entries of one right_perms row swapped: still a permutation, but
-    # g -> g^-1 no longer maps the left graph onto the right one
-    X = copy.copy(spectrum_cases["p13"][0])
+def swapped_right_table(X):
+    """X with two entries of one right_perms row swapped: still a
+    permutation, but neither the image of the left table under g -> g^-1
+    nor a table that left translation by the block generator commutes with."""
+    X = copy.copy(X)
     X.right_perms = X.right_perms.copy()
     X.right_perms[1, [5, 9]] = X.right_perms[1, [9, 5]]
     assert np.array_equal(np.sort(X.right_perms[1]), np.arange(X.n_vertices))
+    return X
+
+
+def test_a_right_table_off_the_inverse_map_gets_two_solves(spectrum_cases, monkeypatch):
+    # the map check fails, so the right side is solved too, and its dense
+    # solve refuses the table before it assembles a block
+    X = swapped_right_table(spectrum_cases["p13"][0])
     calls = count_solves(monkeypatch)
-    rec = spectral.complex_spectrum(X)
+    with pytest.raises(AssertionError, match="no free commuting permutation"):
+        spectral.complex_spectrum(X)
     assert calls == [X.n_vertices, X.n_vertices]
-    right = second_eigenvalue(Graph.from_permutations(X.right_perms))
-    assert rec["cayley"]["right"]["lambda"] == right.lam
-    assert rec["cayley"]["left"] == spectrum_cases["p13"][1]["cayley"]["left"]
+
+
+def test_a_table_the_block_generator_does_not_commute_with_exits_3(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a program fault, not a refusal: build exits 3 and writes nothing
+    from cayleyltc import cli
+
+    build = cli.build_complex
+    monkeypatch.setattr(cli, "build_complex",
+                        lambda *args: swapped_right_table(build(*args)))
+    assert cli.main(["build", "--group", "psl2:13", "--gens", "79,90,91,234",
+                     "--base", "parity:4", "--out", str(tmp_path / "p13")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "AssertionError" and "no free commuting permutation" in err["error"]
+    assert not (tmp_path / "p13").exists()
 
 
 def test_a_map_that_is_no_permutation_gets_two_solves(monkeypatch):
@@ -616,14 +737,24 @@ def test_a_map_that_is_no_permutation_gets_two_solves(monkeypatch):
 
 
 def test_complex_spectrum_recomputes_no_permutation(spectrum_cases, monkeypatch):
-    def refuse(self, s):
-        raise AssertionError("the complex already holds this permutation")
+    # the complex holds every generator's permutation; only translation by
+    # the block generator u is computed, once per side solved
+    calls = []
+    for name in ("left_perm", "right_perm"):
+        perm = getattr(PSL2, name)
 
-    monkeypatch.setattr(PSL2, "left_perm", refuse)
-    monkeypatch.setattr(PSL2, "right_perm", refuse)
-    for name in ("p13", "p13_tnc"):
+        def only_u(self, s, name=name, perm=perm):
+            if s != self.block_generator:
+                raise AssertionError("the complex already holds this permutation")
+            calls.append(name)
+            return perm(self, s)
+
+        monkeypatch.setattr(PSL2, name, only_u)
+    for name, sides in (("p13", ["right_perm"]), ("p13_tnc", ["right_perm", "left_perm"])):
         X, ref = spectrum_cases[name]
+        del calls[:]
         assert spectral.complex_spectrum(X) == one_solve_reference(X, ref), name
+        assert calls == sides, name
 
 
 def old_expansion_decisions(op, R, delta, lam, conclusion_scale):
