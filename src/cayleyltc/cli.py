@@ -424,7 +424,7 @@ def cmd_experiment(args) -> int:
 def cmd_inspect(args) -> int:
     path = Path(args.path)
     data = _read(path)
-    if path.suffix == ".json" or path.name == "manifest.json":
+    if path.suffix == ".json":
         doc = json.loads(data.decode())
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_PASS

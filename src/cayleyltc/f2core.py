@@ -77,10 +77,6 @@ class BitVector:
         self.words.flags.writeable = False
 
     @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(np.zeros(n, dtype=np.uint8))
-
-    @classmethod
     def _from_words(cls, words: np.ndarray, n: int) -> "BitVector":
         v = cls.__new__(cls)
         v.n = n
@@ -94,21 +90,10 @@ class BitVector:
     def weight(self) -> int:
         return int(np.bitwise_count(self.words).sum())
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        return BitVector._from_words(self.words ^ other.words, self.n)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitVector):
             return NotImplemented
         return self.n == other.n and bool(np.array_equal(self.words, other.words))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.words.tobytes()))
 
     def __repr__(self) -> str:
         if self.n <= 64:
@@ -145,16 +130,12 @@ class BitMatrix:
         return cls(np.zeros((rows, cols), dtype=np.uint8))
 
     def to_array(self) -> np.ndarray:
-        if self.rows == 0:
-            return np.zeros((0, self.cols), dtype=np.uint8)
         return _unpack_bits(self.words, self.cols)
 
     def matvec(self, v: BitVector) -> BitVector:
         """Compute M v over GF(2)."""
         if v.n != self.cols:
             raise ValueError(f"length mismatch: matrix has {self.cols} cols, vector {v.n}")
-        if self.rows == 0:
-            return BitVector.zeros(0)
         # the parity of a row's popcounts is the parity of their XOR's popcount
         folded = np.bitwise_xor.reduce(self.words & v.words[None, :], axis=1)
         out = (np.bitwise_count(folded) & 1).astype(np.uint8)
@@ -171,9 +152,6 @@ class BitMatrix:
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and bool(
             np.array_equal(self.words, other.words))
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.words.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"

@@ -2,7 +2,8 @@
 
 Two concrete groups are provided: cyclic groups (small-instance test bed)
 and PSL2(F_q) for odd primes q, together with the Lubotzky-Phillips-Sarnak
-generating sets that make their Cayley graphs Ramanujan.
+generating sets that make their Cayley graphs Ramanujan.  Cayley graphs
+are regular: a `Graph` keeps its arcs and one cached neighbour table.
 
 Elements are dense integer indices 0..order-1 with index 0 the identity.
 PSL2 multiplication is matrix arithmetic followed by one gather in a table
@@ -193,13 +194,13 @@ class GeneratorSet:
 
 @dataclass
 class Graph:
-    """Undirected (multi)graph given by symmetric arcs.
+    """Regular undirected (multi)graph given by symmetric arcs.
 
     ``arcs`` holds one directed arc per (vertex, generator) application, so
     parallel edges and fixed-point loops keep explicit multiplicity and the
     normalized adjacency operator is exactly (1/degree) * arc-count matrix.
-    The arcs are sorted by source once, on first use, and cached; the arcs
-    must not change after that.
+    The arcs are sorted by source once, on first use, into the cached
+    neighbour ``table``; the arcs must not change after that.
     """
 
     n_vertices: int
@@ -215,33 +216,20 @@ class Graph:
         verts = np.tile(np.arange(n, dtype=np.int64), d)
         return Graph(n, np.stack([verts, perms.ravel()], axis=1), name, commuting)
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """(degree, n): row k holds every vertex's k-th arc destination, in
+        arc order; raises unless the graph has vertices, each with degree arcs."""
+        n, src = self.n_vertices, self.arcs[:, 0]
+        count = np.bincount(src, minlength=n)
+        if n == 0 or (count != count[0]).any():
+            raise ValueError("graph has no vertices" if n == 0 else "graph is not regular")
+        dst = self.arcs[np.argsort(src, kind="stable"), 1]
+        return np.ascontiguousarray(dst.reshape(n, -1).T)
+
     @property
     def degree(self) -> int:
-        if self.n_vertices == 0:
-            return 0
-        d = len(self.arcs) / self.n_vertices
-        if d != int(d):
-            raise ValueError("graph is not regular")
-        return int(d)
-
-    @cached_property
-    def _by_source(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dst, starts): the arcs leaving v end at dst[starts[v]:starts[v + 1]],
-        in arc order."""
-        src = self.arcs[:, 0]
-        dst = self.arcs[np.argsort(src, kind="stable"), 1]
-        starts = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=self.n_vertices))])
-        return dst, starts
-
-    @cached_property
-    def _neighbour_table(self) -> np.ndarray:
-        """(degree, n): row k holds every vertex's k-th arc destination, in
-        arc order; raises unless every vertex has degree arcs."""
-        d = self.degree
-        dst, starts = self._by_source
-        if (np.diff(starts) != d).any():
-            raise ValueError("graph is not regular")
-        return np.ascontiguousarray(dst.reshape(self.n_vertices, d).T)
+        return len(self.table)
 
     def matvec(self, f: np.ndarray) -> np.ndarray:
         """Apply the normalized adjacency operator without materializing it.
@@ -251,25 +239,17 @@ class Graph:
         np.bincount over the arcs.
         """
         out = np.zeros(self.n_vertices)
-        for row in self._neighbour_table:
+        for row in self.table:
             out += f[row]
         return out / self.degree
 
     def is_connected(self) -> bool:
-        """Breadth-first search from vertex 0, one CSR gather per level."""
-        n = self.n_vertices
-        if n == 0:
-            return True
-        dst, starts = self._by_source
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = np.array([0])
+        """Breadth-first search from vertex 0, one table gather per level."""
+        table, frontier = self.table, np.array([0])
+        seen = np.arange(self.n_vertices) == 0
         while frontier.size:
-            lo, count = starts[frontier], starts[frontier + 1] - starts[frontier]
-            # positions lo[v] .. lo[v] + count[v] - 1 of every frontier vertex v
-            pos = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-            reached = np.zeros(n, dtype=bool)
-            reached[dst[pos]] = True
+            reached = np.zeros(self.n_vertices, dtype=bool)
+            reached[table[:, frontier]] = True
             frontier = np.flatnonzero(reached & ~seen)
             seen[frontier] = True
         return bool(seen.all())

@@ -556,12 +556,12 @@ def kappa_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
     in_code = code.contains(BitVector(e))
     if not in_code:
         assert rejects > 0, "D(f) = 0 must certify membership"
-    certified = weight > 0 and weight < certified_radius / 2
+    certified = weight < certified_radius / 2
     return {
         "trial": trial_index,
         "weight": weight,
         "D": D,
-        "kappa_hat": (D * code.n / weight) if weight else float("nan"),
+        "kappa_hat": D * code.n / weight,
         "certified": bool(certified),
         "in_code": bool(in_code),
     }
@@ -626,7 +626,7 @@ def decode_trial(tester: SquareCodeTester, code: LinearCode, seed: int,
     D = rejects / X.n_vertices
     out = tester.decode(f_bits)
     ok = out.delta_initial * X.n_vertices <= 2 * rejects * X.n_edges
-    ok &= out.iterations <= max(out.delta_initial, 0)
+    ok &= out.iterations <= out.delta_initial
     dist = float("nan")
     if out.kind == "codeword":
         wrong = int((out.word.to_bits() != f_bits).sum())

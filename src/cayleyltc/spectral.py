@@ -15,8 +15,8 @@ on the other side commutes with a Cayley graph, so its spectrum splits into one
 block of n/|<u>| rows per character of <u>.  `complex_spectrum` builds each
 side's graph from the complex's `left_perms` and `right_perms` and solves only
 the left one when an exact check shows that g -> g^-1 maps it onto the right
-one.  Each Lanczos step walks the graph's cached neighbour table, one row of
-every vertex's k-th neighbours at a time.
+one.  The blocks and each Lanczos step read the graph's cached neighbour
+table, `Graph.table`, whose row k holds every vertex's k-th neighbour.
 The expansion-implication checker decides, in exact arithmetic, what the
 expansion of an operator implies for a set.
 """
@@ -201,7 +201,7 @@ def character_blocks(graph: Graph) -> np.ndarray:
     length c.  M_(c-j) is M_j conjugated, so the spectrum is the stack's with
     j = 0 and c/2 once, every other j twice.  AssertionError unless P
     commutes with every row and m c = n."""
-    perms, n, ident = graph._neighbour_table, graph.n_vertices, np.arange(graph.n_vertices)
+    perms, n, ident = graph.table, graph.n_vertices, np.arange(graph.n_vertices)
     P = ident if graph.commuting is None else graph.commuting
     lead, steps, walk, c = ident.copy(), np.zeros(n, dtype=np.int64), P, 1
     while c <= n and not np.array_equal(walk, ident):      # lead[g] = P^steps[g](g)

@@ -695,13 +695,19 @@ P13_TNC_SHA256 = {
 P13_TNC_PARITY6_SHA256 = {
     "code.f2mat": "7409ea72f848dfd7d2e9fc724dafe087552c66a9889d1a036caa45a9ba307d5d",
     "manifest.json": "c8c52e6d965902f9d20ddd4ac69de3b073be060b4d70bbe3cca805ffe5140ae8"}
-P13_TNC_PARITY6 = ["--gens", "562,1069,1059,890,509,843",
+P13_TNC_PARITY6 = ["--group", "psl2:13", "--gens", "562,1069,1059,890,509,843",
                    "--gens-b", "883,131,1001,325,899,284", "--base", "parity:6"]
+P13_BUILD = ["--group", "psl2:13", "--gens", "79,90,91,234", "--base", "parity:4"]
+X41_BUILD = ["--group", "psl2:41", "--lps", "5", "--base", "parity:6"]
+#: sha256 of manifest.json of the p13 (A = B, dense) and X41 (Lanczos)
+#: builds on one BLAS thread
+P13_MANIFEST_SHA256 = "39314028aeab68d5a104b3f1d2a1a310c8309fc9618eb47878a34979cc7d0d85"
+X41_MANIFEST_SHA256 = "b32b568ce675e9cf14a8cbcd379f9e96f1079dd78e6972bbbfed86e774747171"
 
 
 def _build_in_a_subprocess(out, argv, blas_threads="1"):
-    """The bytes of manifest.json of a PSL2(F_13) build run by a fresh
-    interpreter on blas_threads BLAS threads."""
+    """The bytes of manifest.json of the build argv, group flags included,
+    run by a fresh interpreter on blas_threads BLAS threads."""
     import os
     import subprocess
     import sys
@@ -709,14 +715,13 @@ def _build_in_a_subprocess(out, argv, blas_threads="1"):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
                OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
                MKL_NUM_THREADS=blas_threads)
-    subprocess.run([sys.executable, "-m", "cayleyltc.cli", "build", "--group", "psl2:13",
-                    *argv, "--out", str(out)],
+    subprocess.run([sys.executable, "-m", "cayleyltc.cli", "build", *argv, "--out", str(out)],
                    env=env, check=True, capture_output=True, timeout=120)
     return (out / "manifest.json").read_bytes()
 
 
 def _build_golden(out, argv, golden):
-    """The manifest of a PSL2(F_13) build in a subprocess, its files checked
+    """The manifest of the build argv in a subprocess, its files checked
     against their golden sha256."""
     _build_in_a_subprocess(out, argv)
     for name, digest in golden.items():
@@ -724,13 +729,20 @@ def _build_golden(out, argv, golden):
     return json.loads((out / "manifest.json").read_text())
 
 
-@pytest.mark.parametrize("argv", [["--gens", "79,90,91,234", "--base", "parity:4"],
-                                  P13_TNC_PARITY6], ids=["p13", "p13_tnc6"])
+@pytest.mark.parametrize("argv", [P13_BUILD, P13_TNC_PARITY6], ids=["p13", "p13_tnc6"])
 def test_dense_builds_are_byte_identical_across_blas_threads(tmp_path, argv):
     # each character block is assembled by bincount and solved alone, so
     # lambda's bits do not follow the BLAS thread count
     assert (_build_in_a_subprocess(tmp_path / "t1", argv, "1")
             == _build_in_a_subprocess(tmp_path / "t2", argv, "2"))
+
+
+@pytest.mark.parametrize("argv, digest", [(P13_BUILD, P13_MANIFEST_SHA256),
+                                          (X41_BUILD, X41_MANIFEST_SHA256)],
+                         ids=["p13_dense", "x41_lanczos"])
+def test_build_manifests_match_their_golden_sha256(tmp_path, argv, digest):
+    # Lanczos reductions follow the BLAS thread count, so both pins hold on one
+    assert hashlib.sha256(_build_in_a_subprocess(tmp_path, argv)).hexdigest() == digest
 
 
 def _assert_the_tnc_facts(out, manifest, r):
@@ -749,8 +761,9 @@ def _assert_the_tnc_facts(out, manifest, r):
 def test_a_tnc_true_psl2_instance_builds_and_decodes(tmp_path, capsys):
     # B differs from A: an A = B build fails TNC at g = e, this one has it
     out = tmp_path / "p13t"
-    manifest = _build_golden(out, ["--gens", "79,90,91,234", "--gens-b", "517,328,559,728",
-                                   "--base", "parity:4"], P13_TNC_SHA256)
+    manifest = _build_golden(out, ["--group", "psl2:13", "--gens", "79,90,91,234",
+                                   "--gens-b", "517,328,559,728", "--base", "parity:4"],
+                             P13_TNC_SHA256)
     _assert_the_tnc_facts(out, manifest, 4)
     assert manifest["square_code"] == {"n": 4368, "k": 1096}
     capsys.readouterr()

@@ -89,11 +89,6 @@ def test_kernel_hamming():
 def test_weight_and_distance():
     assert BitVector([0] * 8).weight() == 0
     assert BitVector([1] * 8).weight() == 8
-    u = BitVector([1, 0, 1, 1, 0, 0, 0])
-    z = BitVector([0] * 7)
-    assert (u ^ z).weight() == 3
-    with pytest.raises(ValueError):
-        u ^ BitVector([1, 0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -376,8 +376,6 @@ def test_group_manifest():
 
 def reference_is_connected(graph):
     """Breadth-first search gathering each frontier vertex's arcs in Python."""
-    if graph.n_vertices == 0:
-        return True
     seen = np.zeros(graph.n_vertices, dtype=bool)
     seen[0] = True
     frontier = np.array([0])
@@ -399,8 +397,6 @@ def argsort_is_connected(graph):
     """Reference: the whole-array breadth-first search that sorts the arcs
     by source on every call."""
     n = graph.n_vertices
-    if n == 0:
-        return True
     dst_sorted = graph.arcs[np.argsort(graph.arcs[:, 0], kind="stable"), 1]
     starts = np.concatenate([[0], np.cumsum(np.bincount(graph.arcs[:, 0], minlength=n))])
     seen = np.zeros(n, dtype=bool)
@@ -447,32 +443,48 @@ def _signed_inputs(rng, n):
     return out
 
 
+def _permutation_multigraph(rng, n):
+    """A symmetric regular multigraph with loops: the arcs of one to four
+    random permutations and of their inverses, shuffled."""
+    perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 5)))]
+    arcs = [np.stack([np.arange(n), p], axis=1) for p in perms]
+    arcs += [np.stack([p, np.arange(n)], axis=1) for p in perms]
+    return Graph(n, rng.permutation(np.concatenate(arcs)))
+
+
 def test_is_connected_matches_reference():
     z12 = cyclic_group(12)
     cases = [
-        _undirected(0, []),
         _undirected(1, []),
-        _undirected(1, [(0, 0)]),                              # loop only
         _undirected(2, []),                                    # two isolated
-        _undirected(3, [(0, 1), (0, 1), (1, 2)]),              # multi-edge
-        _undirected(4, [(0, 1), (2, 3), (2, 2)]),              # two parts, loop
-        _undirected(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),      # path
-        _undirected(5, [(1, 2), (2, 3), (3, 4)]),              # 0 isolated
+        _undirected(1, [(0, 0)]),                              # loop only
+        _undirected(4, [(0, 1), (2, 3)]),                      # two parts
         cayley_graph(z12, GeneratorSet(z12, (1, 11))),
         cayley_graph(z12, GeneratorSet(z12, (3, 9))),          # <3> has index 3
     ]
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 30))
-        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
-        cases.append(_undirected(n, pairs))
+    cases += [_permutation_multigraph(rng, int(rng.integers(1, 30))) for _ in range(200)]
     expected = [reference_is_connected(g) for g in cases]
     assert [g.is_connected() for g in cases] == expected
     assert [argsort_is_connected(g) for g in cases] == expected
-    assert [g.is_connected() for g in cases] == expected     # from the cached order
-    assert expected[:10] == [True, True, True, False, True, False, True, False,
-                             True, False]
+    assert [g.is_connected() for g in cases] == expected     # from the cached table
+    assert expected[:6] == [True, False, True, False, True, False]
     assert 20 < sum(expected) < 190            # random cases hit both answers
+
+
+@pytest.mark.parametrize("graph, error", [
+    (_undirected(0, []), "graph has no vertices"),
+    (_undirected(3, [(0, 1), (1, 2)]), "graph is not regular"),            # 4 arcs
+    (_undirected(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), "graph is not regular"),
+    (_undirected(3, [(0, 1), (0, 1), (1, 2)]), "graph is not regular"),    # multi-edge
+    (_undirected(4, [(0, 1), (2, 3), (2, 2)]), "graph is not regular"),    # loop
+    (_undirected(5, [(1, 2), (2, 3), (3, 4)]), "graph is not regular"),    # 0 isolated
+], ids=["empty", "fractional-mean", "integer-mean", "multi-edge", "loop", "isolated"])
+def test_irregular_and_empty_graphs_are_refused(graph, error):
+    for use in (lambda: graph.degree, graph.is_connected,
+                lambda: graph.matvec(np.ones(graph.n_vertices))):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            use()
 
 
 def _matvec_cases():
@@ -494,13 +506,7 @@ def _matvec_cases():
         _undirected(2, [(0, 0), (0, 1), (0, 1), (1, 1)]),        # both at once
     ]
     rng = np.random.default_rng(20)
-    for _ in range(20):
-        n = int(rng.integers(2, 40))
-        perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 5)))]
-        # a permutation and its inverse give a symmetric multigraph with loops
-        arcs = [np.stack([np.arange(n), p], axis=1) for p in perms]
-        arcs += [np.stack([p, np.arange(n)], axis=1) for p in perms]
-        cases.append(Graph(n, rng.permutation(np.concatenate(arcs))))
+    cases += [_permutation_multigraph(rng, int(rng.integers(2, 40))) for _ in range(20)]
     return cases
 
 
@@ -515,21 +521,9 @@ def test_matvec_is_bit_identical_to_the_bincount_walk():
 def test_neighbour_table_rows_are_each_vertexs_arcs_in_order():
     z12 = cyclic_group(12)
     graph = cayley_graph(z12, GeneratorSet(z12, (1, 5, 7, 11)))
-    graph.matvec(np.zeros(12))
-    assert np.array_equal(graph._neighbour_table,
-                          [(np.arange(12) + s) % 12 for s in (1, 5, 7, 11)])
+    assert np.array_equal(graph.table, [(np.arange(12) + s) % 12 for s in (1, 5, 7, 11)])
     graph = _interleaved(3, [(0, 1), (1, 2), (2, 0)])
-    graph.matvec(np.zeros(3))
-    assert np.array_equal(graph._neighbour_table, [[1, 0, 1], [2, 2, 0]])
-
-
-@pytest.mark.parametrize("graph", [
-    _undirected(3, [(0, 1), (1, 2)]),                  # 4 arcs on 3 vertices
-    _undirected(4, [(0, 1), (0, 2), (0, 3), (1, 2)]),  # 8 arcs, degrees 3, 2, 2, 1
-], ids=["fractional-mean", "integer-mean"])
-def test_matvec_refuses_an_irregular_graph(graph):
-    with pytest.raises(ValueError, match="^graph is not regular$"):
-        graph.matvec(np.ones(graph.n_vertices))
+    assert np.array_equal(graph.table, [[1, 0, 1], [2, 2, 0]])
 
 
 def _random_circulant(rng, n):
@@ -547,8 +541,7 @@ def test_graph_edge_labelling_matches_the_reference():
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     cases = [_undirected(10, petersen),
              _undirected(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
-             _undirected(3, [(0, 1), (1, 2), (0, 2)]),
-             _undirected(0, [])]
+             _undirected(3, [(0, 1), (1, 2), (0, 2)])]
     rng = np.random.default_rng(5)
     cases += [_random_circulant(rng, int(rng.integers(3, 40))) for _ in range(60)]
     for graph in cases:

@@ -600,13 +600,14 @@ def test_error_only_kappa_trials_match_the_codeword_plus_error_trials(
 def test_a_codeword_error_is_in_the_code_and_accepted(toy_instances, p13_instance,
                                                      monkeypatch, name):
     # each error a nonzero generator row: f = c + e is a codeword, so the
-    # independent membership check must say so, with D = 0
+    # independent membership check must say so, with D = 0; weight w >= 1,
+    # as every trial's, draws row w - 1
     X, _, code, tester = (p13_instance[:4] if name == "p13" else toy_instances[name])
     rows = code.generator.to_array()
-    monkeypatch.setattr(ltc, "random_error", lambda rng, n, w: rows[w % len(rows)])
+    monkeypatch.setattr(ltc, "random_error", lambda rng, n, w: rows[(w - 1) % len(rows)])
     for index in range(2 * len(rows[:8])):
-        pair = kappa_trial_pair(tester, code, 22, index, index)
-        assert pair == (0, True) == reference_kappa_trial(tester, code, 22, index, index)
+        pair = kappa_trial_pair(tester, code, 22, index, index + 1)
+        assert pair == (0, True) == reference_kappa_trial(tester, code, 22, index, index + 1)
 
 
 def test_a_kappa_trial_encodes_no_codeword(z12_instance, monkeypatch):
