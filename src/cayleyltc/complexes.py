@@ -6,13 +6,14 @@ equivalence classes [a,g,b] of the four triples
 
     (a,g,b) ~ (a^-1, ag, b) ~ (a^-1, agb, b^-1) ~ (a, gb, b^-1).
 
-Everything is stored as dense integer id arrays: per-label permutations of
-the vertex set, an edge id for every (label, vertex) slot, and a square id
-for every (a, g, b) slot.  The canonical representative of an edge or
-square is the lexicographically least of its equivalent slot tuples, so ids
-are deterministic and independent of discovery order.  A slot's key is its
-own flat index, so an id is the rank of its class's least key among all
-least keys, read off a running count with no sort.
+Everything is stored once, as dense integer arrays: one table of per-label
+permutations of the vertex set, an edge id for every (label, vertex) slot,
+each edge's canonical slot as (edge_label, edge_root), and a square id for
+every (a, g, b) slot.  The canonical representative of an edge or square is
+the lexicographically least of its equivalent slot tuples, so ids are
+deterministic and independent of discovery order.  A slot's key is its own
+flat index, so an id is the rank of its class's least key among all least
+keys, read off a running count with no sort.
 
 Degenerate squares (classes of size 2, occurring exactly when condition
 N2C fails) are retained, with class size 2 in square_class_size.
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, GeneratorSet, cyclic_group, psl2
-
-LEFT, RIGHT = 0, 1
 
 
 @dataclass(frozen=True)
@@ -79,18 +78,17 @@ class CayleyComplex:
         self.nB = len(B)
         self.n_vertices = group.order
 
-        n = group.order
-        self.left_perms = np.stack([group.left_perm(s) for s in A.indices])
-        self.right_perms = np.stack([group.right_perm(s) for s in B.indices])
         self.a_inv_pos = A.inverse_positions
         self.b_inv_pos = B.inverse_positions
 
         # label l in [0, nA) is left multiplication by A[l]; label nA + j is
-        # right multiplication by B[j].  vert_image[l, g] = g^l.
+        # right multiplication by B[j].  vert_image[l, g] = g^l, and
+        # left_perms / right_perms are its two row blocks (views).
         self.n_labels = self.nA + self.nB
-        self.vert_image = np.concatenate([self.left_perms, self.right_perms])
-        self.label_type = np.concatenate([
-            np.zeros(self.nA, dtype=np.int64), np.ones(self.nB, dtype=np.int64)])
+        self.vert_image = np.stack([group.left_perm(s) for s in A.indices]
+                                   + [group.right_perm(s) for s in B.indices])
+        self.left_perms = self.vert_image[:self.nA]
+        self.right_perms = self.vert_image[self.nA:]
         self.label_inv = np.concatenate([self.a_inv_pos, self.b_inv_pos + self.nA])
 
         self._build_edges()
@@ -108,10 +106,10 @@ class CayleyComplex:
         self.n_edges = self.n_left_edges + self.n_right_edges
         # edge_at[l, g] = id of the edge <g; l>, right ids offset past left ids
         self.edge_at = np.concatenate([left_ids, right_ids + self.n_left_edges])
-        # canonical representative (type, generator position, root vertex)
-        keys = np.concatenate([left_keys, right_keys])
-        side = np.repeat([LEFT, RIGHT], [self.n_left_edges, self.n_right_edges])
-        self.edge_rep = np.stack([side, keys // n, keys % n], axis=1)
+        # edge e is <edge_root[e]; edge_label[e]>, its canonical slot, so
+        # edge_at[edge_label[e], edge_root[e]] = e
+        self.edge_label = np.concatenate([left_keys // n, right_keys // n + self.nA])
+        self.edge_root = np.concatenate([left_keys, right_keys]) % n
 
     def _build_squares(self):
         # canon = least key (i * n + g) * nB + j of the triples equivalent
@@ -190,22 +188,14 @@ class CayleyComplex:
         them."""
         if self.nA != self.nB:
             raise ValueError("edge slot table requires |A| = |B|")
-        left = self.edge_rep[:self.n_left_edges]
-        right = self.edge_rep[self.n_left_edges:]
-        lt = self.square_id[left[:, 1], left[:, 2], :]
-        rt = self.square_id[:, right[:, 2], right[:, 1]].T
+        nl = self.n_left_edges
+        lt = self.square_id[self.edge_label[:nl], self.edge_root[:nl], :]
+        rt = self.square_id[:, self.edge_root[nl:], self.edge_label[nl:] - self.nA].T
         return np.vstack([lt, rt])
 
     def canonical_square(self, a_pos: int, g: int, b_pos: int) -> int:
         """Square id of [a,g,b]; equal for all four equivalent triples."""
         return int(self.square_id[a_pos, g, b_pos])
-
-    def edge_rep_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(label, root) of every edge's canonical slot: edge e is
-        <root; label>, so edge_at[label, root] = e and its far endpoint is
-        vert_image[label, root]."""
-        t, pos, g = self.edge_rep.T
-        return pos + t * self.nA, g       # t is LEFT = 0 or RIGHT = 1
 
     # -- manifest / serialization -------------------------------------------
 

@@ -184,15 +184,14 @@ def _block_pivots(values):
     each chosen[i] in the XOR that is the reduced basis vector leading at t
     (zero at the other pivot bits).
     """
-    red, chosen, span = {}, [], {0}
+    red, chosen = {}, []
     for v in values:
-        if v in span:
-            continue
-        span |= {u ^ v for u in span}
         x, s = v, 1 << len(chosen)
         for t, (y, u) in red.items():
             if x >> t & 1:
                 x, s = x ^ y, s ^ u
+        if not x:            # v is in the span of the chosen values
+            continue
         t = (x & -x).bit_length() - 1
         for t2, (y, u) in red.items():
             if y >> t & 1:

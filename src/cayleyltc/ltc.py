@@ -124,14 +124,14 @@ class SquareCodeTester:
         self.code = code
         self.r = X.nA
         self.n_squares = X.n_squares
-        self._hcols = _pack_bits(C1.parity.to_array().T)   # (r, words): bit j = check j
+        hcols = _pack_bits(C1.parity.to_array().T)   # (r, words): bit j = check j
         self._syn_tables = _xor_table(np.pad(     # (byte, its 256 values, words)
-            self._hcols, ((0, -self.r % 8), (0, 0))).reshape(-1, 8, self._hcols.shape[1]))
+            hcols, ((0, -self.r % 8), (0, 0))).reshape(-1, 8, hcols.shape[1]))
         i = np.arange(self.r)        # coordinate i is bit i % 8 of byte i // 8
         self._byte_bits = ((i // 8 == np.arange(len(self._syn_tables))[:, None])
                            << i % 8).astype(np.uint8)
         self._grid = X.square_id                     # (r, n, r)
-        lbl, g = X.edge_rep_slots()     # each edge's line slots l*n + g, l^-1*n + g^l
+        lbl, g = X.edge_label, X.edge_root  # each edge's line slots l*n + g, l^-1*n + g^l
         self._edge_slots = np.stack([lbl * X.n_vertices + g,
                                      X.label_inv[lbl] * X.n_vertices + X.vert_image[lbl, g]])
         self._edge_slots.flags.writeable = False
@@ -454,8 +454,8 @@ def dispute_counts(X: CayleyComplex, R) -> dict:
         mask[R] = 1
 
     n1_v = mask[X.edge_at].sum(axis=0)                        # (n,)
-    lbl, u = X.edge_rep_slots()
-    v = X.vert_image[lbl, u]
+    u = X.edge_root
+    v = X.vert_image[X.edge_label, u]
     n1_e = n1_v[u] + n1_v[v]
 
     par = parallel_neighbor_table(X)
@@ -464,12 +464,9 @@ def dispute_counts(X: CayleyComplex, R) -> dict:
     n2_v = n1_v[X.vert_image].sum(axis=0)
     n2_e = n2_v[u] + n2_v[v]
 
-    left_labels = np.nonzero(X.label_type == 0)[0]
-    right_labels = np.nonzero(X.label_type == 1)[0]
-    n1_left = mask[X.edge_at[left_labels]].sum(axis=0)
-    n1_right = mask[X.edge_at[right_labels]].sum(axis=0)
-    n2p_v = (n1_right[X.vert_image[left_labels]].sum(axis=0)
-             + n1_left[X.vert_image[right_labels]].sum(axis=0))
+    n1_left = mask[X.edge_at[:X.nA]].sum(axis=0)
+    n1_right = mask[X.edge_at[X.nA:]].sum(axis=0)
+    n2p_v = n1_right[X.left_perms].sum(axis=0) + n1_left[X.right_perms].sum(axis=0)
 
     return {
         "n1_vertex": n1_v, "n1_edge": n1_e, "npar_edge": npar_e,

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import LEFT, CayleyComplex
+from .complexes import CayleyComplex
 from .groups import Graph
 
 DENSE_MAX_DIM = 4000        # largest dense matrix or dense eigensolve, in rows
@@ -119,7 +119,7 @@ def build_M(X: CayleyComplex) -> WalkOperator:
     that the count n2_edge = 8r^2 * M 1_R counts.
     """
     _require_square_regular(X)
-    lbl, g = X.edge_rep_slots()
+    lbl, g = X.edge_label, X.edge_root
     endpoints = np.stack([g, X.vert_image[lbl, g]], axis=1)      # (m, 2)
     table = X.edge_at.T[X.vert_image.T[endpoints]]               # (m, 2, 2r, 2r)
     return WalkOperator([(1, table.reshape(X.n_edges, -1))])
@@ -128,9 +128,9 @@ def build_M(X: CayleyComplex) -> WalkOperator:
 def parallel_neighbor_table(X: CayleyComplex) -> np.ndarray:
     """(n_edges, r) ids: <g;l> moved along every opposite-type label."""
     r = _require_square_regular(X)
-    lbl, g = X.edge_rep_slots()
+    lbl, g = X.edge_label, X.edge_root
     out = np.empty((X.n_edges, r), dtype=np.int64)
-    left_mask = X.label_type[lbl] == LEFT
+    left_mask = lbl < X.nA
     for k in range(r):
         opp = np.where(left_mask, X.nA + k, k)       # opposite-type label
         moved = X.vert_image[opp, g]
@@ -157,7 +157,7 @@ def edge_label_classes(X: CayleyComplex) -> list[dict]:
         ids = np.unique(X.edge_at[lbl])
         classes.append({
             "labels": (lbl, inv) if inv != lbl else (lbl,),
-            "type": int(X.label_type[lbl]),
+            "type": int(lbl >= X.nA),
             "self_inverse": inv == lbl,
             "edge_ids": ids,
         })

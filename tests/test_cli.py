@@ -745,6 +745,27 @@ def test_build_manifests_match_their_golden_sha256(tmp_path, argv, digest):
     assert hashlib.sha256(_build_in_a_subprocess(tmp_path, argv)).hexdigest() == digest
 
 
+#: sha256 of the kappa and decode CSV rows on Z_23 with ten generators and
+#: rep:10: r = 10, so every line code spans two syndrome bytes
+R10_BUILD = ["--group", "cyclic:23", "--gens", "1,22,2,21,3,20,4,19,5,18", "--base", "rep:10"]
+R10_CSV_SHA256 = {
+    "kappa": "ca77adb4384792d994caa4635258b6c848c8e594256c1b910ebbb6e4f97ebc42",
+    "decode": "47a901718f9b5a9fac247414e627c0f0345a1a5622cac9bf42f9d7967490c61e"}
+
+
+def test_two_byte_line_codes_give_the_golden_rows(tmp_path):
+    out = tmp_path / "r10"
+    assert main(["build", *R10_BUILD, "--out", str(out)]) == 0
+    derived = json.loads((out / "manifest.json").read_text())["derived"]
+    assert (derived["r"], derived["n_squares"]) == (10, 575)
+    for kind, digest in R10_CSV_SHA256.items():
+        prefix = tmp_path / kind
+        assert main(["experiment", str(out / "manifest.json"), "--kind", kind,
+                     "--trials", "24", "--seed", "10", "--weights", "240,287",
+                     "--format", "csv", "--out", str(prefix)]) == 0
+        assert hashlib.sha256(Path(f"{prefix}.csv").read_bytes()).hexdigest() == digest, kind
+
+
 def _assert_the_tnc_facts(out, manifest, r):
     """The facts the acceptance suite and the paper state under TNC, on the
     PSL2(F_13) build in out with |A| = |B| = r: TNC and N2C hold, |E| =

@@ -691,7 +691,7 @@ def test_square_code_catches_a_broken_global_fact(monkeypatch, name, table):
     X = toy_complex(*args)
     est = X.edge_slot_table()
     if table in ("left_edge", "right_edge"):
-        side = X.edge_rep[:, 0] == (table == "right_edge")
+        side = (X.edge_label >= X.nA) == (table == "right_edge")
         e = np.flatnonzero((est != est[:, :1]).any(axis=1) & side)[0]
         _swap_two_distinct(est[e])
         monkeypatch.setattr(X, "edge_slot_table", lambda: est)

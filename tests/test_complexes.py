@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleyltc.complexes import (
-    LEFT,
     build_complex,
     canonical_ids,
     deserialize_complex,
@@ -17,7 +16,8 @@ from cayleyltc.complexes import (
 )
 from cayleyltc.groups import GeneratorSet, cyclic_group, lps_generators, psl2
 
-TABLES = ("edge_at", "edge_rep", "square_id", "square_rep", "square_class_size")
+TABLES = ("edge_at", "edge_label", "edge_root", "square_id", "square_rep",
+          "square_class_size")
 
 
 def toy(n, a_gens, b_gens=None):
@@ -231,9 +231,9 @@ def test_slot_count_per_edge(z5, p13):
 
 
 def edge_endpoints(x, e):
-    """Reference: the endpoints (root, far vertex) of edge e, one edge."""
-    t, pos, g = (int(v) for v in x.edge_rep[e])
-    lbl = pos if t == LEFT else x.nA + pos
+    """Reference: the endpoints (root, far vertex) of edge e, one edge, from
+    its lexicographically least slot (label, root) in edge_at."""
+    lbl, g = (int(v) for v in np.argwhere(x.edge_at == e)[0])
     return g, int(x.vert_image[lbl, g])
 
 
@@ -241,22 +241,34 @@ def test_edge_endpoints(z5):
     for e in range(z5.n_edges):
         u, v = edge_endpoints(z5, e)
         assert u != v
-        t, pos, g = z5.edge_rep[e]
+        lbl, g = z5.edge_label[e], z5.edge_root[e]
         assert u == g
-        if t == LEFT:
-            assert v == z5.left_perms[pos, g]
+        if lbl < z5.nA:
+            assert v == z5.left_perms[lbl, g]
         else:
-            assert v == z5.right_perms[pos, g]
+            assert v == z5.right_perms[lbl - z5.nA, g]
 
 
 def test_edge_endpoint_arrays_match_edge_endpoints(z5, z12, p13):
     for x in (z5, z12, p13):
-        lbl, root = x.edge_rep_slots()
+        lbl, root = x.edge_label, x.edge_root
         assert np.array_equal(x.edge_at[lbl, root], np.arange(x.n_edges))
-        assert np.array_equal(x.label_type[lbl], x.edge_rep[:, 0])
+        # left edges, labels below nA, come first
+        assert np.array_equal(lbl >= x.nA, np.arange(x.n_edges) >= x.n_left_edges)
         far = x.vert_image[lbl, root]
         assert list(zip(root.tolist(), far.tolist())) == [
             edge_endpoints(x, e) for e in range(x.n_edges)]
+
+
+def test_left_and_right_perms_are_the_halves_of_vert_image(z5, z12, p13):
+    for x in (z5, z12, p13):
+        g = x.group
+        assert np.array_equal(x.vert_image, np.stack(
+            [g.left_perm(s) for s in x.A.indices] + [g.right_perm(s) for s in x.B.indices]))
+        assert np.shares_memory(x.left_perms, x.vert_image)
+        assert np.shares_memory(x.right_perms, x.vert_image)
+        assert np.array_equal(x.left_perms, x.vert_image[:x.nA])
+        assert np.array_equal(x.right_perms, x.vert_image[x.nA:])
 
 
 def test_serialization_roundtrip(z5):
@@ -324,13 +336,10 @@ def unique_tables(X):
     n = X.n_vertices
     nl, left_ids, left_keys = unique_canonical_ids(X.left_perms, X.a_inv_pos)
     nr, right_ids, right_keys = unique_canonical_ids(X.right_perms, X.b_inv_pos)
-    edge_rep = np.empty((nl + nr, 3), dtype=np.int64)
-    edge_rep[:nl] = np.stack(
-        [np.zeros_like(left_keys), left_keys // n, left_keys % n], axis=1)
-    edge_rep[nl:] = np.stack(
-        [np.ones_like(right_keys), right_keys // n, right_keys % n], axis=1)
     return {"edge_at": np.concatenate([left_ids, right_ids + nl]),
-            "edge_rep": edge_rep, **unique_square_tables(X)}
+            "edge_label": np.concatenate([left_keys // n, right_keys // n + X.nA]),
+            "edge_root": np.concatenate([left_keys % n, right_keys % n]),
+            **unique_square_tables(X)}
 
 
 def assert_reference_tables(X):
@@ -340,7 +349,7 @@ def assert_reference_tables(X):
         assert got.dtype == ref[name].dtype, name
         assert np.array_equal(got, ref[name]), name
     assert X.n_squares == len(ref["square_rep"])
-    assert X.n_left_edges == int((ref["edge_rep"][:, 0] == LEFT).sum())
+    assert X.n_left_edges == int((ref["edge_label"] < X.nA).sum())
 
 
 def lps41():

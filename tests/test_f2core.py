@@ -203,6 +203,38 @@ def test_reduced_echelon_holds_exactly_where_row_basis_returns_its_input(m, n, s
     assert f2core.reduced_echelon(cases[1])
 
 
+def _block_pivots_span_set(values):
+    """Reference for f2core._block_pivots: a value is skipped when it lies in
+    the span of the chosen values, tracked as the set of all their XORs."""
+    red, chosen, span = {}, [], {0}
+    for v in values:
+        if v in span:
+            continue
+        span |= {u ^ v for u in span}
+        x, s = v, 1 << len(chosen)
+        for t, (y, u) in red.items():
+            if x >> t & 1:
+                x, s = x ^ y, s ^ u
+        t = (x & -x).bit_length() - 1
+        for t2, (y, u) in red.items():
+            if y >> t & 1:
+                red[t2] = (y ^ x, u ^ s)
+        red[t] = (x, s)
+        chosen.append(v)
+        if len(chosen) == 8:
+            break
+    return {t: s for t, (_, s) in red.items()}, chosen
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=40, unique=True), st.booleans())
+def test_block_pivots_match_the_span_set_reference(values, ascending):
+    # the block's byte values arrive ascending; any order must agree too
+    if ascending:
+        values = sorted(values)
+    assert f2core._block_pivots(values) == _block_pivots_span_set(values)
+
+
 def _kernel_basis_loop(M):
     """Reference: one kernel vector per free column, built bit by bit."""
     n = M.cols

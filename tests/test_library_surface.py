@@ -15,6 +15,11 @@ through *args or **kwargs.  The callee is matched by its bare name, and a
 constructor (`__init__` or a dataclass) by its class name.  A parameter that
 only unit tests set is an option with one value in use.
 
+An attribute that a method of a library class assigns on `self` must be
+read, as an `ast.Attribute` in load context or as the target of an
+augmented assignment, somewhere in those same files.  An attribute that
+nothing reads is a stored copy of something with no reader.
+
 A name that a module of `src/` or `tests/` imports must appear in that
 module as an `ast.Name`; `from __future__` imports are exempt.
 """
@@ -144,6 +149,40 @@ def test_every_library_default_is_set_by_a_caller():
     assert not unset, (
         "defaults that no command, benchmark workload or acceptance "
         f"criterion sets: {unset}")
+
+
+def _stored_attributes(path: Path):
+    """(qualified attribute, name) of each attribute that a method of a
+    top-level class assigns on self, tuple targets included."""
+    module = path.stem
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            for sub in ast.walk(item):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                    yield f"{module}.{node.name}.{sub.attr}", sub.attr
+
+
+def _attribute_reads(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text())
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return reads | {node.target.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.AugAssign)
+                    and isinstance(node.target, ast.Attribute)}
+
+
+def test_every_stored_attribute_is_read():
+    read = set().union(*(_attribute_reads(p) for p in SOURCES))
+    unread = sorted({qual for p in LIBRARY for qual, name in _stored_attributes(p)
+                     if name not in read})
+    assert not unread, (
+        "attributes stored on self that no command, benchmark workload or "
+        f"acceptance criterion reads: {unread}")
 
 
 def _unused_imports(path: Path) -> list[str]:

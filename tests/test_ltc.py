@@ -156,7 +156,7 @@ def test_packed_syndromes_span_words_past_64_checks():
     # rep:66 has 65 checks, so each packed check column takes two words
     X = toy(67, tuple(range(1, 67)))
     tester = SquareCodeTester(X, repetition_code(66))
-    assert tester._hcols.shape == (66, 2)
+    assert tester._syn_tables.shape == (9, 256, 2)
     rng = np.random.default_rng(62)
     for f in words_for_tester(tester, None, rng):
         assert np.array_equal(tester.reject_vector(f), tensordot_rejects(tester, f))
@@ -222,10 +222,11 @@ def edge_disagreements(tester, wgrid):
 def edge_ids_differ(X, lines, e):
     """Reference: edge e's two endpoints carry different ids on it, lines[l, g]
     the id of vertex g's row l (l < r) or column l - r."""
-    t, pos, g = (int(x) for x in X.edge_rep[e])
-    if t == 0:
-        return lines[pos, g] != lines[int(X.a_inv_pos[pos]), int(X.left_perms[pos, g])]
+    lbl, g = int(X.edge_label[e]), int(X.edge_root[e])
     r = X.nA
+    if lbl < r:
+        return lines[lbl, g] != lines[int(X.a_inv_pos[lbl]), int(X.left_perms[lbl, g])]
+    pos = lbl - r
     return lines[r + pos, g] != lines[r + int(X.b_inv_pos[pos]), int(X.right_perms[pos, g])]
 
 
@@ -911,10 +912,11 @@ def local_view_valid(tester, wgrid, g):
 
 def edge_view_differs(X, wgrid, e):
     """Reference: the two endpoint views of edge e differ on it."""
-    t, pos, g = (int(x) for x in X.edge_rep[e])
-    if t == 0:
-        ag = int(X.left_perms[pos, g])
-        return bool((wgrid[pos, g, :] != wgrid[int(X.a_inv_pos[pos]), ag, :]).any())
+    lbl, g = int(X.edge_label[e]), int(X.edge_root[e])
+    if lbl < X.nA:
+        ag = int(X.left_perms[lbl, g])
+        return bool((wgrid[lbl, g, :] != wgrid[int(X.a_inv_pos[lbl]), ag, :]).any())
+    pos = lbl - X.nA
     gb = int(X.right_perms[pos, g])
     return bool((wgrid[:, g, pos] != wgrid[:, gb, int(X.b_inv_pos[pos])]).any())
 

@@ -84,8 +84,8 @@ def ref_Dt(X):
     """Vertex-to-edge averaging: Dt f(<g;l>) = (f(g) + f(g^l)) / 2."""
     n, m = X.n_vertices, X.n_edges
     Dt = np.zeros((m, n))
-    for e, (t, pos, g) in enumerate(X.edge_rep.tolist()):
-        far = (X.left_perms if t == 0 else X.right_perms)[pos, g]
+    for e, (lbl, g) in enumerate(zip(X.edge_label.tolist(), X.edge_root.tolist())):
+        far = (X.left_perms[lbl] if lbl < X.nA else X.right_perms[lbl - X.nA])[g]
         Dt[e, g] += 0.5
         Dt[e, far] += 0.5
     return Dt
@@ -111,7 +111,7 @@ def ref_Mpar_block(X, lbl):
     pos = {int(e): k for k, e in enumerate(distinct)}
     nloc = len(distinct)
     M = np.zeros((nloc, nloc))
-    opposite = np.nonzero(X.label_type != X.label_type[lbl])[0]
+    opposite = np.arange(X.nA, X.n_labels) if lbl < X.nA else np.arange(X.nA)
     counted = np.zeros(nloc, dtype=bool)
     for g in range(X.n_vertices):
         src = pos[int(eids[g])]
@@ -549,7 +549,7 @@ def test_mpar_block_self_inverse_is_schreier(z6):
     # and verify entrywise under the explicit map <g;l> <-> {g, g+3}
     coset_of = {}
     for s, e in enumerate(distinct):
-        t, pos, g = z6.edge_rep[e]
+        g = z6.edge_root[e]
         coset_of[s] = frozenset({int(g), int((g + 3) % 6)})
     for s1 in range(len(distinct)):
         for s2 in range(len(distinct)):
