@@ -198,16 +198,20 @@ class SquareCodeTester:
         the information-set key.
 
         A vertex's fiber pattern is key[j] = the first slot i of its r x r
-        view that carries the same square as slot j.  Vertices with equal
-        keys share their distinct-square positions (first slots, _first) and
-        their fiber-constant codewords.  The candidates are the codewords
-        fiber-constant for some pattern, in lexicographic order; _outside[p]
-        is 0 on pattern p's and r^2 + 2r + 1 on the others, so a barred one,
-        scoring at least -r^2, always loses to the zero word, which every
-        pattern holds (score 0 in the distance pass, at most 2r in Delta's).
-        A candidate's lines are its r rows and r columns; a line id names a
-        distinct bit line, so two views agree on an edge iff the edge's two
-        lines have equal ids.
+        view that carries the same square as slot j.  Of the four triples of
+        [a,g,b], only (a,g,b) and (a^-1,agb,b^-1) sit at g, so slot a r + b
+        shares its square only with slot a^-1 r + b^-1, and only where
+        agb = g: the keys are one comparison of the complex's permutations.
+        Vertices with equal keys share their distinct-square positions
+        (first slots, _first) and their fiber-constant codewords.  The
+        candidates are the codewords fiber-constant for some pattern, in
+        lexicographic order; _outside[p] is 0 on pattern p's and
+        r^2 + 2r + 1 on the others, so a barred one, scoring at least -r^2,
+        always loses to the zero word, which every pattern holds (score 0 in
+        the distance pass, at most 2r in Delta's).  A candidate's lines are
+        its r rows and r columns, each a codeword of C1; a line id is its
+        bits on C1's information set, so two views agree on an edge iff the
+        edge's two lines have equal ids.
         """
         if self._pattern_of is not None:
             return
@@ -219,18 +223,14 @@ class SquareCodeTester:
                 f"an enumerable local code")
         words = self.C0.codewords()                       # (2^k0, r^2)
         words = words[np.lexsort(words.T[::-1])]          # lexicographic
-        n, r, r2 = self.X.n_vertices, self.r, self.r * self.r
-        # a stable sort of each view's square ids puts equal ones in runs,
-        # each led by its first slot; every slot takes its run's leader
-        keys = np.empty((n, r2), dtype=np.min_scalar_type(r2 - 1))
-        step = max(1, DECODE_BLOCK // (r2 * r2))
-        for lo in range(0, n, step):
-            flat = self._grid[:, lo:lo + step, :].transpose(1, 0, 2).reshape(-1, r2)
-            order = flat.argsort(axis=1, kind="stable").astype(keys.dtype)
-            ids = np.take_along_axis(flat, order, axis=1)
-            lead = np.arange(r2) * np.insert(ids[:, 1:] != ids[:, :-1], 0, True, axis=1)
-            np.put_along_axis(keys[lo:lo + step], order, np.take_along_axis(
-                order, np.maximum.accumulate(lead, axis=1), axis=1), axis=1)
+        X, r, r2 = self.X, self.r, self.r * self.r
+        # [g, a, b] takes the partner's key where agb = g, i.e. a^-1 g = gb;
+        # the compare runs in C order, so each vertex's key row is contiguous
+        slot = np.arange(r2, dtype=np.min_scalar_type(r2 - 1)).reshape(r, r)
+        keys = np.where(np.equal(X.left_perms[X.a_inv_pos].T[:, :, None],
+                                 X.right_perms.T[:, None, :], order="C"),
+                        np.minimum(slot, slot[np.ix_(X.a_inv_pos, X.b_inv_pos)]),
+                        slot).reshape(X.n_vertices, r2)
         # one bytes object per key row: np.unique(axis=0) sorts ~100x slower
         key_rows = keys.view(np.dtype((np.void, keys.itemsize * r2))).ravel()
         _, first_vertex, pattern_of = np.unique(
@@ -245,13 +245,13 @@ class SquareCodeTester:
         # whose view misses supp f keeps it, and a zero view accepts
         assert not cand[0].any() and not outside[:, 0].any()
 
-        # lines 0..r-1 are the rows, r..2r-1 the columns, as the labels
+        # lines 0..r-1 are the rows, r..2r-1 the columns, as the labels; each
+        # is a codeword of C1, named by its k1 <= 4 bits on an information set
         grids = cand.reshape(-1, r, r)
         lines = np.concatenate([grids, grids.transpose(0, 2, 1)], axis=1)
-        distinct, line_ids = np.unique(
-            lines.reshape(-1, r).view(np.dtype((np.void, r))), return_inverse=True)
-        line_table = line_ids.reshape(len(cand), 2 * r).T.astype(
-            np.min_scalar_type(len(distinct) - 1), order="C")
+        info = self.C1.information_set
+        line_weights = np.left_shift(1, np.arange(len(info), dtype=np.uint8))
+        line_table = (lines[:, :, info] @ line_weights).T.copy()
 
         # an information set of C0: its codewords differ on these slots;
         # keys of the codewords no vertex holds name the zero word, which
@@ -442,16 +442,12 @@ class SquareCodeTester:
 def dispute_counts(X: CayleyComplex, R) -> dict:
     """The n1 / n_par / n2 / n2' counts of the decoder analysis.
 
-    R is an edge id array or boolean mask.  Returns per-vertex and per-edge
-    integer arrays; identities against the edge operators:
+    R is an array of edge ids.  Returns per-vertex and per-edge integer
+    arrays; identities against the edge operators:
     n_par(e) = r * Mpar 1_R(e) and n2(e) = 8 r^2 * M 1_R(e).
     """
     mask = np.zeros(X.n_edges, dtype=np.int64)
-    R = np.asarray(R)
-    if R.dtype == bool:
-        mask[np.nonzero(R)[0]] = 1
-    elif R.size:
-        mask[R] = 1
+    mask[R] = 1
 
     n1_v = mask[X.edge_at].sum(axis=0)                        # (n,)
     u = X.edge_root

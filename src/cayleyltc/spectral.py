@@ -352,7 +352,8 @@ def complex_lambda(X: CayleyComplex, method: str = "auto") -> float:
 def verify_expansion_implication(op, R, delta: float, lam: float,
                                  conclusion_scale: float = 1.0,
                                  check_op: bool = True) -> dict:
-    """Record the implication <op 1_R, 1_R> >= delta|R|  =>  |R| >= bound.
+    """Record the implication <op 1_R, 1_R> >= delta|R|  =>  |R| >= bound,
+    R an array of ids in [0, op.dim).
 
     With conclusion_scale = 1 the bound is (delta - lam) * dim (the
     symmetric-Markov-expanding implication); with conclusion_scale = 2r it is the
@@ -362,8 +363,6 @@ def verify_expansion_implication(op, R, delta: float, lam: float,
     exact values of their floats.  The float fields are reported as before.
     """
     R = np.asarray(R)
-    if R.dtype == bool:
-        R = np.nonzero(R)[0]
     if R.size == 0:
         raise ValueError("R must be nonempty")
     if check_op:

@@ -81,6 +81,16 @@ def test_build_refuses_generator_flags_it_would_ignore(tmp_path, capsys, group,
     assert captured.out == "" and not out.exists()
 
 
+def test_build_refuses_generator_sets_of_unequal_size(tmp_path, capsys):
+    out = tmp_path / "D"
+    rc = main(["build", "--group", "cyclic:12", "--gens", "1,11", "--gens-b", "1,11,6",
+               "--base", "rep:2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == json.dumps({"error": "|A| = 2 != |B| = 3"}) + "\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_build_rejects_bad_group(tmp_path):
     assert main(["build", "--group", "dihedral:5", "--gens", "1",
                  "--base", "rep:2", "--out", str(tmp_path / "x")]) == 2

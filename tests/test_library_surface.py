@@ -20,6 +20,12 @@ read, as an `ast.Attribute` in load context or as the target of an
 augmented assignment, somewhere in those same files.  An attribute that
 nothing reads is a stored copy of something with no reader.
 
+A module-level constant of such a module (a name in upper case, leading
+underscores aside, that a top-level assignment binds) must be read, as an
+`ast.Name` or the attribute of an `ast.Attribute` in load context,
+somewhere in those same files.  A budget or a table that nothing reads is
+a setting with no effect.
+
 A name that a module of `src/` or `tests/` imports must appear in that
 module as an `ast.Name`; `from __future__` imports are exempt.
 """
@@ -182,6 +188,33 @@ def test_every_stored_attribute_is_read():
                      if name not in read})
     assert not unread, (
         "attributes stored on self that no command, benchmark workload or "
+        f"acceptance criterion reads: {unread}")
+
+
+def _constants(path: Path):
+    """(qualified name, name) of each upper-case name that a top-level
+    assignment of the module binds, tuple targets included."""
+    for node in ast.parse(path.read_text()).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                        and name.id.lstrip("_").isupper()):
+                    yield f"{path.stem}.{name.id}", name.id
+
+
+def _name_reads(path: Path) -> set[str]:
+    return {node.id for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_module_constant_is_read():
+    read = set().union(*(_name_reads(p) | _attribute_reads(p) for p in SOURCES))
+    unread = sorted(qual for p in LIBRARY for qual, name in _constants(p)
+                    if name not in read)
+    assert not unread, (
+        "module-level constants that no command, benchmark workload or "
         f"acceptance criterion reads: {unread}")
 
 

@@ -695,6 +695,13 @@ def vertex_candidates(tester):
     kept = np.any([ok for *_, ok in views], axis=0)
     tester._ensure_tables()
     assert np.array_equal(words[kept], tester._cand_flat)
+    # two lines, of any labels and candidates, have one id iff they have one bit row
+    grids = tester._cand_flat.reshape(-1, tester.r, tester.r)
+    lines = np.concatenate([grids, grids.transpose(0, 2, 1)], axis=1).reshape(-1, tester.r)
+    line_ids = tester._lines.T.ravel()
+    _, bit_class = np.unique(lines, axis=0, return_inverse=True)
+    assert len(np.unique(np.stack([line_ids, bit_class.ravel()]), axis=1)[0]) == len(
+        np.unique(line_ids)) == bit_class.max() + 1
     for g, (*_, ok) in enumerate(views):
         assert np.array_equal(tester._outside[tester._pattern_of[g]] == 0, ok[kept])
     ids = np.cumsum(kept) - 1
@@ -766,23 +773,43 @@ def slot_pair_keys(X):
     return keys
 
 
-@pytest.mark.parametrize("name", ["z5", "p13", "x41"])
-def test_sorted_keys_equal_the_slot_pair_keys(start_instances, lps41, name):
+R10_GENS = (1, 22, 2, 21, 3, 20, 4, 19, 5, 18)
+#: name: (group, A, B, base code, fiber patterns) of the instances that
+#: start_instances does not hold, given the LPS(5,41) generators
+KEY_INSTANCES = {
+    "r10": lambda lps41: (cyclic_group(23), R10_GENS, R10_GENS, repetition_code(10), 1),
+    # TNC holds: no view repeats a square
+    "p13_tnc": lambda lps41: (psl2(13), (79, 90, 91, 234), (517, 328, 559, 728),
+                              parity_code(4), 1),
+    "x41": lambda lps41: (lps41.group, lps41.indices, lps41.indices, repetition_code(6), 43),
+}
+
+
+@pytest.mark.parametrize("name", ["z5", "z12", "z10", "p13", *KEY_INSTANCES])
+def test_fixed_slot_keys_equal_the_slot_pair_keys(start_instances, lps41, name):
     # the keys fix the patterns, their first slots and their candidates
-    tester = (SquareCodeTester(build_complex(lps41.group, GeneratorSet(
-        lps41.group, lps41.indices, side="left"), GeneratorSet(
-        lps41.group, lps41.indices, side="right")), repetition_code(6))
-        if name == "x41" else start_instances[name])
+    if name in KEY_INSTANCES:
+        g, a, b, C1, n_patterns = KEY_INSTANCES[name](lps41)
+        tester = SquareCodeTester(build_complex(g, GeneratorSet(g, a, side="left"),
+                                                GeneratorSet(g, b, side="right")), C1)
+    else:
+        tester = start_instances[name]
+        n_patterns = 13 if name == "p13" else 1
     keys = slot_pair_keys(tester.X)
     patterns, first_vertex, pattern_of = np.unique(
         keys, axis=0, return_index=True, return_inverse=True)
     tester._ensure_tables()
     assert np.array_equal(tester._pattern_of, pattern_of.ravel())
     assert np.array_equal(tester._first, (patterns == np.arange(tester.r ** 2)).astype(float))
-    words = tester._cand_flat
-    assert np.array_equal(tester._outside == 0, np.stack(
-        [(words[:, key] == words).all(axis=1) for key in patterns]))
-    assert len(patterns) == {"z5": 1, "p13": 13, "x41": 43}[name]
+    words = tester.C0.codewords()
+    words = words[np.lexsort(words.T[::-1])]
+    member = np.stack([(words[:, key] == words).all(axis=1) for key in patterns])
+    kept = member.any(axis=0)
+    assert np.array_equal(tester._cand_flat, words[kept])
+    assert np.array_equal(tester._outside == 0, member[:, kept])
+    assert len(patterns) == n_patterns
+    if name in ("z12", "p13_tnc"):
+        assert tester._first.all()
 
 
 def test_candidates_are_the_codewords_fiber_constant_somewhere(start_instances, lps29):
